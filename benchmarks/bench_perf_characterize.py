@@ -1,17 +1,15 @@
-"""Perf benchmark: legacy vs indexed vs fused vs parallel characterization.
+"""Perf benchmark: legacy vs fused vs parallel characterization.
 
-The §4 characterization has three generations: the legacy analyzers
-re-sorted the trace inside every family; the shared
-:class:`~repro.trace.index.TraceIndex` computes those orderings once and
-the families read grouped views; and the fused engine
-(``repro.core.streaming``) walks the event stream once, folding every
-family's state in a single pass with no index at all.  On top of that,
-``characterize(frame, workers=N)`` partitions the stream across worker
-processes that share the trace zero-copy (fork CoW or shared memory).
-This benchmark times all four paths on the same traces at two scales,
-checks the acceptance contract (byte-identical report text, fused never
-loses to indexed, >= 3x end-to-end speedup on the bench trace), and
-records the trajectory in ``BENCH_characterize.json``.
+The legacy analyzers (:mod:`repro.core.legacy`, kept as the reference)
+re-sort the trace inside every family; the engine behind
+``characterize`` (``repro.core.streaming``) walks the event stream once,
+folding every family's state in a single pass with no index at all.  On
+top of that, ``characterize(frame, workers=N)`` partitions the stream
+across worker processes that share the trace zero-copy (fork CoW or
+shared memory).  This benchmark times the three paths on the same traces
+at two scales, checks the acceptance contract (byte-identical report
+text, >= 3x end-to-end speedup on the bench trace), and records the
+trajectory in ``BENCH_characterize.json``.
 
 Methodology (also in docs/DEVELOPMENT.md): the index and the ``of_kind``
 views cache on the frame, so every timed run gets a *fresh* frame built
@@ -66,17 +64,11 @@ def _best_of(run, frame, rounds: int = 3) -> tuple[float, str]:
 
 def _time_paths(frame) -> dict:
     legacy_s, legacy_text = _best_of(characterize_legacy, frame)
-    indexed_s, indexed_text = _best_of(
-        lambda f: characterize(f, engine="indexed"), frame
-    )
     fused_s, fused_text = _best_of(characterize, frame)
     parallel_s, parallel_text = _best_of(
         lambda f: characterize(f, workers=WORKERS), frame
     )
 
-    assert indexed_text == legacy_text, (
-        "index-backed report must equal the legacy report byte-for-byte"
-    )
     assert fused_text == legacy_text, (
         "fused report must equal the legacy report byte-for-byte"
     )
@@ -86,14 +78,12 @@ def _time_paths(frame) -> dict:
     return {
         "events": int(frame.n_events),
         "legacy_seconds": legacy_s,
-        "indexed_seconds": indexed_s,
         "fused_seconds": fused_s,
         "parallel_seconds": parallel_s,
         "workers": WORKERS,
-        "speedup_indexed": legacy_s / indexed_s,
         "speedup_fused": legacy_s / fused_s,
         "speedup_parallel": legacy_s / parallel_s,
-        "speedup_best": legacy_s / min(indexed_s, fused_s, parallel_s),
+        "speedup_best": legacy_s / min(fused_s, parallel_s),
         "report_identical": True,
     }
 
@@ -113,20 +103,18 @@ def test_perf_characterize(benchmark, frame):
             name,
             r["events"],
             f"{r['legacy_seconds']:.3f}",
-            f"{r['indexed_seconds']:.3f}",
             f"{r['fused_seconds']:.3f}",
             f"{r['parallel_seconds']:.3f}",
-            f"{r['speedup_indexed']:.1f}x",
             f"{r['speedup_fused']:.1f}x",
             f"{r['speedup_parallel']:.1f}x",
         )
         for name, r in results.items()
     ]
     show(
-        "characterize(): legacy vs shared index vs fused one-pass vs parallel",
+        "characterize(): legacy vs fused one-pass vs parallel",
         format_table(
-            ["trace", "events", "legacy s", "indexed s", "fused s",
-             f"parallel s (N={WORKERS})", "indexed", "fused", "parallel"],
+            ["trace", "events", "legacy s", "fused s",
+             f"parallel s (N={WORKERS})", "fused", "parallel"],
             rows,
         ),
     )
@@ -137,8 +125,3 @@ def test_perf_characterize(benchmark, frame):
     # proportionally more fixed overhead, so it only needs to win)
     assert results["bench"]["speedup_best"] >= MIN_SPEEDUP
     assert results["small"]["speedup_best"] > 1.0
-    # the fused one-pass engine must never lose to the indexed engine
-    for r in results.values():
-        assert r["speedup_fused"] >= r["speedup_indexed"], (
-            "fused engine regressed below the indexed engine"
-        )

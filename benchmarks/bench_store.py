@@ -1,7 +1,8 @@
 """Perf benchmark: out-of-core streaming vs full-frame characterization.
 
 The chunked store exists so characterization RSS is bounded by the chunk
-size, not the trace size (the paper's ~5 GB of raw traces never fit the
+size, the accumulator's event budget and the trace's distinct keys, not
+by the trace's length (the paper's ~5 GB of raw traces never fit the
 original all-in-memory pipeline).  This benchmark writes one store, then
 characterizes it twice in *separate child processes* — once materialized
 as a full frame, once streamed chunk by chunk — and compares each child's
@@ -38,8 +39,9 @@ STORE_SCALE = float(os.environ.get("REPRO_BENCH_STORE_SCALE", "0.5"))
 
 STORE_SEED = int(os.environ.get("REPRO_BENCH_SEED", "7"))
 
-#: events per chunk for the on-disk store (also bounds the sharing
-#: windows, so it directly caps the streaming path's working set)
+#: events per chunk for the on-disk store: one decoded chunk is the
+#: streaming path's transient working set, on top of the accumulator's
+#: held state (bounded by ``repro.core.streaming._COLLAPSE_EVENTS``)
 CHUNK_SIZE = 1 << 16
 
 #: acceptance ceiling: streaming peak RSS as a fraction of full-frame

@@ -164,7 +164,7 @@ def cmd_generate(args) -> int:
 
 def cmd_characterize(args) -> int:
     trace = _load_source(args) if args.store else _load_frame(args)
-    print(characterize(trace, workers=args.workers, engine=args.engine).render())
+    print(characterize(trace, workers=args.workers).render())
     return 0
 
 
@@ -698,10 +698,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=None,
                    help="processes to fan the analysis across "
                         "(report is byte-identical)")
-    p.add_argument("--engine", choices=["fused", "indexed"], default="fused",
-                   help="fused one-pass engine (default) or the "
-                        "per-family indexed analyzers; the report is "
-                        "byte-identical either way")
     p.set_defaults(func=cmd_characterize)
 
     p = sub.add_parser("trace", help="trace-file utilities")

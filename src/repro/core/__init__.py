@@ -29,8 +29,8 @@ from repro.core.jobstats import (
 from repro.core.modes import mode_usage
 from repro.core.report import WorkloadReport, characterize
 from repro.core.requests import request_size_cdfs, request_size_summary
-from repro.core.sequentiality import access_regularity_cdfs, per_file_regularity
-from repro.core.sharing import interjob_shared_files, sharing_cdfs, sharing_per_file
+from repro.core.sequentiality import per_file_regularity
+from repro.core.sharing import interjob_shared_files, sharing_per_file
 from repro.core.temporal import ThroughputSeries, demand_vs_capacity, throughput_series
 
 __all__ = [
@@ -38,7 +38,6 @@ __all__ = [
     "ReportComparison",
     "compare_reports",
     "WorkloadReport",
-    "access_regularity_cdfs",
     "characterize",
     "concurrency_profile",
     "file_size_cdf",
@@ -54,7 +53,6 @@ __all__ = [
     "request_size_summary",
     "request_size_table",
     "interjob_shared_files",
-    "sharing_cdfs",
     "sharing_per_file",
     "ThroughputSeries",
     "demand_vs_capacity",

@@ -2,9 +2,12 @@
 
 :func:`figure_series` computes the exact (x, y) data behind each of the
 paper's nine figures from a trace; :func:`render_figure` draws it as an
-ASCII chart.  The CLI's ``figures`` command and downstream plotting
-scripts consume these, so the figure definitions live in exactly one
-place.
+ASCII chart.  The six figures that are pure functions of one analysis
+family's result (fig1-3, fig5-7) are drawn by :func:`family_series`,
+which :func:`figure_series` feeds from the per-family analyzers and the
+trace service (:mod:`repro.service.figdata`) feeds from a finished
+:class:`~repro.core.report.WorkloadReport` — so the figure definitions
+live in exactly one place.
 """
 
 from __future__ import annotations
@@ -17,11 +20,12 @@ from repro.caching.sweeps import SweepLine, sweep_lines
 from repro.core.filestats import file_size_cdf
 from repro.core.jobstats import concurrency_profile, node_count_distribution
 from repro.core.requests import request_size_cdfs
-from repro.core.sequentiality import access_regularity_cdfs
-from repro.core.sharing import sharing_cdfs
+from repro.core.sequentiality import per_file_regularity
+from repro.core.sharing import sharing_per_file
 from repro.errors import AnalysisError, CacheConfigError
 from repro.trace.frame import TraceFrame
 from repro.trace.records import EventKind
+from repro.util.cdf import EmpiricalCDF
 from repro.util.plot import ascii_bars, ascii_chart
 
 #: figure id → one-line caption (the paper's)
@@ -37,6 +41,59 @@ FIGURES = {
     "fig9": "I/O-node caching: hit rate vs buffers, LRU vs FIFO",
 }
 
+#: the figures :func:`family_series` draws, with the per-family analyzer
+#: whose result each one is drawn from
+_FAMILY_ANALYZERS = {
+    "fig1": concurrency_profile,
+    "fig2": node_count_distribution,
+    "fig3": file_size_cdf,
+    "fig5": per_file_regularity,
+    "fig6": per_file_regularity,
+    "fig7": sharing_per_file,
+}
+
+
+def family_series(figure: str, result) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """The (x, y) series of a figure drawn from one family's result.
+
+    ``result`` is what that family's analysis produced: a
+    :class:`~repro.core.jobstats.ConcurrencyProfile` (fig1), a
+    :class:`~repro.core.jobstats.NodeCountDistribution` (fig2), the
+    file-size :class:`~repro.util.cdf.EmpiricalCDF` (fig3), a
+    :class:`~repro.core.sequentiality.FileRegularity` (fig5/fig6) or a
+    :class:`~repro.core.sharing.SharingResult` (fig7).  Per-class CDFs
+    are in percent and keyed "ro", "wo", "rw"; a class with no
+    qualifying file is omitted.
+    """
+    if figure not in _FAMILY_ANALYZERS:
+        raise AnalysisError(
+            f"figure {figure!r} is not drawn from one family's result; "
+            f"choose from {list(_FAMILY_ANALYZERS)}"
+        )
+    if figure == "fig1":
+        return {"time at level": (result.levels.astype(float), result.fractions)}
+    if figure == "fig2":
+        widths = result.node_counts.astype(float)
+        return {
+            "jobs": (widths, result.job_fractions),
+            "node-seconds": (widths, result.usage_fractions),
+        }
+    if figure == "fig3":
+        return {"files": result.steps()}
+    out = {}
+    for label in ("ro", "wo", "rw"):
+        # (sequential, consecutive) fractions, or (byte, block) sharing
+        first, second = result.select(label)
+        if not len(first):
+            continue
+        if figure == "fig7":
+            out[f"{label}/bytes"] = EmpiricalCDF(first * 100.0).steps()
+            out[f"{label}/blocks"] = EmpiricalCDF(second * 100.0).steps()
+        else:
+            values = first if figure == "fig5" else second
+            out[label] = EmpiricalCDF(values * 100.0).steps()
+    return out
+
 
 def figure_series(
     frame: TraceFrame,
@@ -46,36 +103,17 @@ def figure_series(
 ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """The (x, y) series of one figure, keyed by series name.
 
-    ``engine`` and ``workers`` steer the cache figures: ``engine``
-    selects replay vs the single-pass stack-distance engine for fig9
-    (see :func:`repro.caching.io_node.sweep_buffer_counts`), ``workers``
-    caps the process fan-out across fig9's policy lines.
+    Each figure runs only the analysis it draws on, never the whole
+    characterization.  ``engine`` and ``workers`` steer the cache
+    figures: ``engine`` selects replay vs the single-pass stack-distance
+    engine for fig9 (see :func:`repro.caching.io_node.sweep_buffer_counts`),
+    ``workers`` caps the process fan-out across fig9's policy lines.
     """
-    if figure == "fig1":
-        prof = concurrency_profile(frame)
-        return {"time at level": (prof.levels.astype(float), prof.fractions)}
-    if figure == "fig2":
-        dist = node_count_distribution(frame)
-        return {
-            "jobs": (dist.node_counts.astype(float), dist.job_fractions),
-            "node-seconds": (dist.node_counts.astype(float), dist.usage_fractions),
-        }
-    if figure == "fig3":
-        return {"files": file_size_cdf(frame).steps()}
+    if figure in _FAMILY_ANALYZERS:
+        return family_series(figure, _FAMILY_ANALYZERS[figure](frame))
     if figure == "fig4":
         by_count, by_bytes = request_size_cdfs(frame, EventKind.READ)
         return {"reads": by_count.steps(), "data": by_bytes.steps()}
-    if figure in ("fig5", "fig6"):
-        cdfs = access_regularity_cdfs(frame)
-        idx = 0 if figure == "fig5" else 1
-        return {label: cdfs[label][idx].steps() for label in cdfs}
-    if figure == "fig7":
-        cdfs = sharing_cdfs(frame)
-        out = {}
-        for label, (bytes_cdf, blocks_cdf) in cdfs.items():
-            out[f"{label}/bytes"] = bytes_cdf.steps()
-            out[f"{label}/blocks"] = blocks_cdf.steps()
-        return out
     if figure == "fig8":
         # one stack-distance pass yields the exact per-job hit rates at
         # every buffer count (bit-equal to the per-capacity replay)

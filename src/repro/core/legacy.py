@@ -6,11 +6,11 @@ every analyzer re-masks, re-sorts, and re-groups the event table on its
 own, and several hot paths are per-record Python loops.  It exists for
 two reasons:
 
-- the equivalence suite (``tests/test_index_equivalence.py``) asserts
-  that the index-backed :func:`repro.core.report.characterize` produces
+- the equivalence suite (``tests/test_equivalence.py``) asserts that
+  the one-pass :func:`repro.core.report.characterize` produces
   byte-identical report text and JSON to :func:`characterize_legacy`;
 - ``benchmarks/bench_perf_characterize.py`` times this path as the
-  serial baseline the indexed and parallel paths are measured against.
+  serial baseline the fused and parallel paths are measured against.
 
 Nothing here should be called from production code paths; import the
 rewritten modules in :mod:`repro.core` instead.

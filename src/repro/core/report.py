@@ -1,9 +1,10 @@
 """The whole characterization in one call.
 
 :func:`characterize` runs every analysis in :mod:`repro.core` over a
-trace and returns a :class:`WorkloadReport`; ``report.render()`` prints
-the same rows the paper's tables and figure captions report, side by
-side with the published values for easy comparison.
+trace — in one pass of the engine in :mod:`repro.core.streaming` — and
+returns a :class:`WorkloadReport`; ``report.render()`` prints the same
+rows the paper's tables and figure captions report, side by side with
+the published values for easy comparison.
 """
 
 from __future__ import annotations
@@ -11,22 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro import obs
-from repro.core.filestats import FilePopulation, file_size_cdf, population
-from repro.core.intervals import interval_size_table, request_size_table
-from repro.core.jobstats import (
-    ConcurrencyProfile,
-    NodeCountDistribution,
-    concurrency_profile,
-    files_per_job_table,
-    node_count_distribution,
-)
-from repro.core.modes import ModeUsage, mode_usage
-from repro.core.requests import RequestSizeSummary, request_size_summary
-from repro.core.sequentiality import FileRegularity, per_file_regularity
-from repro.core.sharing import SharingResult, interjob_shared_files, sharing_per_file
-from repro.errors import AnalysisError
+from repro.core.filestats import FilePopulation
+from repro.core.jobstats import ConcurrencyProfile, NodeCountDistribution
+from repro.core.modes import ModeUsage
+from repro.core.requests import RequestSizeSummary
+from repro.core.sequentiality import FileRegularity
+from repro.core.sharing import SharingResult
 from repro.trace.frame import TraceFrame
-from repro.trace.records import EventKind
 from repro.util.cdf import EmpiricalCDF
 from repro.util.tables import format_percent, format_table
 
@@ -254,148 +246,36 @@ class WorkloadReport:
         return "\n".join(parts)
 
 
-def _part_basics(frame: TraceFrame) -> dict:
-    with obs.span("core/characterize/basics"):
-        return {
-            "concurrency": concurrency_profile(frame),
-            "node_counts": node_count_distribution(frame),
-            "files_per_job": files_per_job_table(frame),
-            "files": population(frame),
-            "size_cdf": file_size_cdf(frame),
-            "reads": request_size_summary(frame, EventKind.READ),
-            "writes": request_size_summary(frame, EventKind.WRITE),
-            "modes": mode_usage(frame),
-        }
-
-
-def _part_regularity(frame: TraceFrame):
-    with obs.span("core/characterize/regularity"):
-        try:
-            return per_file_regularity(frame), None
-        except AnalysisError as exc:
-            return None, f"sequentiality skipped: {exc}"
-
-
-def _part_intervals(frame: TraceFrame):
-    with obs.span("core/characterize/intervals"):
-        return interval_size_table(frame), request_size_table(frame)
-
-
-def _part_sharing(frame: TraceFrame):
-    with obs.span("core/characterize/sharing"):
-        try:
-            return sharing_per_file(frame), None
-        except AnalysisError as exc:
-            return None, f"sharing skipped: {exc}"
-
-
-def _part_interjob(frame: TraceFrame) -> tuple[int, int]:
-    with obs.span("core/characterize/interjob"):
-        try:
-            shared, concurrent = interjob_shared_files(frame)
-            return len(shared), len(concurrent)
-        except AnalysisError:
-            return 0, 0
-
-
-#: independent analysis families; each is one process-pool task
-_PARTS = {
-    "sharing": _part_sharing,
-    "basics": _part_basics,
-    "regularity": _part_regularity,
-    "intervals": _part_intervals,
-    "interjob": _part_interjob,
-}
-
-
-#: engines accepted by :func:`characterize`
-CHARACTERIZE_ENGINES = ("fused", "indexed")
-
-
-def characterize(
-    frame, workers: int | None = None, engine: str = "fused"
-) -> WorkloadReport:
+def characterize(frame, workers: int | None = None) -> WorkloadReport:
     """Run the full §4 characterization over a trace.
 
     ``frame`` may be an in-memory :class:`~repro.trace.frame.TraceFrame`
     or any :class:`~repro.trace.store.TraceSource` (a chunked store or a
-    wrapped frame); sources route to the out-of-core streaming path,
-    which produces a byte-identical report without materializing the
-    full event table.
+    wrapped frame).  Either way one walk over the events folds every
+    analysis family into a :class:`~repro.core.streaming.ChunkAccumulator`
+    whose held state stays bounded, so a store is characterized without
+    materializing its event table.  The report is byte-identical to the
+    reference analyzers in :mod:`repro.core.legacy` (enforced, with
+    frozen digests, by ``tests/test_equivalence.py``).
 
-    ``engine`` selects the implementation — the report is byte-identical
-    either way (enforced by ``tests/test_equivalence.py``):
-
-    - ``"fused"`` (default): the one-pass engine in
-      :mod:`repro.core.streaming` — every analysis family folds into a
-      single walk over the events, so each event is touched exactly
-      once.  In-memory frames are wrapped in a
-      :class:`~repro.trace.store.FrameSource` partitioned into one chunk
-      range per worker.
-    - ``"indexed"``: the per-family analyzers over the shared
-      :class:`~repro.trace.index.TraceIndex` (frames), or the windowed
-      streaming fallback (sources) — the escape hatch when the fused
-      state would not fit in memory.
-
-    ``workers`` fans the work out across a process pool (see
-    :mod:`repro.util.pool`); the default (``None``) runs serially
-    in-process.  Results merge in a fixed order, so parallel and serial
-    runs are byte-identical too.
+    ``workers`` fans the walk out across a process pool (see
+    :mod:`repro.util.pool`), one contiguous chunk range per worker; an
+    in-memory frame is cut into one chunk per worker.  The default
+    (``None``) runs serially in-process.  Partials merge in a fixed
+    order, so parallel and serial runs are byte-identical too.
     """
-    from repro.util.pool import map_tasks
+    # imported here: streaming pulls WorkloadReport from this module
+    from repro.core.streaming import _scan_parallel, finalize_fused
+    from repro.trace.store import FrameSource
 
-    if engine not in CHARACTERIZE_ENGINES:
-        raise ValueError(
-            f"unknown engine {engine!r}; choose from {CHARACTERIZE_ENGINES}"
-        )
-    if not isinstance(frame, TraceFrame):
-        # imported here: streaming pulls report pieces back in at import
-        from repro.core.streaming import characterize_streaming
-
-        return characterize_streaming(
-            frame,
-            workers=workers,
-            engine="fused" if engine == "fused" else "windowed",
-        )
-    if engine == "fused":
-        from repro.core.streaming import characterize_streaming
-        from repro.trace.store import FrameSource
-
+    source = frame
+    if isinstance(frame, TraceFrame):
         n = frame.n_events
         # one chunk range per worker: workers scan disjoint slices of the
         # frame's event array (zero-copy under fork / shared memory)
         chunk = -(-n // int(workers)) if workers and workers > 1 and n else max(n, 1)
-        return characterize_streaming(
-            FrameSource(frame, chunk_size=chunk), workers=workers
-        )
-
-    with obs.span("core/characterize"):
-        # analysis families are uneven (sharing dwarfs basics); let idle
-        # workers steal queued families instead of waiting
-        results = map_tasks(_PARTS, frame, workers, scheduler="steal")
-    if obs.enabled():
-        obs.add("core.characterizations")
-        obs.add("core.characterize.events", frame.n_events)
-    basics = results["basics"]
-    regularity, reg_note = results["regularity"]
-    intervals, request_sizes = results["intervals"]
-    sharing, sharing_note = results["sharing"]
-    interjob = results["interjob"]
-    notes = [n for n in (reg_note, sharing_note) if n is not None]
-    return WorkloadReport(
-        concurrency=basics["concurrency"],
-        node_counts=basics["node_counts"],
-        files_per_job=basics["files_per_job"],
-        files=basics["files"],
-        size_cdf=basics["size_cdf"],
-        reads=basics["reads"],
-        writes=basics["writes"],
-        regularity=regularity,
-        intervals=intervals,
-        request_sizes=request_sizes,
-        sharing=sharing,
-        modes=basics["modes"],
-        interjob_shared=interjob[0],
-        interjob_concurrent=interjob[1],
-        notes=notes,
-    )
+        source = FrameSource(frame, chunk_size=chunk)
+    with obs.span("core/characterize_fused"):
+        with obs.span("core/characterize_fused/scan"):
+            acc = _scan_parallel(source, workers)
+        return finalize_fused(acc, source.jobs, source.files)

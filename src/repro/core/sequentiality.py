@@ -18,7 +18,6 @@ from repro import obs
 from repro.core.filestats import file_class_labels
 from repro.errors import AnalysisError
 from repro.trace.frame import TraceFrame
-from repro.util.cdf import EmpiricalCDF
 
 
 @dataclass(frozen=True)
@@ -105,20 +104,3 @@ def per_file_regularity(frame: TraceFrame) -> FileRegularity:
         consecutive_fraction=n_con / n_trans,
         labels=labels,
     )
-
-
-def access_regularity_cdfs(
-    frame: TraceFrame,
-) -> dict[str, tuple[EmpiricalCDF, EmpiricalCDF]]:
-    """Figures 5 and 6: per file class, (sequential %, consecutive %) CDFs.
-
-    Keys are "ro", "wo" and "rw" (a class is omitted when no qualifying
-    file belongs to it).  Values are percentages in [0, 100].
-    """
-    reg = per_file_regularity(frame)
-    out: dict[str, tuple[EmpiricalCDF, EmpiricalCDF]] = {}
-    for label in ("ro", "wo", "rw"):
-        seq, con = reg.select(label)
-        if len(seq):
-            out[label] = (EmpiricalCDF(seq * 100.0), EmpiricalCDF(con * 100.0))
-    return out

@@ -22,7 +22,6 @@ from repro import obs
 from repro.core.filestats import file_class_labels
 from repro.errors import AnalysisError
 from repro.trace.frame import TraceFrame
-from repro.util.cdf import EmpiricalCDF
 from repro.util.units import BLOCK_SIZE
 
 
@@ -182,19 +181,3 @@ def sharing_per_file(frame: TraceFrame, block_size: int = BLOCK_SIZE) -> Sharing
         block_shared=np.asarray(block_fracs),
         labels=labels,
     )
-
-
-def sharing_cdfs(
-    frame: TraceFrame, block_size: int = BLOCK_SIZE
-) -> dict[str, tuple[EmpiricalCDF, EmpiricalCDF]]:
-    """Figure 7: per file class, (byte %, block %) sharing CDFs.
-
-    Keys are "ro", "wo", "rw"; values are percentages in [0, 100].
-    """
-    res = sharing_per_file(frame, block_size=block_size)
-    out = {}
-    for label in ("ro", "wo", "rw"):
-        bytes_, blocks = res.select(label)
-        if len(bytes_):
-            out[label] = (EmpiricalCDF(bytes_ * 100.0), EmpiricalCDF(blocks * 100.0))
-    return out

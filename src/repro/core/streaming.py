@@ -1,61 +1,51 @@
-"""Out-of-core characterization: the full §4 report from chunk partials.
+"""The characterization engine: the full §4 report in one pass.
 
-:func:`characterize_streaming` reproduces :func:`repro.core.report.characterize`
-byte-for-byte without ever materializing the whole event table.  It makes
-one pass over the chunks of a :class:`~repro.trace.store.TraceSource`,
+:func:`repro.core.report.characterize` runs every analysis family
+through this module, in memory and out-of-core alike.  It makes one
+pass over the chunks of a :class:`~repro.trace.store.TraceSource` (an
+in-memory frame is wrapped in a :class:`~repro.trace.store.FrameSource`),
 folding each chunk into a mergeable :class:`ChunkAccumulator`, then
-finalizes every analysis family from the merged partials.
+finalizes every family from the merged partials — without ever
+materializing the whole event table.  Each event is touched exactly
+once; the per-family modules reduce to finalizers over the fused state:
 
-Two engines share the chunk scan:
-
-- **fused** (the default): *every* family — jobstats, filestats,
-  requests, modes, intervals, sequentiality, **and** sharing/interjob —
-  folds into the one chunk walk, so each event is touched exactly once.
-  The per-family modules reduce to finalizers over the fused state:
-
-  - jobstats need only the job side table, which travels whole with any
-    source;
-  - filestats / requests / modes / intervals reduce to per-file or
-    per-size counting.  All byte totals are integer sums (exact in
-    float64 far beyond trace scale), medians fall out of size→count
-    histograms, and the distinct-pair tables are sorted-array unions —
-    all order-independent;
-  - sequentiality is chunk-mergeable because chunks are contiguous
-    slices of the time-sorted stream, so each (file, node) group's
-    request order is preserved across chunk boundaries.  The accumulator
-    carries each group's last request out of every chunk and resolves
-    the boundary transition when the group's next chunk (or the merge of
-    two accumulators) supplies the following request;
-  - sharing / interjob fold as (a) per-(file, node) and per-(file, job)
-    open/close window extrema (min open time, max close time — exactly
-    the rows of :meth:`repro.trace.index.TraceIndex._span_table`) and
-    (b) canonical per-(file, node) byte- and block-interval unions.
-    Interval union is associative and the union of maximal runs is
-    unique, so incremental per-chunk unions merged at finalize time are
-    bit-identical to the full-frame union; the finalizer then runs the
-    *same* :func:`repro.core.sharing._overlap_fraction` sweep the index
-    path runs, on identical inputs.
-
-- **windowed** (the escape hatch): the pre-fused behavior, where
-  sharing/interjob fall back to *windowed full-index analysis* — files
-  are partitioned into contiguous id windows sized by their event
-  counts, the chunks are re-streamed once gathering each window's events
-  into a small sub-frame, and the existing index-based analyzers run per
-  window.  Memory stays bounded by the window budget even when the
-  fused interval-union state would not fit (adversarially fragmented
-  access patterns).
+- jobstats need only the job side table, which travels whole with any
+  source;
+- filestats / requests / modes / intervals reduce to per-file or
+  per-size counting.  All byte totals are integer sums (exact in
+  float64 far beyond trace scale), medians fall out of size→count
+  histograms, and the distinct-pair tables are sorted-array unions —
+  all order-independent;
+- sequentiality is chunk-mergeable because chunks are contiguous
+  slices of the time-sorted stream, so each (file, node) group's
+  request order is preserved across chunk boundaries.  The accumulator
+  carries each group's last request out of every chunk and resolves
+  the boundary transition when the group's next chunk (or the merge of
+  two accumulators) supplies the following request;
+- sharing / interjob fold as (a) per-(file, node) and per-(file, job)
+  open/close window extrema (min open time, max close time — exactly
+  the rows of :meth:`repro.trace.index.TraceIndex._span_table`) and
+  (b) canonical per-(file, node) byte- and block-interval unions.
+  Interval union is associative and the union of maximal runs is
+  unique, so incremental per-chunk unions merged at finalize time are
+  bit-identical to the full-frame union; the finalizer then runs the
+  *same* :func:`repro.core.sharing._overlap_fraction` sweep the
+  per-family analyzer runs, on identical inputs.
 
 The accumulator itself is vectorized: each chunk contributes small
 canonical numpy arrays (deduplicated pairs, per-key counts, unioned
 runs) that are concatenated and re-aggregated lazily, so no per-event or
-per-group Python loop runs during the scan.  Partials merge in a fixed
+per-group Python loop runs during the scan.  Deferred contributions are
+collapsed to their canonical aggregates after a fixed number of chunks
+or a fixed number of events, whichever comes first, so the state held
+between chunks is bounded by the trace's distinct keys plus one event
+budget — not by the trace's length.  Partials merge in a fixed
 left-to-right order over :func:`repro.util.pool.map_tasks` workers, so
 parallel and serial runs are byte-identical too.
 """
 
 from __future__ import annotations
 
-import gc
 import time
 from functools import partial
 
@@ -72,15 +62,15 @@ from repro.core.modes import ModeUsage
 from repro.core.report import WorkloadReport
 from repro.core.requests import summary_from_size_counts
 from repro.core.sequentiality import FileRegularity
-from repro.core.sharing import SharingResult, _overlap_fraction, sharing_per_file
+from repro.core.sharing import SharingResult, _overlap_fraction
 from repro.errors import AnalysisError
-from repro.trace.frame import EVENT_DTYPE, FileTable, JobTable, TraceFrame
+from repro.trace.frame import FileTable, JobTable
 from repro.trace.records import NO_VALUE, EventKind
 from repro.trace.store import TraceSource
 from repro.util.pool import map_tasks
 from repro.util.units import BLOCK_SIZE
 
-__all__ = ["ChunkAccumulator", "characterize_streaming", "finalize_fused"]
+__all__ = ["ChunkAccumulator", "finalize_fused"]
 
 _OPEN = int(EventKind.OPEN)
 _CLOSE = int(EventKind.CLOSE)
@@ -90,9 +80,6 @@ _WRITE = int(EventKind.WRITE)
 _SHIFT = np.int64(2**32)
 _HALF = np.int64(2**31)
 _LOW = np.int64(0xFFFFFFFF)
-
-#: engines accepted by :func:`characterize_streaming`
-STREAM_ENGINES = ("fused", "windowed")
 
 
 def _pack_key(file_ids: np.ndarray, nodes: np.ndarray) -> np.ndarray:
@@ -196,9 +183,15 @@ def _union_runs_slow(k, s, e, new_key):  # pragma: no cover - pathological
 # the scan itself never sorts what the aggregator will sort again.
 
 #: collapse a part back to its canonical aggregate once this many raw
-#: chunk contributions pile up — bounds accumulator memory on long scans
-#: while keeping the common few-chunk case down to a single sort per part
+#: chunk contributions pile up — keeps the per-part lists short on scans
+#: of many small chunks while the common few-chunk case stays down to a
+#: single sort per part
 _COLLAPSE_EVERY = 64
+
+#: collapse *every* part once this many events have been folded since the
+#: last full collapse — bounds the raw rows held on scans of large chunks,
+#: where the part count alone would let millions of events pile up
+_COLLAPSE_EVENTS = 1 << 18
 
 
 def _cat(arrays: list[np.ndarray]) -> np.ndarray:
@@ -309,16 +302,16 @@ class ChunkAccumulator:
     numpy arrays throughout — per-chunk contributions are appended to
     part lists and collapsed lazily (:meth:`part`), so the scan runs no
     per-group Python loops and instances pickle compactly across the
-    worker pool after :meth:`compact`.
-
-    ``collect_spans`` gates the sharing/interjob state (open/close span
-    extrema and byte/block interval unions); the windowed engine turns
-    it off because it recomputes sharing from sub-frames.
+    worker pool after :meth:`compact`.  A part collapses once it holds
+    ``_COLLAPSE_EVERY`` contributions, and every part collapses once
+    ``_COLLAPSE_EVENTS`` events have been folded since the last full
+    collapse, so raw rows never outgrow that budget plus one chunk.
     """
 
-    def __init__(self, collect_spans: bool = True) -> None:
-        self.collect_spans = collect_spans
+    def __init__(self) -> None:
         self.n_events = 0
+        #: events folded since every part was last collapsed
+        self._raw_events = 0
         self.n_opens = 0
         self.n_transfers = 0
         self.bytes_read = 0
@@ -350,14 +343,25 @@ class ChunkAccumulator:
         """Collapse every part to its canonical aggregate (bounds the
         pickle size shipped back from pool workers).  ``runs=False``
         leaves the byte/block run parts raw — the serial path skips
-        their union entirely because the sharing finalizer re-unions
-        only the candidate files' rows.  Returns self."""
+        their final union because the sharing finalizer re-unions only
+        the candidate files' rows.  Returns self."""
         for name in _PART_AGGS:
             if not runs and name in ("byte_runs", "block_runs"):
                 continue
             if self._parts[name]:
                 self.part(name)
+        if runs:
+            self._raw_events = 0
         return self
+
+    def _bound(self) -> None:
+        """Collapse what the part-count and event budgets call for."""
+        if self._raw_events >= _COLLAPSE_EVENTS:
+            self.compact()
+            return
+        for name, parts in self._parts.items():
+            if len(parts) >= _COLLAPSE_EVERY:
+                self.part(name)
 
     # -- folding in one chunk ------------------------------------------------
 
@@ -366,6 +370,7 @@ class ChunkAccumulator:
         if n == 0:
             return
         self.n_events += n
+        self._raw_events += n
         kind = events["kind"]
         files64 = events["file"].astype(np.int64)
 
@@ -386,11 +391,8 @@ class ChunkAccumulator:
         tmask = read_mask | write_mask
         if tmask.any():
             self._update_transfers(events[tmask])
-        if self.collect_spans:
-            self._update_spans(opens, events[kind == _CLOSE])
-        for name, parts in self._parts.items():
-            if len(parts) >= _COLLAPSE_EVERY:
-                self.part(name)
+        self._update_spans(opens, events[kind == _CLOSE])
+        self._bound()
 
     def _update_opens(self, opens: np.ndarray) -> None:
         self.n_opens += len(opens)
@@ -475,16 +477,15 @@ class ChunkAccumulator:
             np.add.reduceat(con.astype(np.int64), fstarts),
         ))
 
-        if self.collect_spans:
-            keep = end > off  # zero-size transfers touch no bytes
-            if keep.any():
-                nodes = tr["node"].astype(np.int64)[order][keep]
-                rk = _pack_pair(grp_files[keep], nodes)
-                s, e = off[keep], end[keep]
-                self._parts["byte_runs"].append((rk, s, e))
-                blk_s = (s // BLOCK_SIZE) * BLOCK_SIZE
-                blk_e = -(-e // BLOCK_SIZE) * BLOCK_SIZE
-                self._parts["block_runs"].append((rk, blk_s, blk_e))
+        keep = end > off  # zero-size transfers touch no bytes
+        if keep.any():
+            nodes = tr["node"].astype(np.int64)[order][keep]
+            rk = _pack_pair(grp_files[keep], nodes)
+            s, e = off[keep], end[keep]
+            self._parts["byte_runs"].append((rk, s, e))
+            blk_s = (s // BLOCK_SIZE) * BLOCK_SIZE
+            blk_e = -(-e // BLOCK_SIZE) * BLOCK_SIZE
+            self._parts["block_runs"].append((rk, blk_s, blk_e))
 
     def _update_spans(self, opens: np.ndarray, closes: np.ndarray) -> None:
         for ev, key_field, part in (
@@ -529,6 +530,7 @@ class ChunkAccumulator:
     def merge(self, other: "ChunkAccumulator") -> None:
         """Fold ``other`` (covering the chunks *after* ours) into self."""
         self.n_events += other.n_events
+        self._raw_events += other._raw_events
         self.n_opens += other.n_opens
         self.n_transfers += other.n_transfers
         self.bytes_read += other.bytes_read
@@ -569,17 +571,17 @@ class ChunkAccumulator:
             )
         for name, parts in other._parts.items():
             self._parts[name].extend(parts)
+        self._bound()
 
 
 def _scan_chunks(
     source: TraceSource,
     lo: int,
     hi: int,
-    collect_spans: bool = True,
     compact_runs: bool = True,
 ) -> ChunkAccumulator:
     t0 = time.perf_counter()
-    acc = ChunkAccumulator(collect_spans=collect_spans)
+    acc = ChunkAccumulator()
     for i in range(lo, hi):
         acc.update(source.chunk(i))
     acc.compact(runs=compact_runs)
@@ -590,9 +592,7 @@ def _scan_chunks(
     return acc
 
 
-def _scan_parallel(
-    source: TraceSource, workers: int | None, collect_spans: bool
-) -> ChunkAccumulator:
+def _scan_parallel(source: TraceSource, workers: int | None) -> ChunkAccumulator:
     """Partition the chunks into contiguous ranges, scan them (in
     parallel when asked), and merge left to right — the deterministic
     merge order that keeps parallel output byte-identical to serial."""
@@ -604,7 +604,6 @@ def _scan_parallel(
     ]
     tasks = {
         name: partial(_scan_chunks, lo=int(bounds[i]), hi=int(bounds[i + 1]),
-                      collect_spans=collect_spans,
                       # with one range the result never crosses a process
                       # boundary, so the run union can wait for finalize
                       compact_runs=n_ranges > 1)
@@ -618,77 +617,6 @@ def _scan_parallel(
             acc.merge(partials[name])
         obs.hist("fused.merge_seconds", time.perf_counter() - t0)
     return acc
-
-
-# -- windowed fallback for the cross-chunk analyzers -------------------------
-
-
-def _file_windows(acc: ChunkAccumulator, window_events: int) -> list[tuple[int, int]]:
-    """Contiguous [lo, hi] file-id ranges, each covering roughly
-    ``window_events`` events, partitioning every file seen in the trace."""
-    windows: list[tuple[int, int]] = []
-    lo = None
-    hi = None
-    budget = 0
-    files, counts = acc.part("events")
-    for fid, count in zip(files.tolist(), counts.tolist()):
-        if lo is not None and budget + count > window_events and budget > 0:
-            windows.append((lo, hi))
-            lo = None
-            budget = 0
-        if lo is None:
-            lo = fid
-        hi = fid
-        budget += count
-    if lo is not None:
-        windows.append((lo, hi))
-    return windows
-
-
-def _window_task(source: TraceSource, lo: int, hi: int) -> dict:
-    """Run the index-based sharing/interjob analyzers over one id window."""
-    parts = []
-    for chunk in source.iter_chunks():
-        mask = (chunk["file"] >= lo) & (chunk["file"] <= hi)
-        if mask.any():
-            parts.append(chunk[mask])
-    events = (
-        np.concatenate(parts) if parts else np.empty(0, dtype=EVENT_DTYPE)
-    )
-    table = source.files.data
-    in_window = (table["file"] >= lo) & (table["file"] <= hi)
-    sub = TraceFrame(
-        events,
-        jobs=source.jobs,
-        files=FileTable(table[in_window]),
-        header=source.header,
-    )
-    out = {
-        "candidates": 0,
-        "rows": None,
-        "interjob_shared": 0,
-        "interjob_concurrent": 0,
-    }
-    if len(sub.opens):
-        spans = sub.index.job_spans
-        out["interjob_shared"] = len(spans.multi_window_files())
-        out["interjob_concurrent"] = len(spans.concurrent_files())
-        candidates = sub.index.node_spans.concurrent_files()
-        out["candidates"] = len(candidates)
-        if len(candidates):
-            try:
-                res = sharing_per_file(sub)
-            except AnalysisError:
-                pass  # candidates exist but none were accessed in this window
-            else:
-                out["rows"] = (res.file_ids, res.byte_shared,
-                               res.block_shared, res.labels)
-    # the sub-frame and its TraceIndex reference each other, so the
-    # window's event arrays die with the *cyclic* collector — collect now
-    # or serial runs hold every previous window's garbage at once
-    del sub
-    gc.collect()
-    return out
 
 
 # -- finalization ------------------------------------------------------------
@@ -964,51 +892,20 @@ def _finalize_sharing_fused(acc: ChunkAccumulator):
     return sharing, None, interjob_shared, interjob_concurrent
 
 
-def _finalize_sharing_windowed(acc: ChunkAccumulator, window_results: list[dict]):
-    if acc.n_opens == 0:
-        return None, "sharing skipped: no OPEN events in trace", 0, 0
-    interjob_shared = sum(w["interjob_shared"] for w in window_results)
-    interjob_concurrent = sum(w["interjob_concurrent"] for w in window_results)
-    total_candidates = sum(w["candidates"] for w in window_results)
-    if total_candidates == 0:
-        return (
-            None,
-            "sharing skipped: no concurrently multi-node-opened files in trace",
-            interjob_shared,
-            interjob_concurrent,
-        )
-    rows = [w["rows"] for w in window_results if w["rows"] is not None]
-    if not rows:
-        return (
-            None,
-            "sharing skipped: no accessed multi-node files in trace",
-            interjob_shared,
-            interjob_concurrent,
-        )
-    sharing = SharingResult(
-        file_ids=np.concatenate([r[0] for r in rows]),
-        byte_shared=np.concatenate([r[1] for r in rows]),
-        block_shared=np.concatenate([r[2] for r in rows]),
-        labels=[label for r in rows for label in r[3]],
-    )
-    return sharing, None, interjob_shared, interjob_concurrent
-
-
-# -- the entry points ---------------------------------------------------------
+# -- the back half -----------------------------------------------------------
 
 
 def finalize_fused(
     acc: ChunkAccumulator, jobs: JobTable, files: FileTable
 ) -> WorkloadReport:
-    """The full §4 report from a fused accumulator plus the side tables.
+    """The full §4 report from an accumulator plus the side tables.
 
-    This is the fused engine's back half, split out so callers that fold
+    This is the engine's back half, split out so callers that fold
     chunks themselves — most prominently the trace-service daemon, which
     accumulates pushed chunks over HTTP — can finalize *without* a
-    :class:`~repro.trace.store.TraceSource`.  The accumulator must have
-    been built with ``collect_spans=True`` and cover the whole event
-    stream in order; the result is byte-identical to
-    ``characterize_streaming(source)`` over the same events.
+    :class:`~repro.trace.store.TraceSource`.  The accumulator must cover
+    the whole event stream in order; the result is byte-identical to
+    ``characterize(source)`` over the same events.
     """
     with obs.span("core/characterize_fused/finalize"):
         with obs.span("core/characterize_fused/finalize/basics"):
@@ -1021,92 +918,16 @@ def finalize_fused(
             sharing, sharing_note, ij_shared, ij_concurrent = (
                 _finalize_sharing_fused(acc)
             )
-    return _build_report(acc, basics, regularity, reg_note,
-                         intervals, request_sizes, sharing, sharing_note,
-                         ij_shared, ij_concurrent)
-
-
-def _build_report(acc, basics, regularity, reg_note,
-                  intervals, request_sizes, sharing, sharing_note,
-                  interjob_shared, interjob_concurrent) -> WorkloadReport:
     if obs.enabled():
         obs.add("core.characterizations")
         obs.add("core.characterize.events", acc.n_events)
-    notes = [n for n in (reg_note, sharing_note) if n is not None]
     return WorkloadReport(
-        concurrency=basics["concurrency"],
-        node_counts=basics["node_counts"],
-        files_per_job=basics["files_per_job"],
-        files=basics["files"],
-        size_cdf=basics["size_cdf"],
-        reads=basics["reads"],
-        writes=basics["writes"],
         regularity=regularity,
         intervals=intervals,
         request_sizes=request_sizes,
         sharing=sharing,
-        modes=basics["modes"],
-        interjob_shared=interjob_shared,
-        interjob_concurrent=interjob_concurrent,
-        notes=notes,
+        interjob_shared=ij_shared,
+        interjob_concurrent=ij_concurrent,
+        notes=[n for n in (reg_note, sharing_note) if n is not None],
+        **basics,
     )
-
-
-def characterize_streaming(
-    source: TraceSource,
-    workers: int | None = None,
-    window_events: int | None = None,
-    engine: str = "fused",
-) -> WorkloadReport:
-    """The full §4 characterization from a chunked source, out-of-core.
-
-    Byte-identical to the index-backed ``characterize(source.frame(),
-    engine="indexed")`` — enforced by ``tests/test_equivalence.py`` —
-    while holding at most a few chunks of state in memory.
-
-    ``engine`` selects how the cross-chunk sharing/interjob families are
-    computed: ``"fused"`` (default) folds them into the single chunk
-    walk, so every event is touched exactly once; ``"windowed"`` re-
-    streams the chunks once more, running the index-based analyzers over
-    bounded file-id windows (``window_events`` sets the per-window event
-    budget, default four chunks' worth).
-    """
-    if engine not in STREAM_ENGINES:
-        raise ValueError(
-            f"unknown streaming engine {engine!r}; choose from {STREAM_ENGINES}"
-        )
-    if engine == "fused":
-        with obs.span("core/characterize_fused"):
-            with obs.span("core/characterize_fused/scan"):
-                acc = _scan_parallel(source, workers, collect_spans=True)
-            return finalize_fused(acc, source.jobs, source.files)
-
-    if window_events is None:
-        window_events = max(4 * source.chunk_size, 1)
-    with obs.span("core/characterize_streaming"):
-        with obs.span("core/characterize_streaming/scan"):
-            acc = _scan_parallel(source, workers, collect_spans=False)
-
-        basics = _finalize_basics(acc, source.jobs, source.files)
-        regularity, reg_note = _finalize_regularity(acc)
-        intervals, request_sizes = _finalize_tables(acc)
-
-        with obs.span("core/characterize_streaming/windows"):
-            windows = _file_windows(acc, window_events)
-            window_tasks = {
-                f"window/{i}": partial(_window_task, lo=lo, hi=hi)
-                for i, (lo, hi) in enumerate(windows)
-            }
-            if windows:
-                done = map_tasks(
-                    window_tasks, source, workers, scheduler="steal"
-                )
-                window_results = [done[f"window/{i}"] for i in range(len(windows))]
-            else:
-                window_results = []
-        sharing, sharing_note, ij_shared, ij_concurrent = (
-            _finalize_sharing_windowed(acc, window_results)
-        )
-    return _build_report(acc, basics, regularity, reg_note,
-                         intervals, request_sizes, sharing, sharing_note,
-                         ij_shared, ij_concurrent)

@@ -58,8 +58,10 @@ log = logging.getLogger("repro.service")
 
 __all__ = ["SNAPSHOT_VERSION", "TraceService"]
 
-#: version tag of the drain-snapshot pickle payload
-SNAPSHOT_VERSION = 1
+#: version tag of the drain-snapshot pickle payload; bumped whenever the
+#: pickled ChunkAccumulator's attributes change, so an older snapshot is
+#: refused up front instead of failing on the first fold after restart
+SNAPSHOT_VERSION = 2
 
 
 class _HttpError(ServiceError):

@@ -12,8 +12,9 @@ it.  Six of the paper's nine figures are pure functions of the report:
 
 fig4, fig8 and fig9 need the event stream (request-size weighting and
 cache replay) and are deliberately absent; the batch
-``repro figures`` command covers those.  Series names match
-:func:`repro.core.figures.figure_series` so one plotting script serves
+``repro figures`` command covers those.  The series come from
+:func:`repro.core.figures.family_series`, the builder behind
+:func:`repro.core.figures.figure_series`, so one plotting script serves
 both paths.
 """
 
@@ -21,66 +22,38 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.figures import FIGURES
+from repro.core.figures import FIGURES, family_series
 from repro.core.report import WorkloadReport
-from repro.errors import AnalysisError
-from repro.util.cdf import EmpiricalCDF
 
 __all__ = ["REPORT_FIGURES", "figdata_from_report"]
 
-#: the figures answerable from a report alone
-REPORT_FIGURES = ("fig1", "fig2", "fig3", "fig5", "fig6", "fig7")
-
-
-def _series(report: WorkloadReport, figure: str) -> dict:
-    if figure == "fig1":
-        prof = report.concurrency
-        return {"time at level": (prof.levels.astype(float), prof.fractions)}
-    if figure == "fig2":
-        dist = report.node_counts
-        return {
-            "jobs": (dist.node_counts.astype(float), dist.job_fractions),
-            "node-seconds": (dist.node_counts.astype(float), dist.usage_fractions),
-        }
-    if figure == "fig3":
-        return {"files": report.size_cdf.steps()}
-    if figure in ("fig5", "fig6"):
-        if report.regularity is None:
-            raise AnalysisError(f"{figure} needs regularity data; this run has none")
-        out = {}
-        for label in ("ro", "wo", "rw"):
-            seq, con = report.regularity.select(label)
-            vals = seq if figure == "fig5" else con
-            if len(vals):
-                out[label] = EmpiricalCDF(vals * 100.0).steps()
-        return out
-    if figure == "fig7":
-        if report.sharing is None:
-            raise AnalysisError("fig7 needs sharing data; this run has none")
-        out = {}
-        for label in ("ro", "wo", "rw"):
-            bytes_, blocks = report.sharing.select(label)
-            if len(bytes_):
-                out[f"{label}/bytes"] = EmpiricalCDF(bytes_ * 100.0).steps()
-                out[f"{label}/blocks"] = EmpiricalCDF(blocks * 100.0).steps()
-        return out
-    raise AnalysisError(
-        f"figure {figure!r} is not derivable from a report; "
-        f"choose from {list(REPORT_FIGURES)}"
-    )
+#: the figures answerable from a report alone, with the report field
+#: holding the family result each one is drawn from
+_REPORT_FIELDS = {
+    "fig1": "concurrency",
+    "fig2": "node_counts",
+    "fig3": "size_cdf",
+    "fig5": "regularity",
+    "fig6": "regularity",
+    "fig7": "sharing",
+}
+REPORT_FIGURES = tuple(_REPORT_FIELDS)
 
 
 def figdata_from_report(
     report: WorkloadReport, figures: tuple[str, ...] = REPORT_FIGURES
 ) -> dict:
-    """JSON-ready ``{figure: {caption, series: {name: {x, y}}}}``."""
+    """JSON-ready ``{figure: {caption, series: {name: {x, y}}}}``.
+
+    A figure the report cannot answer is left out: one the report has
+    no field for, or one whose family was skipped for this run (no
+    regularity or sharing data).
+    """
     out: dict = {}
     for figure in figures:
-        try:
-            series = _series(report, figure)
-        except AnalysisError:
-            # a run need not support every figure (e.g. no read-write
-            # files means no "rw" class anywhere)
+        field = _REPORT_FIELDS.get(figure)
+        result = getattr(report, field) if field else None
+        if result is None:
             continue
         out[figure] = {
             "caption": FIGURES[figure],
@@ -89,7 +62,7 @@ def figdata_from_report(
                     "x": np.asarray(xs, dtype=float).tolist(),
                     "y": np.asarray(ys, dtype=float).tolist(),
                 }
-                for name, (xs, ys) in series.items()
+                for name, (xs, ys) in family_series(figure, result).items()
             },
         }
     return out

@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.core.figures import FIGURES, figure_series, render_all, render_figure
+from repro.core.figures import (
+    FIGURES,
+    family_series,
+    figure_series,
+    render_all,
+    render_figure,
+)
 from repro.errors import AnalysisError
 
 
@@ -19,6 +25,11 @@ class TestFigureSeries:
     def test_unknown_figure_rejected(self, small_frame):
         with pytest.raises(AnalysisError):
             figure_series(small_frame, "fig99")
+
+    def test_family_series_rejects_trace_figures(self):
+        # fig4, fig8 and fig9 need the event stream, not one family result
+        with pytest.raises(AnalysisError, match="fig4"):
+            family_series("fig4", None)
 
     def test_fig1_fractions(self, small_frame):
         (xs, ys) = figure_series(small_frame, "fig1")["time at level"]

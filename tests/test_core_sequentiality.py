@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core.sequentiality import access_regularity_cdfs, per_file_regularity
+from repro.core.figures import family_series
+from repro.core.sequentiality import per_file_regularity
 from repro.errors import AnalysisError
 from repro.trace.frame import TraceFrame
 from repro.trace.records import EventKind, Record
@@ -89,8 +90,10 @@ class TestWorkloadShape:
             assert seq.mean() < 0.6
 
     def test_cdfs_keyed_by_class(self, small_frame):
-        cdfs = access_regularity_cdfs(small_frame)
-        assert "wo" in cdfs and "ro" in cdfs
-        seq_cdf, con_cdf = cdfs["wo"]
-        assert seq_cdf.max <= 100.0
-        assert con_cdf.min >= 0.0
+        reg = per_file_regularity(small_frame)
+        seq = family_series("fig5", reg)
+        con = family_series("fig6", reg)
+        assert "wo" in seq and "ro" in seq
+        assert set(con) == set(seq)
+        assert seq["wo"][0].max() <= 100.0
+        assert con["wo"][0].min() >= 0.0

@@ -3,11 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core.sharing import (
-    concurrently_multi_node_files,
-    sharing_cdfs,
-    sharing_per_file,
-)
+from repro.core.figures import family_series
+from repro.core.sharing import concurrently_multi_node_files, sharing_per_file
 from repro.errors import AnalysisError
 from repro.trace.frame import TraceFrame
 from repro.trace.records import EventKind, OpenFlags, Record
@@ -107,6 +104,7 @@ class TestWorkloadSharing:
         assert np.mean(ro_blocks) >= np.mean(ro_bytes)
 
     def test_cdfs_in_percent(self, small_frame):
-        cdfs = sharing_cdfs(small_frame)
-        for label, (bytes_cdf, blocks_cdf) in cdfs.items():
-            assert 0 <= bytes_cdf.min and bytes_cdf.max <= 100
+        series = family_series("fig7", sharing_per_file(small_frame))
+        assert "ro/bytes" in series and "ro/blocks" in series
+        for name, (xs, ys) in series.items():
+            assert 0 <= xs.min() and xs.max() <= 100, name

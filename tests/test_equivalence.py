@@ -1,13 +1,15 @@
-"""Byte-identity of the index-backed analyzers and the parallel fan-outs.
+"""Byte-identity of the characterization engine and the parallel fan-outs.
 
-The index rewrite and the process-pool fan-out both promise *exactly* the
-report the original per-analyzer code produced — not merely statistically
-equivalent output.  These tests pin that promise against the frozen
-legacy implementation (:mod:`repro.core.legacy`) at two seeds/scales, and
-check the vectorized strided-run detector against its reference loop on
-arbitrary streams.
+The one-pass engine behind :func:`repro.core.characterize` and every way
+of feeding it — serial, process-pool, chunked, on-disk — promise
+*exactly* the report the original per-analyzer code produced, not merely
+statistically equivalent output.  These tests pin that promise against
+the frozen legacy implementation (:mod:`repro.core.legacy`) and against
+frozen report digests at two seeds/scales, and check the vectorized
+strided-run detector against its reference loop on arbitrary streams.
 """
 
+import hashlib
 import json
 
 import numpy as np
@@ -51,8 +53,6 @@ _FROZEN_SYNTHETIC_DIGESTS = {
 
 
 def _frame_digest(frame):
-    import hashlib
-
     h = hashlib.sha256()
     h.update(frame.events.tobytes())
     h.update(frame.jobs.data.tobytes())
@@ -91,31 +91,96 @@ class TestIndexEquivalence:
         assert new == old
 
 
-class TestEngineEquivalence:
-    """The fused one-pass engine and the indexed per-family engine are
-    the same report, byte for byte — serial and fanned out."""
+#: sha256 of render() and of the sorted-key to_dict() JSON, captured while
+#: the per-family indexed engine still shipped beside the fused one (both
+#: produced these bytes) — every path into characterize() must keep
+#: reproducing them
+_FROZEN_REPORT_DIGESTS = {
+    (0.02, 5): (
+        "0c95f389a27f0c252c010a5da211d10d25c686def9931f2ba8ca1691e8ef9100",
+        "f91c3a1f399d3d746eaf2025bf054857b9a1b8da6cbb4083b7dc865d3037ef4e",
+    ),
+    (0.01, 11): (
+        "de3881251a11fd96fac0e27e1e5344e4943cb5be08a1feaeefd8daca25bef77c",
+        "1377fe603c92429f20ccfe43f10b0f07ee61093ca7cb202e10cf34ec7c332cf2",
+    ),
+}
 
-    def test_fused_matches_indexed(self, workload):
-        frame = workload.frame
-        fused = characterize(frame, engine="fused")
-        indexed = characterize(frame, engine="indexed")
-        assert fused.render() == indexed.render()
-        assert json.dumps(fused.to_dict(), sort_keys=True) == json.dumps(
-            indexed.to_dict(), sort_keys=True
-        )
 
-    def test_fused_parallel_matches_indexed_parallel(self, workload):
-        frame = workload.frame
-        fused = characterize(frame, workers=4, engine="fused")
-        indexed = characterize(frame, workers=4, engine="indexed")
-        assert fused.render() == indexed.render()
-        assert json.dumps(fused.to_dict(), sort_keys=True) == json.dumps(
-            indexed.to_dict(), sort_keys=True
-        )
+def _report_digests(report):
+    text = report.render().encode()
+    data = json.dumps(report.to_dict(), sort_keys=True).encode()
+    return hashlib.sha256(text).hexdigest(), hashlib.sha256(data).hexdigest()
 
-    def test_unknown_engine_rejected(self, workload):
-        with pytest.raises(ValueError, match="engine"):
-            characterize(workload.frame, engine="quantum")
+
+def _store_report(frame, tmp_path):
+    from repro.trace.store import TraceStore, write_store
+
+    path = tmp_path / "trace.store"
+    write_store(frame, path, chunk_size=512)
+    with TraceStore(path) as store:
+        return characterize(store)
+
+
+def _chunked_report(frame, tmp_path):
+    from repro.trace.store import FrameSource
+
+    return characterize(FrameSource(frame, chunk_size=777))
+
+
+#: every way into characterize() the frozen digests are asserted on
+_REPORT_PATHS = {
+    "serial": lambda frame, tmp_path: characterize(frame),
+    "workers4": lambda frame, tmp_path: characterize(frame, workers=4),
+    "chunks777": _chunked_report,
+    "store": _store_report,
+}
+
+
+def _raw_rows(acc):
+    """The most not-yet-collapsed rows any deferred part of ``acc`` holds."""
+    held = 0
+    for name, parts in acc._parts.items():
+        agg = acc._agg_ids.get(name)
+        held = max(held, sum(
+            len(p[0]) if isinstance(p, tuple) else len(p)
+            for p in parts if id(p) != agg
+        ))
+    return held
+
+
+class TestFrozenReport:
+    """The report's bytes are frozen: serial, fanned out, chunked and
+    streamed from disk all hash to the digests captured before the
+    indexed and windowed engines were deleted."""
+
+    @pytest.mark.parametrize("path", list(_REPORT_PATHS))
+    def test_digest(self, workload, path, tmp_path, request):
+        scale_seed = request.node.callspec.params["workload"]
+        report = _REPORT_PATHS[path](workload.frame, tmp_path)
+        assert _report_digests(report) == _FROZEN_REPORT_DIGESTS[scale_seed]
+
+    def test_event_budget_bounds_raw_rows(self, workload, monkeypatch, request):
+        from repro.core import streaming
+        from repro.trace.store import FrameSource
+
+        budget, chunk = 4096, 500
+        monkeypatch.setattr(streaming, "_COLLAPSE_EVENTS", budget)
+        source = FrameSource(workload.frame, chunk_size=chunk)
+        acc = streaming.ChunkAccumulator()
+        for i in range(source.n_chunks):
+            if i % 3 == 2:
+                # the service daemon's out-of-order path: a parked
+                # one-chunk partial merged in once its turn comes
+                parked = streaming.ChunkAccumulator()
+                parked.update(source.chunk(i))
+                acc.merge(parked)
+            else:
+                acc.update(source.chunk(i))
+            assert _raw_rows(acc) < budget + chunk, f"after chunk {i}"
+        report = streaming.finalize_fused(acc, source.jobs, source.files)
+        scale_seed = request.node.callspec.params["workload"]
+        assert _report_digests(report) == _FROZEN_REPORT_DIGESTS[scale_seed]
 
 
 class TestStreamingEquivalence:

@@ -14,6 +14,7 @@ import pytest
 
 from repro import obs
 from repro.core import characterize
+from repro.core.figures import render_all
 from repro.errors import PoolTaskError
 from repro.obs import NULL_OBSERVER, Observer, RunReport, SpanNode
 from repro.util.pool import map_tasks
@@ -134,17 +135,20 @@ class TestDisabledMode:
 
 class TestPoolObservability:
     def test_parallel_map_tasks_merges_worker_observations(self, small_frame):
-        # the indexed engine fans the five analysis families out
+        # render_all fans the nine figures out through the steal scheduler
         obs.enable()
         observer = obs.current()
-        characterize(small_frame, workers=4, engine="indexed")
-        # the per-part counters must have crossed the process boundary
-        assert observer.counters["core.filestats.files"] > 0
-        assert observer.counters["pool.tasks"] == 5
-        # the analysis families fan out through the steal scheduler now
+        render_all(small_frame, workers=4)
+        # the per-figure counters must have crossed the process boundary
+        assert observer.counters["core.figures.rendered"] == 9
+        assert observer.counters["core.sequentiality.files"] > 0
+        # nine figure tasks, plus fig9's two policy lines run serially
+        # inside its worker (the inner fan-out is capped at one process)
+        assert observer.counters["pool.tasks"] == 11
         assert observer.counters["pool.steal_batches"] == 1
+        assert observer.counters["pool.serial_batches"] == 1
         span_names = set(RunReport(spans=observer.root.to_dict()).span_names())
-        assert "core/characterize/basics" in span_names
+        assert "core/figures/fig7" in span_names
 
     def test_fused_scan_merges_worker_observations(self, small_frame):
         # the fused engine partitions the event stream into chunk ranges

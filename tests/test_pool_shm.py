@@ -114,12 +114,6 @@ class TestSpawnFallback:
         assert _dumps(serial) == _dumps(fanned)
         assert pool_mod._SHARED is None
 
-    def test_characterize_indexed_identical(self, small_frame, no_fork):
-        serial = characterize(small_frame, engine="indexed")
-        fanned = characterize(small_frame, workers=2, engine="indexed")
-        assert serial.render() == fanned.render()
-        assert _dumps(serial) == _dumps(fanned)
-
     def test_store_scan_identical(self, small_frame, tmp_path, no_fork):
         path = tmp_path / "t.store"
         write_store(small_frame, path, chunk_size=64)
@@ -155,7 +149,7 @@ class TestWorkerCrash:
     def test_crash_names_the_chunk_range(self, small_frame):
         src = _ExplodingSource(small_frame, chunk_size=-(-small_frame.n_events // 4))
         with pytest.raises(PoolTaskError) as info:
-            _scan_parallel(src, workers=4, collect_spans=True)
+            _scan_parallel(src, workers=4)
         # the failing task is the one scanning the range containing chunk 1
         assert info.value.task == "scan[1:2)"
         assert "scan[1:2)" in str(info.value)
@@ -164,7 +158,7 @@ class TestWorkerCrash:
     def test_crash_names_the_chunk_range_serially(self, small_frame):
         src = _ExplodingSource(small_frame, chunk_size=-(-small_frame.n_events // 4))
         with pytest.raises(RuntimeError, match="disk on fire"):
-            _scan_parallel(src, workers=None, collect_spans=True)
+            _scan_parallel(src, workers=None)
 
 
 class TestSharedRelease:

@@ -319,6 +319,19 @@ class TestSnapshotRestart:
             second.stop()
 
 
+    def test_older_snapshot_version_refused(self, tmp_path):
+        import pickle
+
+        from repro.service.daemon import SNAPSHOT_VERSION
+
+        snap = tmp_path / "old.pkl"
+        snap.write_bytes(pickle.dumps(
+            {"version": SNAPSHOT_VERSION - 1, "runs": []}
+        ))
+        with pytest.raises(ServiceError, match="version"):
+            TraceService(snapshot_path=snap)
+
+
 # -- daemon self-telemetry ----------------------------------------------------
 
 
