@@ -537,7 +537,7 @@ def cmd_serve(args) -> int:
     finally:
         service.stop()
         if service.snapshot_path is not None:
-            print(f"drained; state snapshot at {service.snapshot_path}")
+            print(f"drained; restart log at {service.snapshot_path}")
     return 0
 
 
@@ -718,8 +718,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="0 (the default) binds an ephemeral port; the "
                         "bound choice is printed at startup")
     p.add_argument("--snapshot", metavar="PATH", default=None,
-                   help="drain-snapshot file: written on shutdown, "
-                        "restored (resuming partial runs) at startup")
+                   help="restart log: accepted runs and chunks are "
+                        "appended here and replayed at startup")
     p.add_argument("--duration", type=float, default=None, metavar="SECONDS",
                    help="serve this long then drain (default: until "
                         "Ctrl-C, SIGTERM or POST /shutdown)")

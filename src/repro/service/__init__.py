@@ -25,8 +25,8 @@ histograms, queue-depth and active-run gauges, flight-recorder run
 spans, a live sampler ring) and serves it back at ``/metrics`` and
 ``/healthz`` — the service is observable with the same tooling it
 serves.  ``/shutdown`` (and SIGINT/SIGTERM on ``repro serve``) drains
-gracefully: partial accumulator state snapshots to disk and a restarted
-daemon resumes folding mid-run from it.
+gracefully; with ``--snapshot PATH`` a restarted daemon replays a log of
+the wire bytes it accepted and resumes folding mid-run.
 """
 
 from repro.service.client import ServiceClient

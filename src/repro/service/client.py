@@ -152,7 +152,7 @@ class ServiceClient:
         return self._request("GET", "/metrics").decode("utf-8")
 
     def shutdown(self) -> dict:
-        """Ask the daemon to drain gracefully (snapshot + exit)."""
+        """Ask the daemon to drain gracefully (fsync its restart log, exit)."""
         return self._post_json("/shutdown", {})
 
     # -- synchronization helpers -----------------------------------------------

@@ -24,11 +24,13 @@ happens under one metrics lock, per-run folding under that run's own
 lock.  Per-run lifecycle lands in the flight recorder as structured
 events instead of spans.
 
-Graceful drain: ``stop()`` (wired to ``POST /shutdown`` and the CLI's
-signal handlers) compacts every accumulator and pickles the full
-per-run state to ``snapshot_path`` via tmp-file + ``os.replace``; a
-daemon restarted on the same path resumes folding mid-run exactly where
-the last one stopped.
+Restarts: with ``snapshot_path`` (``repro serve --snapshot PATH``) each
+accepted registration body and ingest frame is appended, as it arrives,
+to a restart log of the wire's own bytes; a daemon started on the same
+path replays it through :meth:`TraceService.register_run` and
+:meth:`TraceService.ingest` and resumes mid-run, so accumulator
+internals never reach disk.  ``stop()`` (wired to ``POST /shutdown``
+and the CLI's signal handlers) fsyncs the log.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from __future__ import annotations
 import json
 import logging
 import os
-import pickle
+import struct
 import threading
 import time
 from http.server import BaseHTTPRequestHandler
@@ -44,24 +46,26 @@ from pathlib import Path
 
 from repro import obs
 from repro.core.streaming import ChunkAccumulator, finalize_fused
-from repro.errors import ServiceError
+from repro.errors import ServiceError, TraceError
 from repro.obs.collector import Observer
 from repro.obs.flight import FlightRecorder
 from repro.obs.sampler import Sampler
 from repro.obs.server import _PROM_CONTENT_TYPE, ReusableThreadingHTTPServer
 from repro.service.figdata import figdata_from_report
-from repro.service.wire import decode_chunk, decode_table
+from repro.service.wire import WIRE_MAGIC, decode_chunk, decode_table
 from repro.trace.frame import FILE_DTYPE, JOB_DTYPE, FileTable, JobTable
 from repro.trace.records import TraceHeader
 
 log = logging.getLogger("repro.service")
 
-__all__ = ["SNAPSHOT_VERSION", "TraceService"]
+__all__ = ["LOG_MAGIC", "TraceService"]
 
-#: version tag of the drain-snapshot pickle payload; bumped whenever the
-#: pickled ChunkAccumulator's attributes change, so an older snapshot is
-#: refused up front instead of failing on the first fold after restart
-SNAPSHOT_VERSION = 2
+#: magic header of the restart log
+LOG_MAGIC = b"RSVCLOG1\n"
+
+#: each restart-log record: the body's length, then the body — a
+#: registration's JSON or an ingest frame (told apart by the wire magic)
+_RECORD_LEN = struct.Struct("<Q")
 
 
 class _HttpError(ServiceError):
@@ -98,7 +102,6 @@ class _RunState:
         self.chunk_meta: dict[int, dict] = {}
         self.n_duplicates = 0
         self.registered_at = time.time()
-        self.completed_at: float | None = None
         self.lock = threading.Lock()
         #: (fold generation, rendered text, report) — finalize once per fold
         self._report_cache: tuple[int, str, object] | None = None
@@ -137,8 +140,6 @@ class _RunState:
                 self.acc.merge(self.pending.pop(self.next_seq))
                 self.next_seq += 1
             self._report_cache = None
-            if self.complete and self.completed_at is None:
-                self.completed_at = time.time()
             return "folded"
         part = ChunkAccumulator()
         part.update(events)
@@ -158,8 +159,7 @@ class _RunState:
         if cached is not None and cached[0] == self.next_seq:
             return cached[1], cached[2]
         # finalize collapses the accumulator's part lists in place, which
-        # is idempotent — a restored snapshot taken after a query still
-        # folds later chunks correctly
+        # is idempotent — later chunks still fold correctly after a query
         report = finalize_fused(self.acc, self.jobs, self.files)
         text = report.render() + "\n"
         self._report_cache = (self.next_seq, text, report)
@@ -239,8 +239,16 @@ class TraceService:
         # span stack is single-threaded by design — at most one request
         # thread may finalize at a time, across all runs
         self._finalize_lock = threading.Lock()
-        if self.snapshot_path is not None and self.snapshot_path.exists():
-            self._restore(self.snapshot_path)
+        # restart-log appends: the innermost lock, held while taking none
+        self._log_lock = threading.Lock()
+        self._log = None
+        if self.snapshot_path is not None:
+            end = self._replay(self.snapshot_path)
+            self._log = open(self.snapshot_path, "ab")
+            self._log.truncate(end)  # drops a torn last record
+            if end == 0:
+                self._log.write(LOG_MAGIC)
+                self._log.flush()
 
     # -- observer plumbing -----------------------------------------------------
 
@@ -284,14 +292,15 @@ class TraceService:
             n_chunks = int(meta["n_chunks"])
             n_events = int(meta["n_events"])
             header = TraceHeader.from_dict(meta["header"])
-        except (ValueError, KeyError, TypeError) as exc:
+            jobs = JobTable(decode_table(meta.get("jobs"), JOB_DTYPE, "jobs"))
+            files = FileTable(
+                decode_table(meta.get("files"), FILE_DTYPE, "files")
+            )
+        except (ValueError, KeyError, TypeError, OverflowError, RecursionError,
+                ServiceError, TraceError) as exc:
             raise _HttpError(400, f"malformed run registration: {exc}")
         if n_chunks < 0 or n_events < 0:
             raise _HttpError(400, "run registration counts must be >= 0")
-        jobs = JobTable(decode_table(meta.get("jobs", {}), JOB_DTYPE, "jobs"))
-        files = FileTable(
-            decode_table(meta.get("files", {}), FILE_DTYPE, "files")
-        )
         with self._runs_lock:
             existing = self._runs.get(run)
             if existing is not None:
@@ -308,6 +317,9 @@ class TraceService:
                         f"{existing.n_events_expected} events",
                     )
                 return {"status": "already-registered", "run": run}
+            # logged before ingest can see the run, so no chunk record
+            # ever precedes its run's registration in the log
+            self._append(payload)
             self._runs[run] = _RunState(
                 run, n_chunks, n_events, header, jobs, files
             )
@@ -330,9 +342,11 @@ class TraceService:
         t0 = time.perf_counter()
         with state.lock:
             outcome = state.fold(seq, events)
+            fold_s = time.perf_counter() - t0
+            # duplicates too: a replay must rebuild n_duplicates
+            self._append(payload)
             complete = state.complete
             n_folded = state.n_folded
-        fold_s = time.perf_counter() - t0
         with self._obs_lock:
             o = self._observer
             o.add("service.ingest.chunks_total")
@@ -418,75 +432,55 @@ class TraceService:
             )
         return to_prometheus(report)
 
-    # -- drain snapshots -------------------------------------------------------
+    # -- restart log -----------------------------------------------------------
 
-    def snapshot(self, path: str | Path | None = None) -> Path | None:
-        """Persist every run's fold state (atomic tmp + replace)."""
-        path = Path(path) if path else self.snapshot_path
-        if path is None:
-            return None
-        with self._runs_lock:
-            states = list(self._runs.values())
-        runs = []
-        for state in states:
-            with state.lock:
-                state.acc.compact()
-                for part in state.pending.values():
-                    part.compact()
-                runs.append(
-                    {
-                        "run": state.run,
-                        "n_chunks": state.n_chunks_expected,
-                        "n_events": state.n_events_expected,
-                        "header": state.header.to_dict(),
-                        "jobs": state.jobs.data,
-                        "files": state.files.data,
-                        "acc": state.acc,
-                        "next_seq": state.next_seq,
-                        "pending": state.pending,
-                        "chunk_meta": state.chunk_meta,
-                        "n_duplicates": state.n_duplicates,
-                    }
-                )
-        payload = {"version": SNAPSHOT_VERSION, "runs": runs}
-        tmp = path.with_name(path.name + ".tmp")
-        with open(tmp, "wb") as fh:
-            pickle.dump(payload, fh, protocol=pickle.HIGHEST_PROTOCOL)
-        os.replace(tmp, path)
-        self._add("service.snapshot.written_total")
-        log.info("service snapshot of %d runs written to %s", len(runs), path)
-        return path
+    def _append(self, body: bytes) -> None:
+        """Log one accepted request body (no-op without ``snapshot_path``)."""
+        with self._log_lock:
+            if self._log is None:
+                return
+            if self._log.closed:
+                raise _HttpError(503, "trace service is draining")
+            self._log.write(_RECORD_LEN.pack(len(body)))
+            self._log.write(body)
+            self._log.flush()
 
-    def _restore(self, path: Path) -> None:
-        with open(path, "rb") as fh:
-            payload = pickle.load(fh)
-        if payload.get("version") != SNAPSHOT_VERSION:
+    def _replay(self, path: Path) -> int:
+        """Re-apply a restart log's whole records; returns where they end."""
+        data = path.read_bytes() if path.exists() else b""
+        if not data.startswith(LOG_MAGIC):
+            if LOG_MAGIC.startswith(data):  # new, or torn while created
+                return 0
             raise ServiceError(
-                f"snapshot {path} has version {payload.get('version')!r}, "
-                f"this daemon reads version {SNAPSHOT_VERSION}"
+                f"{path} is not a restart log: it does not start with the "
+                f"log magic {LOG_MAGIC!r}"
             )
-        for entry in payload["runs"]:
-            state = _RunState(
-                entry["run"],
-                entry["n_chunks"],
-                entry["n_events"],
-                TraceHeader.from_dict(entry["header"]),
-                JobTable(entry["jobs"]),
-                FileTable(entry["files"]),
-            )
-            state.acc = entry["acc"]
-            state.next_seq = entry["next_seq"]
-            state.pending = entry["pending"]
-            state.chunk_meta = entry["chunk_meta"]
-            state.n_duplicates = entry["n_duplicates"]
-            if state.complete:
-                state.completed_at = time.time()
-            self._runs[state.run] = state
-        self._add("service.snapshot.restored_runs_total", len(self._runs))
-        self._event("service", "snapshot/restored", n_runs=len(self._runs))
-        log.info(
-            "service restored %d runs from snapshot %s", len(self._runs), path
-        )
+        off, n_records = len(LOG_MAGIC), 0
+        while off < len(data):
+            end = off + _RECORD_LEN.size
+            if end <= len(data):
+                end += _RECORD_LEN.unpack_from(data, off)[0]
+            if end > len(data):
+                log.warning(
+                    "restart log %s: dropping the torn record at byte %d",
+                    path, off,
+                )
+                break
+            body = data[off + _RECORD_LEN.size : end]
+            try:
+                if body.startswith(WIRE_MAGIC):
+                    self.ingest(body)
+                else:
+                    self.register_run(body)
+            except ServiceError as exc:
+                raise ServiceError(
+                    f"restart log {path}: record at byte {off} failed to "
+                    f"replay: {exc}"
+                ) from None
+            off, n_records = end, n_records + 1
+        self._add("service.log.replayed_records_total", n_records)
+        log.info("service replayed %d records from %s", n_records, path)
+        return off
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -524,8 +518,8 @@ class TraceService:
         """Block until the daemon stops (``stop()`` or ``POST /shutdown``)."""
         return self._stopped.wait(timeout)
 
-    def stop(self, snapshot: bool = True) -> None:
-        """Graceful drain: stop accepting, snapshot state, halt sampler."""
+    def stop(self) -> None:
+        """Graceful drain: stop accepting, fsync the restart log, halt sampler."""
         with self._stop_lock:
             if self._stopping:
                 return
@@ -537,8 +531,11 @@ class TraceService:
         if self._thread is not None:
             self._thread.join(timeout=2.0)
             self._thread = None
-        if snapshot:
-            self.snapshot()
+        with self._log_lock:
+            if self._log is not None:
+                self._log.flush()
+                os.fsync(self._log.fileno())
+                self._log.close()
         sampler = self._observer.sampler
         if self._own_sampler and sampler is not None:
             sampler.stop()

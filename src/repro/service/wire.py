@@ -1,12 +1,13 @@
 """Wire framing for trace chunks pushed to the service daemon.
 
 One ``POST /ingest`` body carries one chunk of EVENT_DTYPE rows in the
-same columnar shape the on-disk store uses (§2's per-node collectors
-likewise shipped self-describing buffers): a magic prefix, a JSON meta
-object (run id, sequence number, per-field encoding directory), then the
-field blobs — each column zlib-compressed when that shrinks it and
-CRC-32 checked either way, so a corrupted or truncated frame is rejected
-with a message naming the failing field rather than folded into a run.
+on-disk store's own shape (§2's per-node collectors likewise shipped
+self-describing buffers): a magic prefix, a JSON meta object (run id,
+sequence number, event count and a store chunk's field directory), then
+the blobs :func:`repro.trace.store.encode_columns` wrote for it, offsets
+counted from the end of the meta.  The store's one decoder checks each
+frame, so a corrupted or truncated frame is rejected with a
+:class:`ServiceError` naming the failing field instead of folded in.
 
 Frame layout (integers little-endian)::
 
@@ -17,7 +18,7 @@ Frame layout (integers little-endian)::
 
 Side tables (jobs/files) and the trace header travel in the run
 *registration* instead — they are tiny, so :func:`encode_table` packs
-them as zlib+base64 strings inside plain JSON.
+each as the store's side-table entry plus its bytes in base64.
 """
 
 from __future__ import annotations
@@ -25,12 +26,17 @@ from __future__ import annotations
 import base64
 import json
 import struct
-import zlib
 
 import numpy as np
 
-from repro.errors import ServiceError
+from repro.errors import ServiceError, TraceFormatError
 from repro.trace.frame import EVENT_DTYPE
+from repro.trace.store import (
+    decode_columns,
+    decode_side_table,
+    encode_columns,
+    encode_side_table,
+)
 
 __all__ = [
     "WIRE_MAGIC",
@@ -54,18 +60,7 @@ _META_LEN = struct.Struct("<I")
 _MAX_META_BYTES = 1 << 20
 
 
-def _encode_blob(raw: bytes, compression: str) -> tuple[str, bytes]:
-    """(encoding, stored bytes): zlib only when it actually shrinks."""
-    if compression == "zlib":
-        packed = zlib.compress(raw, 6)
-        if len(packed) < len(raw):
-            return "zlib", packed
-    return "raw", raw
-
-
-def encode_chunk(
-    run: str, seq: int, events: np.ndarray, compression: str = "zlib"
-) -> bytes:
+def encode_chunk(run: str, seq: int, events: np.ndarray) -> bytes:
     """Frame one chunk of events for ``POST /ingest``."""
     if events.dtype != EVENT_DTYPE:
         raise ServiceError(
@@ -73,21 +68,7 @@ def encode_chunk(
         )
     if seq < 0:
         raise ServiceError(f"chunk sequence number must be >= 0, not {seq}")
-    fields: dict[str, dict] = {}
-    blobs: list[bytes] = []
-    off = 0
-    for name in EVENT_DTYPE.names:
-        col = np.ascontiguousarray(events[name])
-        enc, stored = _encode_blob(col.tobytes(), compression)
-        fields[name] = {
-            "enc": enc,
-            "off": off,
-            "nbytes": len(stored),
-            "raw": col.nbytes,
-            "crc32": zlib.crc32(stored),
-        }
-        blobs.append(stored)
-        off += len(stored)
+    fields, blobs = encode_columns(events)
     meta = {
         "v": WIRE_VERSION,
         "run": str(run),
@@ -120,96 +101,59 @@ def decode_chunk(data: bytes) -> tuple[str, int, np.ndarray]:
         raise ServiceError("ingest frame truncated inside its meta object")
     try:
         meta = json.loads(data[body : body + meta_len])
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ServiceError(f"ingest meta is not valid JSON: {exc}")
+    if not isinstance(meta, dict):
+        raise ServiceError(
+            f"ingest meta must be a JSON object, not {type(meta).__name__}"
+        )
     if meta.get("v") != WIRE_VERSION:
         raise ServiceError(
             f"wire version {meta.get('v')!r} not supported "
             f"(this daemon speaks version {WIRE_VERSION})"
         )
-    try:
-        run = str(meta["run"])
-        seq = int(meta["seq"])
-        n = int(meta["n"])
-        fields = meta["fields"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ServiceError(f"ingest meta is missing a required key: {exc}")
-    payload = data[body + meta_len :]
-    out = np.empty(n, dtype=EVENT_DTYPE)
-    for name in EVENT_DTYPE.names:
-        fmeta = fields.get(name)
-        if fmeta is None:
-            raise ServiceError(f"ingest frame lacks field {name!r}")
-        col = _decode_blob(payload, fmeta, f"field {name!r}", EVENT_DTYPE[name])
-        if len(col) != n:
-            raise ServiceError(
-                f"field {name!r} decoded to {len(col)} values, expected {n}"
-            )
-        out[name] = col
-    return run, seq, out
-
-
-def _decode_blob(payload: bytes, meta: dict, what: str, dtype) -> np.ndarray:
-    try:
-        off, nbytes, enc = int(meta["off"]), int(meta["nbytes"]), meta["enc"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ServiceError(f"{what} has a malformed blob directory: {exc}")
-    if off < 0 or off + nbytes > len(payload):
+    run, seq = meta.get("run"), meta.get("seq")
+    if not isinstance(run, str):
+        raise ServiceError(f"ingest meta 'run' must be a string, not {run!r}")
+    if type(seq) is not int or seq < 0:
         raise ServiceError(
-            f"{what} extends past the frame "
-            f"(bytes {off}..{off + nbytes}, payload has {len(payload)})"
+            f"ingest meta 'seq' must be an integer >= 0, not {seq!r}"
         )
-    stored = payload[off : off + nbytes]
-    if zlib.crc32(stored) != int(meta.get("crc32", -1)):
-        raise ServiceError(f"{what} failed its CRC-32 check")
-    if enc == "zlib":
-        try:
-            raw = zlib.decompress(stored)
-        except zlib.error as exc:
-            raise ServiceError(f"{what} failed to decompress: {exc}")
-    elif enc == "raw":
-        raw = stored
-    else:
-        raise ServiceError(f"{what} has unknown encoding {enc!r}")
-    if len(raw) != int(meta.get("raw", -1)):
-        raise ServiceError(
-            f"{what} decoded to {len(raw)} bytes, expected {meta.get('raw')}"
+    payload = memoryview(data)[body + meta_len :]  # no copy of the blobs
+    try:
+        events = decode_columns(
+            payload, meta.get("n"), meta.get("fields"), "ingest frame"
         )
-    return np.frombuffer(raw, dtype=dtype)
+    except TraceFormatError as exc:
+        raise ServiceError(str(exc)) from None
+    return run, seq, events
 
 
 # -- side tables inside JSON ---------------------------------------------------
 
 
 def encode_table(arr: np.ndarray) -> dict:
-    """A structured array as a JSON-embeddable zlib+base64 object."""
-    raw = np.ascontiguousarray(arr).tobytes()
-    packed = zlib.compress(raw, 6)
-    return {
-        "b64": base64.b64encode(packed).decode("ascii"),
-        "raw": len(raw),
-        "crc32": zlib.crc32(raw),
-        "n": len(arr),
-    }
+    """A structured array as a JSON-embeddable table object.
+
+    The object is the store's side-table entry (``enc``, ``nbytes``,
+    ``raw``, ``n``, ``crc32``, ``off``) plus the stored bytes as ``b64``.
+    """
+    meta, stored = encode_side_table(arr)
+    meta["b64"] = base64.b64encode(stored).decode("ascii")
+    return meta
 
 
 def decode_table(meta: dict, dtype, what: str) -> np.ndarray:
     """Invert :func:`encode_table`, validating length and checksum."""
+    if not isinstance(meta, dict):
+        raise ServiceError(
+            f"{what} table must be a JSON object, not {type(meta).__name__}"
+        )
     try:
-        packed = base64.b64decode(meta["b64"].encode("ascii"), validate=True)
-        raw = zlib.decompress(packed)
-    except (KeyError, AttributeError, ValueError, zlib.error) as exc:
-        raise ServiceError(f"{what} table failed to decode: {exc}")
-    if len(raw) != int(meta.get("raw", -1)):
-        raise ServiceError(
-            f"{what} table decoded to {len(raw)} bytes, "
-            f"expected {meta.get('raw')}"
-        )
-    if zlib.crc32(raw) != int(meta.get("crc32", -1)):
-        raise ServiceError(f"{what} table failed its CRC-32 check")
-    arr = np.frombuffer(raw, dtype=dtype).copy()
-    if len(arr) != int(meta.get("n", -1)):
-        raise ServiceError(
-            f"{what} table has {len(arr)} rows, expected {meta.get('n')}"
-        )
-    return arr
+        stored = base64.b64decode(meta.get("b64"), validate=True)
+    except (TypeError, ValueError) as exc:
+        raise ServiceError(f"{what} table 'b64' is not base64: {exc}")
+    try:
+        return decode_side_table(stored, meta, dtype, f"{what} table")
+    except TraceFormatError as exc:
+        raise ServiceError(str(exc)) from None

@@ -29,6 +29,12 @@ Layout (all integers little-endian)::
 The fixed header is written as zeros first and patched on close, so a
 truncated write is detected immediately (version 0 is never valid).
 
+:func:`encode_columns`/:func:`decode_columns` (a chunk's columns) and
+:func:`encode_side_table`/:func:`decode_side_table` are the one blob
+codec; :mod:`repro.service.wire` frames reuse them.  The decoders check
+a directory whole before allocating and raise :class:`TraceFormatError`
+naming the failing field or key.
+
 :class:`TraceSource` is the consumption-side abstraction: anything that
 can enumerate EVENT_DTYPE chunks plus the side tables.  A
 :class:`TraceStore` streams from disk; a :class:`FrameSource` adapts an
@@ -45,6 +51,7 @@ import struct
 import time
 import zlib
 from collections.abc import Iterator
+from functools import cached_property
 
 import numpy as np
 
@@ -68,6 +75,10 @@ __all__ = [
     "StoreWriter",
     "TraceSource",
     "TraceStore",
+    "decode_columns",
+    "decode_side_table",
+    "encode_columns",
+    "encode_side_table",
     "is_store_file",
     "open_source",
     "source_info",
@@ -90,26 +101,141 @@ _FIXED_HEADER = struct.Struct("<IIQQQQ")
 
 _HEADER_SIZE = len(STORE_MAGIC) + _FIXED_HEADER.size
 
+#: the directory's "dtype" entry: every table's fields, in this order
+_DTYPES = {"events": EVENT_DTYPE, "jobs": JOB_DTYPE, "files": FILE_DTYPE}
 
-def _encode_blob(raw: bytes, compression: str) -> tuple[str, bytes]:
-    """(encoding, stored bytes): zlib when it actually shrinks the blob."""
-    if compression == "zlib":
-        packed = zlib.compress(raw, 6)
-        if len(packed) < len(raw):
-            return "zlib", packed
+#: deflate inflates at most 1032-fold; a blob claiming more is refused
+_MAX_INFLATE = 1032
+
+
+def _encode_blob(raw: bytes) -> tuple[str, bytes]:
+    """(encoding, stored bytes): zlib level 6 when that shrinks the blob."""
+    packed = zlib.compress(raw, 6)
+    if len(packed) < len(raw):
+        return "zlib", packed
     return "raw", raw
 
 
-def _table_blob(arr: np.ndarray, compression: str) -> tuple[dict, bytes]:
-    enc, stored = _encode_blob(arr.tobytes(), compression)
+def encode_columns(events: np.ndarray, off: int = 0) -> tuple[dict, list[bytes]]:
+    """A chunk's field directory and blobs, to be stored back to back at ``off``."""
+    fields: dict[str, dict] = {}
+    blobs: list[bytes] = []
+    for name in EVENT_DTYPE.names:
+        col = np.ascontiguousarray(events[name])
+        enc, stored = _encode_blob(col.tobytes())
+        fields[name] = {
+            "enc": enc,
+            "off": off,
+            "nbytes": len(stored),
+            "raw": col.nbytes,
+            "crc32": zlib.crc32(stored),
+        }
+        blobs.append(stored)
+        off += len(stored)
+    return fields, blobs
+
+
+def encode_side_table(arr: np.ndarray, off: int = 0) -> tuple[dict, bytes]:
+    """A side table as one blob and its directory entry (stored at ``off``)."""
+    enc, stored = _encode_blob(np.ascontiguousarray(arr).tobytes())
     meta = {
         "enc": enc,
         "nbytes": len(stored),
         "raw": arr.nbytes,
         "n": len(arr),
         "crc32": zlib.crc32(stored),
+        "off": off,
     }
     return meta, stored
+
+
+def _count(value, what: str) -> int:
+    """A directory count: a JSON integer >= 0, never a float or a bool."""
+    if type(value) is not int or value < 0:
+        raise TraceFormatError(f"{what} must be an integer >= 0, not {value!r}")
+    return value
+
+
+def _check_blob(meta, what: str, buf_len: int, itemsize: int, n=None) -> None:
+    """Check a blob entry of ``n`` rows (a table's own ``n`` when None)."""
+    if not isinstance(meta, dict):
+        raise TraceFormatError(f"{what} is missing or not an object")
+    n = _count(meta.get("n") if n is None else n, f"{what} 'n'")
+    raw_nbytes = n * itemsize
+    enc = meta.get("enc")
+    if enc not in ("zlib", "raw"):
+        raise TraceFormatError(f"{what} has unknown encoding {enc!r}")
+    off, nbytes, raw, _ = (
+        _count(meta.get(key), f"{what} {key!r}")
+        for key in ("off", "nbytes", "raw", "crc32")
+    )
+    if raw != raw_nbytes:
+        raise TraceFormatError(
+            f"{what} has raw={raw}, but its rows need {raw_nbytes} bytes"
+        )
+    if (enc == "raw" and raw != nbytes) or raw > nbytes * _MAX_INFLATE:
+        raise TraceFormatError(
+            f"{what} cannot hold {raw} raw bytes in {nbytes} {enc} bytes"
+        )
+    if off + nbytes > buf_len:
+        raise TraceFormatError(
+            f"{what} extends past the end (bytes {off}..{off + nbytes} "
+            f"of {buf_len})"
+        )
+
+
+def _blob_bytes(buf, meta: dict, what: str):
+    """A checked blob's raw bytes: CRC-32 over the stored bytes, then inflate."""
+    stored = buf[meta["off"] : meta["off"] + meta["nbytes"]]
+    if zlib.crc32(stored) != meta["crc32"]:
+        raise TraceFormatError(f"{what} failed its CRC-32 check")
+    if meta["enc"] == "raw":
+        return stored
+    try:
+        raw = zlib.decompress(stored)
+    except zlib.error as exc:
+        raise TraceFormatError(f"{what} failed to decompress: {exc}")
+    if len(raw) != meta["raw"]:
+        raise TraceFormatError(
+            f"{what} decoded to {len(raw)} bytes, expected {meta['raw']}"
+        )
+    return raw
+
+
+def _check_columns(n, fields, what: str, buf_len: int) -> int:
+    """Validate a chunk's field directory against ``buf_len``; return n."""
+    n = _count(n, f"{what} 'n'")
+    if not isinstance(fields, dict):
+        raise TraceFormatError(f"{what} 'fields' must be an object")
+    unknown = [name for name in fields if name not in EVENT_DTYPE.names]
+    if unknown:
+        raise TraceFormatError(f"{what} has unknown field {unknown[0]!r}")
+    for name in EVENT_DTYPE.names:
+        _check_blob(
+            fields.get(name), f"{what} field {name!r}", buf_len,
+            EVENT_DTYPE[name].itemsize, n,
+        )
+    return n
+
+
+def decode_columns(buf, n, fields, what: str) -> np.ndarray:
+    """Invert :func:`encode_columns`: ``n`` EVENT_DTYPE rows out of ``buf``.
+
+    ``n`` and ``fields`` are checked whole before the output is allocated;
+    ``what`` (``"<path>: chunk 3"``, ``"ingest frame"``) prefixes errors.
+    """
+    n = _check_columns(n, fields, what, len(buf))
+    out = np.empty(n, dtype=EVENT_DTYPE)
+    for name in EVENT_DTYPE.names:
+        raw = _blob_bytes(buf, fields[name], f"{what} field {name!r}")
+        out[name] = np.frombuffer(raw, dtype=EVENT_DTYPE[name])
+    return out
+
+
+def decode_side_table(buf, meta, dtype: np.dtype, what: str) -> np.ndarray:
+    """Invert :func:`encode_side_table`: a fresh ``dtype`` array."""
+    _check_blob(meta, what, len(buf), dtype.itemsize)
+    return np.frombuffer(_blob_bytes(buf, meta, what), dtype=dtype).copy()
 
 
 class StoreWriter:
@@ -126,16 +252,12 @@ class StoreWriter:
         path,
         header: TraceHeader,
         chunk_size: int = DEFAULT_CHUNK_SIZE,
-        compression: str = "zlib",
     ) -> None:
         if chunk_size < 1:
             raise ValueError(f"chunk_size must be positive, not {chunk_size}")
-        if compression not in ("zlib", "raw"):
-            raise ValueError(f"unknown compression {compression!r}")
         self.path = path
         self.header = header
         self.chunk_size = int(chunk_size)
-        self.compression = compression
         self._jobs: JobTable | None = None
         self._files: FileTable | None = None
         self._pending: list[np.ndarray] = []
@@ -194,22 +316,8 @@ class StoreWriter:
         return taken[0] if len(taken) == 1 else np.concatenate(taken)
 
     def _write_chunk(self, chunk: np.ndarray) -> None:
-        fields: dict[str, dict] = {}
-        raw_total = 0
-        stored_total = 0
-        for name in EVENT_DTYPE.names:
-            col = np.ascontiguousarray(chunk[name])
-            enc, stored = _encode_blob(col.tobytes(), self.compression)
-            fields[name] = {
-                "enc": enc,
-                "off": self._fh.tell(),
-                "nbytes": len(stored),
-                "raw": col.nbytes,
-                "crc32": zlib.crc32(stored),
-            }
-            self._fh.write(stored)
-            raw_total += col.nbytes
-            stored_total += len(stored)
+        fields, blobs = encode_columns(chunk, self._fh.tell())
+        self._fh.writelines(blobs)
         self._chunks.append(
             {
                 "n": len(chunk),
@@ -222,8 +330,8 @@ class StoreWriter:
         if obs.enabled():
             obs.add("trace.store.chunks_written")
             obs.add("trace.store.events_written", len(chunk))
-            obs.add("trace.store.bytes_written", stored_total)
-            obs.add("trace.store.raw_bytes_written", raw_total)
+            obs.add("trace.store.bytes_written", sum(map(len, blobs)))
+            obs.add("trace.store.raw_bytes_written", chunk.nbytes)
 
     # -- finishing -----------------------------------------------------------
 
@@ -243,8 +351,7 @@ class StoreWriter:
 
         tables = {}
         for key, arr in (("jobs", self._jobs.data), ("files", self._files.data)):
-            meta, stored = _table_blob(np.ascontiguousarray(arr), self.compression)
-            meta["off"] = self._fh.tell()
+            meta, stored = encode_side_table(arr, self._fh.tell())
             self._fh.write(stored)
             tables[key] = meta
 
@@ -253,11 +360,7 @@ class StoreWriter:
             "chunk_size": self.chunk_size,
             "n_events": self._n_events,
             "header": self.header.to_dict(),
-            "dtype": {
-                "events": _dtype_descr(EVENT_DTYPE),
-                "jobs": _dtype_descr(JOB_DTYPE),
-                "files": _dtype_descr(FILE_DTYPE),
-            },
+            "dtype": {part: _dtype_descr(dt) for part, dt in _DTYPES.items()},
             "chunks": self._chunks,
             "tables": tables,
         }
@@ -294,13 +397,10 @@ def _dtype_descr(dtype: np.dtype) -> list[list[str]]:
 
 
 def write_store(
-    frame: TraceFrame,
-    path,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
-    compression: str = "zlib",
+    frame: TraceFrame, path, chunk_size: int = DEFAULT_CHUNK_SIZE
 ) -> None:
     """Write an in-memory frame as a chunked store file."""
-    with StoreWriter(path, frame.header, chunk_size, compression) as writer:
+    with StoreWriter(path, frame.header, chunk_size) as writer:
         writer.set_tables(frame.jobs, frame.files)
         for lo in range(0, frame.n_events, chunk_size):
             writer.append(frame.events[lo : lo + chunk_size])
@@ -410,10 +510,11 @@ class FrameSource(TraceSource):
 class TraceStore(TraceSource):
     """Memory-mapped reader for one chunked store file.
 
-    The file is mapped read-only once at open; every :meth:`chunk` call
-    decodes just that chunk's column blobs (CRC-checked) into a fresh
-    EVENT_DTYPE array.  The mapping is inherited across ``fork``, so
-    :func:`repro.util.pool.map_tasks` workers share it at zero cost.
+    The file is mapped read-only and its whole directory checked once at
+    open; every :meth:`chunk` call decodes just that chunk's column blobs
+    (CRC-checked) into a fresh EVENT_DTYPE array.  The mapping is
+    inherited across ``fork``, so :func:`repro.util.pool.map_tasks`
+    workers share it at zero cost.
     """
 
     def __init__(self, path) -> None:
@@ -421,15 +522,15 @@ class TraceStore(TraceSource):
         try:
             with open(path, "rb") as fh:
                 self._map = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
-        except OSError as exc:
+        except (OSError, ValueError) as exc:  # ValueError: an empty file
             raise TraceFormatError(f"{path} is not a readable trace store: {exc}")
-        buf = memoryview(self._map)
-        if len(buf) < _HEADER_SIZE or bytes(buf[: len(STORE_MAGIC)]) != STORE_MAGIC:
+        size = len(self._map)
+        if size < _HEADER_SIZE or self._map[: len(STORE_MAGIC)] != STORE_MAGIC:
             raise TraceFormatError(
                 f"{path} is not a chunked trace store (bad magic)"
             )
         (version, chunk_size, n_events, n_chunks, dir_offset, dir_nbytes) = (
-            _FIXED_HEADER.unpack_from(buf, len(STORE_MAGIC))
+            _FIXED_HEADER.unpack_from(self._map, len(STORE_MAGIC))
         )
         if version != FORMAT_VERSION:
             raise TraceFormatError(
@@ -437,91 +538,65 @@ class TraceStore(TraceSource):
                 f"(this reader handles version {FORMAT_VERSION}; a version "
                 "of 0 means the writing process died before finishing)"
             )
-        if dir_offset + dir_nbytes > len(buf):
+        if dir_offset + dir_nbytes > size:
             raise TraceFormatError(f"{path}: directory extends past end of file")
         try:
-            directory = json.loads(bytes(buf[dir_offset : dir_offset + dir_nbytes]))
-        except ValueError as exc:
+            directory = json.loads(self._map[dir_offset : dir_offset + dir_nbytes])
+        except (ValueError, RecursionError) as exc:
             raise TraceFormatError(f"{path}: corrupt store directory: {exc}")
-        self._directory = directory
-        self._chunk_size = int(chunk_size)
-        self._n_events = int(n_events)
-        self._chunk_meta = directory["chunks"]
-        if len(self._chunk_meta) != n_chunks:
+        if not isinstance(directory, dict):
+            raise TraceFormatError(f"{path}: store directory is not an object")
+        for key in ("header", "dtype", "chunks", "tables"):
+            if key not in directory:
+                raise TraceFormatError(f"{path}: store directory lacks {key!r}")
+        dtypes = directory["dtype"]
+        for part, dtype in _DTYPES.items():
+            got = dtypes.get(part) if isinstance(dtypes, dict) else None
+            if got != _dtype_descr(dtype):
+                raise TraceFormatError(
+                    f"{path}: {part} dtype is {got!r}, "
+                    f"expected {_dtype_descr(dtype)!r}"
+                )
+        chunks = directory["chunks"]
+        if not isinstance(chunks, list) or len(chunks) != n_chunks:
             raise TraceFormatError(
-                f"{path}: header says {n_chunks} chunks but directory "
-                f"lists {len(self._chunk_meta)}"
+                f"{path}: header says {n_chunks} chunks but the directory "
+                f"does not list {n_chunks}"
             )
-        for part, want in (
-            ("events", EVENT_DTYPE),
-            ("jobs", JOB_DTYPE),
-            ("files", FILE_DTYPE),
-        ):
-            got = directory["dtype"][part]
-            for (name, code), (w_name, w_code) in zip(got, _dtype_descr(want)):
-                if (name, code) != (w_name, w_code):
-                    raise TraceFormatError(
-                        f"{path}: {part} field {name!r} has type {code}, "
-                        f"expected {w_name!r} as {w_code}"
-                    )
+        for i, meta in enumerate(chunks):
+            what = f"{path}: chunk {i}"
+            if not isinstance(meta, dict):
+                raise TraceFormatError(f"{what} entry is not an object")
+            if not all(type(meta.get(k)) in (int, float) for k in ("t_min", "t_max")):
+                raise TraceFormatError(f"{what} 't_min'/'t_max' must be numbers")
+            _check_columns(meta.get("n"), meta.get("fields"), what, size)
+        tables = directory["tables"]
+        self._table_meta = {}
+        for key in ("jobs", "files"):
+            meta = tables.get(key) if isinstance(tables, dict) else None
+            _check_blob(meta, f"{path}: {key} table", size, _DTYPES[key].itemsize)
+            self._table_meta[key] = meta
         try:
             self.header = TraceHeader.from_dict(directory["header"])
         except (TypeError, ValueError) as exc:
             raise TraceFormatError(f"{path}: invalid trace header: {exc}")
-        self._jobs: JobTable | None = None
-        self._files: FileTable | None = None
-
-    # -- blob decoding -------------------------------------------------------
-
-    def _read_blob(self, meta: dict, what: str, dtype: np.dtype) -> np.ndarray:
-        off, nbytes = int(meta["off"]), int(meta["nbytes"])
-        if off + nbytes > len(self._map):
-            raise TraceFormatError(
-                f"{self.path}: {what} is truncated "
-                f"(needs bytes {off}..{off + nbytes}, file has {len(self._map)})"
-            )
-        stored = self._map[off : off + nbytes]
-        if zlib.crc32(stored) != int(meta["crc32"]):
-            raise TraceFormatError(f"{self.path}: {what} failed its CRC-32 check")
-        if meta["enc"] == "zlib":
-            try:
-                raw = zlib.decompress(stored)
-            except zlib.error as exc:
-                raise TraceFormatError(
-                    f"{self.path}: {what} failed to decompress: {exc}"
-                )
-        elif meta["enc"] == "raw":
-            raw = stored
-        else:
-            raise TraceFormatError(
-                f"{self.path}: {what} has unknown encoding {meta['enc']!r}"
-            )
-        if len(raw) != int(meta["raw"]):
-            raise TraceFormatError(
-                f"{self.path}: {what} decoded to {len(raw)} bytes, "
-                f"expected {meta['raw']}"
-            )
-        return np.frombuffer(raw, dtype=dtype)
+        self._chunk_size = int(chunk_size)
+        self._n_events = int(n_events)
+        self._chunk_meta = chunks
 
     # -- TraceSource interface -----------------------------------------------
 
-    @property
-    def jobs(self) -> JobTable:
-        if self._jobs is None:
-            meta = self._directory["tables"]["jobs"]
-            self._jobs = JobTable(
-                self._read_blob(meta, "jobs table", JOB_DTYPE).copy()
-            )
-        return self._jobs
+    def _table(self, key: str) -> np.ndarray:
+        meta, what = self._table_meta[key], f"{self.path}: {key} table"
+        return decode_side_table(self._map, meta, _DTYPES[key], what)
 
-    @property
+    @cached_property
+    def jobs(self) -> JobTable:
+        return JobTable(self._table("jobs"))
+
+    @cached_property
     def files(self) -> FileTable:
-        if self._files is None:
-            meta = self._directory["tables"]["files"]
-            self._files = FileTable(
-                self._read_blob(meta, "files table", FILE_DTYPE).copy()
-            )
-        return self._files
+        return FileTable(self._table("files"))
 
     @property
     def n_events(self) -> int:
@@ -545,25 +620,16 @@ class TraceStore(TraceSource):
             raise IndexError(f"chunk {i} out of range (have {self.n_chunks})")
         t0 = time.perf_counter() if obs.enabled() else 0.0
         meta = self._chunk_meta[i]
-        n = int(meta["n"])
-        out = np.empty(n, dtype=EVENT_DTYPE)
-        stored_total = 0
-        for name in EVENT_DTYPE.names:
-            fmeta = meta["fields"][name]
-            col = self._read_blob(
-                fmeta, f"chunk {i} field {name!r}", EVENT_DTYPE[name]
-            )
-            if len(col) != n:
-                raise TraceFormatError(
-                    f"{self.path}: chunk {i} field {name!r} has {len(col)} "
-                    f"values, expected {n}"
-                )
-            out[name] = col
-            stored_total += int(fmeta["nbytes"])
+        out = decode_columns(
+            self._map, meta["n"], meta["fields"], f"{self.path}: chunk {i}"
+        )
         if obs.enabled():
             obs.add("trace.store.chunks_read")
-            obs.add("trace.store.events_read", n)
-            obs.add("trace.store.bytes_read", stored_total)
+            obs.add("trace.store.events_read", len(out))
+            obs.add(
+                "trace.store.bytes_read",
+                sum(f["nbytes"] for f in meta["fields"].values()),
+            )
             obs.hist(
                 "trace.store.chunk_decode_seconds", time.perf_counter() - t0
             )
@@ -571,27 +637,20 @@ class TraceStore(TraceSource):
 
     # -- metadata (the `trace info` surface) ---------------------------------
 
+    def _blob_metas(self) -> Iterator[dict]:
+        for meta in self._chunk_meta:
+            yield from meta["fields"].values()
+        yield from self._table_meta.values()
+
     @property
     def compressed_bytes(self) -> int:
         """Stored payload bytes (chunks + side tables)."""
-        total = sum(
-            int(f["nbytes"])
-            for c in self._chunk_meta
-            for f in c["fields"].values()
-        )
-        return total + sum(
-            int(t["nbytes"]) for t in self._directory["tables"].values()
-        )
+        return sum(meta["nbytes"] for meta in self._blob_metas())
 
     @property
     def uncompressed_bytes(self) -> int:
         """What the same payload would occupy with no compression."""
-        total = sum(
-            int(f["raw"]) for c in self._chunk_meta for f in c["fields"].values()
-        )
-        return total + sum(
-            int(t["raw"]) for t in self._directory["tables"].values()
-        )
+        return sum(meta["raw"] for meta in self._blob_metas())
 
     def time_span(self) -> tuple[float, float]:
         """(first, last) event time from chunk metadata alone."""

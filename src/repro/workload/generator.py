@@ -542,7 +542,6 @@ class WorkloadGenerator:
         pipeline: str = "direct",
         workers: int | None = None,
         chunk_size: int | None = None,
-        compression: str = "zlib",
         shards: int | None = None,
     ) -> GeneratedWorkload:
         """Generate the workload and emit it as a chunked trace store.
@@ -558,10 +557,7 @@ class WorkloadGenerator:
         workload = self.run(pipeline=pipeline, workers=workers, shards=shards)
         with obs.span("workload/store"):
             write_store(
-                workload.frame,
-                path,
-                chunk_size=chunk_size or DEFAULT_CHUNK_SIZE,
-                compression=compression,
+                workload.frame, path, chunk_size=chunk_size or DEFAULT_CHUNK_SIZE
             )
         return workload
 

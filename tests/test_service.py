@@ -11,7 +11,10 @@ the standard Prometheus exporter.
 from __future__ import annotations
 
 import json
+import struct
+import sys
 import threading
+import zlib
 
 import numpy as np
 import pytest
@@ -26,12 +29,14 @@ from repro.service import (
     encode_chunk,
     encode_table,
 )
+from repro.service.daemon import LOG_MAGIC
 from repro.service.figdata import REPORT_FIGURES, figdata_from_report
-from repro.trace.frame import JOB_DTYPE
+from repro.trace.frame import EVENT_DTYPE, JOB_DTYPE
 from repro.trace.store import FrameSource
 from repro.workload.generator import WorkloadGenerator
 from repro.workload.scenarios import ames1993
 from tests.test_obs_metrics import parse_prometheus
+from tests.test_trace_store import _layout_blob
 
 SEEDS = (3, 11)
 
@@ -112,6 +117,89 @@ class TestWire:
         meta["crc32"] ^= 1
         with pytest.raises(ServiceError, match="CRC-32"):
             decode_table(meta, JOB_DTYPE, "jobs")
+
+
+def _layout_frame(run: str, seq: int, events: np.ndarray) -> bytes:
+    """An ingest frame rebuilt by hand from wire.py's documented layout."""
+    fields, blobs, off = {}, [], 0
+    for name in EVENT_DTYPE.names:
+        col = np.ascontiguousarray(events[name]).tobytes()
+        enc, stored = _layout_blob(col)
+        fields[name] = {
+            "enc": enc, "off": off, "nbytes": len(stored),
+            "raw": len(col), "crc32": zlib.crc32(stored),
+        }
+        blobs.append(stored)
+        off += len(stored)
+    meta = {"v": 1, "run": run, "seq": seq, "n": len(events), "fields": fields}
+    meta_bytes = json.dumps(meta, separators=(",", ":")).encode("utf-8")
+    return b"".join(
+        [b"RWIRE1\n", struct.pack("<I", len(meta_bytes)), meta_bytes, *blobs]
+    )
+
+
+class TestWireFormatPinned:
+    """``encode_chunk`` output is pinned byte for byte to the layout."""
+
+    @pytest.mark.parametrize(
+        "run, seq, lo, hi",
+        [("r1", 5, 10240, 12288), ("r", 0, 0, 0), ("r", 0, 0, 3)],
+        ids=["seq5-2048", "empty", "three"],
+    )
+    def test_frame_bytes_match_layout(self, frames, run, seq, lo, hi):
+        events = frames[3].events[lo:hi]
+        assert encode_chunk(run, seq, events) == _layout_frame(run, seq, events)
+
+
+def _with_meta(frame: bytes, change) -> bytes:
+    """``frame`` with its meta object replaced by ``change(meta)`` (JSON)."""
+    head = len(b"RWIRE1\n")
+    (meta_len,) = struct.unpack_from("<I", frame, head)
+    meta = json.loads(frame[head + 4 : head + 4 + meta_len])
+    text = change(meta).encode("utf-8")
+    return b"".join([
+        frame[:head], struct.pack("<I", len(text)), text,
+        frame[head + 4 + meta_len :],
+    ])
+
+
+class TestMalformedInput:
+    """Every malformed frame or table raises a ServiceError naming the
+    field or key."""
+
+    @pytest.mark.parametrize(
+        "change, match",
+        [
+            (lambda m: json.dumps({**m, "n": 10**12}), r"field 'time' has raw="),
+            (lambda m: json.dumps({**m, "n": -1}), r"'n' must be an integer"),
+            (lambda m: json.dumps({**m, "fields": []}), r"'fields' must be"),
+            (lambda m: json.dumps([m]), r"meta must be a JSON object"),
+            (
+                lambda m: json.dumps(m).replace('"seq": 5', '"seq": 1e999'),
+                r"'seq' must be an integer",
+            ),
+        ],
+        ids=["n-1e12", "n-negative", "fields-list", "meta-array", "seq-1e999"],
+    )
+    def test_frame(self, frames, change, match):
+        frame = _with_meta(encode_chunk("r", 5, frames[3].events[:2048]), change)
+        with pytest.raises(ServiceError, match=match):
+            decode_chunk(frame)
+
+    @pytest.mark.parametrize(
+        "table, match",
+        [
+            (lambda: [], r"jobs table must be a JSON object"),
+            (
+                lambda: encode_table(np.zeros(37, dtype=np.uint8)),
+                r"jobs table has raw=37, but its rows need",
+            ),
+        ],
+        ids=["list", "partial-rows"],
+    )
+    def test_table(self, table, match):
+        with pytest.raises(ServiceError, match=match):
+            decode_table(table(), JOB_DTYPE, "jobs")
 
 
 # -- figdata ------------------------------------------------------------------
@@ -245,6 +333,31 @@ class TestServiceFolding:
             with pytest.raises(ServiceError, match="out of range"):
                 client.push_chunk("w", source.n_chunks + 3, source.chunk(0))
 
+    def test_registration_with_bad_table_is_400(self, frames):
+        source = _source(frames, 3)
+        payload = {
+            "run": "w", "n_chunks": source.n_chunks,
+            "n_events": source.n_events, "header": source.header.to_dict(),
+            "jobs": encode_table(source.jobs.data),
+            "files": encode_table(source.files.data),
+        }
+        payload["jobs"]["crc32"] ^= 1
+        with TraceService() as svc:
+            client = ServiceClient(svc.url)
+            with pytest.raises(
+                ServiceError, match=r"HTTP 400.*jobs table failed its CRC-32"
+            ):
+                client._post_json("/runs", payload)
+            assert client.runs() == []
+
+    def test_ingest_with_array_meta_is_400(self):
+        body = b"RWIRE1\n" + struct.pack("<I", 2) + b"[]"
+        with TraceService() as svc:
+            with pytest.raises(
+                ServiceError, match=r"HTTP 400.*meta must be a JSON object"
+            ):
+                ServiceClient(svc.url)._request("POST", "/ingest", body)
+
     def test_runs_summary_mirrors_source(self, frames):
         source = _source(frames, 3)
         with TraceService() as svc:
@@ -269,7 +382,20 @@ class TestServiceFolding:
             )
 
 
-# -- restart from drain snapshot ---------------------------------------------
+# -- restart from the restart log -------------------------------------------
+
+
+def _log_records(path) -> list[tuple[int, bytes]]:
+    """(byte offset, body) of every record in a restart log."""
+    data = path.read_bytes()
+    assert data.startswith(LOG_MAGIC)
+    off, out = len(LOG_MAGIC), []
+    while off < len(data):
+        (length,) = struct.unpack_from("<Q", data, off)
+        out.append((off, data[off + 8 : off + 8 + length]))
+        off += 8 + length
+    assert off == len(data)
+    return out
 
 
 class TestSnapshotRestart:
@@ -279,7 +405,7 @@ class TestSnapshotRestart:
     ):
         """Push half, drain, restart from snapshot, push the rest."""
         source = _source(frames, seed)
-        snap = tmp_path / "service.snapshot.pkl"
+        snap = tmp_path / "service.log"
         first = TraceService(snapshot_path=snap).start()
         try:
             client = ServiceClient(first.url)
@@ -302,7 +428,7 @@ class TestSnapshotRestart:
 
     def test_snapshot_preserves_parked_chunks(self, tmp_path, frames):
         source = _source(frames, 3)
-        snap = tmp_path / "snap.pkl"
+        snap = tmp_path / "restart.log"
         first = TraceService(snapshot_path=snap).start()
         try:
             client = ServiceClient(first.url)
@@ -318,17 +444,170 @@ class TestSnapshotRestart:
         finally:
             second.stop()
 
+    def test_runs_identical_after_restart(self, tmp_path, frames):
+        """Parked chunks and duplicate counts survive the restart."""
+        source = _source(frames, 3)
+        snap = tmp_path / "service.log"
+        with TraceService(snapshot_path=snap) as first:
+            client = ServiceClient(first.url)
+            client.register(source, "w")
+            client.register(_source(frames, 11), "v")
+            for seq in (0, 2, 3, 0, 3):
+                client.push_chunk("w", seq, source.chunk(seq))
+            client.push_chunk("v", 0, _source(frames, 11).chunk(0))
+            before = client.runs()
+        w = next(r for r in before if r["run"] == "w")
+        assert (w["n_parked"], w["n_duplicates"]) == (2, 2)
+        with TraceService(snapshot_path=snap) as second:
+            assert ServiceClient(second.url).runs() == before
 
-    def test_older_snapshot_version_refused(self, tmp_path):
+    def test_log_holds_the_wire_bytes_in_order(self, tmp_path, frames):
+        """The registration first, then every frame (duplicates too), each
+        on disk as soon as it is acknowledged."""
+        source = _source(frames, 3)
+        snap = tmp_path / "service.log"
+        with TraceService(snapshot_path=snap) as svc:
+            client = ServiceClient(svc.url)
+            client.register(source, "w")
+            client.register(source, "w")  # idempotent: not logged again
+            sent = [(seq, source.chunk(seq)) for seq in (1, 0, 1)]
+            for seq, events in sent:
+                client.push_chunk("w", seq, events)
+            records = [body for _, body in _log_records(snap)]
+        assert json.loads(records[0])["run"] == "w"
+        assert records[1:] == [encode_chunk("w", s, e) for s, e in sent]
+
+    def test_concurrent_pushes_log_whole_records_in_order(
+        self, tmp_path, frames
+    ):
+        """Four pushers of two runs (more threads than cores, a short
+        switch interval) log every record whole and no chunk ahead of its
+        run's registration; replaying the log rebuilds ``/runs``."""
+        snap = tmp_path / "service.log"
+        errors: list[Exception] = []
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with TraceService(snapshot_path=snap) as svc:
+
+                def push(seed: int, offset: int) -> None:
+                    try:
+                        ServiceClient(svc.url).push(
+                            _source(frames, seed), f"run{seed}",
+                            stride=2, offset=offset,
+                        )
+                    except Exception as exc:  # surfaced below
+                        errors.append(exc)
+
+                threads = [
+                    threading.Thread(target=push, args=(seed, offset))
+                    for seed in SEEDS for offset in (0, 1)
+                ]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                    assert not t.is_alive()
+                before = ServiceClient(svc.url).runs()
+        finally:
+            sys.setswitchinterval(switch)
+        assert not errors
+        assert all(r["complete"] for r in before)
+        registered: set[str] = set()
+        for _, body in _log_records(snap):
+            if body.startswith(b"RWIRE1"):
+                assert decode_chunk(body)[0] in registered
+            else:
+                registered.add(json.loads(body)["run"])
+        assert registered == {f"run{seed}" for seed in SEEDS}
+        with TraceService(snapshot_path=snap) as second:
+            assert ServiceClient(second.url).runs() == before
+
+    def test_ingest_after_stop_is_refused(self, tmp_path, frames):
+        """A request still in flight when the drain closes the log is
+        refused rather than acknowledged without a log record."""
+        source = _source(frames, 3)
+        svc = TraceService(snapshot_path=tmp_path / "service.log").start()
+        ServiceClient(svc.url).register(source, "w")
+        svc.stop()
+        with pytest.raises(ServiceError, match="draining"):
+            svc.ingest(encode_chunk("w", 0, source.chunk(0)))
+
+    def test_stop_fsyncs_and_closes_the_log(self, tmp_path, monkeypatch):
+        import repro.service.daemon as daemon
+
+        synced: list[int] = []
+        monkeypatch.setattr(daemon.os, "fsync", synced.append)
+        svc = TraceService(snapshot_path=tmp_path / "service.log").start()
+        fileno = svc._log.fileno()
+        svc.stop()
+        assert synced == [fileno] and svc._log.closed
+        svc.stop()  # idempotent
+        assert synced == [fileno]
+
+    @pytest.mark.parametrize(
+        "cut", [1, 2, 8, "body", "body+1", "body+7", "record"]
+    )
+    def test_torn_last_record_dropped(
+        self, tmp_path, frames, batch_texts, caplog, cut
+    ):
+        """A crash mid-append tears the last record: the restarted daemon
+        drops it with one warning, and re-pushing that chunk completes a
+        byte-identical report."""
+        source = _source(frames, 3)
+        snap = tmp_path / "service.log"
+        with TraceService(snapshot_path=snap) as first:
+            ServiceClient(first.url).push(source, "w")
+        last_off, last_body = _log_records(snap)[-1]
+        cut = {
+            "body": len(last_body),
+            "body+1": len(last_body) + 1,
+            "body+7": len(last_body) + 7,
+            "record": len(last_body) + 8,
+        }.get(cut, cut)
+        data = snap.read_bytes()
+        snap.write_bytes(data[: len(data) - cut])
+        caplog.set_level("WARNING", logger="repro.service")
+        with TraceService(snapshot_path=snap) as second:
+            torn = [r for r in caplog.records if "torn record" in r.message]
+            # cutting the whole record leaves nothing torn behind
+            assert len(torn) == (0 if cut == len(last_body) + 8 else 1)
+            assert snap.stat().st_size == last_off
+            client = ServiceClient(second.url)
+            (summary,) = client.runs()
+            assert summary["n_folded"] == source.n_chunks - 1
+            last = source.n_chunks - 1
+            assert client.push_chunk("w", last, source.chunk(last))[
+                "status"
+            ] == "folded"
+            assert client.report_text("w") == batch_texts[3]
+        # the re-pushed chunk was appended after the cut: a third daemon
+        # replays the whole run without a warning
+        caplog.clear()
+        with TraceService(snapshot_path=snap) as third:
+            assert ServiceClient(third.url).report_text("w") == batch_texts[3]
+        assert not [r for r in caplog.records if "torn record" in r.message]
+
+    def test_file_without_log_magic_refused(self, tmp_path):
         import pickle
 
-        from repro.service.daemon import SNAPSHOT_VERSION
-
         snap = tmp_path / "old.pkl"
-        snap.write_bytes(pickle.dumps(
-            {"version": SNAPSHOT_VERSION - 1, "runs": []}
-        ))
-        with pytest.raises(ServiceError, match="version"):
+        snap.write_bytes(pickle.dumps({"version": 2, "runs": []}))
+        with pytest.raises(ServiceError, match="log magic"):
+            TraceService(snapshot_path=snap)
+        assert snap.read_bytes() == pickle.dumps({"version": 2, "runs": []})
+
+    def test_failing_record_names_its_offset(self, tmp_path, frames):
+        """A whole record that does not replay (a chunk of a run that was
+        never registered) stops the restart, naming where it sits."""
+        snap = tmp_path / "service.log"
+        frame = encode_chunk("ghost", 0, frames[3].events[:10])
+        snap.write_bytes(
+            LOG_MAGIC + struct.pack("<Q", len(frame)) + frame
+        )
+        with pytest.raises(
+            ServiceError, match=f"record at byte {len(LOG_MAGIC)}.*ghost"
+        ):
             TraceService(snapshot_path=snap)
 
 

@@ -8,7 +8,9 @@ write, flipped payload byte, truncation) must surface as a
 :class:`TraceFormatError` that names what is wrong.
 """
 
+import json
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -69,17 +71,13 @@ event_rows = st.tuples(
 
 
 class TestRoundTrip:
-    @given(
-        st.lists(event_rows, min_size=0, max_size=40),
-        st.integers(1, 9),
-        st.sampled_from(["zlib", "raw"]),
-    )
+    @given(st.lists(event_rows, min_size=0, max_size=40), st.integers(1, 9))
     @settings(max_examples=60, deadline=None)
-    def test_bit_for_bit(self, tmp_path_factory, rows, chunk_size, compression):
+    def test_bit_for_bit(self, tmp_path_factory, rows, chunk_size):
         events = _events_array(rows)
         jobs, files = _tables_for(events)
         path = tmp_path_factory.mktemp("store") / "t.store"
-        with StoreWriter(path, HEADER, chunk_size, compression) as writer:
+        with StoreWriter(path, HEADER, chunk_size) as writer:
             writer.set_tables(jobs, files)
             writer.append(events)
         with TraceStore(path) as store:
@@ -93,6 +91,29 @@ class TestRoundTrip:
             assert store.jobs.data.tobytes() == jobs.data.tobytes()
             assert store.files.data.tobytes() == files.data.tobytes()
             assert store.header == HEADER
+
+    def test_zlib_and_raw_blobs_round_trip(self, tmp_path):
+        """Constant columns compress, random 63-bit offsets do not: one
+        directory holds both encodings and still decodes bit for bit."""
+        rng = np.random.default_rng(5)
+        events = _events_array(
+            [(float(t), 1, 1, 1, int(EventKind.READ), -1, 0, int(o), 4096)
+             for t, o in enumerate(rng.integers(0, 2**62, 600))]
+        )
+        jobs, files = _tables_for(events)
+        path = tmp_path / "t.store"
+        write_store(
+            TraceFrame(events, jobs=jobs, files=files, header=HEADER), path,
+            chunk_size=256,
+        )
+        with TraceStore(path) as store:
+            encs = {
+                f["enc"] for c in store._chunk_meta for f in c["fields"].values()
+            }
+            assert encs == {"zlib", "raw"}
+            back = np.concatenate(list(store.iter_chunks()))
+            assert back.tobytes() == events.tobytes()
+            assert store.jobs.data.tobytes() == jobs.data.tobytes()
 
     def test_batched_appends_rechunk(self, tmp_path):
         events = _events_array(
@@ -125,6 +146,72 @@ class TestRoundTrip:
         )
         with TraceStore(path) as store:
             assert store.compressed_bytes < store.uncompressed_bytes / 4
+
+
+def _layout_blob(raw: bytes) -> tuple[str, bytes]:
+    """The documented blob rule: zlib level 6 when shorter, else raw."""
+    packed = zlib.compress(raw, 6)
+    return ("zlib", packed) if len(packed) < len(raw) else ("raw", raw)
+
+
+class TestFormatPinned:
+    """Every blob and directory entry is pinned to the documented layout."""
+
+    def test_blobs_and_key_order_match_layout(self, tmp_path, small_frame):
+        chunk_size = 4096
+        path = tmp_path / "t.store"
+        write_store(small_frame, path, chunk_size=chunk_size)
+        data = path.read_bytes()
+        head = len(STORE_MAGIC)
+        assert data[:head] == STORE_MAGIC
+        version, cs, n_events, n_chunks, dir_off, dir_len = struct.unpack_from(
+            "<IIQQQQ", data, head
+        )
+        assert (version, cs, n_events) == (1, chunk_size, small_frame.n_events)
+        directory = json.loads(data[dir_off : dir_off + dir_len])
+        assert dir_off + dir_len == len(data)
+        assert list(directory) == [
+            "version", "chunk_size", "n_events", "header", "dtype",
+            "chunks", "tables",
+        ]
+        assert len(directory["chunks"]) == n_chunks
+
+        pos = head + struct.calcsize("<IIQQQQ")  # blobs are contiguous
+
+        def check(meta, raw, keys):
+            nonlocal pos
+            assert list(meta) == keys
+            enc, stored = _layout_blob(raw)
+            assert meta["enc"] == enc and meta["off"] == pos
+            assert meta["nbytes"] == len(stored) and meta["raw"] == len(raw)
+            assert data[pos : pos + len(stored)] == stored
+            assert meta["crc32"] == zlib.crc32(stored)
+            pos += len(stored)
+
+        events = small_frame.events
+        for i, chunk in enumerate(directory["chunks"]):
+            rows = events[i * chunk_size : (i + 1) * chunk_size]
+            assert list(chunk) == ["n", "t_min", "t_max", "fields"]
+            assert (chunk["n"], chunk["t_min"], chunk["t_max"]) == (
+                len(rows), float(rows["time"][0]), float(rows["time"][-1])
+            )
+            assert list(chunk["fields"]) == list(EVENT_DTYPE.names)
+            for name in EVENT_DTYPE.names:
+                check(
+                    chunk["fields"][name],
+                    np.ascontiguousarray(rows[name]).tobytes(),
+                    ["enc", "off", "nbytes", "raw", "crc32"],
+                )
+        assert list(directory["tables"]) == ["jobs", "files"]
+        for key, arr in (
+            ("jobs", small_frame.jobs.data), ("files", small_frame.files.data)
+        ):
+            meta = directory["tables"][key]
+            assert meta["n"] == len(arr)
+            check(
+                meta, arr.tobytes(), ["enc", "nbytes", "raw", "n", "crc32", "off"]
+            )
+        assert pos == dir_off
 
 
 class TestSources:
@@ -223,6 +310,30 @@ class TestWriterValidation:
             TraceStore(path)
 
 
+def _rewrite_directory(path, change) -> None:
+    """Apply ``change`` to a store's JSON directory in place."""
+    data = path.read_bytes()
+    head = len(STORE_MAGIC)
+    fixed = list(struct.unpack_from("<IIQQQQ", data, head))
+    dir_off, dir_len = fixed[4], fixed[5]
+    directory = json.loads(data[dir_off : dir_off + dir_len])
+    change(directory)
+    text = json.dumps(directory, separators=(",", ":")).encode("utf-8")
+    fixed[5] = len(text)
+    out = bytearray(data[:dir_off] + text)
+    struct.pack_into("<IIQQQQ", out, head, *fixed)
+    path.write_bytes(bytes(out))
+
+
+def _read_everything(path) -> None:
+    """Open a store and touch every decoded part of it."""
+    with TraceStore(path) as store:
+        for i in range(store.n_chunks):
+            store.chunk(i)
+        store.jobs, store.files
+        store.time_span(), store.compressed_bytes, store.uncompressed_bytes
+
+
 class TestCorruption:
     def _valid_store(self, tmp_path):
         events = _events_array(
@@ -290,6 +401,34 @@ class TestCorruption:
         path.write_bytes(bytes(data))
         with pytest.raises(TraceFormatError, match="corrupt store directory"):
             TraceStore(path)
+
+    @pytest.mark.parametrize(
+        "change, match",
+        [
+            (
+                lambda d: d["dtype"].update(events=d["dtype"]["events"][:3]),
+                r"events dtype is",
+            ),
+            (
+                lambda d: d["chunks"][0]["fields"].pop("size"),
+                r"chunk 0 field 'size' is missing",
+            ),
+            (
+                lambda d: d["chunks"][0].update(n=10**12),
+                r"chunk 0 field 'time' has raw=",
+            ),
+            (lambda d: d.pop("tables"), r"lacks 'tables'"),
+            (lambda d: d["chunks"][0].pop("t_min"), r"chunk 0 't_min'"),
+        ],
+        ids=["dtype-cut", "no-size", "n-1e12", "no-tables", "no-t_min"],
+    )
+    def test_malformed_directory(self, tmp_path, change, match):
+        """Each directory defect raises a TraceFormatError from open or
+        first use, naming the field or key."""
+        path = self._valid_store(tmp_path)
+        _rewrite_directory(path, change)
+        with pytest.raises(TraceFormatError, match=match):
+            _read_everything(path)
 
     def test_chunk_index_out_of_range(self, tmp_path):
         path = self._valid_store(tmp_path)
