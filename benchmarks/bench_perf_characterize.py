@@ -5,8 +5,8 @@ re-sort the trace inside every family; the engine behind
 ``characterize`` (``repro.core.streaming``) walks the event stream once,
 folding every family's state in a single pass with no index at all.  On
 top of that, ``characterize(frame, workers=N)`` partitions the stream
-across worker processes that share the trace zero-copy (fork CoW or
-shared memory).  This benchmark times the three paths on the same traces
+across forked worker processes that share the trace copy-on-write.
+This benchmark times the three paths on the same traces
 at two scales, checks the acceptance contract (byte-identical report
 text, >= 3x end-to-end speedup on the bench trace), and records the
 trajectory in ``BENCH_characterize.json``.

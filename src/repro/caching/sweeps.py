@@ -6,14 +6,13 @@ read-only request stream.  The stack-distance engine already collapses
 each LRU/OPT line to a single pass; what remains (FIFO and interprocess
 replays, multi-``n_io_nodes`` grids, benchmark matrices) is
 embarrassingly parallel across lines, so this module fans the lines out
-over a :class:`~concurrent.futures.ProcessPoolExecutor`.
+over the work-stealing pool of :func:`repro.util.pool.map_tasks`.
 
 The precomputed request stream (a tuple of numpy arrays) is built once
-and *shared* with the workers through :func:`repro.util.pool.map_tasks`
-— inherited copy-on-write under fork, attached as shared-memory
-segments under spawn — never pickled per line.  When the pool cannot
-help — one line, one worker, or an executor the platform refuses to
-start — the lines run serially in-process with identical results.
+and *shared* with the workers, which inherit it copy-on-write under
+fork — it is never pickled per line.  When the pool cannot help — one
+line, one worker, or a platform without fork — the lines run serially
+in-process with identical results.
 """
 
 from __future__ import annotations
@@ -81,7 +80,6 @@ def sweep_lines(
     block_size: int = BLOCK_SIZE,
     workers: int | None = None,
     stream: tuple[np.ndarray, ...] | None = None,
-    scheduler: str = "steal",
     straggler_timeout: float | None = None,
 ) -> list[HitRateCurve]:
     """Compute several sweep lines over one trace, in parallel.
@@ -93,11 +91,11 @@ def sweep_lines(
     or one line everything runs in-process.
 
     Sweep lines are wildly uneven (an OPT line costs several LRU
-    lines), so the fan-out defaults to the work-stealing scheduler
-    (:mod:`repro.util.sched`): idle workers take queued lines from the
-    busiest worker's tail, and ``straggler_timeout`` seconds without
-    progress re-dispatches the oldest in-flight line.  Results are
-    identical to the static schedule either way.
+    lines), which the work-stealing pool (:mod:`repro.util.sched`)
+    absorbs: idle workers take queued lines from the busiest worker's
+    tail, and ``straggler_timeout`` seconds without progress
+    re-dispatches the oldest in-flight line.  Results are identical to
+    a serial run either way.
     """
     specs = [_as_line(line) for line in lines]
     if not specs:
@@ -108,8 +106,7 @@ def sweep_lines(
     if workers is None:
         workers = min(len(specs), os.cpu_count() or 1)
     # the stream is the shared object: forked workers inherit it
-    # copy-on-write, spawned workers attach to it in shared memory —
-    # either way it is built once and never pickled per line
+    # copy-on-write, so it is built once and never pickled per line
     names = [
         f"line{i}/{line.policy}/io{line.n_io_nodes}"
         for i, line in enumerate(specs)
@@ -122,7 +119,6 @@ def sweep_lines(
     }
     with obs.span("caching/sweep_lines"):
         done = map_tasks(
-            tasks, stream, workers,
-            scheduler=scheduler, straggler_timeout=straggler_timeout,
+            tasks, stream, workers, straggler_timeout=straggler_timeout
         )
         return [done[name] for name in names]

@@ -235,5 +235,5 @@ def render_all(
         )
         for figure in FIGURES
     }
-    blocks = map_tasks(tasks, frame, workers, scheduler="steal")
+    blocks = map_tasks(tasks, frame, workers)
     return "\n\n".join(blocks[figure] for figure in FIGURES)

@@ -609,7 +609,7 @@ def _scan_parallel(source: TraceSource, workers: int | None) -> ChunkAccumulator
                       compact_runs=n_ranges > 1)
         for i, name in enumerate(names)
     }
-    partials = map_tasks(tasks, source, workers, scheduler="steal")
+    partials = map_tasks(tasks, source, workers)
     acc = partials[names[0]]
     if len(names) > 1:
         t0 = time.perf_counter()

@@ -20,21 +20,151 @@ Schema history:
   worker sampler rings).  v1/v2 files load with those fields empty;
   files from a *future* version raise
   :class:`~repro.errors.ObsReportError` instead of being misread.
+
+Loading checks every field's shape before building the report, so a
+malformed file — wrong types, numbers past 64 bits or the platform's
+clock, a span node or histogram that is not an object — raises
+:class:`~repro.errors.ObsReportError` naming the field instead of
+failing later in :meth:`RunReport.render`.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.errors import ObsReportError
 from repro.obs.collector import SpanNode
-from repro.obs.hist import Histogram
+from repro.obs.hist import Histogram, bucket_index
 
 #: current on-disk format version
 REPORT_VERSION = 3
+
+#: integer fields must fit in 64 bits (render formats them as floats)
+_INT_LIMIT = 2**63
+
+#: histogram bucket indices whose edges are finite, nonzero floats
+_BUCKETS = range(bucket_index(5e-324), bucket_index(sys.float_info.max))
+
+#: what a malformed field raises while it is checked
+_MALFORMED = (TypeError, ValueError, OverflowError, OSError, RecursionError)
+
+
+def _object(value) -> dict:
+    if not isinstance(value, dict):
+        raise TypeError(f"expected an object, got {type(value).__name__}")
+    return value
+
+
+def _array(value) -> list:
+    if not isinstance(value, list):
+        raise TypeError(f"expected an array, got {type(value).__name__}")
+    return value
+
+
+def _string(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {type(value).__name__}")
+    return value
+
+
+def _integer(value) -> int:
+    if not isinstance(value, int) or abs(value) >= _INT_LIMIT:
+        raise ValueError(f"expected a 64-bit integer, got {value!r:.40}")
+    return value
+
+
+def _number(value) -> int | float:
+    if isinstance(value, float):
+        return value
+    return _integer(value)
+
+
+def _timestamp(value) -> float:
+    value = float(_number(value))
+    time.localtime(value)  # raises past the platform's time_t
+    return value
+
+
+def _entries(value, check) -> dict:
+    """An object whose every value passes ``check``."""
+    out = {}
+    for key, item in _object(value).items():
+        try:
+            out[key] = check(item)
+        except _MALFORMED as exc:
+            raise ValueError(f"entry {key!r}: {exc}") from None
+    return out
+
+
+def _span(node) -> dict:
+    _object(node)
+    _string(node.get("name"))
+    _integer(node.get("count", 0))
+    _number(node.get("wall_s", 0.0))
+    _number(node.get("cpu_s", 0.0))
+    for child in _array(node.get("children", [])):
+        _span(child)
+    return node
+
+
+def _histogram(payload) -> dict:
+    _object(payload)
+    _integer(payload.get("count", 0))
+    _integer(payload.get("zero", 0))
+    for key in ("sum", "min", "max"):
+        _number(payload.get(key, 0.0))
+    for key, count in _object(payload.get("buckets", {})).items():
+        if int(key) not in _BUCKETS:
+            raise ValueError(f"bucket index {key:.40} is out of range")
+        _integer(count)
+    return payload
+
+
+def _timeseries(payload) -> dict:
+    for sample in _array(_object(payload).get("samples", [])):
+        _number(_object(sample).get("rss_bytes", 0))
+    for ring in _array(payload.get("workers", [])):
+        _array(_object(ring).get("samples", []))
+    return payload
+
+
+def _stream(payload) -> dict:
+    _object(payload)
+    _string(payload.get("worker", "?"))
+    _array(payload.get("events", []))
+    for child in _array(payload.get("children", [])):
+        _stream(child)
+    return payload
+
+
+#: how each report field is checked (and converted) on load
+_FIELDS = {
+    "command": lambda v: [_string(c) for c in _array(v)],
+    "started_at": _timestamp,
+    "wall_s": lambda v: float(_number(v)),
+    "cpu_s": lambda v: float(_number(v)),
+    "peak_rss_bytes": _integer,
+    "spans": _span,
+    "counters": lambda v: _entries(v, _number),
+    "gauges": lambda v: _entries(v, _number),
+    "histograms": lambda v: _entries(v, _histogram),
+    "timeseries": _timeseries,
+    "notes": lambda v: _entries(v, _string),
+    "trace": _stream,
+}
+
+
+def _field(payload: dict, name: str, check):
+    try:
+        return check(payload[name])
+    except _MALFORMED as exc:
+        raise ObsReportError(
+            f"run report field {name!r} is malformed: {exc}"
+        ) from exc
 
 
 def _fmt_seconds(seconds: float) -> str:
@@ -153,37 +283,28 @@ class RunReport:
     def from_dict(cls, payload: dict) -> "RunReport":
         """Rebuild a report; v1 payloads load with the v2 fields empty.
 
-        Raises :class:`~repro.errors.ObsReportError` for payloads that
-        are not report-shaped or were written by a future version.
+        Raises :class:`~repro.errors.ObsReportError` for payloads written
+        by a future version, and for payloads that are not report-shaped
+        (naming the first malformed field).
         """
         if not isinstance(payload, dict):
             raise ObsReportError(
                 f"run report must be a JSON object, got {type(payload).__name__}"
             )
-        version = int(payload.get("version", REPORT_VERSION))
+        version = (
+            _field(payload, "version", _integer) if "version" in payload
+            else REPORT_VERSION
+        )
         if version > REPORT_VERSION:
             raise ObsReportError(
                 f"run report has schema version {version}, but this build "
                 f"reads at most version {REPORT_VERSION} — upgrade to read it"
             )
-        try:
-            return cls(
-                command=[str(c) for c in payload.get("command", [])],
-                started_at=float(payload.get("started_at", 0.0)),
-                wall_s=float(payload.get("wall_s", 0.0)),
-                cpu_s=float(payload.get("cpu_s", 0.0)),
-                peak_rss_bytes=int(payload.get("peak_rss_bytes", 0)),
-                spans=dict(payload.get("spans", SpanNode("run").to_dict())),
-                counters=dict(payload.get("counters", {})),
-                gauges=dict(payload.get("gauges", {})),
-                histograms=dict(payload.get("histograms", {})),
-                timeseries=dict(payload.get("timeseries", {})),
-                notes=dict(payload.get("notes", {})),
-                trace=dict(payload.get("trace", {})),
-                version=version,
-            )
-        except (TypeError, ValueError) as exc:
-            raise ObsReportError(f"run report is malformed: {exc}") from exc
+        fields = {
+            name: _field(payload, name, check)
+            for name, check in _FIELDS.items() if name in payload
+        }
+        return cls(version=version, **fields)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
@@ -192,7 +313,9 @@ class RunReport:
     def from_json(cls, text: str) -> "RunReport":
         try:
             payload = json.loads(text)
-        except json.JSONDecodeError as exc:
+        # ValueError, not just JSONDecodeError: an integer past the
+        # interpreter's digit limit raises the plain one
+        except (ValueError, RecursionError) as exc:
             raise ObsReportError(
                 f"not a run report (truncated or invalid JSON: {exc})"
             ) from exc
@@ -208,10 +331,14 @@ class RunReport:
         """Load a report; failures raise a one-line ObsReportError."""
         path = Path(path)
         try:
-            text = path.read_text()
+            text = path.read_text(encoding="utf-8")
         except OSError as exc:
             raise ObsReportError(
                 f"cannot read run report {path}: {exc.strerror or exc}"
+            ) from exc
+        except UnicodeDecodeError as exc:
+            raise ObsReportError(
+                f"{path}: not a run report (not UTF-8 text: {exc})"
             ) from exc
         try:
             return cls.from_json(text)

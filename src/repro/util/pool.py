@@ -1,21 +1,19 @@
 """Fork-based fan-out over one shared in-memory object.
 
-The characterization, the figure renderer, and the direct generator all
-fan independent tasks out over a :class:`ProcessPoolExecutor` the same
-way the cache sweeps do (:mod:`repro.caching.sweeps`): deterministic
-per-task functions, results reassembled in task order, and a serial
-fallback with identical output whenever the pool cannot help.
+The characterization, the figure renderer, the generators and the cache
+sweeps (:mod:`repro.caching.sweeps`) all fan independent tasks out the
+same way: deterministic per-task functions, results reassembled in task
+order, and a serial path with identical output whenever the pool cannot
+help.
 
-These tasks share a multi-megabyte :class:`~repro.trace.frame.TraceFrame`
-or chunked source, which must never be pickled per task.  The pool
-therefore uses the ``fork`` start method and parks the shared state in a
-module global before forking, so children inherit it copy-on-write and
-only task *names* cross the pipe; the global is dropped as soon as the
-pool drains so it cannot pin the arrays afterwards.  On platforms
-without ``fork`` the pool falls back to ``spawn`` workers attached to
-the same data through :mod:`repro.util.shm` shared-memory segments —
-still zero-copy for the array payload — and runs serially only when
-both are unavailable.
+These tasks share a multi-megabyte :class:`~repro.trace.frame.TraceFrame`,
+chunked source or action table, which must never be pickled per task.
+The pool therefore forks: the shared state is parked in a module global
+before the workers start, so they inherit it copy-on-write and only task
+*indices* cross a pipe; the global is dropped as soon as the batch
+drains so it cannot pin the arrays afterwards.  The workers are the
+work-stealing scheduler of :mod:`repro.util.sched`.  On platforms
+without ``fork`` the tasks run serially in-process.
 
 Failure and observability semantics: a task exception in a worker is
 re-raised in the parent as :class:`~repro.errors.PoolTaskError` naming
@@ -31,90 +29,21 @@ from __future__ import annotations
 
 import logging
 import multiprocessing
-import os
 import time
 from collections.abc import Callable, Mapping
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-from pickle import PicklingError
 from typing import Any
 
 from repro import obs
-from repro.errors import PoolTaskError
-from repro.obs.context import TraceContext
 
 log = logging.getLogger("repro.util.pool")
 
 #: state inherited by forked workers: (task mapping, shared object)
 _SHARED: tuple[Mapping[str, Callable[[Any], Any]], Any] | None = None
 
-#: trace handoff wire inherited by forked workers (spawn gets it as an
-#: initializer argument); None whenever the parent run is not traced
-_TRACE_WIRE: dict | None = None
-
-
-def _make_wire() -> dict | None:
-    """One fan-out's trace handoff (and worker sampling period), if traced."""
-    observer = obs.current()
-    tracelog = observer.tracelog
-    if tracelog is None:
-        return None
-    batch = tracelog.new_span_id()
-    wire = tracelog.context.handoff(tracelog.current_span(), batch)
-    sampler = observer.sampler
-    if sampler is not None:
-        wire["sample_period"] = sampler.period_s
-    return wire
-
-
-def _adopt_wire(
-    wire: dict, name: str, worker: str | None = None,
-    victim: int | None = None,
-):
-    """Install a fresh traced observer for one worker task and record
-    its ``task_start`` (preceded by a ``steal`` event when the task was
-    taken from another worker's queue); returns (observer, edge key)."""
-    context = TraceContext.adopt(wire, worker=worker or f"pid{os.getpid()}")
-    observer = obs.enable(context)
-    key = f"{wire['batch']}/{name}"
-    if victim is not None:
-        observer.tracelog.record("steal", name, key=key, victim=victim)
-    observer.tracelog.record("task_start", name, key=key)
-    period = wire.get("sample_period")
-    if period:
-        from repro.obs.sampler import Sampler
-
-        observer.sampler = Sampler(observer, period_s=period).start()
-    return observer, key
-
 
 def fork_available() -> bool:
     """True when the platform can fork worker processes."""
     return "fork" in multiprocessing.get_all_start_methods()
-
-
-def default_workers(n_tasks: int) -> int:
-    """One worker per task, bounded by the CPU count."""
-    return min(n_tasks, os.cpu_count() or 1)
-
-
-def _call(name: str) -> tuple[str, Any, dict | None, float]:
-    assert _SHARED is not None, "worker forked without shared state"
-    tasks, obj = _SHARED
-    if obs.enabled():
-        # start a fresh observer so only this task's deltas travel back
-        wire = _TRACE_WIRE
-        if wire is not None:
-            observer, key = _adopt_wire(wire, name)
-        else:
-            observer, key = obs.enable(), None
-        t0 = time.perf_counter()
-        result = tasks[name](obj)
-        dur = time.perf_counter() - t0
-        if key is not None:
-            observer.tracelog.record("task_end", name, key=key,
-                                     dur_s=round(dur, 6))
-        return name, result, observer.snapshot(), dur
-    return name, tasks[name](obj), None, 0.0
 
 
 def _record_task(name: str, duration_s: float) -> None:
@@ -126,21 +55,10 @@ def _record_task(name: str, duration_s: float) -> None:
         observer.note("pool.slowest_task", name)
 
 
-def _spawn_init(tasks, spec, obs_on: bool, wire: dict | None = None) -> None:
-    """Initializer for spawn workers: attach to the exported shared
-    object once per worker, then serve tasks exactly like a forked one."""
-    global _SHARED, _TRACE_WIRE
-    from repro.util import shm
-
-    _TRACE_WIRE = wire
-    if obs_on:
-        obs.enable()
-    _SHARED = (tasks, shm.attach_shareable(spec))
-
-
 def _run_serial(
     tasks: Mapping[str, Callable[[Any], Any]], obj: Any, names: list[str]
 ) -> dict[str, Any]:
+    obs.add("pool.serial_batches")
     if not obs.enabled():
         return {name: tasks[name](obj) for name in names}
     results: dict[str, Any] = {}
@@ -152,148 +70,41 @@ def _run_serial(
     return results
 
 
-def _run_pool(
-    names: list[str], n_workers: int, mode: str,
-    wire: dict | None = None, **executor_kwargs
-) -> dict[str, Any]:
-    """Submit every task to a fresh pool and gather results in
-    submission order, folding worker observations back in."""
-    tracelog = obs.current().tracelog
-    ctx = multiprocessing.get_context(mode)
-    with ProcessPoolExecutor(
-        max_workers=n_workers, mp_context=ctx, **executor_kwargs
-    ) as pool:
-        futures = []
-        for index, name in enumerate(names):
-            if obs.enabled():
-                obs.event("pool_dispatch", name, index=index, mode=mode)
-                if tracelog is not None and wire is not None:
-                    tracelog.record(
-                        "dispatch", name, key=f"{wire['batch']}/{name}",
-                        index=index, mode=mode,
-                    )
-            futures.append(pool.submit(_call, name))
-        results: dict[str, Any] = {}
-        snapshots: dict[str, dict] = {}
-        durations: dict[str, float] = {}
-        for index, (name, future) in enumerate(zip(names, futures)):
-            try:
-                rname, value, snapshot, dur = future.result()
-            except (BrokenExecutor, OSError):
-                raise
-            except Exception as exc:
-                raise PoolTaskError(
-                    f"pool task {name!r} (#{index} of {len(names)}) "
-                    f"failed in a worker: {exc}",
-                    task=name,
-                    index=index,
-                ) from exc
-            results[rname] = value
-            if snapshot is not None:
-                snapshots[rname] = snapshot
-                durations[rname] = dur
-    obs.add(f"pool.{mode}ed_batches")
-    obs.add("pool.worker_processes", n_workers)
-    # fold worker observations in submission order (deterministic)
-    for name in names:
-        snapshot = snapshots.get(name)
-        if snapshot is not None:
-            obs.current().merge_snapshot(snapshot)
-            _record_task(name, durations[name])
-            if tracelog is not None and wire is not None:
-                tracelog.record("merge", name, key=f"{wire['batch']}/{name}")
-    return results
-
-
 def map_tasks(
     tasks: Mapping[str, Callable[[Any], Any]],
     obj: Any,
     workers: int | None,
-    scheduler: str = "static",
     straggler_timeout: float | None = None,
 ) -> dict[str, Any]:
     """Run every ``tasks[name](obj)`` and return ``{name: result}``.
 
-    With ``workers`` of ``None``/0/1 or a single task, the tasks run
-    serially in-process.  Otherwise they fan out across a forked process
-    pool (``obj`` inherited copy-on-write), or — without ``fork`` — a
-    spawned pool whose workers attach to ``obj`` through shared memory
-    (:mod:`repro.util.shm`).  A pool that fails to start or loses a
-    worker falls back to the serial path, which produces identical
-    results because every task is deterministic.  A task that *raises*
-    in a worker surfaces as :class:`~repro.errors.PoolTaskError` with
-    the task name and submission index, the worker exception chained.
-
-    ``scheduler`` selects the fan-out discipline: ``"static"`` submits
-    every task to an executor up front; ``"steal"`` routes through the
-    work-stealing scheduler (:mod:`repro.util.sched`) so idle workers
-    take over a straggling worker's queued tasks — same results, folded
-    in the same order.  ``straggler_timeout`` (steal only) additionally
-    re-dispatches the oldest in-flight task after that many seconds
-    without progress.
+    With ``workers`` of ``None``/0/1, a single task, or a platform that
+    cannot fork, the tasks run serially in-process.  Otherwise they fan
+    out over the work-stealing pool (:mod:`repro.util.sched`), ``obj``
+    inherited copy-on-write: idle workers take queued tasks from the
+    busiest worker's tail, and a worker that crashes or fails to start
+    has its tasks finished by the others (or by the parent), with
+    identical results because every task is deterministic.  A task that
+    *raises* in a worker surfaces as :class:`~repro.errors.PoolTaskError`
+    with the task name and submission index, the worker exception
+    chained.  ``straggler_timeout`` re-dispatches the oldest in-flight
+    task after that many seconds without progress.
     """
     names = list(tasks)
     obs.add("pool.batches")
     obs.add("pool.tasks", len(names))
-    if workers is None or workers <= 1 or len(names) <= 1:
-        obs.add("pool.serial_batches")
+    if workers is None or workers <= 1 or len(names) <= 1 or not fork_available():
         if workers is not None and workers > 1:
             log.info(
-                "running %d task(s) serially: a single task cannot fan out",
-                len(names),
+                "running %d task(s) serially: %s", len(names),
+                "a single task cannot fan out" if len(names) <= 1
+                else "the platform cannot fork",
             )
         return _run_serial(tasks, obj, names)
-    n_workers = min(workers, len(names))
 
-    if scheduler == "steal" and fork_available():
-        from repro.util import sched
+    from repro.util import sched
 
-        return sched.run_stealing(
-            tasks, obj, n_workers, straggler_timeout=straggler_timeout
-        )
-    if scheduler not in ("static", "steal"):
-        raise ValueError(
-            f"unknown scheduler {scheduler!r} (use 'static' or 'steal')"
-        )
-
-    wire = _make_wire()
-    if fork_available():
-        global _SHARED, _TRACE_WIRE
-        _SHARED = (tasks, obj)
-        _TRACE_WIRE = wire
-        try:
-            return _run_pool(names, n_workers, "fork", wire=wire)
-        except (BrokenExecutor, OSError) as exc:
-            obs.add("pool.serial_fallbacks")
-            log.warning(
-                "forked pool of %d workers broke (%s: %s); "
-                "rerunning all %d tasks serially",
-                n_workers, type(exc).__name__, exc, len(names),
-            )
-            return _run_serial(tasks, obj, names)
-        finally:
-            _SHARED = None
-            _TRACE_WIRE = None
-
-    from repro.util import shm
-
-    spec, cleanup = shm.export_shareable(obj)
-    try:
-        return _run_pool(
-            names,
-            n_workers,
-            "spawn",
-            wire=wire,
-            initializer=_spawn_init,
-            initargs=(dict(tasks), spec, obs.enabled(), wire),
-        )
-    except (BrokenExecutor, OSError, PicklingError) as exc:
-        obs.add("pool.serial_fallbacks")
-        log.warning(
-            "spawned pool of %d workers failed (%s: %s); "
-            "rerunning all %d tasks serially",
-            n_workers, type(exc).__name__, exc, len(names),
-        )
-        return _run_serial(tasks, obj, names)
-    finally:
-        cleanup()
+    return sched.run_stealing(
+        tasks, obj, min(workers, len(names)),
+        straggler_timeout=straggler_timeout,
+    )

@@ -1,32 +1,33 @@
-"""Work-stealing task scheduler over the shared-object worker pool.
+"""The work-stealing worker pool behind :func:`repro.util.pool.map_tasks`.
 
-:func:`repro.util.pool.map_tasks` fans tasks out *statically*: every
-task is submitted up front and an executor hands them to whichever
-worker asks next.  That is fine when tasks are uniform, but sweep lines
-and shard replays are not — one FIFO replay line can run 10x longer
-than an LRU stack-distance line, and a static split leaves workers idle
-behind the straggler.  This module adds the dynamic half of the
-ROADMAP's "distributed sweep scheduler":
+Fanned tasks are not uniform — one FIFO replay line can run 10x longer
+than an LRU stack-distance line, shards and jobs differ in size — so a
+static split would leave workers idle behind the straggler.  This pool
+keeps a static split's submission-order locality but lets idle workers
+help:
 
 - **Chunked task queues.**  The task list is split into per-worker
   contiguous chunks living in one shared index array; each worker pops
-  from the *head* of its own chunk, so the common case is lock-cheap
-  and preserves the submission-order locality of the static split.
+  from the *head* of its own chunk, so the common case is lock-cheap.
 - **Stealing from the tail.**  A worker whose chunk drains picks the
   victim with the most work left and takes one task from the victim's
   *tail* — the classic deque discipline: owner and thief touch opposite
   ends, so contention stays rare.
+- **Blocking when idle.**  Chunks only shrink, so a worker with nothing
+  to pop or steal blocks on the overflow queue, the only place new work
+  can arrive; the parent ends each batch with one sentinel per started
+  worker on that queue.
 - **Straggler re-dispatch.**  When no result has arrived for
   ``straggler_timeout`` seconds and idle capacity exists, the oldest
   in-flight task is re-enqueued on the overflow queue.  Tasks are
   deterministic functions, so whichever copy finishes first wins and
   the duplicate result is dropped.
 - **Crash requeue.**  A worker that dies mid-queue (OOM-killed,
-  segfaulted C extension, ``os._exit`` in a task) has its unfinished
-  chunk and in-flight task re-enqueued for the survivors; if every
-  worker is gone the parent finishes the remainder serially.  A task
-  that repeatedly kills its executor is eventually run in the parent so
-  a genuine crash still surfaces instead of looping.
+  segfaulted C extension, ``os._exit`` in a task) or never starts has
+  its unfinished chunk and in-flight task re-enqueued for the
+  survivors; if every worker is gone the parent finishes the remainder
+  serially.  A task that repeatedly kills its executor is eventually run
+  in the parent so a genuine crash still surfaces instead of looping.
 
 Determinism: results and worker obs snapshots are reassembled in task
 submission order regardless of which worker ran what or how often, so a
@@ -34,10 +35,8 @@ stolen, re-dispatched, or requeued run is byte-identical to a serial
 one.  Scheduling activity is observable through the ``pool.steal`` /
 ``pool.requeue`` / ``pool.straggler_redispatch`` counters.
 
-The scheduler requires the ``fork`` start method (workers inherit the
-task mapping and shared object copy-on-write).  On spawn-only platforms
-:func:`repro.util.pool.map_tasks` keeps using the static executor path,
-which shares data through :mod:`repro.util.shm` instead.
+The pool requires the ``fork`` start method: workers inherit the task
+mapping and shared object copy-on-write.
 """
 
 from __future__ import annotations
@@ -51,11 +50,10 @@ from typing import Any
 
 from repro import obs
 from repro.errors import PoolTaskError
+from repro.obs.context import TraceContext
+from repro.util import pool as pool_mod
 
 log = logging.getLogger("repro.util.sched")
-
-#: how long a worker sleeps when it finds no runnable task anywhere
-_IDLE_SLEEP_S = 0.002
 
 #: how long the parent waits on the result queue per poll
 _POLL_S = 0.02
@@ -66,6 +64,37 @@ _LOCK_TIMEOUT_S = 0.2
 #: how many times a task may be requeued after killing its worker
 #: before the parent runs it in-process and lets the failure surface
 _MAX_REQUEUES = 2
+
+
+def _make_wire() -> dict | None:
+    """One fan-out's trace handoff (and worker sampling period), if traced."""
+    observer = obs.current()
+    tracelog = observer.tracelog
+    if tracelog is None:
+        return None
+    batch = tracelog.new_span_id()
+    wire = tracelog.context.handoff(tracelog.current_span(), batch)
+    sampler = observer.sampler
+    if sampler is not None:
+        wire["sample_period"] = sampler.period_s
+    return wire
+
+
+def _adopt_wire(wire: dict, name: str, worker: str, victim: int | None):
+    """Install a fresh traced observer for one worker task and record
+    its ``task_start`` (preceded by a ``steal`` event when the task was
+    taken from another worker's queue); returns (observer, edge key)."""
+    observer = obs.enable(TraceContext.adopt(wire, worker=worker))
+    key = f"{wire['batch']}/{name}"
+    if victim is not None:
+        observer.tracelog.record("steal", name, key=key, victim=victim)
+    observer.tracelog.record("task_start", name, key=key)
+    period = wire.get("sample_period")
+    if period:
+        from repro.obs.sampler import Sampler
+
+        observer.sampler = Sampler(observer, period_s=period).start()
+    return observer, key
 
 
 def _pop_own(worker: int, bounds, locks, idx_arr) -> int | None:
@@ -116,7 +145,7 @@ def _steal(
 def _run_one(names, tasks, obj, idx: int, obs_on: bool,
              wire: dict | None = None, worker: int | None = None,
              victim: int | None = None, fresh: bool = True):
-    """Execute one task, capturing its obs deltas like the static pool.
+    """Execute one task, capturing its obs deltas in a fresh observer.
 
     ``fresh=False`` is the *parent-side* mode (requeue cap exceeded, all
     workers dead): the task runs under the parent's live observer instead
@@ -125,8 +154,6 @@ def _run_one(names, tasks, obj, idx: int, obs_on: bool,
     """
     name = names[idx]
     if obs_on:
-        from repro.util import pool as pool_mod
-
         if not fresh:
             t0 = time.perf_counter()
             try:
@@ -137,11 +164,7 @@ def _run_one(names, tasks, obj, idx: int, obs_on: bool,
             pool_mod._record_task(name, dur)
             return idx, value, None, dur, None
         if wire is not None:
-            observer, key = pool_mod._adopt_wire(
-                wire, name,
-                worker=f"w{worker}" if worker is not None else None,
-                victim=victim,
-            )
+            observer, key = _adopt_wire(wire, name, f"w{worker}", victim)
         else:
             observer, key = obs.enable(), None
         t0 = time.perf_counter()
@@ -174,9 +197,8 @@ def _steal_worker(
     obs_on: bool,
     wire: dict | None = None,
 ) -> None:
-    """Worker main loop: drain own chunk, then steal, then poll overflow."""
-    from repro.util import pool as pool_mod
-
+    """Worker main loop: drain own chunk, then steal, then block on the
+    overflow queue until a requeued task or the batch's sentinel."""
     assert pool_mod._SHARED is not None, "steal worker forked without state"
     tasks, obj = pool_mod._SHARED
     names = list(tasks)
@@ -188,11 +210,10 @@ def _steal_worker(
             if stolen is not None:
                 idx, victim = stolen
         if idx is None:
-            try:
-                idx = extra.get_nowait()
-            except queue_mod.Empty:
-                time.sleep(_IDLE_SLEEP_S)
-                continue
+            # chunks only shrink: new work can arrive only on this queue
+            idx = extra.get()
+            if idx is None:
+                break
         current[worker] = idx
         idx, value, snapshot, dur, exc = _run_one(
             names, tasks, obj, idx, obs_on,
@@ -207,6 +228,9 @@ def _steal_worker(
             except Exception:
                 exc = RuntimeError(repr(exc))
         results.put((worker, victim, idx, value, snapshot, dur, exc))
+    # the batch is over and the parent reads no more results: exit
+    # without waiting to flush a late (duplicate or abandoned) one
+    results.cancel_join_thread()
 
 
 def run_stealing(
@@ -220,12 +244,10 @@ def run_stealing(
     Same contract as :func:`repro.util.pool.map_tasks`: returns
     ``{name: result}`` with results (and worker obs snapshots) folded in
     submission order, raises :class:`~repro.errors.PoolTaskError` naming
-    a task that raised, and falls back to the serial path when the
-    platform cannot fork.  ``straggler_timeout`` enables re-dispatching
-    the oldest in-flight task after that many seconds without progress.
+    a task that raised, and runs serially with one worker, one task, or
+    no ``fork``.  ``straggler_timeout`` enables re-dispatching the
+    oldest in-flight task after that many seconds without progress.
     """
-    from repro.util import pool as pool_mod
-
     names = list(tasks)
     n = len(names)
     n_workers = min(workers, n)
@@ -233,8 +255,8 @@ def run_stealing(
         reason = (
             "single worker/task" if n_workers <= 1 else "fork unavailable"
         )
-        log.info("steal scheduler falling back to static pool (%s)", reason)
-        return pool_mod.map_tasks(tasks, obj, workers)
+        log.info("steal scheduler running %d task(s) serially (%s)", n, reason)
+        return pool_mod._run_serial(tasks, obj, names)
 
     ctx = multiprocessing.get_context("fork")
     idx_arr = ctx.Array("q", n, lock=False)
@@ -245,7 +267,7 @@ def run_stealing(
     results_q = ctx.Queue()
     done = ctx.Event()
 
-    # contiguous chunked split, same order the static pool would submit
+    # contiguous chunked split, in submission order
     for i in range(n):
         idx_arr[i] = i
     for w in range(n_workers):
@@ -254,18 +276,21 @@ def run_stealing(
         current[w] = -1
 
     obs_on = obs.enabled()
-    wire = pool_mod._make_wire()
+    wire = _make_wire()
     tracelog = obs.current().tracelog
-    if tracelog is not None and wire is not None:
+    if obs_on:
         for i, name in enumerate(names):
             owner = next(
                 w for w in range(n_workers)
                 if bounds[2 * w] <= i < bounds[2 * w + 1]
             )
-            tracelog.record(
-                "dispatch", name, key=f"{wire['batch']}/{name}",
-                index=i, mode="steal", worker=owner,
-            )
+            obs.event("pool_dispatch", name, index=i, mode="steal",
+                      worker=owner)
+            if tracelog is not None and wire is not None:
+                tracelog.record(
+                    "dispatch", name, key=f"{wire['batch']}/{name}",
+                    index=i, mode="steal", worker=owner,
+                )
     pool_mod._SHARED = (tasks, obj)
     procs = [
         ctx.Process(
@@ -276,18 +301,28 @@ def run_stealing(
         )
         for w in range(n_workers)
     ]
+    started = []
     try:
-        for p in procs:
-            p.start()
+        for w, p in enumerate(procs):
+            try:
+                p.start()
+            except OSError as exc:
+                # never started: _collect finds it dead and hands its
+                # chunk to the others (or finishes serially)
+                log.warning("pool worker %d failed to start (%s)", w, exc)
+            else:
+                started.append(p)
         outcome = _collect(
             names, tasks, obj, n_workers, procs, idx_arr, bounds, locks,
             current, extra, results_q, straggler_timeout, obs_on, wire,
         )
     finally:
         done.set()
-        for p in procs:
+        for _ in started:
+            extra.put(None)
+        for p in started:
             p.join(timeout=2.0)
-        for p in procs:
+        for p in started:
             if p.is_alive():  # pragma: no cover - defensive
                 p.terminate()
                 p.join(timeout=1.0)
@@ -297,7 +332,7 @@ def run_stealing(
 
     values, snapshots, durations, steals, requeues = outcome
     obs.add("pool.steal_batches")
-    obs.add("pool.worker_processes", n_workers)
+    obs.add("pool.worker_processes", len(started))
     if steals:
         obs.add("pool.steal", steals)
     if requeues:

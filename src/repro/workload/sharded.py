@@ -47,6 +47,13 @@ has a deterministic remedy:
 Jobs that *do* share a file name (none of the packaged scenarios do,
 but nothing forbids it) are co-located on one shard by a union-find
 over names, so shard replicas stay self-contained.
+
+The shards fan out as one task each through
+:func:`repro.util.pool.map_tasks`.  The action columns, each shard's
+replay order and the plan metadata reach the workers as one plain
+``(arrays, meta)`` tuple that fork shares copy-on-write; only each
+shard's result crosses a pipe.  Without ``fork`` the shards replay
+serially in-process, with the same merged output.
 """
 
 from __future__ import annotations
@@ -65,7 +72,6 @@ from repro.trace.frame import JobTable, TraceFrame
 from repro.trace.postprocess import postprocess
 from repro.trace.records import EventKind, OpenFlags
 from repro.util.rng import SeedSequencePool
-from repro.util.shm import ShmBundle
 from repro.util.units import BLOCK_SIZE
 
 #: the action columns shipped to workers
@@ -134,27 +140,31 @@ class _CacheLog:
         }
 
 
-def _replay_shard(shard: int, ctx: ShmBundle) -> dict:
+def _replay_shard(shard: int, shared: tuple[dict, dict]) -> dict:
     """Worker: replay one shard's action subsequence on a machine replica.
 
-    The replica uses the *same* machine seed as the serial run, so node
-    clocks (and therefore record timestamps) match exactly; file ids
-    come from the pre-assigned stream; cache traffic and trace records
-    are logged with global positions for the parent to merge.
+    ``shared`` is the ``(arrays, meta)`` pair every shard reads: the action
+    columns with each shard's replay order and global positions, and the
+    machine/plan metadata.  The replica uses the *same* machine seed as
+    the serial run, so node clocks (and therefore record timestamps)
+    match exactly; file ids come from the pre-assigned stream; cache
+    traffic and trace records are logged with global positions for the
+    parent to merge.
     """
     from repro.workload.generator import _Replayer
 
     if obs.enabled():
         tracelog = obs.current().tracelog
-        if tracelog is not None:
-            # relabel this task's trace stream with the shard id so the
-            # timeline names shard lanes, not anonymous pool pids
+        if tracelog is not None and tracelog.context.parent_span_id:
+            # relabel this worker task's trace stream with the shard id
+            # so the timeline names shard lanes, not pool worker slots
+            # (a serial run leaves the parent's own stream alone)
             tracelog.context.worker = f"shard{shard}"
 
-    meta = ctx.meta
-    actions = {k: ctx.arrays[k] for k in _ACTION_COLS}
-    order = ctx.arrays[f"order/{shard}"]
-    positions = ctx.arrays[f"pos/{shard}"]
+    arrays, meta = shared
+    actions = {k: arrays[k] for k in _ACTION_COLS}
+    order = arrays[f"order/{shard}"]
+    positions = arrays[f"pos/{shard}"]
 
     machine = IPSC860(config=meta["machine_config"], seed=meta["machine_seed"])
     fs = ConcurrentFileSystem(
@@ -290,21 +300,15 @@ def _assign_fids(
 # -- the driver ---------------------------------------------------------------
 
 
-def run_sharded(
-    engine,
-    shards: int,
-    workers: int | None = None,
-    scheduler: str = "static",
-):
+def run_sharded(engine, shards: int):
     """Run the full pipeline split over ``shards`` worker processes.
 
     ``engine`` is the planning engine (today always
     :class:`~repro.workload.generator.SyntheticEngine`; any engine
     exposing ``plan``/``_global_actions``/``_header`` works).  Returns
     the same :class:`~repro.workload.generator.GeneratedWorkload` a
-    serial ``_run_full`` produces, byte-for-byte.  ``workers`` defaults
-    to one process per shard; ``scheduler`` is forwarded to
-    :func:`~repro.util.pool.map_tasks`.
+    serial ``_run_full`` produces, byte-for-byte.  The shards fan out
+    one task per shard over :func:`~repro.util.pool.map_tasks`.
     """
     from repro.util.pool import map_tasks
     from repro.workload.generator import GeneratedWorkload
@@ -342,23 +346,15 @@ def run_sharded(
         arrays[f"order/{k}"] = order[positions]
         arrays[f"pos/{k}"] = positions
 
-    ctx = ShmBundle(
-        arrays=arrays,
-        meta={
-            "machine_config": engine.scenario.machine,
-            "machine_seed": machine_seed,
-            "uses": uses,
-            "fid_streams": fid_streams,
-        },
-    )
+    meta = {
+        "machine_config": engine.scenario.machine,
+        "machine_seed": machine_seed,
+        "uses": uses,
+        "fid_streams": fid_streams,
+    }
     tasks = {f"shard{k}": partial(_replay_shard, k) for k in range(shards)}
     with obs.span("workload/sharded/replay"):
-        results = map_tasks(
-            tasks,
-            ctx,
-            workers=workers if workers is not None else shards,
-            scheduler=scheduler,
-        )
+        results = map_tasks(tasks, (arrays, meta), shards)
     ordered_results = [results[f"shard{k}"] for k in range(shards)]
 
     machine = IPSC860(config=engine.scenario.machine, seed=machine_seed)

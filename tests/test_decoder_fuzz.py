@@ -1,10 +1,13 @@
-"""Fuzz the byte decoders of the chunk codec: frame, store, restart log.
+"""Fuzz the byte decoders: frame, store, restart log, records, run report.
 
-A valid ingest frame, store file and restart log are truncated or have
-bytes overwritten.  Every mutant must either decode or raise the typed
-error of the module that reads it: :class:`ServiceError` for frames and
-restart logs, :class:`TraceFormatError` for stores.  An ``IndexError``,
-``KeyError``, ``MemoryError`` or any other untyped exception fails.
+A valid ingest frame, store file, restart log, trace record block and
+saved run report are truncated or have bytes overwritten.  Every mutant
+must either decode or raise the typed error of the module that reads
+it: :class:`ServiceError` for frames and restart logs,
+:class:`TraceFormatError` for stores and record blocks,
+:class:`ObsReportError` for run reports (and a report that loads must
+render).  An ``IndexError``, ``KeyError``, ``MemoryError`` or any other
+untyped exception fails.
 """
 
 from __future__ import annotations
@@ -15,11 +18,15 @@ import struct
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import ServiceError, TraceFormatError
+from repro import obs
+from repro.errors import ObsReportError, ServiceError, TraceFormatError
+from repro.obs import RunReport, Sampler, TraceContext
 from repro.service import ServiceClient, TraceService, decode_chunk, encode_chunk
 from repro.service.daemon import LOG_MAGIC
+from repro.trace.codec import decode_records_array
 from repro.trace.frame import TraceFrame
 from repro.trace.store import FrameSource, write_store
+from repro.util.pool import map_tasks
 from tests.test_trace_store import _read_everything
 
 EXAMPLES = 300
@@ -84,6 +91,38 @@ def log_bytes(sub_frame, fuzz_dir):
     return path.read_bytes()
 
 
+@pytest.fixture(scope="module")
+def record_bytes(full_pipeline_workload):
+    """The raw trace's records back to back, as a trace block carries them."""
+    return b"".join(block.payload for block in full_pipeline_workload.raw.blocks)
+
+
+def _observed_task(shared):
+    with obs.span("task"):
+        obs.add("task.items", shared)
+        obs.hist("task.size", shared * 100.0)
+    return shared
+
+
+@pytest.fixture(scope="module")
+def report_bytes(fuzz_dir):
+    """A saved report with every field filled: spans, counters, gauges,
+    histograms, notes, a sampled time series and worker trace streams."""
+    observer = obs.enable(TraceContext.root())
+    observer.sampler = Sampler(observer, period_s=30.0).start()
+    try:
+        with obs.span("fuzz"):
+            map_tasks({"a": _observed_task, "b": _observed_task}, 3, workers=2)
+            obs.gauge("fuzz.ratio", 0.25)
+        report = observer.report(
+            command=["fuzz"], timeseries=observer.sampler.flush()
+        )
+    finally:
+        observer.sampler.stop()
+        obs.disable()
+    return report.save(fuzz_dir / "valid.json").read_bytes()
+
+
 @given(data=st.data())
 @settings(max_examples=EXAMPLES, deadline=None)
 def test_frame(frame_bytes, data):
@@ -125,3 +164,26 @@ def test_restart_log(log_bytes, fuzz_dir, data):
         json.dumps(svc.run_summaries())
     finally:
         svc.stop()
+
+
+@given(data=st.data())
+@settings(max_examples=EXAMPLES, deadline=None)
+def test_record_block(record_bytes, data):
+    mutant = data.draw(_mutants(record_bytes, (0, len(record_bytes) - 1)))
+    try:
+        decode_records_array(mutant)
+    except TraceFormatError:
+        pass
+
+
+@given(data=st.data())
+@settings(max_examples=EXAMPLES, deadline=None)
+def test_run_report(report_bytes, fuzz_dir, data):
+    mutant = data.draw(_mutants(report_bytes, (0, len(report_bytes) - 1)))
+    path = fuzz_dir / "mutant.json"
+    path.write_bytes(mutant)
+    try:
+        report = RunReport.load(path)
+    except ObsReportError:
+        return
+    report.render()

@@ -15,7 +15,7 @@ import pytest
 from repro import obs
 from repro.core import characterize
 from repro.core.figures import render_all
-from repro.errors import PoolTaskError
+from repro.errors import ObsReportError, PoolTaskError
 from repro.obs import NULL_OBSERVER, Observer, RunReport, SpanNode
 from repro.util.pool import map_tasks
 
@@ -225,6 +225,33 @@ class TestRunReport:
         report = self._sample()
         assert report.wall_s > 0.0
         assert report.peak_rss_bytes > 0
+
+    @pytest.mark.parametrize("field, text", [
+        ("version", '"x"'),
+        ("version", "null"),
+        ("version", "1e999"),
+        ("peak_rss_bytes", "1e999"),
+        ("spans", '{"name": "run", "count": 0, "children": [5]}'),
+        ("histograms", '{"h": 5}'),
+    ], ids=["version-str", "version-null", "version-inf", "rss-inf",
+            "span-child-int", "histogram-int"])
+    def test_malformed_field_is_named(self, tmp_path, field, text):
+        payload = json.loads(self._sample().to_json())
+        payload[field] = "@"
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload).replace('"@"', text))
+        with pytest.raises(ObsReportError, match=f"field '{field}'"):
+            RunReport.load(path).render()
+
+    @pytest.mark.parametrize("data, why", [
+        (b'{"version": 3, "wall_s": \xff}', "not UTF-8"),
+        (b'{"version": 3, "wall_s": ' + b"1" * 5000 + b"}", "invalid JSON"),
+    ], ids=["not-utf8", "int-5000-digits"])
+    def test_unparseable_file_is_rejected(self, tmp_path, data, why):
+        path = tmp_path / "bad.json"
+        path.write_bytes(data)
+        with pytest.raises(ObsReportError, match=why):
+            RunReport.load(path)
 
 
 class TestAllLayers:

@@ -1,12 +1,12 @@
 """Cross-process trace-context propagation (obs v3, tentpole).
 
-Pinned promises: a ``TraceContext`` handed off through the pool, the
-work-stealing scheduler, spawn-started workers, and the sharded full
-pipeline produces worker event streams whose causal parents resolve
-into the dispatching process's stream; scheduler activity (steals,
-requeues, straggler re-dispatches) reaches the flight recorder with
-worker ids; and the parent's observer survives the parent-side crash
-recovery paths instead of being clobbered by a fresh one.
+Pinned promises: a ``TraceContext`` handed off through the
+work-stealing pool and the sharded full pipeline produces worker event
+streams whose causal parents resolve into the dispatching process's
+stream; scheduler activity (steals, requeues, straggler re-dispatches)
+reaches the flight recorder with worker ids; and the parent's observer
+survives the parent-side crash recovery paths instead of being
+clobbered by a fresh one.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import pytest
 
 from repro import obs
 from repro.obs import FlightRecorder, Observer, TraceContext, TraceLog
-from repro.util import pool as pool_mod
 from repro.util.pool import map_tasks
 
 
@@ -28,23 +27,11 @@ def _reset_observer():
     obs.disable()
 
 
-@pytest.fixture
-def no_fork(monkeypatch):
-    """Pretend the platform cannot fork, forcing the spawn+shm path."""
-    monkeypatch.setattr(pool_mod, "fork_available", lambda: False)
-
-
 def _all_streams(payload: dict) -> list[dict]:
     out = [payload]
     for child in payload.get("children", ()):
         out.extend(_all_streams(child))
     return out
-
-
-def _add_i(shared, i):
-    """Module-level so the spawn path can pickle it."""
-    obs.add("task.ran", 1)
-    return shared + i
 
 
 class TestTraceContext:
@@ -112,7 +99,7 @@ class TestTraceLog:
 
 
 class TestPoolPropagation:
-    def _run(self, workers=3, scheduler="static", **kw):
+    def _run(self):
         def make(i):
             def task(shared, i=i):
                 obs.add("task.ran", 1)
@@ -122,13 +109,12 @@ class TestPoolPropagation:
 
         tasks = {f"t{i}": make(i) for i in range(6)}
         observer = obs.enable(TraceContext.root())
-        result = map_tasks(tasks, 10, workers=workers,
-                           scheduler=scheduler, **kw)
+        result = map_tasks(tasks, 10, workers=3)
         assert result == {f"t{i}": 10 + i for i in range(6)}
         return observer
 
     def test_fork_workers_chain_to_the_parent_stream(self):
-        observer = self._run(scheduler="static")
+        observer = self._run()
         trace = observer.trace_payload()
         streams = _all_streams(trace)
         assert len(streams) >= 2  # main + at least one worker
@@ -143,13 +129,13 @@ class TestPoolPropagation:
             assert "task_start" in kinds and "task_end" in kinds
 
     def test_steal_scheduler_streams_carry_worker_labels(self):
-        observer = self._run(scheduler="steal")
+        observer = self._run()
         streams = _all_streams(observer.trace_payload())
         labels = {s["worker"] for s in streams[1:]}
         assert labels and all(w.startswith("w") for w in labels)
 
     def test_dispatch_and_merge_keys_pair_across_the_boundary(self):
-        observer = self._run(scheduler="static")
+        observer = self._run()
         trace = observer.trace_payload()
         parent_keys = {
             e["key"] for e in trace["events"] if e["ev"] == "dispatch"
@@ -165,22 +151,6 @@ class TestPoolPropagation:
             e["key"] for e in trace["events"] if e["ev"] == "merge"
         }
         assert merge_keys == parent_keys
-
-    def test_spawn_workers_adopt_through_the_initializer(self, no_fork):
-        import functools
-
-        tasks = {
-            f"t{i}": functools.partial(_add_i, i=i) for i in range(6)
-        }
-        observer = obs.enable(TraceContext.root())
-        result = map_tasks(tasks, 10, workers=2)
-        assert result == {f"t{i}": 10 + i for i in range(6)}
-        assert observer.counters.get("pool.spawned_batches", 0) >= 1
-        streams = _all_streams(observer.trace_payload())
-        assert len(streams) >= 2
-        for worker in streams[1:]:
-            assert worker["worker"].startswith("pid")
-            assert worker["parent_span"]
 
     def test_untraced_observed_run_ships_no_trace(self):
         def task(shared):
@@ -227,7 +197,7 @@ class TestSchedulerFlightEvents:
         tasks = {f"t{i}": make(i) for i in range(6)}
         observer = obs.enable(TraceContext.root())
         observer.flight = FlightRecorder()
-        result = map_tasks(tasks, 1, workers=2, scheduler="steal")
+        result = map_tasks(tasks, 1, workers=2)
         assert result == {f"t{i}": i for i in range(6)}
 
         events = observer.flight.events()
@@ -279,7 +249,7 @@ class TestParentSideRecovery:
 
         tasks = {f"t{i}": make(i) for i in range(5)}
         observer = obs.enable(TraceContext.root())
-        result = map_tasks(tasks, 2, workers=2, scheduler="steal")
+        result = map_tasks(tasks, 2, workers=2)
         assert result == {f"t{i}": i for i in range(5)}
         assert obs.current() is observer
 

@@ -1,7 +1,7 @@
 """Satellite: the time-series sampler under multiprocess workers.
 
 When the parent runs a sampler, the trace wire carries the sampling
-period to every pool/sched/sharded worker; each worker samples its own
+period to every pool and sharded worker; each worker samples its own
 process and its ring rides back with the task snapshot, landing in the
 parent report under ``timeseries["workers"]``.  Counter *deltas* are
 the survival property: a worker that dies mid-task loses its ring, but
@@ -19,7 +19,6 @@ import pytest
 from repro import obs
 from repro.obs import Observer, Sampler, TraceContext
 from repro.obs.report import RunReport
-from repro.util import pool as pool_mod
 from repro.util.pool import map_tasks
 
 
@@ -28,12 +27,6 @@ def _reset_observer():
     obs.disable()
     yield
     obs.disable()
-
-
-@pytest.fixture
-def no_fork(monkeypatch):
-    """Pretend the platform cannot fork, forcing the spawn+shm path."""
-    monkeypatch.setattr(pool_mod, "fork_available", lambda: False)
 
 
 @pytest.fixture
@@ -48,7 +41,6 @@ def sampled_observer():
 
 
 def _sampled_task(shared, i):
-    """Module-level so the spawn path can pickle it."""
     obs.add("task.ran", 1)
     return shared + i
 
@@ -85,17 +77,6 @@ class TestWorkerRingsMergeIntoParentReport:
             for ring in rings for s in ring["samples"]
         )
         assert shipped == report.counters["task.ran"] == 6
-
-    def test_spawn_workers_ship_rings_too(self, sampled_observer, no_fork):
-        map_tasks(_tasks(), 10, workers=2)
-        assert sampled_observer.counters.get("pool.spawned_batches", 0) >= 1
-        _, rings = _worker_rings(sampled_observer)
-        assert rings
-        shipped = sum(
-            s["counter_deltas"].get("task.ran", 0)
-            for ring in rings for s in ring["samples"]
-        )
-        assert shipped == 6
 
     def test_sharded_full_pipeline_workers_ship_rings(self, sampled_observer):
         from repro.workload import WorkloadGenerator, tiny
@@ -137,7 +118,7 @@ class TestDeltasSurviveWorkerDeath:
             return task
 
         tasks = {f"t{i}": make(i) for i in range(6)}
-        result = map_tasks(tasks, 1, workers=2, scheduler="steal")
+        result = map_tasks(tasks, 1, workers=2)
         assert result == {f"t{i}": i for i in range(6)}
         report, rings = _worker_rings(sampled_observer)
         # the poison execution died before snapshotting: its increments

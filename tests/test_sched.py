@@ -1,20 +1,25 @@
-"""The work-stealing scheduler: determinism under adversity.
+"""The work-stealing pool: determinism under adversity.
 
-:func:`repro.util.sched.run_stealing` promises the same contract as the
-static pool — results folded in submission order, ``PoolTaskError``
-naming a failing task — while surviving uneven task costs, straggler
-re-dispatch, and workers that die mid-queue.  Every adversity scenario
-here must produce results identical to the serial path.
+:func:`repro.util.sched.run_stealing`, the pool behind
+:func:`repro.util.pool.map_tasks`, promises the serial path's contract —
+results folded in submission order, ``PoolTaskError`` naming a failing
+task — while surviving uneven task costs, straggler re-dispatch, workers
+that die mid-queue and workers that never start.  Every adversity
+scenario here must produce results identical to the serial path.
 """
 
+import errno
 import logging
+import multiprocessing.process
 import os
+import signal
 import time
 
 import pytest
 
 from repro import obs
 from repro.errors import PoolTaskError
+from repro.util import pool as pool_mod
 from repro.util.pool import fork_available, map_tasks
 
 pytestmark = pytest.mark.skipif(
@@ -33,14 +38,13 @@ class TestStealMatchesStatic:
     def test_steal_identical_to_serial_and_static(self):
         tasks = _square_tasks(12)
         serial = map_tasks(tasks, 7, workers=None)
-        static = map_tasks(tasks, 7, workers=3, scheduler="static")
-        stolen = map_tasks(tasks, 7, workers=3, scheduler="steal")
-        assert stolen == serial == static
+        stolen = map_tasks(tasks, 7, workers=3)
+        assert stolen == serial
 
     def test_single_worker_falls_back_to_static(self, caplog):
         tasks = _square_tasks(4)
         with caplog.at_level(logging.INFO, logger="repro.util.sched"):
-            result = map_tasks(tasks, 3, workers=1, scheduler="steal")
+            result = map_tasks(tasks, 3, workers=1)
         # workers=1 short-circuits in map_tasks before reaching sched,
         # so drive run_stealing directly to exercise its own fallback
         from repro.util.sched import run_stealing
@@ -48,7 +52,7 @@ class TestStealMatchesStatic:
         with caplog.at_level(logging.INFO, logger="repro.util.sched"):
             direct = run_stealing(tasks, 3, workers=1)
         assert result == direct == map_tasks(tasks, 3, workers=None)
-        assert any("falling back to static pool" in r.message
+        assert any("running 4 task(s) serially" in r.message
                    for r in caplog.records)
 
     def test_serial_fallback_logs_when_fanout_impossible(self, caplog):
@@ -76,7 +80,7 @@ class TestStragglers:
         serial = map_tasks(tasks, 100, workers=None)
 
         ob = obs.enable()
-        stolen = map_tasks(tasks, 100, workers=4, scheduler="steal")
+        stolen = map_tasks(tasks, 100, workers=4)
         snap = ob.snapshot()
         obs.disable()
 
@@ -100,8 +104,7 @@ class TestStragglers:
         serial = map_tasks(tasks, 5, workers=None)
 
         ob = obs.enable()
-        result = map_tasks(tasks, 5, workers=2, scheduler="steal",
-                           straggler_timeout=0.2)
+        result = map_tasks(tasks, 5, workers=2, straggler_timeout=0.2)
         snap = ob.snapshot()
         obs.disable()
 
@@ -134,7 +137,7 @@ class TestWorkerCrash:
         flag.unlink()
 
         ob = obs.enable()
-        result = map_tasks(tasks, 50, workers=2, scheduler="steal")
+        result = map_tasks(tasks, 50, workers=2)
         snap = ob.snapshot()
         obs.disable()
 
@@ -167,8 +170,48 @@ class TestWorkerCrash:
         for p in crashes.iterdir():
             p.unlink()
 
-        result = map_tasks(tasks, 2, workers=2, scheduler="steal")
+        result = map_tasks(tasks, 2, workers=2)
         assert result == serial
+
+
+def _on_alarm(signum, frame):
+    # not TimeoutError: that is an OSError, which a failed start raises
+    raise RuntimeError("the pool hung after a worker failed to start")
+
+
+class TestWorkerStartFailure:
+    """A worker whose ``start()`` raises (fork refused with EAGAIN) must
+    neither hang the run nor leave the shared object pinned: its chunk
+    goes to the workers that did start, or the parent runs the batch."""
+
+    @pytest.mark.parametrize(
+        "failing", [{0}, {1}, {0, 1, 2}], ids=["first", "second", "every"]
+    )
+    def test_start_failure_returns_serial_result(self, monkeypatch, failing):
+        tasks = _square_tasks(9)
+        serial = map_tasks(tasks, 3, workers=None)
+        start = multiprocessing.process.BaseProcess.start
+        calls = []
+
+        def flaky_start(process):
+            calls.append(process)
+            if len(calls) - 1 in failing:
+                raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+            return start(process)
+
+        monkeypatch.setattr(
+            multiprocessing.process.BaseProcess, "start", flaky_start
+        )
+        previous = signal.signal(signal.SIGALRM, _on_alarm)
+        signal.alarm(30)
+        try:
+            result = map_tasks(tasks, 3, workers=3)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert result == serial
+        assert len(calls) == 3
+        assert pool_mod._SHARED is None
 
 
 class TestErrorNaming:
@@ -181,7 +224,7 @@ class TestErrorNaming:
 
         tasks = {"fine0": fine, "boom1": boom, "fine2": fine}
         with pytest.raises(PoolTaskError) as info:
-            map_tasks(tasks, 1, workers=2, scheduler="steal")
+            map_tasks(tasks, 1, workers=2)
         assert info.value.task == "boom1"
         assert info.value.index == 1
         assert "failed in a worker" in str(info.value)
@@ -197,5 +240,5 @@ class TestErrorNaming:
 
         tasks = {"ok": lambda shared: shared, "bad": boom}
         with pytest.raises(PoolTaskError) as info:
-            map_tasks(tasks, 1, workers=2, scheduler="steal")
+            map_tasks(tasks, 1, workers=2)
         assert info.value.task == "bad"
