@@ -22,11 +22,13 @@ system reach a 90 % hit rate; FIFO needs nearly 20000, because it evicts
 hot blocks on arrival schedule rather than on locality.  How the buffers
 are spread across 1-20 I/O nodes barely changes the hit rate.
 
-Two engines produce the Figure 9 curves: the per-capacity **replay**
-simulator below (the oracle, required for FIFO and the interprocess
-policy), and the single-pass **stack-distance** engine in
-:mod:`repro.caching.stackdist`, which yields the exact LRU/OPT curve at
-every buffer count from one traversal of the trace.
+The policy picks how a Figure 9 line is computed
+(:func:`sweep_buffer_counts`).  LRU and OPT are stack algorithms, so the
+single-pass **stack-distance** profile of :mod:`repro.caching.stackdist`
+yields their exact curve at every buffer count from one traversal of the
+trace.  FIFO and the interprocess policy are not, so they take the
+per-capacity **replay** simulator below, once per buffer count; for LRU
+and OPT that replay is the oracle the tests hold the profile to.
 """
 
 from __future__ import annotations
@@ -48,10 +50,6 @@ from repro.errors import CacheConfigError
 from repro.trace.frame import TraceFrame
 from repro.trace.records import EventKind
 from repro.util.units import BLOCK_SIZE
-
-#: engines accepted by :func:`sweep_buffer_counts`
-ENGINES = ("auto", "replay", "stackdist", "replay-python")
-
 
 @dataclass(frozen=True)
 class IONodeCacheResult:
@@ -273,45 +271,25 @@ def sweep_buffer_counts(
     n_io_nodes: int = 10,
     policy: str = "lru",
     block_size: int = BLOCK_SIZE,
-    engine: str = "auto",
     stream: tuple[np.ndarray, ...] | None = None,
 ) -> HitRateCurve:
     """One Figure 9 line: hit rate across a range of total buffer counts.
 
-    ``engine`` selects how the curve is computed:
-
-    - ``"replay"`` — one replay per buffer count, vectorized: LRU/OPT
-      score every capacity from one numpy depth pass
-      (:mod:`repro.caching.replayvec`, bit-identical to the oracle);
-      non-stack policies (FIFO, interprocess) fall through to the
-      oracle loop;
-    - ``"replay-python"`` — the per-block dictionary oracle, always;
-    - ``"stackdist"`` — the single-pass stack-distance engine (LRU/OPT
-      only; exactly equal to replay at every capacity);
-    - ``"auto"`` (default) — stackdist where supported, replay otherwise.
+    LRU and OPT are stack algorithms: one stack-distance pass scores
+    every count, bit-equal to replaying each.  FIFO and interprocess are
+    not, so they replay the trace once per count through
+    :func:`simulate_io_node_caches`.
     """
-    if engine not in ENGINES:
-        raise CacheConfigError(f"unknown engine {engine!r}; choose from {ENGINES}")
-    stream = _resolve_stream(frame, stream, block_size)
-    use_stackdist = engine == "stackdist" or (
-        engine == "auto" and policy.lower() in ("lru", "opt")
-    )
-    if use_stackdist:
-        # imported lazily: stackdist builds on this module's stream/result types
-        from repro.caching.stackdist import io_node_stack_profile
+    # imported lazily: stackdist builds on this module's stream/result types
+    from repro.caching.stackdist import STACKDIST_POLICIES, io_node_stack_profile
 
+    stream = _resolve_stream(frame, stream, block_size)
+    if policy.lower() in STACKDIST_POLICIES:
         with obs.span("caching/sweep/stackdist"):
             profile = io_node_stack_profile(
                 n_io_nodes=n_io_nodes, policy=policy, stream=stream
             )
             return profile.curve(buffer_counts)
-    if engine == "replay" and policy.lower() in ("lru", "opt"):
-        from repro.caching.replayvec import batch_replay_curve
-
-        with obs.span("caching/sweep/replayvec"):
-            return batch_replay_curve(
-                stream, buffer_counts, n_io_nodes=n_io_nodes, policy=policy
-            )
     rates = []
     with obs.span("caching/sweep/replay"):
         for count in buffer_counts:

@@ -301,8 +301,8 @@ def _depths_for_policy(
         return opt_depths(cache_ids, keys)
     raise CacheConfigError(
         f"stack-distance engine supports {STACKDIST_POLICIES}, not {policy!r}; "
-        "use the replay engine for FIFO/interprocess (they are not stack "
-        "algorithms)"
+        "FIFO/interprocess are not stack algorithms: replay them per buffer "
+        "count (simulate_io_node_caches)"
     )
 
 

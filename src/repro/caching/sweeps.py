@@ -2,11 +2,12 @@
 
 A Figure 9 style experiment is a set of *lines* — one
 ``(policy, n_io_nodes)`` curve each — that share nothing but the
-read-only request stream.  The stack-distance engine already collapses
-each LRU/OPT line to a single pass; what remains (FIFO and interprocess
-replays, multi-``n_io_nodes`` grids, benchmark matrices) is
-embarrassingly parallel across lines, so this module fans the lines out
-over the work-stealing pool of :func:`repro.util.pool.map_tasks`.
+read-only request stream.  Each line is one
+:func:`~repro.caching.io_node.sweep_buffer_counts` call: a single
+stack-distance pass for LRU/OPT, one replay per buffer count for FIFO
+and interprocess.  Lines are embarrassingly parallel, so this module
+fans them out over the work-stealing pool of
+:func:`repro.util.pool.map_tasks`.
 
 The precomputed request stream (a tuple of numpy arrays) is built once
 and *shared* with the workers, which inherit it copy-on-write under
@@ -39,7 +40,6 @@ class SweepLine:
 
     policy: str
     n_io_nodes: int = 10
-    engine: str = "auto"
 
 
 def _as_line(spec: SweepLine | str | tuple) -> SweepLine:
@@ -47,7 +47,7 @@ def _as_line(spec: SweepLine | str | tuple) -> SweepLine:
         return spec
     if isinstance(spec, str):
         return SweepLine(policy=spec)
-    if isinstance(spec, tuple) and 1 <= len(spec) <= 3:
+    if isinstance(spec, tuple) and 1 <= len(spec) <= 2:
         return SweepLine(*spec)
     raise CacheConfigError(f"cannot interpret sweep line spec {spec!r}")
 
@@ -65,7 +65,6 @@ def _run_line(
         n_io_nodes=line.n_io_nodes,
         policy=line.policy,
         block_size=block_size,
-        engine=line.engine,
         stream=stream,
     )
     if obs.enabled():
@@ -80,22 +79,19 @@ def sweep_lines(
     block_size: int = BLOCK_SIZE,
     workers: int | None = None,
     stream: tuple[np.ndarray, ...] | None = None,
-    straggler_timeout: float | None = None,
 ) -> list[HitRateCurve]:
     """Compute several sweep lines over one trace, in parallel.
 
     ``lines`` entries may be :class:`SweepLine` instances, bare policy
-    names, or ``(policy, n_io_nodes[, engine])`` tuples.  Results come
-    back in the order given.  ``workers`` caps the process count
-    (default: one per line, bounded by the CPU count); with one worker
-    or one line everything runs in-process.
+    names, or ``(policy, n_io_nodes)`` tuples.  Results come back in
+    the order given.  ``workers`` caps the process count (default: one
+    per line, bounded by the cores this process may run on); with one
+    worker or one line everything runs in-process.
 
     Sweep lines are wildly uneven (an OPT line costs several LRU
     lines), which the work-stealing pool (:mod:`repro.util.sched`)
     absorbs: idle workers take queued lines from the busiest worker's
-    tail, and ``straggler_timeout`` seconds without progress
-    re-dispatches the oldest in-flight line.  Results are identical to
-    a serial run either way.
+    tail.  Results are identical to a serial run either way.
     """
     specs = [_as_line(line) for line in lines]
     if not specs:
@@ -104,7 +100,13 @@ def sweep_lines(
     counts = [int(c) for c in buffer_counts]
     obs.add("caching.sweeps.lines", len(specs))
     if workers is None:
-        workers = min(len(specs), os.cpu_count() or 1)
+        # the affinity mask, not the host's core count: under taskset or
+        # a cpuset, forks beyond the usable cores only time-share them
+        if hasattr(os, "sched_getaffinity"):
+            cores = len(os.sched_getaffinity(0))
+        else:
+            cores = os.cpu_count() or 1
+        workers = min(len(specs), cores)
     # the stream is the shared object: forked workers inherit it
     # copy-on-write, so it is built once and never pickled per line
     names = [
@@ -118,7 +120,5 @@ def sweep_lines(
         for name, line in zip(names, specs)
     }
     with obs.span("caching/sweep_lines"):
-        done = map_tasks(
-            tasks, stream, workers, straggler_timeout=straggler_timeout
-        )
+        done = map_tasks(tasks, stream, workers)
         return [done[name] for name in names]

@@ -29,13 +29,13 @@ import sys
 from repro import obs
 from repro.caching import (
     SweepLine,
+    compute_node_stack_profile,
     simulate_combined,
-    simulate_compute_node_caches,
     simulate_disk_time,
     simulate_io_node_prefetch,
     sweep_lines,
 )
-from repro.caching.io_node import ENGINES
+from repro.caching.policies import POLICIES
 from repro.core import characterize
 from repro.core.figures import FIGURES, render_all, render_figure
 from repro.strided import coalesce_trace
@@ -76,6 +76,19 @@ def _add_input_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--shards", type=int, default=None,
                         help="split the 'full' pipeline across this many "
                              "worker processes (byte-identical to serial)")
+
+
+def _int_at_least(low: int):
+    """An argparse type: an integer no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # so a non-integer reads "invalid int value: 'x'"
+    return parse
 
 
 def _resolve_generator(args) -> WorkloadGenerator:
@@ -239,6 +252,9 @@ def cmd_figures(args) -> int:
 
 
 def cmd_cache(args) -> int:
+    if args.experiment == "fig8" and min(args.buffers or [1]) < 1:
+        print("error: --buffers: fig8 needs at least 1 buffer", file=sys.stderr)
+        return 2
     if args.store and args.experiment == "fig9":
         # the fig9 sweeps run from a request stream, which a chunked
         # source yields without materializing the event table
@@ -252,8 +268,8 @@ def cmd_cache(args) -> int:
         frame = _load_frame(args)
     if args.experiment == "fig8":
         rows = []
-        for buffers in args.buffers or (1, 10, 50):
-            res = simulate_compute_node_caches(frame, buffers=int(buffers))
+        profile = compute_node_stack_profile(frame)
+        for res in profile.sweep(args.buffers or (1, 10, 50)):
             rows.append((
                 res.buffers, len(res.job_ids),
                 format_percent(res.fraction_above(0.75)),
@@ -265,11 +281,10 @@ def cmd_cache(args) -> int:
             title="Figure 8: compute-node caching",
         ))
     elif args.experiment == "fig9":
-        counts = [int(b) for b in (args.buffers or (50, 125, 250, 500, 1000, 2000, 4000))]
+        counts = args.buffers or [50, 125, 250, 500, 1000, 2000, 4000]
         curves = sweep_lines(
             frame, counts,
-            [SweepLine(policy=p, n_io_nodes=args.io_nodes, engine=args.engine)
-             for p in args.policy],
+            [SweepLine(policy=p, n_io_nodes=args.io_nodes) for p in args.policy],
             workers=args.workers,
         )
         rows = [
@@ -330,9 +345,7 @@ def cmd_reproduce(args) -> int:
         print(report.render())
         print()
 
-    from repro.caching import simulate_compute_node_caches
-
-    fig8 = simulate_compute_node_caches(frame, buffers=1)
+    fig8 = compute_node_stack_profile(frame).result_at(1)
     counts = [125, 500, 2000]
     policies = ("lru", "fifo")
     fig9 = dict(zip(policies, sweep_lines(frame, counts, list(policies))))
@@ -767,12 +780,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--experiment",
                    choices=["fig8", "fig9", "combined", "prefetch", "disktime"],
                    default="fig9")
-    p.add_argument("--policy", nargs="+", default=["lru", "fifo"])
-    p.add_argument("--buffers", nargs="+", type=int)
-    p.add_argument("--io-nodes", type=int, default=10)
-    p.add_argument("--engine", choices=list(ENGINES), default="auto",
-                   help="fig9 curve engine: single-pass stack distances "
-                        "(LRU/OPT) or per-capacity replay")
+    p.add_argument("--policy", nargs="+", default=["lru", "fifo"],
+                   type=str.lower, choices=sorted(POLICIES))
+    p.add_argument("--buffers", nargs="+", type=_int_at_least(0))
+    p.add_argument("--io-nodes", type=_int_at_least(1), default=10)
     p.add_argument("--workers", type=int, default=None,
                    help="processes to fan fig9 policy lines across")
     p.set_defaults(func=cmd_cache)

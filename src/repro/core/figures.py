@@ -98,16 +98,13 @@ def family_series(figure: str, result) -> dict[str, tuple[np.ndarray, np.ndarray
 def figure_series(
     frame: TraceFrame,
     figure: str,
-    engine: str = "auto",
     workers: int | None = None,
 ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """The (x, y) series of one figure, keyed by series name.
 
     Each figure runs only the analysis it draws on, never the whole
-    characterization.  ``engine`` and ``workers`` steer the cache
-    figures: ``engine`` selects replay vs the single-pass stack-distance
-    engine for fig9 (see :func:`repro.caching.io_node.sweep_buffer_counts`),
-    ``workers`` caps the process fan-out across fig9's policy lines.
+    characterization.  ``workers`` caps the process fan-out across
+    fig9's policy lines (see :func:`repro.caching.sweeps.sweep_lines`).
     """
     if figure in _FAMILY_ANALYZERS:
         return family_series(figure, _FAMILY_ANALYZERS[figure](frame))
@@ -127,7 +124,7 @@ def figure_series(
         policies = ("lru", "fifo")
         curves = sweep_lines(
             frame, counts,
-            [SweepLine(policy=p, n_io_nodes=10, engine=engine) for p in policies],
+            [SweepLine(policy=p, n_io_nodes=10) for p in policies],
             workers=workers,
         )
         return {

@@ -6,10 +6,13 @@ actual cache policies.  These tests check that on random traces, plus
 the LRU inclusion (stack) property the engine's correctness rests on.
 """
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import obs
 from repro.caching.blockspan import expand_spans
 from repro.caching.compute_node import simulate_compute_node_caches
 from repro.caching.io_node import request_stream, simulate_io_node_caches, sweep_buffer_counts
@@ -21,7 +24,6 @@ from repro.caching.stackdist import (
     lru_depths,
     opt_depths,
 )
-from repro.caching.replayvec import batch_replay, batch_replay_curve
 from repro.caching.sweeps import SweepLine, sweep_lines
 from repro.errors import CacheConfigError
 from repro.trace.frame import TraceFrame
@@ -89,20 +91,26 @@ class TestIONodeEquivalence:
         for cap, rate in zip(counts, curve.hit_rates):
             assert rate == profile.result_at(cap).hit_rate
 
-    @given(request_rows, st.sampled_from(["lru", "opt"]))
-    @settings(max_examples=15, deadline=None)
+    @given(request_rows, st.sampled_from(["lru", "opt", "fifo", "interprocess"]))
+    @settings(max_examples=20, deadline=None)
     def test_sweep_engines_agree(self, rows, policy):
+        """Whichever engine the policy selects (the stack pass for
+        LRU/OPT, per-count replay otherwise), the swept curve equals the
+        per-count replay oracle bit for bit."""
         stream = _stream(rows)
         counts = [0, 2, 5, 11]
-        by_stack = sweep_buffer_counts(
-            None, counts, n_io_nodes=3, policy=policy,
-            engine="stackdist", stream=stream,
+        curve = sweep_buffer_counts(
+            None, counts, n_io_nodes=3, policy=policy, stream=stream
         )
-        by_replay = sweep_buffer_counts(
-            None, counts, n_io_nodes=3, policy=policy,
-            engine="replay", stream=stream,
-        )
-        assert np.array_equal(by_stack.hit_rates, by_replay.hit_rates)
+        oracle = [
+            simulate_io_node_caches(
+                None, cap, n_io_nodes=3, policy=policy, stream=stream
+            ).hit_rate
+            for cap in counts
+        ]
+        assert np.array_equal(curve.hit_rates, oracle)
+        assert curve.policy == policy
+        assert curve.buffer_counts.tolist() == counts
 
 
 def _read_frame(rows):
@@ -214,78 +222,17 @@ class TestExpansionAndErrors:
         with pytest.raises(CacheConfigError, match="replay"):
             io_node_stack_profile(n_io_nodes=1, policy="fifo", stream=stream)
 
-    def test_sweep_rejects_unknown_engine(self, micro_frame):
-        with pytest.raises(CacheConfigError, match="engine"):
-            sweep_buffer_counts(micro_frame, [1], engine="warp")
+    def test_sweep_rejects_negative_count(self):
+        stream = _stream([(0, 0, 0, 0, True)])
+        for policy in ("lru", "opt", "fifo", "interprocess"):
+            with pytest.raises(CacheConfigError, match="non-negative"):
+                sweep_buffer_counts(
+                    None, [4, -1], n_io_nodes=1, policy=policy, stream=stream
+                )
 
     def test_stream_or_frame_required(self):
         with pytest.raises(CacheConfigError, match="stream"):
             simulate_io_node_caches(None, 10)
-
-    def test_stackdist_engine_rejects_fifo_sweep(self, micro_frame):
-        with pytest.raises(CacheConfigError):
-            sweep_buffer_counts(micro_frame, [1], policy="fifo", engine="stackdist")
-
-
-class TestVectorizedReplay:
-    """The batch replay scores every capacity in numpy but must stay an
-    *oracle-exact* replay: same integer hit/sub-request counts as the
-    per-block dictionary simulator at every buffer count."""
-
-    @given(request_rows, st.sampled_from([1, 3]), st.sampled_from(["lru", "opt"]))
-    @settings(max_examples=25, deadline=None)
-    def test_batch_replay_equals_oracle(self, rows, n_io, policy):
-        stream = _stream(rows)
-        counts = list(range(0, 12))
-        for cap, got in zip(
-            counts, batch_replay(stream, counts, n_io_nodes=n_io, policy=policy)
-        ):
-            want = simulate_io_node_caches(
-                None, cap, n_io_nodes=n_io, policy=policy, stream=stream
-            )
-            assert (
-                got.read_hits, got.read_sub_requests,
-                got.all_hits, got.all_sub_requests,
-            ) == (
-                want.read_hits, want.read_sub_requests,
-                want.all_hits, want.all_sub_requests,
-            )
-
-    @given(request_rows, st.sampled_from(["lru", "opt"]))
-    @settings(max_examples=15, deadline=None)
-    def test_replay_and_replay_python_engines_agree(self, rows, policy):
-        stream = _stream(rows)
-        counts = [0, 2, 5, 11]
-        vec = sweep_buffer_counts(
-            None, counts, n_io_nodes=3, policy=policy,
-            engine="replay", stream=stream,
-        )
-        oracle = sweep_buffer_counts(
-            None, counts, n_io_nodes=3, policy=policy,
-            engine="replay-python", stream=stream,
-        )
-        assert np.array_equal(vec.hit_rates, oracle.hit_rates)
-
-    def test_fifo_still_replays_through_the_oracle(self, micro_frame):
-        # FIFO is not a stack algorithm: engine="replay" must fall back
-        # to the dictionary loop, not the depth-based scorer
-        a = sweep_buffer_counts(micro_frame, [1, 8], policy="fifo", engine="replay")
-        b = sweep_buffer_counts(
-            micro_frame, [1, 8], policy="fifo", engine="replay-python"
-        )
-        assert np.array_equal(a.hit_rates, b.hit_rates)
-
-    def test_batch_replay_rejects_negative_count(self):
-        stream = _stream([(0, 0, 0, 0, True)])
-        with pytest.raises(CacheConfigError):
-            batch_replay(stream, [-1], n_io_nodes=1)
-
-    def test_curve_carries_counts_and_policy(self):
-        stream = _stream([(0, 0, 0, 0, True), (0, 0, 0, 1, True)])
-        curve = batch_replay_curve(stream, [1, 4], n_io_nodes=2, policy="lru")
-        assert curve.policy == "lru"
-        assert curve.buffer_counts.tolist() == [1, 4]
-        assert len(curve.hit_rates) == 2
 
 
 class TestSweepLines:
@@ -301,9 +248,25 @@ class TestSweepLines:
             assert a.n_io_nodes == b.n_io_nodes
             assert np.array_equal(a.hit_rates, b.hit_rates)
 
+    def test_default_workers_count_usable_cores(self, micro_frame, monkeypatch):
+        # a two-core host with one core in this process's affinity mask:
+        # the default fan-out must not fork two workers onto that core
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: {0}, raising=False
+        )
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        observer = obs.enable()
+        try:
+            sweep_lines(micro_frame, [1, 8], ["lru", "fifo"])
+        finally:
+            obs.disable()
+        assert observer.counters["pool.serial_batches"] == 1
+        assert "pool.worker_processes" not in observer.counters
+
     def test_empty_lines(self, micro_frame):
         assert sweep_lines(micro_frame, [1], []) == []
 
     def test_rejects_bad_spec(self, micro_frame):
-        with pytest.raises(CacheConfigError):
-            sweep_lines(micro_frame, [1], [42])
+        for spec in (42, ("lru", 10, "auto")):
+            with pytest.raises(CacheConfigError):
+                sweep_lines(micro_frame, [1], [spec])

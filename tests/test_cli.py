@@ -76,6 +76,33 @@ class TestCommands:
         assert main(["cache", str(trace_path), "--experiment", "combined"]) == 0
         assert "reduction" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["--experiment", "fig8", "--buffers", "0"], "--buffers"),
+        (["--policy", "nope"], "--policy"),
+        (["--experiment", "fig9", "--buffers", "-5"], "--buffers"),
+        (["--io-nodes", "0"], "--io-nodes"),
+        (["--engine", "stackdist"], "--engine"),  # the option is gone
+    ], ids=["fig8-buffers-0", "policy-nope", "fig9-buffers-negative", "io-nodes-0",
+            "engine-removed"])
+    def test_cache_rejects_bad_input_before_generating(
+        self, argv, flag, capsys, monkeypatch
+    ):
+        def no_trace(args):
+            raise AssertionError("generated a trace for a bad command line")
+
+        monkeypatch.setattr("repro.cli._generate_frame", no_trace)
+        try:
+            rc = main(["cache", "--scale", "0.01", *argv])
+        except SystemExit as exc:  # argparse rejects it while parsing
+            rc = exc.code
+        assert rc == 2
+        assert flag in capsys.readouterr().err
+
+    def test_cache_policy_is_case_insensitive(self, trace_path, capsys):
+        rc = main(["cache", str(trace_path), "--policy", "LRU", "--buffers", "50"])
+        assert rc == 0
+        assert "lru" in capsys.readouterr().out
+
     def test_strided(self, trace_path, capsys):
         assert main(["strided", str(trace_path)]) == 0
         assert "reduction" in capsys.readouterr().out

@@ -5,8 +5,9 @@ of feeding it — serial, process-pool, chunked, on-disk — promise
 *exactly* the report the original per-analyzer code produced, not merely
 statistically equivalent output.  These tests pin that promise against
 the frozen legacy implementation (:mod:`repro.core.legacy`) and against
-frozen report digests at two seeds/scales, and check the vectorized
-strided-run detector against its reference loop on arbitrary streams.
+frozen report and cache-figure digests at two seeds/scales, and check
+the vectorized strided-run detector against its reference loop on
+arbitrary streams.
 """
 
 import hashlib
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import characterize
-from repro.core.figures import render_all
+from repro.core.figures import figure_series, render_all
 from repro.core.legacy import characterize_legacy
 from repro.strided.detect import (
     coalesce_runs,
@@ -181,6 +182,33 @@ class TestFrozenReport:
         report = streaming.finalize_fused(acc, source.jobs, source.files)
         scale_seed = request.node.callspec.params["workload"]
         assert _report_digests(report) == _FROZEN_REPORT_DIGESTS[scale_seed]
+
+
+#: sha256 over the fig8 then fig9 series (name, xs bytes, ys bytes, in
+#: dict order), captured while fig9 still had three selectable engines
+#: and the CLI's fig8 ran the per-buffer-count replay
+_FROZEN_CACHE_FIGURE_DIGESTS = {
+    (0.02, 5): "960dc76206ef8c0c757f38ee047ca247dd80479cce65d8e432414c95ad3c0da9",
+    (0.01, 11): "9c165d13d6845b258345f45911dea33254a74c4eb04c3fc2c67b1d8889dc4682",
+}
+
+
+class TestFrozenCacheFigures:
+    """Figures 8 and 9 are frozen: the stack-distance passes (LRU/OPT)
+    and the per-count replay (FIFO) must keep producing these bytes,
+    serially and with the policy lines fanned out."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_digest(self, workload, workers, request):
+        h = hashlib.sha256()
+        for figure in ("fig8", "fig9"):
+            series = figure_series(workload.frame, figure, workers=workers)
+            for name, (xs, ys) in series.items():
+                h.update(name.encode())
+                h.update(xs.tobytes())
+                h.update(ys.tobytes())
+        scale_seed = request.node.callspec.params["workload"]
+        assert h.hexdigest() == _FROZEN_CACHE_FIGURE_DIGESTS[scale_seed]
 
 
 class TestStreamingEquivalence:
