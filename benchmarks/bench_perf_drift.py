@@ -4,17 +4,15 @@ The drift engine ages a bounded namespace with randomized op churn
 (:mod:`repro.workload.drift`); unlike the synthetic engine its cost is
 dominated by the per-op Python loop, so its throughput is the number to
 watch.  This benchmark generates one moderately long drift trace,
-records events/sec (serial and fanned across workers) and the
-steady-state live-file population in ``BENCH_drift.json``, and enforces
-two floors: fanned output must equal the serial bytes (the engine's
-core contract), and the final population must sit near the mix's
-predicted ``c/(c+d)`` equilibrium — a drifting equilibrium means the
-model, not the machine, regressed.
+records events/sec and the steady-state live-file population in
+``BENCH_drift.json``, and enforces one floor: the final population must
+sit near the mix's predicted ``c/(c+d)`` equilibrium — a drifting
+equilibrium means the model, not the machine, regressed.
 
-Methodology: each configuration is a fresh end-to-end run (best of
-three) so RNG state can never leak between timings; the population
-check uses the tail mean of :func:`~repro.workload.drift.population_curve`
-to smooth binomial noise.
+Methodology: each timing is a fresh end-to-end run (best of three) so
+RNG state can never leak between timings; the population check uses
+the tail mean of :func:`~repro.workload.drift.population_curve` to
+smooth binomial noise.
 """
 
 import os
@@ -35,29 +33,18 @@ SEED = 7
 EQUILIBRIUM_TOLERANCE = 0.20
 
 
-def _run(workers=None):
-    return WorkloadGenerator(drift_scenario(SCALE), seed=SEED).run(
-        "direct", workers=workers
-    )
-
-
-def _best_of(rounds=3, **kwargs):
+def _best_of(rounds=3):
     best = float("inf")
     result = None
     for _ in range(rounds):
         t0 = time.perf_counter()
-        result = _run(**kwargs)
+        result = WorkloadGenerator(drift_scenario(SCALE), seed=SEED).run("direct")
         best = min(best, time.perf_counter() - t0)
     return best, result
 
 
 def _time_all() -> dict:
     serial_s, serial = _best_of()
-    fanned_s, fanned = _best_of(workers=4)
-
-    assert (fanned.frame.events == serial.frame.events).all(), (
-        "fanned drift run diverged from serial bytes"
-    )
 
     cfg = DriftConfig()
     _, pop = population_curve(serial.frame)
@@ -73,9 +60,7 @@ def _time_all() -> dict:
         "events": n,
         "cpu_count": os.cpu_count(),
         "serial_seconds": serial_s,
-        "fanned_seconds": fanned_s,
         "events_per_sec": n / serial_s,
-        "fanned_events_per_sec": n / fanned_s,
         "steady_state_files": float(tail.mean()),
         "steady_state_target": target,
         "final_files": int(pop[-1]),
@@ -89,8 +74,6 @@ def test_perf_drift(benchmark):
     rows = [
         ("serial", f"{results['serial_seconds']:.2f}",
          f"{results['events_per_sec']:,.0f}"),
-        ("workers=4", f"{results['fanned_seconds']:.2f}",
-         f"{results['fanned_events_per_sec']:,.0f}"),
     ]
     show(
         f"Drift engine, drift_scenario({SCALE}) seed {SEED} "

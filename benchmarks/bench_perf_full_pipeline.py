@@ -1,28 +1,23 @@
-"""Perf benchmark: serial vs sharded full-pipeline simulation.
+"""Perf benchmark: the full-pipeline replayer against its step oracle.
 
 The ``full`` pipeline replays every job action through the simulated
 machine — instrumented CFS calls, trace records, clocked collection —
-and is the slowest path in the repo.  Three implementations coexist.
-The **step replayer** (``replay_engine="step"``) issues one Python call
-per action — the reference oracle.  The **vectorized replayer** (the
-default) batches per-action dispatch and takes the zero-payload write
-fast path.  The **sharded** runner (:mod:`repro.workload.sharded`)
-splits the replay across forked worker processes and deterministically
-merges the per-shard traces — byte-identical to the serial run by
-construction (and re-checked here).
+and is the slowest path in the repo.  The **step replayer**
+(:class:`tests.replay_oracle.StepReplayer`) issues one Python call per
+action — the reference oracle.  The **vectorized replayer** (the one
+``run("full")`` uses) batches per-action dispatch and takes the
+zero-payload write fast path.
 
-This benchmark times all of them end to end on one scenario, records
-the events/sec scaling curve across shard counts in
-``BENCH_full_pipeline.json``, and enforces the conservative floors: the
-vectorized replayer must not fall behind the step oracle, shard output
-must equal serial output byte for byte, and on a machine with enough
-cores for the shards to actually run in parallel the 4-shard run must
-reach twice the oracle's event rate.
+This benchmark times both end to end on one scenario, records them in
+``BENCH_full_pipeline.json``, and enforces two floors: both replayers
+write the same raw trace byte for byte, and the vectorized replayer
+must not fall behind the step oracle.
 
 Methodology: every configuration is a fresh end-to-end run (plan +
-replay + merge + postprocess), timed as the best of three so one noisy
-round cannot sink a ratio; sharded times include fork/IPC overhead, so
-single-core hosts honestly record a slowdown rather than faking a gain.
+replay + postprocess), timed as the best of three so one noisy round
+cannot sink the ratio.  Run it from the repository root
+(``python -m pytest benchmarks/bench_perf_full_pipeline.py``) so the
+oracle in ``tests/`` is importable.
 """
 
 import os
@@ -32,6 +27,7 @@ from conftest import emit_json, show
 
 from repro.util.tables import format_table
 from repro.workload import WorkloadGenerator, ames1993
+from tests.replay_oracle import run_full_step
 
 #: traced-period scale for the bench scenario (full pipeline is heavy,
 #: so this is smaller than the session bench trace)
@@ -39,24 +35,16 @@ SCALE = float(os.environ.get("REPRO_BENCH_FULL_SCALE", "0.02"))
 
 SEED = 7
 
-#: shard counts on the scaling curve (1 = the serial vectorized run)
-SHARD_CURVE = (1, 2, 4)
-
 #: the vectorized replayer must at least keep up with the step oracle
 #: (it is ~1.3-2x faster; 0.9 absorbs timer noise on loaded hosts)
 MIN_VECTOR_SPEEDUP = 0.9
 
-#: ISSUE target: >= 2x the oracle event rate at 4 shards — only
-#: enforceable where 4 shard processes can actually run in parallel
-MIN_SHARD4_SPEEDUP = 2.0
-MIN_CORES_FOR_SHARD_GATE = 4
 
-
-def _run(shards=None, engine="vector"):
+def _run(engine="vector"):
     gen = WorkloadGenerator(ames1993(SCALE), seed=SEED)
-    if shards is None:
-        return gen.engine._run_full(replay_engine=engine)
-    return gen.run("full", shards=shards)
+    if engine == "step":
+        return run_full_step(gen)
+    return gen.run("full")
 
 
 def _best_of(rounds=3, **kwargs):
@@ -72,20 +60,13 @@ def _best_of(rounds=3, **kwargs):
 def _time_all() -> tuple[dict, dict]:
     step_s, step = _best_of(engine="step")
     vector_s, vector = _best_of()
-    shard2_s, shard2 = _best_of(shards=2)
-    shard4_s, shard4 = _best_of(shards=4)
 
-    # the whole point of the sharded runner: identical bytes out
-    ref = vector.raw.to_bytes()
-    assert step.raw.to_bytes() == ref, "step and vector traces diverged"
-    assert shard2.raw.to_bytes() == ref, "2-shard trace diverged from serial"
-    assert shard4.raw.to_bytes() == ref, "4-shard trace diverged from serial"
+    assert step.raw.to_bytes() == vector.raw.to_bytes(), (
+        "step and vector traces diverged"
+    )
 
     n = int(vector.frame.n_events)
-    seconds = {
-        "step": step_s, "vector": vector_s, "shard2": shard2_s,
-        "shard4": shard4_s,
-    }
+    seconds = {"step": step_s, "vector": vector_s}
     results = {
         "scale": SCALE,
         "events": n,
@@ -93,14 +74,6 @@ def _time_all() -> tuple[dict, dict]:
         **{f"{k}_seconds": v for k, v in seconds.items()},
         **{f"{k}_events_per_sec": n / v for k, v in seconds.items()},
         "speedup_vector": step_s / vector_s,
-        "speedup_shard2": step_s / shard2_s,
-        "speedup_shard4": step_s / shard4_s,
-        "scaling": {
-            "shards": list(SHARD_CURVE),
-            "events_per_sec": [
-                n / vector_s, n / shard2_s, n / shard4_s,
-            ],
-        },
     }
     return results, seconds
 
@@ -127,8 +100,3 @@ def test_perf_full_pipeline(benchmark):
     assert results["speedup_vector"] >= MIN_VECTOR_SPEEDUP, (
         "vectorized replayer fell behind the step oracle"
     )
-    if (os.cpu_count() or 1) >= MIN_CORES_FOR_SHARD_GATE:
-        assert results["speedup_shard4"] >= MIN_SHARD4_SPEEDUP, (
-            "4-shard run below 2x the step oracle event rate "
-            "despite having the cores for it"
-        )

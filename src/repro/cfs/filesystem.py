@@ -79,20 +79,8 @@ class ConcurrentFileSystem:
         self._handles: dict[int, FileHandle] = {}
         self._next_fd = 3  # leave room for stdio, cosmetically
         self._next_fid = 0
-        #: when set, file ids come from this iterator instead of the
-        #: local counter — a shard replica of the file system consumes
-        #: the id stream a serial pre-pass assigned to its files, so
-        #: fids match the serial run (:mod:`repro.workload.sharded`)
-        self.fid_source = None
-        #: when set, block-cache traffic is recorded through this sink
-        #: (``touch``/``invalidate``) instead of hitting the local
-        #: caches — shard replicas log accesses for a later global
-        #: replay because LRU state cannot be partitioned
-        self.cache_sink = None
 
     def _alloc_fid(self) -> int:
-        if self.fid_source is not None:
-            return next(self.fid_source)
         fid = self._next_fid
         self._next_fid += 1
         return fid
@@ -193,11 +181,8 @@ class ConcurrentFileSystem:
         """
         file = self.stat(name)
         self._release_blocks(file)
-        if self.cache_sink is not None:
-            self.cache_sink.invalidate(file.fid)
-        else:
-            for cache in self.caches:
-                cache.invalidate_file(file.fid)
+        for cache in self.caches:
+            cache.invalidate_file(file.fid)
         file.deleted = True
         file.deleter_job = job
         del self._namespace[name]
@@ -387,12 +372,6 @@ class ConcurrentFileSystem:
         first = offset // self.block_size
         last = (offset + size - 1) // self.block_size
         n_io = self.striping.n_io_nodes
-        sink = self.cache_sink
-        if sink is not None:
-            fid = file.fid
-            for block_idx in range(first, last + 1):
-                sink.touch(block_idx % n_io, fid, block_idx, is_write)
-            return
         caches = self.caches
         fid = file.fid
         for block_idx in range(first, last + 1):

@@ -73,9 +73,6 @@ def _add_input_args(parser: argparse.ArgumentParser) -> None:
                         help="pipeline for on-the-fly generation (the 'full' "
                              "pipeline replays through the simulated machine "
                              "and CFS)")
-    parser.add_argument("--shards", type=int, default=None,
-                        help="split the 'full' pipeline across this many "
-                             "worker processes (byte-identical to serial)")
 
 
 def _int_at_least(low: int):
@@ -126,9 +123,7 @@ def _generate_frame(args) -> TraceFrame:
         getattr(args, "scenario", "ames1993"), generator.engine_name,
         args.scale, args.seed, pipeline,
     )
-    return generator.run(
-        pipeline, shards=getattr(args, "shards", None)
-    ).frame
+    return generator.run(pipeline).frame
 
 
 def _load_frame(args) -> TraceFrame:
@@ -157,14 +152,11 @@ def cmd_generate(args) -> int:
     generator = _resolve_generator(args)
     if args.store:
         workload = generator.run_to_store(
-            args.out, args.pipeline, workers=args.workers,
-            chunk_size=args.chunk_size, shards=args.shards,
+            args.out, args.pipeline, chunk_size=args.chunk_size
         )
         kind = "chunked store"
     else:
-        workload = generator.run(
-            args.pipeline, workers=args.workers, shards=args.shards
-        )
+        workload = generator.run(args.pipeline)
         workload.frame.save(args.out)
         kind = "frame"
     print(
@@ -691,12 +683,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "single .npz frame")
     p.add_argument("--chunk-size", type=int, default=None,
                    help="events per store chunk (with --store)")
-    p.add_argument("--workers", type=int, default=None,
-                   help="processes to fan per-job event synthesis across "
-                        "(direct pipeline; output is byte-identical)")
-    p.add_argument("--shards", type=int, default=None,
-                   help="split the 'full' pipeline across this many worker "
-                        "processes (output is byte-identical to serial)")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("characterize", help="run the full §4 characterization")

@@ -144,9 +144,8 @@ class IPSC860:
         jitter is drawn from a stream keyed by ``(node, seq)`` rather
         than a shared sequential generator, so the stamp a block gets is
         a pure function of the block — independent of how many blocks
-        from *other* nodes arrived first.  That is what lets a sharded
-        simulation stamp the re-merged blocks identically to a serial
-        run (:mod:`repro.workload.sharded`).
+        from *other* nodes arrived first.  The frozen full-pipeline
+        trace bytes depend on this keying, so it must not change.
         """
         sender_clock = self.clocks[block.node]
         true_send = float(sender_clock.true(block.send_stamp))

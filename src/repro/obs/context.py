@@ -3,7 +3,7 @@
 The paper instrumented a *parallel* machine: per-node collectors wrote
 records whose value came from being stitched into one machine-wide
 picture (§2.5).  Since PR 7 this reproduction fans work out the same way
-— pool tasks, stolen tasks, shard replays — but each worker's
+— pool tasks and stolen tasks — but each worker's
 observations came back as an isolated snapshot blob with no causal
 thread back to the dispatch that created it.  This module adds that
 thread.
@@ -16,8 +16,7 @@ one observed run:
   execution), unique across processes;
 - ``parent_span_id`` — the span open in the *dispatching* process when
   this worker was handed its task, i.e. the causal parent;
-- ``worker`` — a human label (``main``, ``w3``, ``shard2``,
-  ``pid1234``);
+- ``worker`` — a human label (``main``, ``w3``, ``pid1234``);
 - ``epoch0``/``perf0`` — a wall-clock/monotonic-clock calibration pair
   taken at stream creation.  ``time.perf_counter()`` is monotonic but
   process-local; recording each stream's offset lets

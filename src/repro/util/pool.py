@@ -1,13 +1,13 @@
 """Fork-based fan-out over one shared in-memory object.
 
-The characterization, the figure renderer, the generators and the cache
-sweeps (:mod:`repro.caching.sweeps`) all fan independent tasks out the
-same way: deterministic per-task functions, results reassembled in task
+The characterization, the figure renderer and the cache sweeps
+(:mod:`repro.caching.sweeps`) all fan independent tasks out the same
+way: deterministic per-task functions, results reassembled in task
 order, and a serial path with identical output whenever the pool cannot
-help.
+help.  Workload generation does not fan out; it runs in one process.
 
-These tasks share a multi-megabyte :class:`~repro.trace.frame.TraceFrame`,
-chunked source or action table, which must never be pickled per task.
+These tasks share a multi-megabyte :class:`~repro.trace.frame.TraceFrame`
+or chunked source, which must never be pickled per task.
 The pool therefore forks: the shared state is parked in a module global
 before the workers start, so they inherit it copy-on-write and only task
 *indices* cross a pipe; the global is dropped as soon as the batch

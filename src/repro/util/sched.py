@@ -1,8 +1,8 @@
 """The work-stealing worker pool behind :func:`repro.util.pool.map_tasks`.
 
 Fanned tasks are not uniform — one FIFO replay line can run 10x longer
-than an LRU stack-distance line, shards and jobs differ in size — so a
-static split would leave workers idle behind the straggler.  This pool
+than an LRU stack-distance line, and figures and chunk ranges differ in
+cost — so a static split would leave workers idle behind the straggler.  This pool
 keeps a static split's submission-order locality but lets idle workers
 help:
 

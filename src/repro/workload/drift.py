@@ -17,8 +17,8 @@ Operations that target a slot in the wrong state (reading a dead file,
 creating over a live one) are *misses*: they emit nothing and the RNG
 stream moves on, mirroring how an aging harness's attempted ops fail
 against the real namespace.  Each tenant's stream derives from its own
-named RNG lane, so per-tenant emission parallelizes across ``workers``
-or ``shards`` with byte-identical output to a serial run.
+named RNG lane, and the tenants are emitted one after another in one
+process, so a fixed seed always gives the same bytes.
 """
 
 from __future__ import annotations
@@ -27,19 +27,17 @@ import json
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
-from functools import partial
 
 import numpy as np
 
 from repro import obs
 from repro.cfs.modes import IOMode
 from repro.errors import WorkloadError
-from repro.trace.frame import JobTable, TraceFrame
+from repro.trace.frame import TraceFrame
 from repro.trace.records import NO_VALUE, EventKind, OpenFlags, TraceHeader
-from repro.util.pool import map_tasks
 from repro.util.rng import SeedSequencePool
 from repro.workload.engines import WorkloadEngine
-from repro.workload.generator import GeneratedWorkload, _Columns, _file_table
+from repro.workload.generator import GeneratedWorkload, _Columns
 from repro.workload.jobs import JobSpec, PlacedJob
 from repro.workload.scenarios import FULL_PERIOD_HOURS, Scenario
 
@@ -217,104 +215,29 @@ class DriftEngine(WorkloadEngine):
             notes=f"seed={self.seed} engine={self.name}",
         )
 
-    def run(
-        self,
-        pipeline: str = "direct",
-        workers: int | None = None,
-        shards: int | None = None,
-    ) -> GeneratedWorkload:
-        """Age the namespace and assemble the trace frame.
-
-        ``workers`` fans per-tenant emission across a process pool;
-        ``shards`` groups tenants into that many tasks instead.  Both
-        merge in tenant order, so the frame is byte-identical to a
-        serial run.
-        """
+    def run(self, pipeline: str = "direct") -> GeneratedWorkload:
+        """Age the namespace tenant by tenant and assemble the trace frame."""
         if pipeline != "direct":
             raise WorkloadError(
                 f"engine {self.name!r} supports only the 'direct' pipeline"
             )
-        cfg = self.config
         placed = self._tenant_jobs()
-        shared = (self.scenario, cfg, self.seed)
 
-        if shards is not None and shards > 1:
-            groups = [
-                g for g in np.array_split(
-                    np.arange(cfg.tenants), min(shards, cfg.tenants)
-                ) if len(g)
-            ]
-            tasks = {
-                f"shard{i}": partial(
-                    _emit_shard, tenants=tuple(int(t) for t in g)
-                )
-                for i, g in enumerate(groups)
-            }
-            with obs.span("workload/drift/emit"):
-                by_shard = map_tasks(tasks, shared, workers)
-            blocks: dict[int, tuple[_Columns, list]] = {}
-            for shard in by_shard.values():
-                blocks.update(shard)
-        else:
-            tasks = {
-                str(t): partial(_emit_tenant_task, tenant=t)
-                for t in range(cfg.tenants)
-            }
-            with obs.span("workload/drift/emit"):
-                by_tenant = map_tasks(tasks, shared, workers)
-            blocks = {int(k): v for k, v in by_tenant.items()}
-
-        with obs.span("workload/drift/assemble"):
+        with obs.span("workload/drift/emit"):
             cols = _Columns()
             file_rows: list[tuple[int, int, int, int]] = []
             for p in placed:
-                cols.add(
-                    np.array([p.start]), np.array([p.base_node]), p.job,
-                    NO_VALUE, int(EventKind.JOB_START), 0, p.spec.n_nodes,
-                )
-                cols.add(
-                    np.array([p.end]), np.array([p.base_node]), p.job,
-                    NO_VALUE, int(EventKind.JOB_END), 0, 0,
-                )
-                tenant_cols, tenant_rows = blocks[p.job]
-                cols.merge(tenant_cols)
-                file_rows.extend(tenant_rows)
-
-            frame = TraceFrame.from_arrays(
-                time=np.concatenate(cols.time),
-                node=np.concatenate(cols.node),
-                job=np.concatenate(cols.job),
-                file=np.concatenate(cols.file),
-                kind=np.concatenate(cols.kind),
-                offset=np.concatenate(cols.offset),
-                size=np.concatenate(cols.size),
-                mode=np.concatenate(cols.mode),
-                flags=np.concatenate(cols.flags),
-                jobs=JobTable.from_rows(
-                    (p.job, p.start, p.end, p.spec.n_nodes, p.spec.traced)
-                    for p in placed
-                ),
-                files=_file_table(file_rows),
-                header=self._header(),
-            )
+                cols.add_job_markers(p)
+                file_rows.extend(_emit_tenant(
+                    self.scenario, self.config, self.seed, p.job, cols
+                ))
+            frame = cols.to_frame(placed, file_rows, self._header())
         if obs.enabled():
             obs.add("workload.events", frame.n_events)
             obs.add("workload.jobs", len(placed))
         return GeneratedWorkload(
             frame=frame, placed=placed, scenario=self.scenario, seed=self.seed
         )
-
-
-def _emit_tenant_task(shared, *, tenant: int):
-    """Pool task: one tenant's event block."""
-    scenario, cfg, seed = shared
-    return _emit_tenant(scenario, cfg, seed, tenant)
-
-
-def _emit_shard(shared, *, tenants: tuple[int, ...]):
-    """Pool task: a group of tenants' event blocks, keyed by tenant."""
-    scenario, cfg, seed = shared
-    return {t: _emit_tenant(scenario, cfg, seed, t) for t in tenants}
 
 
 def _records(
@@ -327,14 +250,13 @@ def _records(
 
 
 def _emit_tenant(
-    scenario: Scenario, cfg: DriftConfig, seed: int, tenant: int
-) -> tuple[_Columns, list[tuple[int, int, int, int]]]:
-    """Age one tenant's namespace slice and emit its event blocks.
+    scenario: Scenario, cfg: DriftConfig, seed: int, tenant: int, cols: _Columns
+) -> list[tuple[int, int, int, int]]:
+    """Age one tenant's namespace slice, appending its events to ``cols``.
 
     The tenant's whole stream comes from one named RNG lane and all
-    state (live flags, sizes) is tenant-local, so this function is a
-    deterministic unit of parallelism: any partitioning of tenants
-    across processes reproduces the serial bytes.
+    state (live flags, sizes) is tenant-local.  Returns the file-table
+    rows of the slots the tenant ever created.
     """
     rng = SeedSequencePool(seed).rng(f"drift/tenant/{tenant}")
     models = scenario.models
@@ -356,7 +278,6 @@ def _emit_tenant(
     deleter = np.full(cfg.files_per_tenant, NO_VALUE, dtype=np.int64)
     misses = 0
 
-    cols = _Columns()
     mode = int(IOMode.INDEPENDENT)
     read_flags = int(OpenFlags.READ | OpenFlags.TRACED)
     write_flags = int(OpenFlags.WRITE | OpenFlags.TRACED)
@@ -457,7 +378,7 @@ def _emit_tenant(
         obs.add("workload.drift.misses", misses)
         obs.add("workload.drift.live_files", int(live.sum()))
 
-    file_rows = [
+    return [
         (
             tenant * cfg.files_per_tenant + s,
             int(creator[s]),
@@ -467,7 +388,6 @@ def _emit_tenant(
         for s in range(cfg.files_per_tenant)
         if creator[s] != NO_VALUE
     ]
-    return cols, file_rows
 
 
 def population_curve(

@@ -46,8 +46,9 @@ class WorkloadEngine(abc.ABC):
       whose frame is time-sorted and structurally valid
       (``frame.validate()`` passes);
     - a fixed ``(scenario, seed)`` produces byte-identical event/job/file
-      arrays regardless of ``workers`` or ``shards`` — parallelism is an
-      execution detail, never a semantic one;
+      arrays on every run — every random draw comes from a named
+      :class:`~repro.util.rng.SeedSequencePool` stream, and generation
+      runs in one process;
     - the frame header's ``notes`` field carries ``engine=<name>`` so
       downstream consumers (validation, reports) can recover the engine
       from a trace file alone.
@@ -68,12 +69,7 @@ class WorkloadEngine(abc.ABC):
         self.seed = seed
 
     @abc.abstractmethod
-    def run(
-        self,
-        pipeline: str = "direct",
-        workers: int | None = None,
-        shards: int | None = None,
-    ) -> "GeneratedWorkload":
+    def run(self, pipeline: str = "direct") -> "GeneratedWorkload":
         """Realize the scenario via the named pipeline."""
 
     def plan(self):

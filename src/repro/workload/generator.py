@@ -5,7 +5,8 @@ into a trace.  The generator itself is engine-agnostic: it resolves the
 scenario's named :class:`~repro.workload.engines.WorkloadEngine` (the
 calibrated CHARISMA planner lives here as :class:`SyntheticEngine`;
 ``replay`` and ``drift`` live in their own modules) and drives it
-through planning, emission, and the direct/full/sharded run paths.
+through planning, emission, and the direct/full run paths, all in one
+process.
 
 For the ``synthetic`` engine, two pipelines produce the same logical
 event stream:
@@ -136,23 +137,41 @@ class _Columns:
                 "scenario scale or tighten max_requests_per_node_file"
             )
 
-    def merge(self, other: "_Columns") -> None:
-        """Append another accumulator's blocks, preserving their order."""
-        self.time += other.time
-        self.node += other.node
-        self.job += other.job
-        self.file += other.file
-        self.kind += other.kind
-        self.mode += other.mode
-        self.flags += other.flags
-        self.offset += other.offset
-        self.size += other.size
-        self.n += other.n
-        if self.n > MAX_EVENTS:
-            raise WorkloadError(
-                f"planned trace exceeds {MAX_EVENTS} events; reduce the "
-                "scenario scale or tighten max_requests_per_node_file"
-            )
+    def add_job_markers(self, p: PlacedJob) -> None:
+        """The JOB_START/JOB_END pair every placed job gets, traced or not."""
+        self.add(
+            np.array([p.start]), np.array([p.base_node]), p.job, NO_VALUE,
+            int(EventKind.JOB_START), 0, p.spec.n_nodes,
+        )
+        self.add(
+            np.array([p.end]), np.array([p.base_node]), p.job, NO_VALUE,
+            int(EventKind.JOB_END), 0, 0,
+        )
+
+    def to_frame(
+        self,
+        placed: list[PlacedJob],
+        file_rows: list[tuple[int, int, int, int]],
+        header: TraceHeader,
+    ) -> TraceFrame:
+        """Concatenate the blocks into a frame with ``placed``'s job table."""
+        return TraceFrame.from_arrays(
+            time=np.concatenate(self.time),
+            node=np.concatenate(self.node),
+            job=np.concatenate(self.job),
+            file=np.concatenate(self.file),
+            kind=np.concatenate(self.kind),
+            offset=np.concatenate(self.offset),
+            size=np.concatenate(self.size),
+            mode=np.concatenate(self.mode),
+            flags=np.concatenate(self.flags),
+            jobs=JobTable.from_rows(
+                (p.job, p.start, p.end, p.spec.n_nodes, p.spec.traced)
+                for p in placed
+            ),
+            files=_file_table(file_rows),
+            header=header,
+        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -216,10 +235,10 @@ class SyntheticEngine(WorkloadEngine):
 
     Samples the job mix, plans each traced job's file uses through the
     app models, and realizes them via the ``direct`` (vectorized frame
-    assembly) or ``full`` (instrumented-CFS replay, optionally sharded)
-    pipeline.  This is the original ``WorkloadGenerator`` body behind
-    the engine interface; its output at a fixed seed is byte-identical
-    to the pre-registry code (enforced in ``tests/test_equivalence.py``).
+    assembly) or ``full`` (instrumented-CFS replay) pipeline.  This is
+    the original ``WorkloadGenerator`` body behind the engine interface;
+    its output at a fixed seed is byte-identical to the pre-registry
+    code (enforced in ``tests/test_equivalence.py``).
     """
 
     name = "synthetic"
@@ -265,30 +284,12 @@ class SyntheticEngine(WorkloadEngine):
 
     # -- direct pipeline ------------------------------------------------------------
 
-    def run(
-        self,
-        pipeline: str = "direct",
-        workers: int | None = None,
-        shards: int | None = None,
-    ) -> GeneratedWorkload:
-        """Generate the workload trace via the chosen pipeline.
-
-        ``workers`` fans the ``direct`` pipeline's per-job event
-        synthesis across a process pool; the trace is byte-identical to
-        a serial run.  The ``full`` pipeline replays a single global
-        timeline; ``shards`` > 1 partitions its jobs across that many
-        worker processes (:mod:`repro.workload.sharded`) and merges the
-        results into the same bytes the serial replay produces.
-        """
+    def run(self, pipeline: str = "direct") -> GeneratedWorkload:
+        """Generate the workload trace via the chosen pipeline."""
         if pipeline == "direct":
-            if shards is not None and shards > 1:
-                raise WorkloadError(
-                    "shards only apply to the 'full' pipeline "
-                    "(the 'direct' pipeline fans out with workers=N)"
-                )
-            return self._run_direct(workers)
+            return self._run_direct()
         if pipeline == "full":
-            return self._run_full(shards=shards)
+            return self._run_full()
         raise WorkloadError(f"unknown pipeline {pipeline!r} (use 'direct' or 'full')")
 
     def _header(self) -> TraceHeader:
@@ -300,68 +301,27 @@ class SyntheticEngine(WorkloadEngine):
             notes=f"seed={self.seed} engine={self.name}",
         )
 
-    def _run_direct(self, workers: int | None = None) -> GeneratedWorkload:
-        from functools import partial
-
-        from repro.util.pool import map_tasks
-
+    def _run_direct(self) -> GeneratedWorkload:
+        pool = SeedSequencePool(self.seed)
         placed, uses_by_job = self.plan()
 
-        # file ids are assigned per use in placed-job order; fixing each
-        # job's first id up front lets jobs synthesize independently
-        fid_starts: dict[int, int] = {}
-        next_fid = 0
-        emitting = [p for p in placed if uses_by_job.get(p.job)]
-        for p in emitting:
-            fid_starts[p.job] = next_fid
-            next_fid += len(uses_by_job[p.job])
-
-        shared = (
-            {p.job: p for p in emitting}, uses_by_job, fid_starts, self.seed
-        )
-        tasks = {
-            str(p.job): partial(_emit_job_block, job=p.job) for p in emitting
-        }
         with obs.span("workload/emit"):
-            blocks = map_tasks(tasks, shared, workers)
-
-        with obs.span("workload/assemble"):
             cols = _Columns()
             file_rows: list[tuple[int, int, int, int]] = []
+            next_fid = 0
             for p in placed:
-                # job markers for every job, traced or not
-                cols.add(
-                    np.array([p.start]), np.array([p.base_node]), p.job, NO_VALUE,
-                    int(EventKind.JOB_START), 0, p.spec.n_nodes,
-                )
-                cols.add(
-                    np.array([p.end]), np.array([p.base_node]), p.job, NO_VALUE,
-                    int(EventKind.JOB_END), 0, 0,
-                )
-                block = blocks.get(str(p.job))
-                if block is None:
+                cols.add_job_markers(p)
+                uses = uses_by_job.get(p.job)
+                if not uses:
                     continue
-                job_cols, job_rows = block
-                cols.merge(job_cols)
-                file_rows.extend(job_rows)
-
-            frame = TraceFrame.from_arrays(
-                time=np.concatenate(cols.time),
-                node=np.concatenate(cols.node),
-                job=np.concatenate(cols.job),
-                file=np.concatenate(cols.file),
-                kind=np.concatenate(cols.kind),
-                offset=np.concatenate(cols.offset),
-                size=np.concatenate(cols.size),
-                mode=np.concatenate(cols.mode),
-                flags=np.concatenate(cols.flags),
-                jobs=JobTable.from_rows(
-                    (p.job, p.start, p.end, p.spec.n_nodes, p.spec.traced)
-                    for p in placed
-                ),
-                files=_file_table(file_rows),
-                header=self._header(),
-            )
+                n0 = cols.n
+                next_fid = _emit_job_direct(
+                    p, uses, cols, file_rows, next_fid,
+                    pool.rng(f"timing/{p.job}"),
+                )
+                if obs.enabled():
+                    obs.hist("workload.events_per_job", float(cols.n - n0))
+            frame = cols.to_frame(placed, file_rows, self._header())
         if obs.enabled():
             obs.add("workload.events", frame.n_events)
         return GeneratedWorkload(
@@ -370,13 +330,7 @@ class SyntheticEngine(WorkloadEngine):
 
     # -- full pipeline ----------------------------------------------------------------
 
-    def _run_full(
-        self, shards: int | None = None, replay_engine: str = "vector"
-    ) -> GeneratedWorkload:
-        if shards is not None and shards > 1:
-            from repro.workload.sharded import run_sharded
-
-            return run_sharded(self, shards)
+    def _run_full(self) -> GeneratedWorkload:
         pool = SeedSequencePool(self.seed)
         placed, uses_by_job = self.plan()
         machine = IPSC860(
@@ -395,22 +349,7 @@ class SyntheticEngine(WorkloadEngine):
         replay = _Replayer(icfs, fs, machine, use_index)
         order = np.argsort(actions["time"], kind="stable")
         with obs.span("workload/full/replay"):
-            if replay_engine == "step":
-                # reference per-event engine, kept as the benchmark
-                # baseline and the executable spec run() must match
-                for idx in order:
-                    replay.step(
-                        float(actions["time"][idx]),
-                        int(actions["kind"][idx]),
-                        int(actions["job"][idx]),
-                        int(actions["node"][idx]),
-                        int(actions["use"][idx]),
-                        int(actions["rank"][idx]),
-                        int(actions["offset"][idx]),
-                        int(actions["size"][idx]),
-                    )
-            else:
-                replay.run(actions, order)
+            replay.run(actions, order)
             icfs.finish()
         if obs.enabled():
             obs.add("workload.replay_actions", len(order))
@@ -522,27 +461,19 @@ class WorkloadGenerator:
         return self.engine.plan()
 
     def run(
-        self,
-        pipeline: str = "direct",
-        workers: int | None = None,
-        shards: int | None = None,
+        self, pipeline: str = "direct", shards: int | None = None
     ) -> GeneratedWorkload:
         """Generate the workload trace via the engine's chosen pipeline.
 
-        ``workers`` fans event synthesis across a process pool and
-        ``shards`` partitions the run across worker processes; every
-        engine keeps its output byte-identical to a serial run under
-        both.
+        Generation runs in one process.  ``shards`` is accepted and
+        ignored, because the pipeline benchmark's traced tour
+        (``pipebench/worker.py``) calls ``run("full", shards=cores)``;
+        that call gets the serial replay.
         """
-        return self.engine.run(pipeline, workers=workers, shards=shards)
+        return self.engine.run(pipeline)
 
     def run_to_store(
-        self,
-        path,
-        pipeline: str = "direct",
-        workers: int | None = None,
-        chunk_size: int | None = None,
-        shards: int | None = None,
+        self, path, pipeline: str = "direct", chunk_size: int | None = None
     ) -> GeneratedWorkload:
         """Generate the workload and emit it as a chunked trace store.
 
@@ -554,7 +485,7 @@ class WorkloadGenerator:
         """
         from repro.trace.store import DEFAULT_CHUNK_SIZE, write_store
 
-        workload = self.run(pipeline=pipeline, workers=workers, shards=shards)
+        workload = self.run(pipeline)
         with obs.span("workload/store"):
             write_store(
                 workload.frame, path, chunk_size=chunk_size or DEFAULT_CHUNK_SIZE
@@ -624,34 +555,13 @@ def _emit_job_direct(
     return next_fid
 
 
-def _emit_job_block(shared, *, job: int):
-    """Pool task: synthesize one job's event block from shared plan state.
-
-    The timing rng is re-derived from the seed pool by key, so a worker
-    process produces exactly the stream the serial loop would.
-    """
-    placed_by_job, uses_by_job, fid_starts, seed = shared
-    p = placed_by_job[job]
-    uses = uses_by_job[job]
-    rng = SeedSequencePool(seed).rng(f"timing/{job}")
-    cols = _Columns()
-    file_rows: list[tuple[int, int, int, int]] = []
-    with obs.span("workload/emit_job"):
-        _emit_job_direct(p, uses, cols, file_rows, fid_starts[job], rng)
-    if obs.enabled():
-        obs.add("workload.job_events", cols.n)
-        obs.hist("workload.events_per_job", float(cols.n))
-    return cols, file_rows
-
-
 class _Replayer:
     """Executes globally time-sorted actions against the instrumented CFS.
 
-    Two engines produce identical calls: :meth:`step` replays one action
-    at a time from scalar arguments (the reference), and :meth:`run`
-    walks a whole pre-sorted action table with the per-event numpy
-    scalar extraction, ``EventKind`` construction, and per-use dict
-    lookups hoisted out of the loop.
+    :meth:`run` walks the whole pre-sorted action table with the
+    per-event numpy scalar extraction, ``EventKind`` construction, and
+    per-use dict lookups hoisted out of the loop.  The one-action-at-a-
+    time reference it must match lives in ``tests/replay_oracle.py``.
     """
 
     def __init__(self, icfs: InstrumentedCFS, fs: ConcurrentFileSystem, machine, use_index):
@@ -662,18 +572,9 @@ class _Replayer:
         self.fds: dict[tuple[int, int], int] = {}
         self.pointers: dict[int, int] = {}
         self.prepopulated: set[int] = set()
-        #: global position of the action being replayed — read by the
-        #: sharded pipeline's record/cache recorders to tag everything
-        #: an action caused with its global order
-        self.cursor = [0]
 
-    def run(self, actions, order, positions=None) -> None:
-        """Replay ``actions[order[i]]`` for all ``i`` (the fast engine).
-
-        ``positions`` optionally supplies the *global* position of each
-        replayed action (used when ``order`` selects one shard's
-        subsequence); it defaults to the local walk index.
-        """
+    def run(self, actions, order) -> None:
+        """Replay ``actions[order[i]]`` for all ``i``."""
         time_ = actions["time"][order].tolist()
         kind_ = actions["kind"][order].tolist()
         job_ = actions["job"][order].tolist()
@@ -682,11 +583,6 @@ class _Replayer:
         rank_ = actions["rank"][order].tolist()
         off_ = actions["offset"][order].tolist()
         size_ = actions["size"][order].tolist()
-        pos_ = (
-            positions.tolist()
-            if positions is not None
-            else list(range(len(time_)))
-        )
 
         # pre-resolve per-use attributes into uid-indexed lists
         n_uses = max(self.uses, default=-1) + 1
@@ -708,7 +604,6 @@ class _Replayer:
         fds = self.fds
         pointers = self.pointers
         prepopulated = self.prepopulated
-        cursor = self.cursor
         icfs_read = icfs.read
         icfs_write_zeros = icfs.write_zeros
         icfs_lseek = icfs.lseek
@@ -723,7 +618,6 @@ class _Replayer:
 
         for i in range(len(time_)):
             advance_to(time_[i])
-            cursor[0] = pos_[i]
             k = kind_[i]
             if k == k_read or k == k_write:
                 uid = use_[i]
@@ -760,46 +654,6 @@ class _Replayer:
                 icfs.job_end(job_[i], node_[i])
             else:  # pragma: no cover - defensive
                 raise WorkloadError(f"unexpected action kind {k}")
-
-    def step(self, t, kind, job, node, uid, rank, offset, size) -> None:
-        self.machine.timebase.advance_to(max(self.machine.timebase.now, t))
-        ek = EventKind(kind)
-        if ek is EventKind.JOB_START:
-            self.icfs.job_start(job, node, size)
-            return
-        if ek is EventKind.JOB_END:
-            self.icfs.job_end(job, node)
-            return
-        use = self.uses[uid]
-        if ek is EventKind.OPEN:
-            if use.preexisting_size > 0 and uid not in self.prepopulated:
-                if not self.fs.exists(use.name):
-                    self.fs.prepopulate(use.name, use.preexisting_size)
-                self.prepopulated.add(uid)
-            fd = self.icfs.open(use.name, node, job, use.flags, use.mode)
-            self.fds[(uid, rank)] = fd
-            self.pointers[fd] = 0
-            return
-        if ek is EventKind.CLOSE:
-            fd = self.fds.pop((uid, rank))
-            self.pointers.pop(fd, None)
-            self.icfs.close(fd)
-            return
-        if ek is EventKind.DELETE:
-            self.icfs.unlink(use.name, node, job)
-            return
-        fd = self.fds[(uid, rank)]
-        if use.mode is IOMode.INDEPENDENT and self.pointers[fd] != offset:
-            self.icfs.lseek(fd, offset)
-            self.pointers[fd] = offset
-        if ek is EventKind.READ:
-            data = self.icfs.read(fd, size)
-            self.pointers[fd] = offset + len(data)
-        elif ek is EventKind.WRITE:
-            self.icfs.write(fd, b"\x00" * size)
-            self.pointers[fd] = offset + size
-        else:  # pragma: no cover - defensive
-            raise WorkloadError(f"unexpected action kind {ek}")
 
 
 def _phase_windows(p: PlacedJob, uses: list[FileUse]) -> list[tuple[float, float]]:

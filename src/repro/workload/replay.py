@@ -55,17 +55,8 @@ class ReplayEngine(WorkloadEngine):
         ):
             raise WorkloadError("engine_options['frame'] must be a TraceFrame")
 
-    def run(
-        self,
-        pipeline: str = "direct",
-        workers: int | None = None,
-        shards: int | None = None,
-    ) -> GeneratedWorkload:
-        """Load the source and wrap it; trivially byte-identical always.
-
-        ``workers`` and ``shards`` are accepted for driver compatibility
-        and ignored — replay is a single load, not a synthesis.
-        """
+    def run(self, pipeline: str = "direct") -> GeneratedWorkload:
+        """Load the source and wrap it; trivially byte-identical always."""
         if pipeline != "direct":
             raise WorkloadError(
                 f"engine {self.name!r} supports only the 'direct' pipeline"

@@ -98,6 +98,29 @@ class TestCommands:
         assert rc == 2
         assert flag in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["generate", "--out", "x.store", "--workers", "2"], "--workers"),
+        (["generate", "--out", "x.store", "--pipeline", "full",
+          "--shards", "2"], "--shards"),
+        (["characterize", "--shards", "2"], "--shards"),
+        (["characterize", "--pipeline", "full", "--shards", "2"], "--shards"),
+    ], ids=["generate-workers", "generate-full-shards", "characterize-shards",
+            "characterize-full-shards"])
+    def test_removed_generation_flags_exit_2_before_generating(
+        self, argv, flag, capsys, monkeypatch
+    ):
+        def no_trace(args):
+            raise AssertionError("generated a trace for a bad command line")
+
+        monkeypatch.setattr("repro.cli._resolve_generator", no_trace)
+        monkeypatch.setattr("repro.cli._generate_frame", no_trace)
+        with pytest.raises(SystemExit) as info:
+            main([*argv[:1], "--scale", "0.01", *argv[1:]])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments" in err
+        assert flag in err
+
     def test_cache_policy_is_case_insensitive(self, trace_path, capsys):
         rc = main(["cache", str(trace_path), "--policy", "LRU", "--buffers", "50"])
         assert rc == 0

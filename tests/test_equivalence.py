@@ -1,11 +1,14 @@
-"""Byte-identity of the characterization engine and the parallel fan-outs.
+"""Byte-identity of the generators, the characterization engine and its fan-outs.
 
 The one-pass engine behind :func:`repro.core.characterize` and every way
 of feeding it — serial, process-pool, chunked, on-disk — promise
 *exactly* the report the original per-analyzer code produced, not merely
 statistically equivalent output.  These tests pin that promise against
 the frozen legacy implementation (:mod:`repro.core.legacy`) and against
-frozen report and cache-figure digests at two seeds/scales, and check
+frozen report and cache-figure digests at two seeds/scales, freeze the
+direct and full pipelines' output (the full pipeline's raw trace, frame,
+CFS end state and simulation counters), check the full pipeline's
+replayer against the step oracle in ``tests/replay_oracle.py``, and check
 the vectorized strided-run detector against its reference loop on
 arbitrary streams.
 """
@@ -27,6 +30,7 @@ from repro.strided.detect import (
 )
 from repro import obs
 from repro.workload import WorkloadGenerator, ames1993, tiny
+from tests.replay_oracle import run_full_step
 
 
 @pytest.fixture(
@@ -275,15 +279,8 @@ class TestParallelEquivalence:
         frame = workload.frame
         assert render_all(frame) == render_all(frame, workers=4)
 
-    def test_generator_parallel_matches_serial(self, workload):
-        scenario, seed = workload.scenario, workload.seed
-        fanned = WorkloadGenerator(scenario, seed=seed).run("direct", workers=3)
-        assert (fanned.frame.events == workload.frame.events).all()
-        assert (fanned.frame.jobs.data == workload.frame.jobs.data).all()
-        assert (fanned.frame.files.data == workload.frame.files.data).all()
 
-
-# -- sharded full-pipeline simulation vs the serial replay --------------------
+# -- the full pipeline: frozen output and the step-replay oracle --------------
 
 
 @pytest.fixture(
@@ -303,7 +300,7 @@ def full_serial(full_case):
     return WorkloadGenerator(scenario, seed=seed).run("full")
 
 
-#: simulation-state counters that must not move when the replay shards
+#: simulation-state counters of one observed run("full")
 _SIM_COUNTERS = (
     "cfs.opens", "cfs.closes", "cfs.creates",
     "cfs.reads", "cfs.writes", "cfs.bytes_read", "cfs.bytes_written",
@@ -313,55 +310,76 @@ _SIM_COUNTERS = (
     "trace.calls_traced", "workload.replay_actions", "workload.events",
 )
 
+#: run("full") output captured while the sharded replay still existed
+#: (and matched it): sha256 of the raw trace bytes, _frame_digest of the
+#: frame, fs.cache_stats() as (hits, misses, evictions, writes_through),
+#: disk bytes used, and the _SIM_COUNTERS values in order
+_FROZEN_FULL_PIPELINE = {
+    ("tiny", 5): (
+        "d6d166289f7895068a998ad5ed34a0a92b3eb7677b8a502ed6605f9cc7076167",
+        "0d44c7b5b30c7500aefc2cd6f8bef666a51b0eb08256cf02f792edd9781c1e4d",
+        (332, 74, 0, 10),
+        40_960,
+        (5, 5, 2, 336, 2, 255_416, 37_399, 332, 74, 0, 10,
+         40_960, 6, 388, 388, 388),
+    ),
+    ("ames01", 11): (
+        "8134397c596ec5b2ddc1e28fe451cea94e2cd62e04eb30ef3e196eed31e12ab0",
+        "2179aa11106f42d36e3bd9732666e848f66ac0d811280eb8a6521e3d0821cdcc",
+        (40_217, 77_196, 72_076, 101_593),
+        263_139_328,
+        (535, 535, 266, 3_141, 41_603, 53_088_475, 262_317_314,
+         40_217, 77_196, 72_076, 101_593,
+         263_139_328, 567, 48_685, 45_876, 48_685),
+    ),
+}
 
-class TestShardedFullPipeline:
-    """An N-shard full-pipeline run is *byte-identical* to the serial
-    one: the raw trace, the analysis frame, the CFS end state, and the
-    simulation obs counters all match exactly."""
 
-    @pytest.mark.parametrize("shards", [2, 4])
-    def test_trace_and_frame_byte_identical(self, full_case, full_serial, shards):
+def _frozen_full(request):
+    return _FROZEN_FULL_PIPELINE[request.node.callspec.params["full_case"]]
+
+
+class TestFrozenFullPipeline:
+    """run("full") is frozen: the raw trace, the frame, the CFS end state
+    and the simulation counters hash or count to the values captured
+    before the full pipeline went serial-only."""
+
+    def test_raw_trace_and_frame_digests(self, full_serial, request):
+        raw, frame, _, _, _ = _frozen_full(request)
+        assert hashlib.sha256(full_serial.raw.to_bytes()).hexdigest() == raw
+        assert _frame_digest(full_serial.frame) == frame
+
+    def test_cfs_end_state(self, full_serial, request):
+        _, _, cache, used, _ = _frozen_full(request)
+        stats = full_serial.fs.cache_stats()
+        assert (
+            stats.hits, stats.misses, stats.evictions, stats.writes_through
+        ) == cache
+        assert full_serial.fs.disk_usage()[0] == used
+
+    def test_sim_counters(self, full_case, request):
         scenario, seed = full_case
-        sharded = WorkloadGenerator(scenario, seed=seed).run(
-            "full", shards=shards
-        )
-        assert sharded.raw.to_bytes() == full_serial.raw.to_bytes()
-        assert (sharded.frame.events == full_serial.frame.events).all()
-        assert (sharded.frame.jobs.data == full_serial.frame.jobs.data).all()
-        assert (sharded.frame.files.data == full_serial.frame.files.data).all()
+        ob = obs.enable()
+        try:
+            WorkloadGenerator(scenario, seed=seed).run("full")
+            counters = ob.snapshot()["counters"]
+        finally:
+            obs.disable()
+        frozen = _frozen_full(request)[4]
+        assert tuple(counters.get(k) for k in _SIM_COUNTERS) == frozen
 
-    @pytest.mark.parametrize("shards", [2, 4])
-    def test_cfs_end_state_identical(self, full_case, full_serial, shards):
+    def test_step_oracle_replays_the_same_trace(self, full_case, full_serial):
         scenario, seed = full_case
-        sharded = WorkloadGenerator(scenario, seed=seed).run(
-            "full", shards=shards
-        )
-        assert sharded.fs.cache_stats() == full_serial.fs.cache_stats()
-        assert sharded.fs.disk_usage() == full_serial.fs.disk_usage()
+        step = run_full_step(WorkloadGenerator(scenario, seed=seed))
+        assert step.raw.to_bytes() == full_serial.raw.to_bytes()
+        assert _frame_digest(step.frame) == _frame_digest(full_serial.frame)
+        assert step.fs.cache_stats() == full_serial.fs.cache_stats()
 
-    def test_obs_counters_identical(self, full_case):
+    def test_shards_argument_is_ignored(self, full_case, full_serial):
+        # the pipeline benchmark's traced tour passes shards=<cores>
         scenario, seed = full_case
-
-        def counters(shards):
-            ob = obs.enable()
-            try:
-                WorkloadGenerator(scenario, seed=seed).run(
-                    "full", shards=shards
-                )
-                return ob.snapshot()["counters"]
-            finally:
-                obs.disable()
-
-        serial = counters(None)
-        sharded = counters(2)
-        for key in _SIM_COUNTERS:
-            assert sharded.get(key) == serial.get(key), key
-        assert serial.get("workload.events", 0) > 0
-
-    def test_one_shard_is_the_serial_path(self, full_case, full_serial):
-        scenario, seed = full_case
-        one = WorkloadGenerator(scenario, seed=seed).run("full", shards=1)
-        assert one.raw.to_bytes() == full_serial.raw.to_bytes()
+        run = WorkloadGenerator(scenario, seed=seed).run("full", shards=2)
+        assert run.raw.to_bytes() == full_serial.raw.to_bytes()
 
 
 # -- strided-run detector: vectorized vs reference loop -----------------------

@@ -3,8 +3,8 @@
 Covers the synthetic-payload contract of :mod:`repro.obs.timeline`
 (clock alignment across skewed streams, B/E span pairing, unclosed
 spans, happens-before edge pairing, Chrome trace-event export and its
-validator) and the end-to-end acceptance promise from ISSUE.md: an
-observed sharded full-pipeline run yields a timeline where every
+validator) and the end-to-end acceptance promise: an observed fanned-out
+run (``repro figures --workers 4``) yields a timeline where every
 worker span has a resolvable cross-process parent, every causal edge
 is forward in aligned time, and the exported Perfetto JSON validates.
 """
@@ -228,26 +228,30 @@ class TestChromeTrace:
 
 
 class TestAcceptanceShardedRun:
-    """ISSUE.md acceptance: observed sharded run → valid causal timeline."""
+    """Acceptance: an observed fan-out run → valid causal timeline.
+
+    The run is ``render_all(frame, workers=4)`` (``repro figures
+    --workers 4``): nine figure tasks over four forked workers.
+    """
 
     @pytest.fixture(scope="class")
-    def sharded_report(self):
+    def fanned_report(self):
+        from repro.core.figures import render_all
         from repro.workload import WorkloadGenerator, tiny
 
+        frame = WorkloadGenerator(tiny(1.0), seed=5).run("direct").frame
         obs.disable()
         observer = obs.enable(TraceContext.root())
         try:
-            WorkloadGenerator(tiny(1.0), seed=5).run(
-                "full", shards=4, workers=4
-            )
-            report = observer.report(command=["test", "sharded"])
+            render_all(frame, workers=4)
+            report = observer.report(command=["test", "figures"])
         finally:
             obs.disable()
         return report
 
-    def test_every_worker_span_has_a_resolvable_parent(self, sharded_report):
-        timeline = build_timeline(sharded_report)
-        assert timeline.n_streams >= 5  # main + 4 shard lanes at least
+    def test_every_worker_span_has_a_resolvable_parent(self, fanned_report):
+        timeline = build_timeline(fanned_report)
+        assert timeline.n_streams >= 5  # main + 4 workers at least
         assert timeline.unresolved_parents() == []
         # parents of worker roots live in a *different* stream
         stream_of = {}
@@ -257,8 +261,8 @@ class TestAcceptanceShardedRun:
             if s.get("root") and s["parent"]:
                 assert stream_of[s["parent"]] != s["stream"]
 
-    def test_causal_edges_are_ordered_after_alignment(self, sharded_report):
-        timeline = build_timeline(sharded_report)
+    def test_causal_edges_are_ordered_after_alignment(self, fanned_report):
+        timeline = build_timeline(fanned_report)
         kinds = {e["kind"] for e in timeline.edges}
         assert "dispatch" in kinds and "merge" in kinds
         for e in timeline.edges:
@@ -266,16 +270,16 @@ class TestAcceptanceShardedRun:
                 f"backward {e['kind']} edge on {e['key']}"
             )
 
-    def test_perfetto_json_validates(self, sharded_report, tmp_path):
-        timeline = build_timeline(sharded_report)
-        path = write_chrome_trace(timeline, tmp_path / "sharded.json")
+    def test_perfetto_json_validates(self, fanned_report, tmp_path):
+        timeline = build_timeline(fanned_report)
+        path = write_chrome_trace(timeline, tmp_path / "figures.json")
         payload = json.loads(path.read_text())
         assert validate_chrome_trace(payload) == []
 
-    def test_report_round_trips_the_trace(self, sharded_report):
-        clone = RunReport.from_dict(sharded_report.to_dict())
+    def test_report_round_trips_the_trace(self, fanned_report):
+        clone = RunReport.from_dict(fanned_report.to_dict())
         assert clone.version == 3
-        a = build_timeline(sharded_report)
+        a = build_timeline(fanned_report)
         b = build_timeline(clone)
         assert a.span_ids() == b.span_ids()
         assert len(a.edges) == len(b.edges)

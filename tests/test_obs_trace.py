@@ -1,9 +1,8 @@
 """Cross-process trace-context propagation (obs v3, tentpole).
 
 Pinned promises: a ``TraceContext`` handed off through the
-work-stealing pool and the sharded full pipeline produces worker event
-streams whose causal parents resolve into the dispatching process's
-stream; scheduler activity (steals, requeues, straggler re-dispatches)
+work-stealing pool produces worker event streams whose causal parents
+resolve into the dispatching process's stream; scheduler activity (steals, requeues, straggler re-dispatches)
 reaches the flight recorder with worker ids; and the parent's observer
 survives the parent-side crash recovery paths instead of being
 clobbered by a fresh one.
@@ -159,20 +158,6 @@ class TestPoolPropagation:
         obs.enable()  # no context: v2-era behavior
         map_tasks({"a": task, "b": task}, 1, workers=2)
         assert obs.current().trace_payload() == {}
-
-
-class TestShardedPropagation:
-    def test_shard_streams_are_labeled_by_shard(self):
-        from repro.workload import WorkloadGenerator, tiny
-
-        observer = obs.enable(TraceContext.root())
-        WorkloadGenerator(tiny(1.0), seed=5).run("full", shards=2)
-        streams = _all_streams(observer.trace_payload())
-        shard_labels = {
-            s["worker"] for s in streams[1:]
-            if s["worker"].startswith("shard")
-        }
-        assert shard_labels == {"shard0", "shard1"}
 
 
 class TestSchedulerFlightEvents:

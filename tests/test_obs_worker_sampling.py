@@ -1,7 +1,7 @@
 """Satellite: the time-series sampler under multiprocess workers.
 
 When the parent runs a sampler, the trace wire carries the sampling
-period to every pool and sharded worker; each worker samples its own
+period to every pool worker; each worker samples its own
 process and its ring rides back with the task snapshot, landing in the
 parent report under ``timeseries["workers"]``.  Counter *deltas* are
 the survival property: a worker that dies mid-task loses its ring, but
@@ -77,15 +77,6 @@ class TestWorkerRingsMergeIntoParentReport:
             for ring in rings for s in ring["samples"]
         )
         assert shipped == report.counters["task.ran"] == 6
-
-    def test_sharded_full_pipeline_workers_ship_rings(self, sampled_observer):
-        from repro.workload import WorkloadGenerator, tiny
-
-        WorkloadGenerator(tiny(1.0), seed=5).run("full", shards=2)
-        report, rings = _worker_rings(sampled_observer, ["sharded"])
-        assert len(rings) >= 2  # at least one ring per shard lane
-        # the parent's own ring is separate from the worker rings
-        assert report.timeseries["samples"]
 
     def test_rings_survive_report_round_trip(self, sampled_observer):
         map_tasks(_tasks(2), 1, workers=2)

@@ -82,18 +82,6 @@ class TestNoFork:
         assert observer.counters["pool.serial_batches"] == 1
         assert not observer.trace_payload().get("children")
 
-    def test_sharded_replay_runs_serially(self, full_pipeline_workload, no_fork):
-        from repro.workload import WorkloadGenerator, tiny
-
-        observer = obs.enable(TraceContext.root())
-        sharded = WorkloadGenerator(tiny(1.0), seed=5).run("full", shards=2)
-        assert sharded.raw.to_bytes() == full_pipeline_workload.raw.to_bytes()
-        assert observer.counters["pool.serial_batches"] == 1
-        trace = observer.trace_payload()
-        # the shard tasks ran in this process: its stream keeps its label
-        assert trace["worker"] == "main"
-        assert not trace.get("children")
-
 
 class _ExplodingSource(FrameSource):
     """Chunk 1 always raises — a worker dies mid-scan."""
