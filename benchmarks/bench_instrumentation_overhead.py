@@ -104,7 +104,7 @@ def test_obs_overhead(frame):
     is reported so regressions are visible.
     """
     obs.disable()
-    characterize(frame)  # warm caches (trace index, of_kind views)
+    characterize(frame)  # warm caches (of_kind views)
     t_off = _time_characterize(frame)
 
     observer = obs.enable()

@@ -1,6 +1,6 @@
 """Perf benchmark: legacy vs fused vs parallel characterization.
 
-The legacy analyzers (:mod:`repro.core.legacy`, kept as the reference)
+The legacy analyzers (``tests/legacy_oracle.py``, the reference oracle)
 re-sort the trace inside every family; the engine behind
 ``characterize`` (``repro.core.streaming``) walks the event stream once,
 folding every family's state in a single pass with no index at all.  On
@@ -11,8 +11,8 @@ at two scales, checks the acceptance contract (byte-identical report
 text, >= 3x end-to-end speedup on the bench trace), and records the
 trajectory in ``BENCH_characterize.json``.
 
-Methodology (also in docs/DEVELOPMENT.md): the index and the ``of_kind``
-views cache on the frame, so every timed run gets a *fresh* frame built
+Methodology (also in docs/DEVELOPMENT.md): the per-frame fold and the
+``of_kind`` views cache on the frame, so every timed run gets a *fresh* frame built
 from the same event arrays — each path pays its own sort/group/scan
 costs and nothing leaks between paths.  Every path is timed as the best
 of three; the first parallel run also absorbs pool start-up, which
@@ -28,10 +28,10 @@ import time
 from conftest import emit_json, show
 
 from repro.core import characterize
-from repro.core.legacy import characterize_legacy
 from repro.trace.frame import TraceFrame
 from repro.util.tables import format_table
 from repro.workload import WorkloadGenerator, ames1993
+from tests.legacy_oracle import characterize_legacy
 
 #: the second, smaller scale (the first is the session bench trace)
 SMALL_SCALE = 0.02
@@ -44,7 +44,7 @@ WORKERS = max(1, min(4, os.cpu_count() or 1))
 
 
 def _fresh(frame) -> TraceFrame:
-    """The same events with cold caches (no index, no kind views)."""
+    """The same events with cold caches (no fold, no kind views)."""
     return TraceFrame(
         frame.events, jobs=frame.jobs, files=frame.files, header=frame.header
     )

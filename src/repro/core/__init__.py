@@ -1,7 +1,10 @@
 """The workload characterization — the paper's primary contribution.
 
-One module per family of results, each consuming a
-:class:`~repro.trace.frame.TraceFrame`:
+One module per family of results, each holding the family's result
+types and its analyzers over a :class:`~repro.trace.frame.TraceFrame`.
+Every number comes from one engine, :mod:`repro.core.streaming`: the
+analyzers finalize their family from the frame's one fold, and
+:func:`characterize` finalizes every family from one pass.
 
 - :mod:`repro.core.jobstats` — Figures 1-2 and Table 1 (job mix);
 - :mod:`repro.core.filestats` — §4.2 and Figure 3 (file population);
@@ -10,7 +13,9 @@ One module per family of results, each consuming a
 - :mod:`repro.core.intervals` — Tables 2-3 (access regularity);
 - :mod:`repro.core.sharing` — Figure 7 (inter-node byte/block sharing);
 - :mod:`repro.core.modes` — §4.6 (I/O-mode usage);
-- :mod:`repro.core.report` — everything at once, rendered as text.
+- :mod:`repro.core.report` — everything at once, rendered as text;
+- :mod:`repro.core.streaming` — the engine: the chunk accumulator, the
+  per-frame fold and one finalizer per family.
 """
 
 from repro.core.compare import ReportComparison, compare_reports

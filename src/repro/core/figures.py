@@ -6,8 +6,9 @@ ASCII chart.  The six figures that are pure functions of one analysis
 family's result (fig1-3, fig5-7) are drawn by :func:`family_series`,
 which :func:`figure_series` feeds from the per-family analyzers and the
 trace service (:mod:`repro.service.figdata`) feeds from a finished
-:class:`~repro.core.report.WorkloadReport` — so the figure definitions
-live in exactly one place.
+:class:`~repro.core.report.WorkloadReport`.  Both results come from the
+same finalizers in :mod:`repro.core.streaming`, and the figure
+definitions live in exactly one place.
 """
 
 from __future__ import annotations
@@ -102,9 +103,12 @@ def figure_series(
 ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """The (x, y) series of one figure, keyed by series name.
 
-    Each figure runs only the analysis it draws on, never the whole
-    characterization.  ``workers`` caps the process fan-out across
-    fig9's policy lines (see :func:`repro.caching.sweeps.sweep_lines`).
+    Each figure finalizes only the family it draws on.  fig3 and fig5-7
+    share the frame's one fold (:func:`repro.core.streaming.fold`), which
+    scans every family's state on the first call for a frame; fig1-2 and
+    fig4 read the job table or the raw sizes.  ``workers`` caps the
+    process fan-out across fig9's policy lines (see
+    :func:`repro.caching.sweeps.sweep_lines`).
     """
     if figure in _FAMILY_ANALYZERS:
         return family_series(figure, _FAMILY_ANALYZERS[figure](frame))

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro import obs
 from repro.errors import AnalysisError
 from repro.trace.frame import TraceFrame
 from repro.util.cdf import EmpiricalCDF
@@ -61,49 +60,12 @@ class FilePopulation:
         }
 
 
-def _file_classes(frame: TraceFrame) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(file_ids, was_read, was_written, opened) boolean arrays.
-
-    All four come from the shared trace index, so the population scan
-    happens once per frame no matter how many analyses ask.
-    """
-    idx = frame.index
-    file_ids = idx.file_ids
-    if len(file_ids) == 0:
-        raise AnalysisError("no file events in trace")
-    return file_ids, idx.was_read, idx.was_written, idx.was_opened
-
-
 def population(frame: TraceFrame) -> FilePopulation:
     """Compute the §4.2 file-population summary."""
-    file_ids, was_read, was_written, _ = _file_classes(frame)
-    read_only = int((was_read & ~was_written).sum())
-    write_only = int((~was_read & was_written).sum())
-    read_write = int((was_read & was_written).sum())
-    untouched = int((~was_read & ~was_written).sum())
+    # imported here: repro.core.streaming imports this module
+    from repro.core import streaming
 
-    ft = frame.files.data
-    temp_mask = frame.files.temporary
-    temp_ids = set(ft["file"][temp_mask].tolist())
-    opens = frame.opens
-    n_opens = len(opens)
-    temp_opens = int(np.isin(opens["file"].astype(np.int64), list(temp_ids)).sum()) if temp_ids else 0
-
-    if obs.enabled():
-        obs.add("core.filestats.files", len(file_ids))
-        obs.add("core.filestats.opens", n_opens)
-    return FilePopulation(
-        n_files=len(file_ids),
-        n_opens=n_opens,
-        read_only=read_only,
-        write_only=write_only,
-        read_write=read_write,
-        untouched=untouched,
-        temporary_files=len(temp_ids),
-        temporary_open_fraction=temp_opens / n_opens if n_opens else 0.0,
-        bytes_read_total=int(frame.reads["size"].sum()),
-        bytes_written_total=int(frame.writes["size"].sum()),
-    )
+    return streaming.finalize_population(streaming.fold(frame), frame.files)
 
 
 def file_size_cdf(frame: TraceFrame, include_untouched: bool = False) -> EmpiricalCDF:
@@ -114,40 +76,22 @@ def file_size_cdf(frame: TraceFrame, include_untouched: bool = False) -> Empiric
     default — they close at whatever size they were opened at, usually
     zero, and the paper's CDF starts at ~10 bytes.
     """
-    ft = frame.files.data
-    if len(ft) == 0:
-        raise AnalysisError("no files in trace")
     if include_untouched:
+        ft = frame.files.data
+        if len(ft) == 0:
+            raise AnalysisError("no files in trace")
         return EmpiricalCDF(ft["final_size"].astype(np.float64))
-    # the file table and _file_classes enumerate the same ids in the
-    # same sorted order only if the table is sorted; align explicitly
-    file_ids, was_read, was_written, _ = _file_classes(frame)
-    return size_cdf_from_table(ft, file_ids[was_read | was_written])
+    from repro.core import streaming
 
-
-def size_cdf_from_table(files: np.ndarray, touched_ids: np.ndarray) -> EmpiricalCDF:
-    """Figure 3's CDF from the file table plus the accessed-file ids.
-
-    The streaming characterization calls this directly: the side table
-    travels whole with any :class:`~repro.trace.store.TraceSource`, and
-    ``touched_ids`` falls out of the chunk accumulator.
-    """
-    if len(files) == 0:
-        raise AnalysisError("no files in trace")
-    sizes = files["final_size"].astype(np.float64)
-    keep = np.isin(files["file"].astype(np.int64), np.asarray(touched_ids))
-    sizes = sizes[keep]
-    if len(sizes) == 0:
-        raise AnalysisError("no accessed files in trace")
-    return EmpiricalCDF(sizes)
+    return streaming.finalize_size_cdf(streaming.fold(frame), frame.files)
 
 
 def file_class_labels(frame: TraceFrame) -> dict[int, str]:
     """Map file id → "ro" | "wo" | "rw" | "untouched".
 
-    Shared by the sequentiality and sharing analyses, which split their
-    CDFs by file class.
+    The sequentiality and sharing analyses split their CDFs by these
+    file classes.
     """
-    if len(frame.index.file_ids) == 0:
-        raise AnalysisError("no file events in trace")
-    return frame.index.file_labels
+    from repro.core import streaming
+
+    return streaming.finalize_file_classes(streaming.fold(frame))

@@ -11,28 +11,13 @@ strided-interface recommendation.
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro import obs
-from repro.errors import AnalysisError
+from repro.core.streaming import (
+    finalize_distinct_counts,
+    finalize_distinct_table,
+    finalize_zero_interval_dominance,
+    fold,
+)
 from repro.trace.frame import TraceFrame
-from repro.util.histogram import bucket_counts
-
-
-def _counts_from_pairs(
-    frame: TraceFrame, pair_files: np.ndarray
-) -> dict[int, int]:
-    """file id → number of (already deduplicated) pairs it appears in,
-    zero-filled for every file in the trace."""
-    all_files = frame.index.file_ids
-    if len(all_files) == 0:
-        raise AnalysisError("no file events in trace")
-    counts = {int(f): 0 for f in all_files}
-    if len(pair_files):
-        uniq, n = np.unique(pair_files, return_counts=True)
-        for f, c in zip(uniq.tolist(), n.tolist()):
-            counts[int(f)] = int(c)
-    return counts
 
 
 def per_file_distinct_intervals(frame: TraceFrame) -> dict[int, int]:
@@ -41,10 +26,7 @@ def per_file_distinct_intervals(frame: TraceFrame) -> dict[int, int]:
     Files with at most one access per node have no intervals and map to
     zero; so do opened-but-untouched files.
     """
-    if len(frame.transfers) == 0:
-        return _counts_from_pairs(frame, np.empty(0, dtype=np.int64))
-    pair_files, _ = frame.index.distinct_interval_pairs
-    return _counts_from_pairs(frame, pair_files)
+    return finalize_distinct_counts(fold(frame), "intervals")
 
 
 def per_file_distinct_request_sizes(frame: TraceFrame) -> dict[int, int]:
@@ -53,39 +35,22 @@ def per_file_distinct_request_sizes(frame: TraceFrame) -> dict[int, int]:
     Untouched files (opened and closed without access) map to zero — the
     paper's explicit 0 bucket.
     """
-    if len(frame.transfers) == 0:
-        return _counts_from_pairs(frame, np.empty(0, dtype=np.int64))
-    pair_files, _ = frame.index.distinct_size_pairs
-    return _counts_from_pairs(frame, pair_files)
+    return finalize_distinct_counts(fold(frame), "request_sizes")
 
 
 def interval_size_table(frame: TraceFrame, cap: int = 4) -> dict[str, int]:
     """Table 2: files bucketed by distinct interval-size count
     (buckets "0", "1", ..., "<cap>+")."""
-    table = bucket_counts(per_file_distinct_intervals(frame).values(), cap=cap)
-    if obs.enabled():
-        obs.add("core.intervals.files", sum(table.values()))
-    return table
+    return finalize_distinct_table(fold(frame), "intervals", cap)
 
 
 def request_size_table(frame: TraceFrame, cap: int = 4) -> dict[str, int]:
     """Table 3: files bucketed by distinct request-size count."""
-    table = bucket_counts(per_file_distinct_request_sizes(frame).values(), cap=cap)
-    if obs.enabled():
-        obs.add("core.intervals.request_size_files", sum(table.values()))
-    return table
+    return finalize_distinct_table(fold(frame), "request_sizes", cap)
 
 
 def zero_interval_dominance(frame: TraceFrame) -> float:
     """Among files with exactly one distinct interval size, the fraction
     whose single interval is zero (the paper: over 99 % — i.e. regular
     access is overwhelmingly *consecutive* access)."""
-    if len(frame.transfers) == 0:
-        raise AnalysisError("no transfers in trace")
-    pair_files, pair_intervals = frame.index.distinct_interval_pairs
-    uniq, n = np.unique(pair_files, return_counts=True)
-    one = uniq[n == 1]
-    if len(one) == 0:
-        raise AnalysisError("no single-interval files in trace")
-    single = pair_intervals[np.isin(pair_files, one)]
-    return float(np.mean(single == 0))
+    return finalize_zero_interval_dominance(fold(frame))

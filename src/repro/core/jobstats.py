@@ -15,7 +15,6 @@ import numpy as np
 from repro import obs
 from repro.errors import AnalysisError
 from repro.trace.frame import TraceFrame
-from repro.trace.records import EventKind
 from repro.util.histogram import bucket_counts
 
 
@@ -164,10 +163,10 @@ def files_per_job_table(frame: TraceFrame, cap: int = 5) -> dict[str, int]:
     same lower-bound caveat as the paper's).
     Buckets: "1", "2", ..., "<cap>+" (the paper uses 5+).
     """
-    if len(frame.opens) == 0:
-        raise AnalysisError("no OPEN events in trace")
-    pair_jobs, _ = frame.index.open_job_file_pairs
-    _, counts = np.unique(pair_jobs, return_counts=True)
+    # imported here: repro.core.streaming imports this module
+    from repro.core import streaming
+
+    counts = streaming.finalize_files_per_job(streaming.fold(frame))
     return files_per_job_from_counts(counts.tolist(), cap=cap)
 
 
@@ -181,8 +180,6 @@ def files_per_job_from_counts(counts, cap: int = 5) -> dict[str, int]:
 def max_files_one_job(frame: TraceFrame) -> int:
     """The largest number of distinct files any single job opened
     (the paper's record holder opened 2217)."""
-    if len(frame.opens) == 0:
-        raise AnalysisError("no OPEN events in trace")
-    pair_jobs, _ = frame.index.open_job_file_pairs
-    _, counts = np.unique(pair_jobs, return_counts=True)
-    return int(counts.max())
+    from repro.core import streaming
+
+    return int(streaming.finalize_files_per_job(streaming.fold(frame)).max())

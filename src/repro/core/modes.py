@@ -11,10 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from repro import obs
-from repro.errors import AnalysisError
 from repro.trace.frame import TraceFrame
 
 
@@ -48,23 +44,7 @@ def mode_usage(frame: TraceFrame) -> ModeUsage:
     A file's mode is taken from its first OPEN in the trace (CFS requires
     all of a job's opens of a shared file to agree on the mode).
     """
-    opens = frame.opens
-    if len(opens) == 0:
-        raise AnalysisError("no OPEN events in trace")
-    mode_values, mode_counts = np.unique(opens["mode"].astype(int), return_counts=True)
-    opens_per_mode = {
-        int(m): int(c) for m, c in zip(mode_values.tolist(), mode_counts.tolist())
-    }
+    # imported here: repro.core.streaming imports this module
+    from repro.core import streaming
 
-    # a file's mode comes from its first OPEN in trace order; the index
-    # keeps the first open per file from one stable sort
-    _, first_modes = frame.index.first_open_modes
-    file_mode_values, file_mode_counts = np.unique(first_modes, return_counts=True)
-    files_per_mode = {
-        int(m): int(c)
-        for m, c in zip(file_mode_values.tolist(), file_mode_counts.tolist())
-    }
-    if obs.enabled():
-        obs.add("core.modes.opens", len(opens))
-        obs.add("core.modes.files", int(file_mode_counts.sum()))
-    return ModeUsage(files_per_mode=files_per_mode, opens_per_mode=opens_per_mode)
+    return streaming.finalize_modes(streaming.fold(frame))

@@ -255,7 +255,7 @@ def characterize(frame, workers: int | None = None) -> WorkloadReport:
     analysis family into a :class:`~repro.core.streaming.ChunkAccumulator`
     whose held state stays bounded, so a store is characterized without
     materializing its event table.  The report is byte-identical to the
-    reference analyzers in :mod:`repro.core.legacy` (enforced, with
+    reference analyzers in ``tests/legacy_oracle.py`` (enforced, with
     frozen digests, by ``tests/test_equivalence.py``).
 
     ``workers`` fans the walk out across a process pool (see

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro import obs
 from repro.errors import AnalysisError
 from repro.trace.frame import TraceFrame
 from repro.trace.records import EventKind
@@ -68,64 +67,11 @@ def request_size_summary(
     small_threshold: int = 4000,
 ) -> RequestSizeSummary:
     """The §4.3 headline fractions for one direction."""
-    sizes = _transfer_sizes(frame, kind)
-    total = float(sizes.sum())
-    small = sizes < small_threshold
-    if obs.enabled():
-        obs.add(f"core.requests.{kind.name.lower()}s", len(sizes))
-    return RequestSizeSummary(
-        kind=kind.name.lower(),
-        n_requests=len(sizes),
-        total_bytes=int(total),
-        small_threshold=small_threshold,
-        small_request_fraction=float(small.mean()),
-        small_byte_fraction=float(sizes[small].sum() / total) if total else 0.0,
-        mean_size=float(sizes.mean()),
-        median_size=float(np.median(sizes)),
-    )
+    # imported here: repro.core.streaming imports this module
+    from repro.core import streaming
 
-
-def summary_from_size_counts(
-    kind_name: str,
-    values: np.ndarray,
-    counts: np.ndarray,
-    small_threshold: int = 4000,
-) -> RequestSizeSummary:
-    """The same summary from a size→count histogram (the streaming path).
-
-    Request sizes are integers, so every sum here is exact in float64 at
-    trace scale (well under 2**53) and the result is bit-identical to
-    :func:`request_size_summary` over the expanded sizes; the median
-    falls out of the cumulative counts (for an even request count, the
-    mean of the two middle values — exactly ``np.median``'s reduction).
-    """
-    values = np.asarray(values, dtype=np.int64)
-    counts = np.asarray(counts, dtype=np.int64)
-    if len(values) == 0:
-        raise AnalysisError(f"no {kind_name.upper()} events in trace")
-    n = int(counts.sum())
-    per_value_bytes = values.astype(np.float64) * counts.astype(np.float64)
-    total = float(per_value_bytes.sum())
-    small = values < small_threshold
-    n_small = int(counts[small].sum())
-    cum = np.cumsum(counts)
-    if n % 2:
-        median = float(values[np.searchsorted(cum, n // 2, side="right")])
-    else:
-        a = np.float64(values[np.searchsorted(cum, n // 2 - 1, side="right")])
-        b = np.float64(values[np.searchsorted(cum, n // 2, side="right")])
-        median = float((a + b) / 2.0)
-    return RequestSizeSummary(
-        kind=kind_name,
-        n_requests=n,
-        total_bytes=int(total),
-        small_threshold=small_threshold,
-        small_request_fraction=float(np.float64(n_small) / np.float64(n)),
-        small_byte_fraction=(
-            float(per_value_bytes[small].sum() / total) if total else 0.0
-        ),
-        mean_size=float(np.float64(total) / np.float64(n)),
-        median_size=median,
+    return streaming.finalize_request_summary(
+        streaming.fold(frame), kind, small_threshold
     )
 
 

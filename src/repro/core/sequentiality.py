@@ -14,9 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro import obs
-from repro.core.filestats import file_class_labels
-from repro.errors import AnalysisError
 from repro.trace.frame import TraceFrame
 
 
@@ -54,53 +51,9 @@ class FileRegularity:
         return float(np.mean(con >= 1.0))
 
 
-def _grouped_transitions(frame: TraceFrame):
-    """Transfers sorted by (file, node) with time order inside groups.
-
-    Returns the sorted transfer array plus a boolean mask of rows that are
-    *transitions* (previous row exists in the same (file, node) group).
-    Both come from the shared trace index, sorted once per frame.
-    """
-    if len(frame.transfers) == 0:
-        raise AnalysisError("no transfers in trace")
-    return frame.index.transfers_by_file_node
-
-
 def per_file_regularity(frame: TraceFrame) -> FileRegularity:
     """Compute Figures 5-6's per-file metrics."""
-    tr, same = _grouped_transitions(frame)
-    prev_off = np.empty(len(tr), dtype=np.int64)
-    prev_end = np.empty(len(tr), dtype=np.int64)
-    prev_off[1:] = tr["offset"][:-1]
-    prev_end[1:] = tr["offset"][:-1] + tr["size"][:-1]
+    # imported here: repro.core.streaming imports this module
+    from repro.core import streaming
 
-    seq = same & (tr["offset"] > prev_off)
-    con = same & (tr["offset"] == prev_end)
-
-    # the index view is already file-sorted, so per-file sums are
-    # contiguous-segment reductions instead of scattered np.add.at
-    files = tr["file"].astype(np.int64)
-    new = np.ones(len(files), dtype=bool)
-    new[1:] = files[1:] != files[:-1]
-    starts = np.flatnonzero(new)
-    uniq = files[starts]
-    n_trans = np.add.reduceat(same.astype(np.int64), starts)
-    n_seq = np.add.reduceat(seq.astype(np.int64), starts)
-    n_con = np.add.reduceat(con.astype(np.int64), starts)
-
-    keep = n_trans > 0
-    uniq, n_trans, n_seq, n_con = uniq[keep], n_trans[keep], n_seq[keep], n_con[keep]
-    if len(uniq) == 0:
-        raise AnalysisError("no file has more than one request per node")
-    labels_all = file_class_labels(frame)
-    labels = [labels_all[int(f)] for f in uniq]
-    if obs.enabled():
-        obs.add("core.sequentiality.files", len(uniq))
-        obs.add("core.sequentiality.transitions", int(n_trans.sum()))
-    return FileRegularity(
-        file_ids=uniq,
-        n_transitions=n_trans,
-        sequential_fraction=n_seq / n_trans,
-        consecutive_fraction=n_con / n_trans,
-        labels=labels,
-    )
+    return streaming.finalize_regularity(streaming.fold(frame))

@@ -1,4 +1,4 @@
-"""The characterization engine: the full §4 report in one pass.
+"""The characterization engine: every §4 number, in one pass.
 
 :func:`repro.core.report.characterize` runs every analysis family
 through this module, in memory and out-of-core alike.  It makes one
@@ -6,8 +6,12 @@ pass over the chunks of a :class:`~repro.trace.store.TraceSource` (an
 in-memory frame is wrapped in a :class:`~repro.trace.store.FrameSource`),
 folding each chunk into a mergeable :class:`ChunkAccumulator`, then
 finalizes every family from the merged partials — without ever
-materializing the whole event table.  Each event is touched exactly
-once; the per-family modules reduce to finalizers over the fused state:
+materializing the whole event table.  The per-family analyzers of
+:mod:`repro.core` (``population``, ``per_file_regularity``,
+``sharing_per_file`` ...) run the same finalizers over :func:`fold`, one
+accumulator per frame, so this module is the only code that computes a
+characterization number.  Each event is touched exactly once; each
+family reduces to a finalizer over the fused state:
 
 - jobstats need only the job side table, which travels whole with any
   source;
@@ -23,14 +27,12 @@ once; the per-family modules reduce to finalizers over the fused state:
   the boundary transition when the group's next chunk (or the merge of
   two accumulators) supplies the following request;
 - sharing / interjob fold as (a) per-(file, node) and per-(file, job)
-  open/close window extrema (min open time, max close time — exactly
-  the rows of :meth:`repro.trace.index.TraceIndex._span_table`) and
-  (b) canonical per-(file, node) byte- and block-interval unions.
-  Interval union is associative and the union of maximal runs is
-  unique, so incremental per-chunk unions merged at finalize time are
-  bit-identical to the full-frame union; the finalizer then runs the
-  *same* :func:`repro.core.sharing._overlap_fraction` sweep the
-  per-family analyzer runs, on identical inputs.
+  open/close window extrema (min open time, max close time) and (b)
+  canonical per-(file, node) byte-interval unions.  Interval union is
+  associative and the union of maximal runs is unique, so incremental
+  per-chunk unions merged at finalize time are bit-identical to the
+  full-frame union; block runs are those byte runs rounded out to block
+  edges and unioned again.
 
 The accumulator itself is vectorized: each chunk contributes small
 canonical numpy arrays (deduplicated pairs, per-key counts, unioned
@@ -47,12 +49,13 @@ parallel and serial runs are byte-identical too.
 from __future__ import annotations
 
 import time
+import weakref
 from functools import partial
 
 import numpy as np
 
 from repro import obs
-from repro.core.filestats import FilePopulation, size_cdf_from_table
+from repro.core.filestats import FilePopulation
 from repro.core.jobstats import (
     concurrency_profile_from_jobs,
     files_per_job_from_counts,
@@ -60,17 +63,35 @@ from repro.core.jobstats import (
 )
 from repro.core.modes import ModeUsage
 from repro.core.report import WorkloadReport
-from repro.core.requests import summary_from_size_counts
+from repro.core.requests import RequestSizeSummary
 from repro.core.sequentiality import FileRegularity
-from repro.core.sharing import SharingResult, _overlap_fraction
+from repro.core.sharing import SharingResult
 from repro.errors import AnalysisError
-from repro.trace.frame import FileTable, JobTable
+from repro.trace.frame import FileTable, JobTable, TraceFrame
 from repro.trace.records import NO_VALUE, EventKind
 from repro.trace.store import TraceSource
+from repro.util.cdf import EmpiricalCDF
+from repro.util.histogram import bucket_counts
 from repro.util.pool import map_tasks
 from repro.util.units import BLOCK_SIZE
 
-__all__ = ["ChunkAccumulator", "finalize_fused"]
+__all__ = [
+    "ChunkAccumulator",
+    "finalize_distinct_counts",
+    "finalize_distinct_table",
+    "finalize_file_classes",
+    "finalize_files_per_job",
+    "finalize_fused",
+    "finalize_modes",
+    "finalize_population",
+    "finalize_regularity",
+    "finalize_request_summary",
+    "finalize_sharing",
+    "finalize_size_cdf",
+    "finalize_span_files",
+    "finalize_zero_interval_dominance",
+    "fold",
+]
 
 _OPEN = int(EventKind.OPEN)
 _CLOSE = int(EventKind.CLOSE)
@@ -88,7 +109,7 @@ def _pack_key(file_ids: np.ndarray, nodes: np.ndarray) -> np.ndarray:
 
 
 def _pack_pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The index's pair packing: lexicographic (a, b) order, b may be
+    """One int64 key per (a, b) in lexicographic (a, b) order; b may be
     negative (``key >> 32`` recovers ``a``, ``(key & LOW) - HALF`` is
     ``b``)."""
     return a * _SHIFT + (b + _HALF)
@@ -130,8 +151,7 @@ def _union_runs(
     """Canonical per-key interval union: maximal runs, grouped by key
     ascending and start-sorted within a key.
 
-    Uses the same merge rule as :func:`repro.core.sharing._merge_per_node`
-    (touching intervals coalesce), with the per-group offset trick for an
+    Touching intervals coalesce; the per-group offset trick gives an
     exact segmented running max.  The union of maximal runs is unique, so
     this is idempotent and associative — incremental per-chunk unions
     merged later equal the one-shot union bit for bit.
@@ -290,7 +310,6 @@ _PART_AGGS = {
     "job_open": _agg_min,
     "job_close": _agg_max,
     "byte_runs": _agg_runs,         # (packed (file, node), start, end)
-    "block_runs": _agg_runs,
 }
 
 
@@ -342,11 +361,11 @@ class ChunkAccumulator:
     def compact(self, runs: bool = True) -> "ChunkAccumulator":
         """Collapse every part to its canonical aggregate (bounds the
         pickle size shipped back from pool workers).  ``runs=False``
-        leaves the byte/block run parts raw — the serial path skips
-        their final union because the sharing finalizer re-unions only
-        the candidate files' rows.  Returns self."""
+        leaves the byte-run part raw — the serial path skips its final
+        union because the sharing finalizer re-unions only the candidate
+        files' rows.  Returns self."""
         for name in _PART_AGGS:
-            if not runs and name in ("byte_runs", "block_runs"):
+            if not runs and name == "byte_runs":
                 continue
             if self._parts[name]:
                 self.part(name)
@@ -424,7 +443,7 @@ class ChunkAccumulator:
         self._parts["size_pairs"].append((files, sizes))
 
         # group by (file, node); the stable sort keeps time order within
-        # groups, matching the index's lexsort((node, file)) view
+        # groups
         key = _pack_key(files, tr["node"].astype(np.int64))
         order = np.argsort(key, kind="stable")
         keys = key[order]
@@ -481,11 +500,7 @@ class ChunkAccumulator:
         if keep.any():
             nodes = tr["node"].astype(np.int64)[order][keep]
             rk = _pack_pair(grp_files[keep], nodes)
-            s, e = off[keep], end[keep]
-            self._parts["byte_runs"].append((rk, s, e))
-            blk_s = (s // BLOCK_SIZE) * BLOCK_SIZE
-            blk_e = -(-e // BLOCK_SIZE) * BLOCK_SIZE
-            self._parts["block_runs"].append((rk, blk_s, blk_e))
+            self._parts["byte_runs"].append((rk, off[keep], end[keep]))
 
     def _update_spans(self, opens: np.ndarray, closes: np.ndarray) -> None:
         for ev, key_field, part in (
@@ -619,25 +634,66 @@ def _scan_parallel(source: TraceSource, workers: int | None) -> ChunkAccumulator
     return acc
 
 
-# -- finalization ------------------------------------------------------------
+# -- the per-frame fold --------------------------------------------------------
+
+#: frame → its fold; weak, so a fold lives exactly as long as its frame
+_FOLDS: "weakref.WeakKeyDictionary[TraceFrame, ChunkAccumulator]" = (
+    weakref.WeakKeyDictionary()
+)
 
 
-def _finalize_basics(
-    acc: ChunkAccumulator, jobs_table: JobTable, files_table: FileTable
-) -> dict:
-    jobs = jobs_table.data
-    concurrency = concurrency_profile_from_jobs(jobs)
-    node_counts = node_count_distribution_from_jobs(jobs)
+def fold(frame: TraceFrame) -> ChunkAccumulator:
+    """One :meth:`ChunkAccumulator.update` over all of ``frame``'s events.
 
+    Frames are immutable, so the fold is computed once per frame and
+    cached beside it; every per-family analyzer in :mod:`repro.core`
+    finalizes its family from this one accumulator.
+    """
+    acc = _FOLDS.get(frame)
+    if acc is None:
+        acc = ChunkAccumulator()
+        acc.update(frame.events)
+        _FOLDS[frame] = acc
+    return acc
+
+
+# -- per-family finalizers ---------------------------------------------------
+#
+# Each finalizer turns the accumulator into one family's result and adds
+# that family's ``core.<family>.*`` counters.  finalize_fused calls them
+# all for the report; the per-family analyzers call one each over fold().
+
+
+def _seen_files(acc: ChunkAccumulator) -> np.ndarray:
+    """Every file id any event names, ascending."""
+    seen, _counts = acc.part("events")
+    if len(seen) == 0:
+        raise AnalysisError("no file events in trace")
+    return seen
+
+
+def _labels_for(acc: ChunkAccumulator, file_ids: np.ndarray) -> list[str]:
+    r = _in_sorted(acc.part("read_files"), file_ids)
+    w = _in_sorted(acc.part("written_files"), file_ids)
+    return np.where(
+        r & w, "rw", np.where(r, "ro", np.where(w, "wo", "untouched"))
+    ).tolist()
+
+
+def finalize_files_per_job(acc: ChunkAccumulator) -> np.ndarray:
+    """Table 1's raw counts: distinct files opened by each job that
+    opened any, in job order."""
     if acc.n_opens == 0:
         raise AnalysisError("no OPEN events in trace")
-    open_pairs = acc.part("open_pairs")
-    _jobs, per_job = np.unique(open_pairs >> np.int64(32), return_counts=True)
-    files_per_job = files_per_job_from_counts(per_job.tolist())
+    _jobs, per_job = np.unique(
+        acc.part("open_pairs") >> np.int64(32), return_counts=True
+    )
+    return per_job
 
-    seen_files, _counts = acc.part("events")
-    if len(seen_files) == 0:
-        raise AnalysisError("no file events in trace")
+
+def finalize_population(acc: ChunkAccumulator, files: FileTable) -> FilePopulation:
+    """§4.2's file counts, temporary-file share and byte totals."""
+    seen_files = _seen_files(acc)
     read_files = acc.part("read_files")
     written_files = acc.part("written_files")
     read_write = np.intersect1d(read_files, written_files, assume_unique=True)
@@ -646,16 +702,17 @@ def _finalize_basics(
     write_only = len(written_files) - len(read_write)
     untouched = n_files - read_only - write_only - len(read_write)
 
-    table = files_table.data
-    temp_ids = np.unique(
-        table["file"][files_table.temporary].astype(np.int64)
-    )
+    table = files.data
+    temp_ids = np.unique(table["file"][files.temporary].astype(np.int64))
     open_files, open_counts = acc.part("opens")
     have = _in_sorted(open_files, temp_ids)
     temp_opens = int(
         open_counts[np.searchsorted(open_files, temp_ids[have])].sum()
     )
-    population = FilePopulation(
+    if obs.enabled():
+        obs.add("core.filestats.files", n_files)
+        obs.add("core.filestats.opens", acc.n_opens)
+    return FilePopulation(
         n_files=n_files,
         n_opens=acc.n_opens,
         read_only=read_only,
@@ -667,20 +724,93 @@ def _finalize_basics(
         bytes_read_total=acc.bytes_read,
         bytes_written_total=acc.bytes_written,
     )
+
+
+def finalize_file_classes(acc: ChunkAccumulator) -> dict[int, str]:
+    """file id → "ro" | "wo" | "rw" | "untouched", for every file seen."""
+    seen = _seen_files(acc)
+    return dict(zip(seen.tolist(), _labels_for(acc, seen)))
+
+
+def finalize_size_cdf(acc: ChunkAccumulator, files: FileTable) -> EmpiricalCDF:
+    """Figure 3: the CDF of accessed files' sizes at close, read from
+    the file table."""
+    table = files.data
+    if len(table) == 0:
+        raise AnalysisError("no files in trace")
+    _seen_files(acc)  # raises when no event names a file
+    touched = np.union1d(acc.part("read_files"), acc.part("written_files"))
+    keep = np.isin(table["file"].astype(np.int64), touched)
+    sizes = table["final_size"].astype(np.float64)[keep]
+    if len(sizes) == 0:
+        raise AnalysisError("no accessed files in trace")
+    return EmpiricalCDF(sizes)
+
+
+#: the accumulator's size→count histogram part of each transfer kind
+_SIZE_PARTS = {EventKind.READ: "read_sizes", EventKind.WRITE: "write_sizes"}
+
+
+def finalize_request_summary(
+    acc: ChunkAccumulator,
+    kind: EventKind = EventKind.READ,
+    small_threshold: int = 4000,
+) -> RequestSizeSummary:
+    """§4.3's headline fractions for one direction, from its size→count
+    histogram.
+
+    Request sizes are integers, so every sum here is exact in float64 at
+    trace scale (well under 2**53) and equals the sum over the expanded
+    sizes; the median falls out of the cumulative counts (for an even
+    request count, the mean of the two middle values — exactly
+    ``np.median``'s reduction).
+    """
+    kind = EventKind(kind)
+    if kind not in _SIZE_PARTS:
+        raise AnalysisError(f"{kind.name} events carry no request size")
+    values, counts = acc.part(_SIZE_PARTS[kind])
+    if len(values) == 0:
+        raise AnalysisError(f"no {kind.name} events in trace")
+    kind_name = kind.name.lower()
+    n = int(counts.sum())
     if obs.enabled():
-        obs.add("core.filestats.files", n_files)
-        obs.add("core.filestats.opens", acc.n_opens)
+        obs.add(f"core.requests.{kind_name}s", n)
+    per_value_bytes = values.astype(np.float64) * counts.astype(np.float64)
+    total = float(per_value_bytes.sum())
+    small = values < small_threshold
+    n_small = int(counts[small].sum())
+    cum = np.cumsum(counts)
+    if n % 2:
+        median = float(values[np.searchsorted(cum, n // 2, side="right")])
+    else:
+        a = np.float64(values[np.searchsorted(cum, n // 2 - 1, side="right")])
+        b = np.float64(values[np.searchsorted(cum, n // 2, side="right")])
+        median = float((a + b) / 2.0)
+    return RequestSizeSummary(
+        kind=kind_name,
+        n_requests=n,
+        total_bytes=int(total),
+        small_threshold=small_threshold,
+        small_request_fraction=float(np.float64(n_small) / np.float64(n)),
+        small_byte_fraction=(
+            float(per_value_bytes[small].sum() / total) if total else 0.0
+        ),
+        mean_size=float(np.float64(total) / np.float64(n)),
+        median_size=median,
+    )
 
-    touched = np.union1d(read_files, written_files).astype(np.int64)
-    size_cdf = size_cdf_from_table(table, touched)
 
-    reads = _size_summary(acc, "read_sizes", "read")
-    writes = _size_summary(acc, "write_sizes", "write")
-
+def finalize_modes(acc: ChunkAccumulator) -> ModeUsage:
+    """§4.6: opens per mode, and files per the mode of their first OPEN."""
+    if acc.n_opens == 0:
+        raise AnalysisError("no OPEN events in trace")
     _files, fm_modes = acc.part("first_mode")
     first_modes, file_mode_counts = np.unique(fm_modes, return_counts=True)
     mode_keys, mode_opens = acc.part("mode_counts")
-    modes = ModeUsage(
+    if obs.enabled():
+        obs.add("core.modes.opens", acc.n_opens)
+        obs.add("core.modes.files", int(file_mode_counts.sum()))
+    return ModeUsage(
         files_per_mode={
             int(m): int(c)
             for m, c in zip(first_modes.tolist(), file_mode_counts.tolist())
@@ -690,103 +820,93 @@ def _finalize_basics(
             for m, c in zip(mode_keys.tolist(), mode_opens.tolist())
         },
     )
-    if obs.enabled():
-        obs.add("core.modes.opens", acc.n_opens)
-        obs.add("core.modes.files", int(file_mode_counts.sum()))
-    return {
-        "concurrency": concurrency,
-        "node_counts": node_counts,
-        "files_per_job": files_per_job,
-        "files": population,
-        "size_cdf": size_cdf,
-        "reads": reads,
-        "writes": writes,
-        "modes": modes,
-    }
 
 
-def _size_summary(acc: ChunkAccumulator, part: str, kind_name: str):
-    values, counts = acc.part(part)
-    if obs.enabled() and len(values):
-        obs.add(f"core.requests.{kind_name}s", int(counts.sum()))
-    return summary_from_size_counts(kind_name, values, counts)
-
-
-def _labels_for(acc: ChunkAccumulator, file_ids: np.ndarray) -> list[str]:
-    r = _in_sorted(acc.part("read_files"), file_ids)
-    w = _in_sorted(acc.part("written_files"), file_ids)
-    return np.where(
-        r & w, "rw", np.where(r, "ro", np.where(w, "wo", "untouched"))
-    ).tolist()
-
-
-def _finalize_regularity(acc: ChunkAccumulator):
+def finalize_regularity(acc: ChunkAccumulator) -> FileRegularity:
+    """Figures 5-6: per-file sequential and consecutive fractions, for
+    files with a second request from some node."""
     if acc.n_transfers == 0:
-        return None, "sequentiality skipped: no transfers in trace"
+        raise AnalysisError("no transfers in trace")
     files, n_trans, n_seq, n_con = acc.part("trans")
     keep = n_trans > 0
     if not keep.any():
-        return (
-            None,
-            "sequentiality skipped: no file has more than one request per node",
-        )
+        raise AnalysisError("no file has more than one request per node")
     file_ids = files[keep]
     n_trans, n_seq, n_con = n_trans[keep], n_seq[keep], n_con[keep]
-    labels = _labels_for(acc, file_ids)
     if obs.enabled():
         obs.add("core.sequentiality.files", len(file_ids))
         obs.add("core.sequentiality.transitions", int(n_trans.sum()))
-    return (
-        FileRegularity(
-            file_ids=file_ids,
-            n_transitions=n_trans,
-            sequential_fraction=n_seq / n_trans,
-            consecutive_fraction=n_con / n_trans,
-            labels=labels,
-        ),
-        None,
+    return FileRegularity(
+        file_ids=file_ids,
+        n_transitions=n_trans,
+        sequential_fraction=n_seq / n_trans,
+        consecutive_fraction=n_con / n_trans,
+        labels=_labels_for(acc, file_ids),
     )
 
 
-def _finalize_tables(acc: ChunkAccumulator) -> tuple[dict, dict]:
-    seen, _counts = acc.part("events")
-    if len(seen) == 0:
-        raise AnalysisError("no file events in trace")
+#: distinct-value family → (its deduplicated (file, value) pair part,
+#: the counter its table adds)
+_DISTINCT = {
+    "intervals": ("interval_pairs", "core.intervals.files"),
+    "request_sizes": ("size_pairs", "core.intervals.request_size_files"),
+}
 
-    def table_from(pair_files: np.ndarray) -> dict[str, int]:
-        # every pair file is a seen file, so this bincount reproduces
-        # bucket_counts(per-file distinct counts, cap=4) exactly
-        per_file = np.bincount(
-            np.searchsorted(seen, pair_files), minlength=len(seen)
-        )
-        binned = np.bincount(np.minimum(per_file, 4), minlength=5)
-        table = {str(i): int(binned[i]) for i in range(4)}
-        table["4+"] = int(binned[4])
-        return table
 
-    intervals = table_from(acc.part("interval_pairs")[0])
-    request_sizes = table_from(acc.part("size_pairs")[0])
+def finalize_distinct_counts(acc: ChunkAccumulator, family: str) -> dict[int, int]:
+    """file id → distinct interval sizes (``family="intervals"``) or
+    request sizes (``"request_sizes"``), zero for every file without."""
+    seen = _seen_files(acc)
+    pair_files, _values = acc.part(_DISTINCT[family][0])
+    # every pair file is a seen file
+    per_file = np.bincount(np.searchsorted(seen, pair_files), minlength=len(seen))
+    return dict(zip(seen.tolist(), per_file.tolist()))
+
+
+def finalize_distinct_table(
+    acc: ChunkAccumulator, family: str, cap: int = 4
+) -> dict[str, int]:
+    """Table 2 (``"intervals"``) or Table 3 (``"request_sizes"``): files
+    bucketed by distinct-value count, "0" .. f"{cap}+"."""
+    table = bucket_counts(finalize_distinct_counts(acc, family).values(), cap=cap)
     if obs.enabled():
-        obs.add("core.intervals.files", sum(intervals.values()))
-        obs.add("core.intervals.request_size_files", sum(request_sizes.values()))
-    return intervals, request_sizes
+        obs.add(_DISTINCT[family][1], sum(table.values()))
+    return table
 
 
-# -- fused sharing/interjob finalizers ---------------------------------------
+def finalize_zero_interval_dominance(acc: ChunkAccumulator) -> float:
+    """Among files with exactly one distinct interval size, the fraction
+    whose interval is zero."""
+    if acc.n_transfers == 0:
+        raise AnalysisError("no transfers in trace")
+    pair_files, pair_intervals = acc.part("interval_pairs")
+    uniq, n = np.unique(pair_files, return_counts=True)
+    one = uniq[n == 1]
+    if len(one) == 0:
+        raise AnalysisError("no single-interval files in trace")
+    single = pair_intervals[np.isin(pair_files, one)]
+    return float(np.mean(single == 0))
 
 
-def _span_stats(acc: ChunkAccumulator, open_part: str, close_part: str):
-    """(# multi-window files, concurrent file ids) from fused span state.
+def finalize_span_files(
+    acc: ChunkAccumulator, key: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """(files opened under two or more keys, files whose windows of
+    different keys overlap in time), ``key`` being "node" or "job".
 
-    Reproduces :meth:`repro.trace.index.TraceIndex._span_table` exactly:
-    rows are per-(file, key) windows [min open time, max close time],
-    clamped below by the open time, in packed-key order; the concurrency
-    sweep is the same lexsort + adjacent-overlap cummax.
+    A key's window on a file runs from its first OPEN to its last CLOSE,
+    clamped below by the open time — so a missing CLOSE gives a
+    zero-length window at the first OPEN.  Windows sorted by (file, t0,
+    t1) overlap exactly where a row starts no later than the previous
+    row of its file ends: in a non-overlapping prefix the end times
+    strictly increase, so the adjacent test is the classic cummax sweep.
     """
-    open_keys, t0 = acc.part(open_part)
-    close_keys, close_t1 = acc.part(close_part)
+    if acc.n_opens == 0:
+        raise AnalysisError("no OPEN events in trace")
+    open_keys, t0 = acc.part(f"{key}_open")
+    close_keys, close_t1 = acc.part(f"{key}_close")
     t1 = t0.copy()
-    if len(close_keys) and len(open_keys):
+    if len(close_keys):
         pos = np.searchsorted(open_keys, close_keys)
         ok = pos < len(open_keys)
         ok &= open_keys[np.minimum(pos, len(open_keys) - 1)] == close_keys
@@ -796,8 +916,7 @@ def _span_stats(acc: ChunkAccumulator, open_part: str, close_part: str):
 
     starts = _group_starts(file)
     widths = np.diff(np.append(starts, len(file)))
-    multi = int((widths >= 2).sum())
-
+    multi = file[starts][widths >= 2]
     if len(file) < 2:
         return multi, np.empty(0, dtype=np.int64)
     order = np.lexsort((t1, t0, file))
@@ -808,12 +927,12 @@ def _span_stats(acc: ChunkAccumulator, open_part: str, close_part: str):
     return multi, np.unique(f[1:][hit]).astype(np.int64)
 
 
-def _candidate_runs(acc: ChunkAccumulator, name: str, candidates: np.ndarray):
-    """Canonical interval union of one runs part, restricted to the
-    candidate files (sorted ascending).  Operates on the raw per-chunk
-    contributions so the union's lexsort only ever sees candidate rows —
-    and stays byte-identical because the union is one-shot either way."""
-    parts = acc._parts[name]
+def _candidate_runs(acc: ChunkAccumulator, candidates: np.ndarray):
+    """Canonical byte-run union restricted to the candidate files (sorted
+    ascending).  Operates on the raw per-chunk contributions so the
+    union's lexsort only ever sees candidate rows — and stays
+    byte-identical because the union is one-shot either way."""
+    parts = acc._parts["byte_runs"]
     if not parts:
         e = np.empty(0, dtype=np.int64)
         return e, e.copy(), e.copy()
@@ -824,25 +943,52 @@ def _candidate_runs(acc: ChunkAccumulator, name: str, candidates: np.ndarray):
     return _union_runs(k[mask], s[mask], e_[mask])
 
 
-def _finalize_sharing_fused(acc: ChunkAccumulator):
-    if acc.n_opens == 0:
-        return None, "sharing skipped: no OPEN events in trace", 0, 0
-    interjob_shared, job_concurrent = _span_stats(acc, "job_open", "job_close")
-    interjob_concurrent = len(job_concurrent)
-    _multi, candidates = _span_stats(acc, "node_open", "node_close")
+def _overlap_fraction(starts: np.ndarray, ends: np.ndarray, nodes: np.ndarray) -> float:
+    """Fraction of covered length touched by ≥2 distinct nodes.
+
+    Each (start, end, node) is a half-open interval accessed by a node.
+    Per node the intervals are first unioned, so repeated access by the
+    *same* node does not count as sharing.
+    """
+    _nodes, merged_s, merged_e = _union_runs(nodes, starts, ends)
+    n_runs = len(merged_s)
+    edges = np.concatenate([merged_s, merged_e])
+    deltas = np.concatenate(
+        [np.ones(n_runs, dtype=np.int64), -np.ones(n_runs, dtype=np.int64)]
+    )
+    order = np.argsort(edges, kind="stable")
+    edges = edges[order]
+    # process +1 before -1 at equal coordinates so touching intervals from
+    # different nodes do not register phantom sharing of zero length
+    depth = np.cumsum(deltas[order])
+    lengths = np.diff(edges).astype(np.float64)
+    d = depth[:-1]
+    covered = float(lengths[d >= 1].sum())
+    if covered == 0.0:
+        return 0.0
+    shared = float(lengths[d >= 2].sum())
+    return shared / covered
+
+
+def finalize_sharing(
+    acc: ChunkAccumulator, block_size: int = BLOCK_SIZE
+) -> SharingResult:
+    """Figure 7: byte- and block-sharing fractions of every accessed file
+    whose windows of different nodes overlap."""
+    _multi, candidates = finalize_span_files(acc, "node")
     if len(candidates) == 0:
-        return (
-            None,
-            "sharing skipped: no concurrently multi-node-opened files in trace",
-            interjob_shared,
-            interjob_concurrent,
-        )
+        raise AnalysisError("no concurrently multi-node-opened files in trace")
 
     # union only the candidates' transfers: the full-trace union is the
     # scan's single most expensive sort, and non-candidate files never
     # contribute to the sharing table
-    bk, bs, be = _candidate_runs(acc, "byte_runs", candidates)
-    gk, gs, ge = _candidate_runs(acc, "block_runs", candidates)
+    bk, bs, be = _candidate_runs(acc, candidates)
+    # rounding a byte run out to block edges covers exactly what rounding
+    # each of its transfers does, so the block runs are the byte runs
+    # rounded and re-unioned
+    gk, gs, ge = _union_runs(
+        bk, (bs // block_size) * block_size, -(-be // block_size) * block_size
+    )
     bfile = bk >> np.int64(32)
     gfile = gk >> np.int64(32)
     b_lo = np.searchsorted(bfile, candidates, side="left")
@@ -874,22 +1020,17 @@ def _finalize_sharing_fused(acc: ChunkAccumulator):
         file_ids.append(fid)
 
     if not file_ids:
-        return (
-            None,
-            "sharing skipped: no accessed multi-node files in trace",
-            interjob_shared,
-            interjob_concurrent,
-        )
+        raise AnalysisError("no accessed multi-node files in trace")
     if obs.enabled():
         obs.add("core.sharing.candidate_files", len(candidates))
         obs.add("core.sharing.files", len(file_ids))
-    sharing = SharingResult(
-        file_ids=np.asarray(file_ids, dtype=np.int64),
+    ids = np.asarray(file_ids, dtype=np.int64)
+    return SharingResult(
+        file_ids=ids,
         byte_shared=np.asarray(byte_fracs),
         block_shared=np.asarray(block_fracs),
-        labels=_labels_for(acc, np.asarray(file_ids, dtype=np.int64)),
+        labels=_labels_for(acc, ids),
     )
-    return sharing, None, interjob_shared, interjob_concurrent
 
 
 # -- the back half -----------------------------------------------------------
@@ -907,17 +1048,37 @@ def finalize_fused(
     the whole event stream in order; the result is byte-identical to
     ``characterize(source)`` over the same events.
     """
+    notes: list[str] = []
     with obs.span("core/characterize_fused/finalize"):
         with obs.span("core/characterize_fused/finalize/basics"):
-            basics = _finalize_basics(acc, jobs, files)
+            basics = {
+                "concurrency": concurrency_profile_from_jobs(jobs.data),
+                "node_counts": node_count_distribution_from_jobs(jobs.data),
+                "files_per_job": files_per_job_from_counts(
+                    finalize_files_per_job(acc).tolist()
+                ),
+                "files": finalize_population(acc, files),
+                "size_cdf": finalize_size_cdf(acc, files),
+                "reads": finalize_request_summary(acc, EventKind.READ),
+                "writes": finalize_request_summary(acc, EventKind.WRITE),
+                "modes": finalize_modes(acc),
+            }
         with obs.span("core/characterize_fused/finalize/regularity"):
-            regularity, reg_note = _finalize_regularity(acc)
+            try:
+                regularity = finalize_regularity(acc)
+            except AnalysisError as exc:
+                regularity = None
+                notes.append(f"sequentiality skipped: {exc}")
         with obs.span("core/characterize_fused/finalize/tables"):
-            intervals, request_sizes = _finalize_tables(acc)
+            intervals = finalize_distinct_table(acc, "intervals")
+            request_sizes = finalize_distinct_table(acc, "request_sizes")
         with obs.span("core/characterize_fused/finalize/sharing"):
-            sharing, sharing_note, ij_shared, ij_concurrent = (
-                _finalize_sharing_fused(acc)
-            )
+            ij_shared, ij_concurrent = finalize_span_files(acc, "job")
+            try:
+                sharing = finalize_sharing(acc)
+            except AnalysisError as exc:
+                sharing = None
+                notes.append(f"sharing skipped: {exc}")
     if obs.enabled():
         obs.add("core.characterizations")
         obs.add("core.characterize.events", acc.n_events)
@@ -926,8 +1087,8 @@ def finalize_fused(
         intervals=intervals,
         request_sizes=request_sizes,
         sharing=sharing,
-        interjob_shared=ij_shared,
-        interjob_concurrent=ij_concurrent,
-        notes=[n for n in (reg_note, sharing_note) if n is not None],
+        interjob_shared=len(ij_shared),
+        interjob_concurrent=len(ij_concurrent),
+        notes=notes,
         **basics,
     )

@@ -68,7 +68,7 @@ def throughput_series(frame: TraceFrame, bin_seconds: float = 60.0) -> Throughpu
     """Bin the trace's transfers into a throughput time series."""
     if bin_seconds <= 0:
         raise AnalysisError("bin width must be positive")
-    tr = frame.index.transfers  # cached transfer-only view
+    tr = frame.transfers
     if len(tr) == 0:
         raise AnalysisError("no transfers in trace")
     t0, t1 = frame.time_span()

@@ -170,12 +170,22 @@ def coalesce_trace(frame: TraceFrame) -> StridedCoalescing:
     """Coalesce every (file, node) stream in the trace and aggregate.
 
     Reads and writes are coalesced separately within a stream (a strided
-    interface call is one direction of transfer).  Streams come
-    pre-sorted from the shared trace index.
+    interface call is one direction of transfer).
     """
-    if len(frame.transfers) == 0:
+    tr = frame.transfers
+    if len(tr) == 0:
         raise AnalysisError("no transfers in trace")
-    tr, starts, ends = frame.index.streams
+    # one stable sort groups the (file, node, kind) streams, each in
+    # issue order
+    tr = tr[np.lexsort((tr["kind"], tr["node"], tr["file"]))]
+    change = np.ones(len(tr), dtype=bool)
+    change[1:] = (
+        (tr["file"][1:] != tr["file"][:-1])
+        | (tr["node"][1:] != tr["node"][:-1])
+        | (tr["kind"][1:] != tr["kind"][:-1])
+    )
+    starts = np.flatnonzero(change)
+    ends = np.append(starts[1:], len(tr))
 
     offsets = tr["offset"]
     sizes = tr["size"]

@@ -167,10 +167,9 @@ class TraceFrame:
             raise TraceError("event table must be one-dimensional")
         self.events = events
         self.header = header if header is not None else TraceHeader()
-        # frames are immutable, so kind views and the trace index are
-        # computed at most once and never invalidated
+        # frames are immutable, so kind views are computed at most once
+        # and never invalidated
         self._kind_views: dict[tuple[int, ...], np.ndarray] = {}
-        self._index = None
         self.jobs = jobs if jobs is not None else self._derive_jobs()
         self.files = files if files is not None else self._derive_files()
 
@@ -332,16 +331,6 @@ class TraceFrame:
             view.flags.writeable = False
             self._kind_views[key] = view
         return view
-
-    @property
-    def index(self):
-        """The shared :class:`~repro.trace.index.TraceIndex`, computed lazily
-        once per frame and reused by every analyzer."""
-        if self._index is None:
-            from repro.trace.index import TraceIndex
-
-            self._index = TraceIndex(self)
-        return self._index
 
     @property
     def reads(self) -> np.ndarray:

@@ -1,19 +1,23 @@
-"""Pre-index reference implementations of the core analyzers.
+"""The characterization oracle: the analyzers as they stood before any
+shared index or fused engine.
 
-This module is a verbatim snapshot of the characterization code as it
-stood *before* the shared :class:`~repro.trace.index.TraceIndex` layer:
-every analyzer re-masks, re-sorts, and re-groups the event table on its
-own, and several hot paths are per-record Python loops.  It exists for
-two reasons:
+Every analyzer here re-masks, re-sorts and re-groups the event table on
+its own, and several hot paths are per-record Python loops.  Nothing in
+``src/`` imports it.  It has two users:
 
-- the equivalence suite (``tests/test_equivalence.py``) asserts that
-  the one-pass :func:`repro.core.report.characterize` produces
-  byte-identical report text and JSON to :func:`characterize_legacy`;
-- ``benchmarks/bench_perf_characterize.py`` times this path as the
-  serial baseline the fused and parallel paths are measured against.
+- the equivalence suite (``tests/test_equivalence.py``) checks that
+  :func:`repro.core.report.characterize` renders the same report text
+  and JSON as :func:`characterize_legacy`, and that each per-family
+  analyzer in :mod:`repro.core` returns what its copy here returns;
+- ``benchmarks/bench_perf_characterize.py`` times
+  :func:`characterize_legacy` as the serial baseline its speedups are
+  measured against.
 
-Nothing here should be called from production code paths; import the
-rewritten modules in :mod:`repro.core` instead.
+The oracle keeps its own copy of every number it computes, the raw-size
+:func:`request_size_summary` included, so a comparison never checks the
+engine against itself.  Only the result dataclasses and the Figure 1
+profile (a plain reduction over the job table) come from
+:mod:`repro.core`.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from repro.core.jobstats import ConcurrencyProfile, concurrency_profile
 from repro.core.filestats import FilePopulation
 from repro.core.jobstats import NodeCountDistribution
 from repro.core.modes import ModeUsage
-from repro.core.requests import request_size_summary
+from repro.core.requests import RequestSizeSummary
 from repro.core.report import WorkloadReport
 from repro.core.sequentiality import FileRegularity
 from repro.core.sharing import SharingResult
@@ -34,6 +38,33 @@ from repro.trace.records import NO_VALUE, EventKind
 from repro.util.cdf import EmpiricalCDF
 from repro.util.histogram import bucket_counts
 from repro.util.units import BLOCK_SIZE
+
+# -- requests ---------------------------------------------------------------
+
+
+def request_size_summary(
+    frame: TraceFrame,
+    kind: EventKind = EventKind.READ,
+    small_threshold: int = 4000,
+) -> RequestSizeSummary:
+    """The §4.3 headline fractions for one direction, from the raw sizes."""
+    ev = frame.of_kind(kind)
+    if len(ev) == 0:
+        raise AnalysisError(f"no {kind.name} events in trace")
+    sizes = ev["size"].astype(np.float64)
+    total = float(sizes.sum())
+    small = sizes < small_threshold
+    return RequestSizeSummary(
+        kind=kind.name.lower(),
+        n_requests=len(sizes),
+        total_bytes=int(total),
+        small_threshold=small_threshold,
+        small_request_fraction=float(small.mean()),
+        small_byte_fraction=float(sizes[small].sum() / total) if total else 0.0,
+        mean_size=float(sizes.mean()),
+        median_size=float(np.median(sizes)),
+    )
+
 
 # -- jobstats ---------------------------------------------------------------
 
@@ -518,6 +549,7 @@ __all__ = [
     "per_file_distinct_request_sizes",
     "per_file_regularity",
     "population",
+    "request_size_summary",
     "request_size_table",
     "sharing_per_file",
 ]

@@ -42,6 +42,18 @@ class TestConcurrencyDetection:
         frame = TraceFrame.from_records(records)
         assert len(concurrently_multi_node_files(frame)) == 0
 
+    def test_missing_close_gives_zero_length_window(self):
+        # node 0 opens at t=0 and reads at t=5 but never closes: its
+        # window is clamped to [0, 0], so node 1's [2, 3] does not overlap
+        records = _use(0, 1, [(0, 100)], 2.0, 3.0) + [
+            Record(time=0.0, node=0, job=0, kind=EventKind.OPEN, file=0,
+                   mode=0, flags=int(OpenFlags.READ)),
+            Record(time=5.0, node=0, job=0, kind=EventKind.READ, file=0,
+                   offset=0, size=100),
+        ]
+        frame = TraceFrame.from_records(records)
+        assert len(concurrently_multi_node_files(frame)) == 0
+
 
 class TestSharingFractions:
     def test_broadcast_fully_byte_shared(self):

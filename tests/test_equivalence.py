@@ -4,32 +4,54 @@ The one-pass engine behind :func:`repro.core.characterize` and every way
 of feeding it — serial, process-pool, chunked, on-disk — promise
 *exactly* the report the original per-analyzer code produced, not merely
 statistically equivalent output.  These tests pin that promise against
-the frozen legacy implementation (:mod:`repro.core.legacy`) and against
-frozen report and cache-figure digests at two seeds/scales, freeze the
-direct and full pipelines' output (the full pipeline's raw trace, frame,
-CFS end state and simulation counters), check the full pipeline's
-replayer against the step oracle in ``tests/replay_oracle.py``, and check
-the vectorized strided-run detector against its reference loop on
-arbitrary streams.
+the frozen legacy implementation (``tests/legacy_oracle.py``), check
+every per-family analyzer the oracle also implements against its copy
+there, and check against frozen report, command-output and cache-figure
+digests at two seeds/scales.  They also freeze the direct and full
+pipelines' output (the full pipeline's raw trace, frame, CFS end state
+and simulation counters), check the full pipeline's replayer against the
+step oracle in ``tests/replay_oracle.py``, and check the vectorized
+strided-run detector against its reference loop on arbitrary streams.
 """
 
+import dataclasses
 import hashlib
 import json
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import characterize
+from repro.core import (
+    characterize,
+    filestats,
+    intervals,
+    jobstats,
+    modes,
+    requests,
+    sequentiality,
+    sharing,
+)
 from repro.core.figures import figure_series, render_all
-from repro.core.legacy import characterize_legacy
 from repro.strided.detect import (
     coalesce_runs,
     coalesce_stream,
     coalesce_stream_vectorized,
+    coalesce_trace,
 )
 from repro import obs
-from repro.workload import WorkloadGenerator, ames1993, tiny
+from repro.trace.records import EventKind
+from repro.util.cdf import EmpiricalCDF
+from repro.workload import (
+    WorkloadGenerator,
+    ames1993,
+    get_scenario,
+    tiny,
+    validate_workload,
+)
+from tests import legacy_oracle
+from tests.legacy_oracle import characterize_legacy
 from tests.replay_oracle import run_full_step
 
 
@@ -94,6 +116,127 @@ class TestIndexEquivalence:
         new = json.dumps(characterize(frame).to_dict(), sort_keys=True)
         old = json.dumps(characterize_legacy(frame).to_dict(), sort_keys=True)
         assert new == old
+
+
+#: every per-family analyzer the oracle also implements, paired with the
+#: oracle's copy
+_FAMILY_PAIRS = {
+    name: (getattr(module, name), getattr(legacy_oracle, name))
+    for module, names in (
+        (jobstats, ("node_count_distribution", "files_per_job_table",
+                    "max_files_one_job")),
+        (filestats, ("population", "file_size_cdf", "file_class_labels")),
+        (sequentiality, ("per_file_regularity",)),
+        (intervals, ("per_file_distinct_intervals",
+                     "per_file_distinct_request_sizes",
+                     "interval_size_table", "request_size_table")),
+        (sharing, ("concurrently_multi_node_files", "interjob_shared_files",
+                   "sharing_per_file")),
+        (modes, ("mode_usage",)),
+    )
+    for name in names
+}
+for _kind in (EventKind.READ, EventKind.WRITE):
+    _FAMILY_PAIRS[f"request_size_summary[{_kind.name.lower()}]"] = (
+        partial(requests.request_size_summary, kind=_kind),
+        partial(legacy_oracle.request_size_summary, kind=_kind),
+    )
+
+
+@pytest.fixture(
+    scope="module",
+    params=[("ames1993", 0.02, 5), ("ames1993", 0.01, 11), ("drift", 0.005, 3)],
+    ids=["scale02-seed5", "scale01-seed11", "drift0005-seed3"],
+)
+def family_frame(request):
+    name, scale, seed = request.param
+    return WorkloadGenerator(get_scenario(name, scale), seed=seed).run("direct").frame
+
+
+def _assert_same(got, want, where="result"):
+    """Exact equality: array values and dtypes, dict contents, CDF values
+    and cumulative weights, dataclass fields, and scalar types."""
+    if isinstance(want, np.ndarray):
+        assert isinstance(got, np.ndarray), where
+        assert got.dtype == want.dtype, where
+        assert np.array_equal(got, want), where
+    elif isinstance(want, EmpiricalCDF):
+        assert isinstance(got, EmpiricalCDF), where
+        _assert_same(got._values, want._values, f"{where}.values")
+        _assert_same(got._cum, want._cum, f"{where}.cum")
+    elif dataclasses.is_dataclass(want):
+        assert type(got) is type(want), where
+        for f in dataclasses.fields(want):
+            _assert_same(
+                getattr(got, f.name), getattr(want, f.name), f"{where}.{f.name}"
+            )
+    elif isinstance(want, dict):
+        assert isinstance(got, dict), where
+        assert list(got) == list(want), where
+        for key in want:
+            _assert_same(got[key], want[key], f"{where}[{key!r}]")
+    elif isinstance(want, (list, tuple)):
+        assert type(got) is type(want) and len(got) == len(want), where
+        for i, (a, b) in enumerate(zip(got, want)):
+            _assert_same(a, b, f"{where}[{i}]")
+    else:
+        assert type(got) is type(want), where
+        assert got == want, where
+
+
+class TestFamilyOracle:
+    """Each per-family analyzer returns exactly what the oracle's copy
+    returns — not only when every family is bundled into one report."""
+
+    @pytest.mark.parametrize("name", list(_FAMILY_PAIRS))
+    def test_matches_oracle(self, family_frame, name):
+        ours, oracle = _FAMILY_PAIRS[name]
+        _assert_same(ours(family_frame), oracle(family_frame), name)
+
+
+#: sha256 of ``render_all(frame)``, of ``validate_workload(frame).render()``
+#: and of the sorted-key JSON of ``coalesce_trace(frame)``, captured while
+#: the per-family analyzers still read a shared trace index
+_FROZEN_COMMAND_DIGESTS = {
+    (0.02, 5): (
+        "d24f2c507194a708e2662c30ad7495a39096ea0156c88ef6d8e362c08154a29d",
+        "e5141f1c73f78db46f21ff95a22cf844b20e7d83fa6d5d27fee24f5f30504b36",
+        # 52,421 simple requests coalesce to 245 strided ones
+        "913c5ae8d200133fe2bc55ae8d7c71789bad390103050f49b65347276f06c44e",
+    ),
+    (0.01, 11): (
+        "1b6bbb14ef48b42eae91f62da54059490347cc78d56b809ce68138c7579e0ec7",
+        "ae48759b7fcf0a5a1a3fae22bae8de641594ca69f20787d6e0baf39f271819f5",
+        # 44,744 simple requests coalesce to 2,731 strided ones
+        "eb7777ec8795e502b9567100111de81898f6e22b65ee71e6fe9cad74149a4ed4",
+    ),
+}
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+class TestFrozenCommands:
+    """What `repro figures`, `repro validate` and `repro strided` print is
+    frozen at both fixture seeds/scales."""
+
+    def _frozen(self, request):
+        return _FROZEN_COMMAND_DIGESTS[request.node.callspec.params["workload"]]
+
+    def test_render_all(self, workload, request):
+        text = render_all(workload.frame)
+        assert _sha(text.encode()) == self._frozen(request)[0]
+        assert render_all(workload.frame, workers=2) == text
+
+    def test_validate(self, workload, request):
+        text = validate_workload(workload.frame).render()
+        assert _sha(text.encode()) == self._frozen(request)[1]
+
+    def test_strided(self, workload, request):
+        result = coalesce_trace(workload.frame)
+        data = json.dumps(dataclasses.asdict(result), sort_keys=True)
+        assert _sha(data.encode()) == self._frozen(request)[2]
 
 
 #: sha256 of render() and of the sorted-key to_dict() JSON, captured while

@@ -217,8 +217,8 @@ class TestFigdata:
             assert set(data[figure]["series"]) == set(direct)
             for name, (xs, ys) in direct.items():
                 got = data[figure]["series"][name]
-                assert got["x"] == pytest.approx(np.asarray(xs, float).tolist())
-                assert got["y"] == pytest.approx(np.asarray(ys, float).tolist())
+                assert np.array_equal(np.asarray(got["x"], float), np.asarray(xs, float))
+                assert np.array_equal(np.asarray(got["y"], float), np.asarray(ys, float))
 
     def test_json_serializable(self, frames):
         json.dumps(figdata_from_report(characterize(frames[11])))
