@@ -16,7 +16,7 @@ trace file, generating a workload on the fly.
 Global flags (before the subcommand) control observability and verbosity::
 
     python -m repro --obs run_report.json characterize --scale 0.02
-    python -m repro obsreport run_report.json
+    python -m repro obs show run_report.json
     python -m repro -v generate --scale 0.02 --out trace.npz
 """
 
@@ -420,28 +420,32 @@ def cmd_scenarios(args) -> int:
     return 0
 
 
-def cmd_obsreport(args) -> int:
+def _load_report(path: str):
+    """The run report at ``path``, or None once the reason it cannot be
+    read is on stderr."""
     from repro.errors import ObsReportError
     from repro.obs import RunReport
 
     try:
-        report = RunReport.load(args.report)
+        return RunReport.load(path)
     except ObsReportError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return None
+
+
+def cmd_obs_show(args) -> int:
+    report = _load_report(args.report)
+    if report is None:
         return 1
     print(report.render())
     return 0
 
 
 def cmd_obs_export(args) -> int:
-    from repro.errors import ObsReportError
-    from repro.obs import RunReport
     from repro.obs.export import to_jsonl, to_prometheus
 
-    try:
-        report = RunReport.load(args.report)
-    except ObsReportError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    report = _load_report(args.report)
+    if report is None:
         return 1
     text = to_prometheus(report) if args.format == "prom" else to_jsonl(report)
     if args.out:
@@ -456,15 +460,16 @@ def cmd_obs_export(args) -> int:
 
 def cmd_obs_timeline(args) -> int:
     from repro.errors import ObsReportError
-    from repro.obs import RunReport
     from repro.obs.timeline import (
         build_timeline,
         render_summary,
         write_chrome_trace,
     )
 
+    report = _load_report(args.report)
+    if report is None:
+        return 1
     try:
-        report = RunReport.load(args.report)
         timeline = build_timeline(report)
     except ObsReportError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -477,16 +482,10 @@ def cmd_obs_timeline(args) -> int:
 
 
 def cmd_obs_serve(args) -> int:
-    import time as time_mod
-
-    from repro.errors import ObsReportError
-    from repro.obs import RunReport
     from repro.obs.server import ObsServer
 
-    try:
-        report = RunReport.load(args.report)
-    except ObsReportError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    report = _load_report(args.report)
+    if report is None:
         return 1
     server = ObsServer(report=report, host=args.host, port=args.port).start()
     print(
@@ -495,11 +494,7 @@ def cmd_obs_serve(args) -> int:
         + ("" if args.duration else "; Ctrl-C to stop")
     )
     try:
-        if args.duration:
-            time_mod.sleep(args.duration)
-        else:
-            while True:
-                time_mod.sleep(3600)
+        server.wait(args.duration)
     except KeyboardInterrupt:
         pass
     finally:
@@ -641,7 +636,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--obs", nargs="?", const="obs_report.json", default=None, metavar="PATH",
         help="collect runtime spans and simulator metrics, writing a JSON "
              "run report to PATH (default obs_report.json); inspect it "
-             "with 'obsreport'",
+             "with 'obs show'",
     )
     parser.add_argument(
         "--obs-sample", type=float, default=None, metavar="SECONDS",
@@ -799,12 +794,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--file", type=int)
     p.set_defaults(func=cmd_dump)
 
-    p = sub.add_parser("obsreport", help="pretty-print an --obs run report")
-    p.add_argument("report", help="a JSON run report written by --obs")
-    p.set_defaults(func=cmd_obsreport)
-
-    p = sub.add_parser("obs", help="run-report utilities (export, diff)")
+    p = sub.add_parser(
+        "obs", help="run-report utilities (show, export, diff, timeline, serve)"
+    )
     osub = p.add_subparsers(dest="obs_command", required=True)
+    osh = osub.add_parser("show", help="pretty-print an --obs run report")
+    osh.add_argument("report", help="a JSON run report written by --obs")
+    osh.set_defaults(func=cmd_obs_show)
     oe = osub.add_parser("export", help="export a run report in a standard format")
     oe.add_argument("report", help="a JSON run report written by --obs")
     oe.add_argument("--format", choices=["prom", "jsonl"], default="prom",
@@ -874,10 +870,9 @@ def main(argv: list[str] | None = None) -> int:
     if args.obs is None:
         return args.func(args)
 
-    from repro.obs import FlightRecorder, Sampler, TraceContext
+    from repro.obs import Sampler, TraceContext
 
     observer = obs.enable(TraceContext.root(worker="main"))
-    observer.flight = FlightRecorder()
     sampler = None
     if args.obs_sample is not None:
         sampler = Sampler(observer, period_s=args.obs_sample)
@@ -896,15 +891,9 @@ def main(argv: list[str] | None = None) -> int:
         with observer.span(f"cli/{args.command}"):
             return args.func(args)
     except Exception as exc:
-        # a failed multi-hour run must leave forensics: dump the flight
-        # recorder's ring of recent events next to the report
-        flight_path = f"{args.obs}.flight.json"
-        observer.flight.dump(flight_path, reason=f"{type(exc).__name__}: {exc}")
-        print(
-            f"[obs] crash: last {len(observer.flight.events())} events "
-            f"-> {flight_path}",
-            file=sys.stderr,
-        )
+        # a failed multi-hour run must leave forensics: the report below
+        # carries the trace log, whose tail is the run's final moments
+        observer.note("cli.crash", f"{type(exc).__name__}: {exc}")
         raise
     finally:
         # write the report even when the command raises: a profile of the

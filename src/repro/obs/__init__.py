@@ -23,7 +23,7 @@ byte-identical in output and within noise in runtime (proved by
 ``benchmarks/bench_instrumentation_overhead.py``).  :func:`enable`
 installs a live :class:`~repro.obs.collector.Observer`; the CLI does
 this for ``--obs`` runs and writes the report at exit, and
-``python -m repro obsreport PATH`` pretty-prints one back.
+``python -m repro obs show PATH`` pretty-prints one back.
 """
 
 from __future__ import annotations
@@ -36,14 +36,12 @@ from repro.obs.collector import (
     peak_rss_bytes,
 )
 from repro.obs.context import TraceContext, TraceLog
-from repro.obs.flight import FlightRecorder
 from repro.obs.hist import Histogram
 from repro.obs.report import RunReport
 from repro.obs.sampler import Sampler
 
 __all__ = [
     "NULL_OBSERVER",
-    "FlightRecorder",
     "Histogram",
     "NullObserver",
     "Observer",
@@ -130,5 +128,5 @@ def note(name: str, text: str) -> None:
 
 
 def event(kind: str, name: str, **fields) -> None:
-    """Record a flight-recorder event on the installed observer."""
+    """Record a structured event into the installed observer's trace log."""
     _OBSERVER.event(kind, name, **fields)

@@ -31,7 +31,6 @@ from repro.obs.context import TraceContext, TraceLog
 from repro.obs.hist import Histogram
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.obs.flight import FlightRecorder
     from repro.obs.sampler import Sampler
 
 
@@ -128,9 +127,6 @@ class _SpanHandle:
         stack = observer._stack
         self._node = stack[-1].child(self._name)
         stack.append(self._node)
-        flight = observer.flight
-        if flight is not None:
-            flight.record("span_open", self._name)
         tracelog = observer.tracelog
         if tracelog is not None:
             tracelog.begin_span(self._name)
@@ -156,15 +152,6 @@ class _SpanHandle:
                 self._name,
                 error=exc_type.__name__ if exc_type is not None else None,
             )
-        flight = observer.flight
-        if flight is not None:
-            if exc_type is not None:
-                flight.record(
-                    "span_error", self._name,
-                    wall_s=round(wall, 6), error=exc_type.__name__,
-                )
-            else:
-                flight.record("span_close", self._name, wall_s=round(wall, 6))
         return False
 
 
@@ -180,12 +167,11 @@ class Observer:
         self.gauges: dict[str, float] = {}
         self.histograms: dict[str, Histogram] = {}
         self.notes: dict[str, str] = {}
-        #: optional crash-forensics ring (attached by the CLI's --obs path)
-        self.flight: FlightRecorder | None = None
-        #: optional background time-series sampler (attached alongside)
+        #: optional background time-series sampler (attached by the CLI)
         self.sampler: Sampler | None = None
-        #: per-process causal event stream; None unless a TraceContext
-        #: was supplied (the CLI's --obs path and pool workers do)
+        #: per-process causal event stream, the run's only event log;
+        #: None unless a TraceContext was supplied (the CLI's --obs path,
+        #: pool workers and the service daemon do)
         self.tracelog: TraceLog | None = (
             TraceLog(context) if context is not None else None
         )
@@ -202,9 +188,6 @@ class Observer:
     def add(self, name: str, value: int | float = 1) -> None:
         """Increment a monotonic counter."""
         self.counters[name] = self.counters.get(name, 0) + value
-        flight = self.flight
-        if flight is not None and value >= flight.counter_threshold:
-            flight.record("counter_bump", name, value=value)
 
     def gauge(self, name: str, value: float) -> None:
         """Set a point-in-time gauge (last write wins)."""
@@ -229,10 +212,10 @@ class Observer:
         self.notes[name] = str(text)
 
     def event(self, kind: str, name: str, **fields) -> None:
-        """Record a structured event into the flight recorder, if any."""
-        flight = self.flight
-        if flight is not None:
-            flight.record(kind, name, **fields)
+        """Record a structured event into the trace log, if any."""
+        tracelog = self.tracelog
+        if tracelog is not None:
+            tracelog.record(kind, name, **fields)
 
     # -- crossing process boundaries -----------------------------------------
 
@@ -349,7 +332,6 @@ class NullObserver:
 
     __slots__ = ()
     enabled = False
-    flight = None
     sampler = None
     tracelog = None
 

@@ -31,13 +31,18 @@ the child stamps its own calibration.  Dispatch→start, steal→start and
 result→merge events on both sides share ``key`` fields derived from the
 batch token, which is how the timeline draws its happens-before edges.
 
-A :class:`TraceLog` is the per-process event stream itself: span
-begin/end records emitted by :class:`~repro.obs.collector._SpanHandle`
-plus the scheduler's semantic events (``dispatch``, ``task_start``,
-``steal``, ``requeue``, ``merge``, ...).  Worker logs travel back to
-the parent inside the observer snapshot and nest as ``children`` of the
-parent's log; :meth:`~repro.obs.collector.Observer.trace_payload`
-freezes the whole tree into the run report (schema v3).
+A :class:`TraceLog` is the per-process event stream itself, and the
+run's only event log: span begin/end records emitted by
+:class:`~repro.obs.collector._SpanHandle`, the scheduler's semantic
+events (``dispatch``, ``task_start``, ``steal``, ``requeue``,
+``merge``, ...) and anything else recorded through
+:meth:`~repro.obs.collector.Observer.event`.  It is bounded: once full
+it evicts its oldest event, so its tail always holds the latest events
+— what a crashed run was doing in its final moments.  Worker logs travel
+back to the parent inside the observer snapshot and nest as
+``children`` of the parent's log;
+:meth:`~repro.obs.collector.Observer.trace_payload` freezes the whole
+tree into the run report (schema v3).
 """
 
 from __future__ import annotations
@@ -45,12 +50,14 @@ from __future__ import annotations
 import os
 import time
 import uuid
+from collections import deque
 from dataclasses import dataclass
 
 #: schema version of a trace stream payload
 TRACE_VERSION = 1
 
-#: default per-stream event capacity; overflow is counted, not appended
+#: default per-stream event capacity; past it the oldest events are
+#: evicted (and counted in ``n_dropped``)
 DEFAULT_CAPACITY = 200_000
 
 
@@ -132,7 +139,7 @@ class TraceLog:
             raise ValueError("trace log capacity must be positive")
         self.context = context
         self.capacity = capacity
-        self.events: list[dict] = []
+        self.events: deque[dict] = deque(maxlen=capacity)
         #: payloads of worker streams folded back through snapshot merge
         self.children: list[dict] = []
         self.n_dropped = 0
@@ -154,10 +161,10 @@ class TraceLog:
     # -- recording ------------------------------------------------------------
 
     def record(self, ev: str, name: str, **fields) -> None:
-        """Append one event stamped with this process's monotonic clock."""
-        if len(self.events) >= self.capacity:
+        """Append one event stamped with this process's monotonic clock,
+        evicting the oldest when the log is full."""
+        if len(self.events) == self.capacity:
             self.n_dropped += 1
-            return
         event = {"ev": ev, "name": name, "t": time.perf_counter()}
         if fields:
             event.update(fields)

@@ -4,7 +4,7 @@ A :class:`RunReport` is the frozen output of one observed run — the
 span tree, counter totals, gauges, histograms, optional time series,
 string notes, and process-level totals (wall, CPU, peak RSS).  It
 round-trips through JSON (``python -m repro --obs=PATH`` writes one;
-``python -m repro obsreport PATH`` reads it back) and renders as an
+``python -m repro obs show PATH`` reads it back) and renders as an
 indented profile for terminals.
 
 Schema history:

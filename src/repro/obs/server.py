@@ -1,10 +1,16 @@
-"""Live telemetry endpoint: the first networked surface of ``repro.obs``.
+"""HTTP serving: one router behind the telemetry endpoint and the daemon.
 
-The ROADMAP's collector→aggregator→query trace service needs a
-pull-based way to look inside a running (or finished) observed run;
-this module provides it with nothing but the standard library: a
-:class:`ObsServer` wraps ``http.server.ThreadingHTTPServer`` on a
-daemon thread and answers
+:class:`Router` is the stdlib-only plumbing both HTTP servers here
+share: a ``ThreadingHTTPServer`` on a daemon thread, ``port``/``url``/
+``stop``/``wait`` and the context manager, and per request the route
+lookup, a body read in bounded pieces, and the error answers — an
+:class:`HttpError` gets its status and a JSON ``{"error": ...}`` body,
+an unknown route a 404, anything else a logged 500.  Each server is a
+subclass that supplies its route table: :class:`ObsServer` below and
+:class:`~repro.service.daemon.TraceService`.
+
+:class:`ObsServer` is the pull-based way to look inside a running (or
+finished) observed run.  It answers
 
 - ``/metrics``  — Prometheus text exposition (reusing
   :func:`repro.obs.export.to_prometheus`), so a scraper pointed at a
@@ -17,7 +23,7 @@ daemon thread and answers
   in Perfetto;
 - ``/``         — a plain-text index of the above.
 
-Two modes share the same handler: **live** (constructed with the
+Two modes share the same routes: **live** (constructed with the
 running :class:`~repro.obs.collector.Observer`; every request takes a
 fresh report snapshot, reading the sampler ring non-destructively via
 :meth:`~repro.obs.sampler.Sampler.peek`) and **static** (constructed
@@ -36,9 +42,12 @@ import logging
 import os
 import threading
 import time
+from collections.abc import Callable
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from typing import NamedTuple
+from urllib.parse import unquote
 
-from repro.errors import ObsReportError
+from repro.errors import ObsReportError, ReproError
 from repro.obs.collector import Observer
 from repro.obs.report import RunReport
 
@@ -46,6 +55,36 @@ log = logging.getLogger("repro.obs.server")
 
 #: content type Prometheus scrapers expect
 _PROM_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
+
+#: content type of the plain-text answers (indexes, reports)
+TEXT_CONTENT_TYPE = "text/plain; charset=utf-8"
+
+#: a request body is read in pieces of at most this many bytes, so a
+#: declared Content-Length is never allocated up front
+_BODY_PIECE = 1 << 20
+
+
+class HttpError(ReproError):
+    """A request failure answered with status ``code`` and a JSON
+    ``{"error": message}`` body."""
+
+    def __init__(self, code: int, message: str) -> None:
+        super().__init__(message)
+        self.code = code
+
+
+class Reply(NamedTuple):
+    """One answer, and what to run once it is sent."""
+
+    status: int
+    content_type: str
+    body: str
+    after: Callable[[], None] | None = None
+
+
+def json_reply(payload, status: int = 200, after=None) -> Reply:
+    """``payload`` as a JSON answer."""
+    return Reply(status, "application/json", json.dumps(payload) + "\n", after)
 
 
 class ReusableThreadingHTTPServer(ThreadingHTTPServer):
@@ -62,9 +101,172 @@ class ReusableThreadingHTTPServer(ThreadingHTTPServer):
     allow_reuse_address = True
     daemon_threads = True
 
+    #: the route table requests are answered from (see :class:`Router`)
+    routes: dict
 
-class ObsServer:
+
+class _Handler(BaseHTTPRequestHandler):
+    """Answers a request from its server's route table.
+
+    A route function is called with this handler: ``arg`` is the
+    percent-decoded path after a prefix route, ``query`` the raw query
+    string, and :meth:`body` reads the request body.
+    """
+
+    server: ReusableThreadingHTTPServer
+    arg = query = ""
+
+    def log_message(self, fmt, *args):  # route into our logger
+        log.debug("%s %s", self.address_string(), fmt % args)
+
+    def do_GET(self) -> None:  # noqa: N802 - http.server API
+        self._answer("GET")
+
+    def do_POST(self) -> None:  # noqa: N802 - http.server API
+        self._answer("POST")
+
+    def _answer(self, method: str) -> None:
+        path, _, self.query = self.path.partition("?")
+        path = path.rstrip("/") or "/"
+        try:
+            reply = self._route(method, path)(self)
+        except HttpError as exc:
+            reply = json_reply({"error": str(exc)}, exc.code)
+        except Exception as exc:
+            log.warning("%s %s failed", method, path, exc_info=True)
+            reply = json_reply({"error": f"internal error: {exc}"}, 500)
+        data = reply.body.encode("utf-8")
+        try:
+            self.send_response(reply.status)
+            self.send_header("Content-Type", reply.content_type)
+            self.send_header("Content-Length", str(len(data)))
+            self.end_headers()
+            self.wfile.write(data)
+        except ConnectionError:  # pragma: no cover - client gone
+            return
+        if reply.after is not None:
+            reply.after()
+
+    def _route(self, method: str, path: str) -> Callable:
+        table = self.server.routes
+        if (method, path) in table:
+            return table[method, path]
+        for (m, prefix), fn in table.items():
+            if (m == method and prefix != "/" and prefix.endswith("/")
+                    and path.startswith(prefix)):
+                self.arg = unquote(path[len(prefix):])
+                return fn
+        raise HttpError(404, f"no such route {path}")
+
+    def body(self) -> bytes:
+        """The request body, up to its ``Content-Length`` (none: empty)."""
+        text = self.headers.get("Content-Length", "0").strip()
+        if not (text.isascii() and text.isdigit()):
+            raise HttpError(400, f"bad Content-Length {text!r}: not a "
+                                 f"non-negative decimal integer")
+        left, pieces = int(text), []
+        while left > 0:
+            piece = self.rfile.read(min(left, _BODY_PIECE))
+            if not piece:
+                raise HttpError(400, f"body ended {left} bytes short of "
+                                     f"its Content-Length {text}")
+            pieces.append(piece)
+            left -= len(piece)
+        return b"".join(pieces)
+
+
+class Router:
+    """Serves a route table over HTTP from a daemon thread.
+
+    A subclass implements :meth:`routes`: ``(method, path)`` to a
+    function of the request handler returning a :class:`Reply`.  A path
+    other than ``/`` that ends in ``/`` is a prefix route, answering
+    every path under it.
+    """
+
+    #: names the serving thread
+    thread_name = "repro-http"
+
+    def __init__(self, host: str = "127.0.0.1", port: int = 0) -> None:
+        self._host = host
+        self._requested_port = port
+        self._httpd: ReusableThreadingHTTPServer | None = None
+        self._thread: threading.Thread | None = None
+        # _stopping guards reentry; _stopped is set once stop (and its
+        # drain) has *finished*, which is what wait() blocks on
+        self._stop_lock = threading.Lock()
+        self._stopping = False
+        self._stopped = threading.Event()
+
+    def routes(self) -> dict:
+        """The route table (see the class docstring)."""
+        raise NotImplementedError
+
+    def start(self):
+        """Bind and begin serving on a daemon thread (idempotent)."""
+        if self._httpd is not None:
+            return self
+        self._httpd = ReusableThreadingHTTPServer(
+            (self._host, self._requested_port), _Handler
+        )
+        self._httpd.routes = self.routes()
+        self._stopping = False
+        self._stopped.clear()
+        self._thread = threading.Thread(
+            target=self._httpd.serve_forever, name=self.thread_name,
+            daemon=True,
+        )
+        self._thread.start()
+        log.info("%s serving at %s", self.thread_name, self.url)
+        return self
+
+    @property
+    def port(self) -> int:
+        """The bound port (resolves 0 to the ephemeral pick)."""
+        if self._httpd is None:
+            return self._requested_port
+        return self._httpd.server_address[1]
+
+    @property
+    def url(self) -> str:
+        return f"http://{self._host}:{self.port}"
+
+    def stop(self) -> None:
+        """Stop serving, join the thread and run :meth:`_drain`, once;
+        then :meth:`wait` returns."""
+        with self._stop_lock:
+            if self._stopping:
+                return
+            self._stopping = True
+        if self._httpd is not None:
+            self._httpd.shutdown()
+            self._httpd.server_close()
+            self._httpd = None
+        if self._thread is not None:
+            self._thread.join(timeout=2.0)
+            self._thread = None
+        self._drain()
+        self._stopped.set()
+
+    def _drain(self) -> None:
+        """Work a subclass finishes once serving has stopped."""
+
+    def wait(self, timeout: float | None = None) -> bool:
+        """Block until the server stops; False if ``timeout`` ran out."""
+        return self._stopped.wait(timeout)
+
+    def __enter__(self):
+        return self.start()
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        self.stop()
+        return False
+
+
+class ObsServer(Router):
     """Serves one run's telemetry over HTTP from a daemon thread."""
+
+    thread_name = "repro-obs-server"
 
     def __init__(
         self,
@@ -76,14 +278,11 @@ class ObsServer:
     ) -> None:
         if (observer is None) == (report is None):
             raise ValueError("pass exactly one of observer= or report=")
+        super().__init__(host, port)
         self.observer = observer
         self.report = report
         self.command = list(command) if command else []
         self._t0 = time.time()
-        self._httpd: ThreadingHTTPServer | None = None
-        self._thread: threading.Thread | None = None
-        self._host = host
-        self._requested_port = port
 
     # -- report access ---------------------------------------------------------
 
@@ -122,109 +321,34 @@ class ObsServer:
                 payload["run_id"] = str(self.report.trace.get("run_id", ""))
         return payload
 
-    # -- lifecycle -------------------------------------------------------------
+    # -- routes ----------------------------------------------------------------
 
-    def start(self) -> "ObsServer":
-        """Bind and begin serving on a daemon thread (idempotent)."""
-        if self._httpd is not None:
-            return self
-        server = self
+    def routes(self) -> dict:
+        return {
+            ("GET", "/"): lambda req: Reply(
+                200, TEXT_CONTENT_TYPE,
+                f"repro obs telemetry ({self.mode} mode)\n"
+                "  /metrics   Prometheus text exposition\n"
+                "  /healthz   liveness probe (JSON)\n"
+                "  /timeline  Chrome trace-event JSON "
+                "(load in ui.perfetto.dev)\n",
+            ),
+            ("GET", "/healthz"): lambda req: json_reply(self.health()),
+            ("GET", "/metrics"): self._metrics,
+            ("GET", "/timeline"): self._timeline,
+        }
 
-        class Handler(BaseHTTPRequestHandler):
-            def log_message(self, fmt, *args):  # route into our logger
-                log.debug("%s %s", self.address_string(), fmt % args)
+    def _metrics(self, req) -> Reply:
+        from repro.obs.export import to_prometheus
 
-            def _send(self, code: int, content_type: str, body: str) -> None:
-                data = body.encode("utf-8")
-                self.send_response(code)
-                self.send_header("Content-Type", content_type)
-                self.send_header("Content-Length", str(len(data)))
-                self.end_headers()
-                self.wfile.write(data)
+        return Reply(200, _PROM_CONTENT_TYPE,
+                     to_prometheus(self.snapshot_report()))
 
-            def do_GET(self) -> None:  # noqa: N802 - http.server API
-                try:
-                    route = self.path.split("?", 1)[0].rstrip("/") or "/"
-                    if route == "/healthz":
-                        self._send(200, "application/json",
-                                   json.dumps(server.health()) + "\n")
-                    elif route == "/metrics":
-                        from repro.obs.export import to_prometheus
+    def _timeline(self, req) -> Reply:
+        from repro.obs.timeline import build_timeline, to_chrome_trace
 
-                        self._send(200, _PROM_CONTENT_TYPE,
-                                   to_prometheus(server.snapshot_report()))
-                    elif route == "/timeline":
-                        from repro.obs.timeline import (
-                            build_timeline,
-                            to_chrome_trace,
-                        )
-
-                        try:
-                            timeline = build_timeline(server.snapshot_report())
-                        except ObsReportError as exc:
-                            self._send(404, "application/json",
-                                       json.dumps({"error": str(exc)}) + "\n")
-                            return
-                        self._send(200, "application/json",
-                                   json.dumps(to_chrome_trace(timeline)) + "\n")
-                    elif route == "/":
-                        self._send(
-                            200, "text/plain; charset=utf-8",
-                            "repro obs telemetry ({} mode)\n"
-                            "  /metrics   Prometheus text exposition\n"
-                            "  /healthz   liveness probe (JSON)\n"
-                            "  /timeline  Chrome trace-event JSON "
-                            "(load in ui.perfetto.dev)\n".format(server.mode),
-                        )
-                    else:
-                        self._send(404, "text/plain; charset=utf-8",
-                                   f"no such route {route}\n")
-                except BrokenPipeError:  # pragma: no cover - client gone
-                    pass
-                except Exception as exc:  # pragma: no cover - defensive
-                    log.warning("telemetry request failed: %s", exc)
-                    try:
-                        self._send(500, "text/plain; charset=utf-8",
-                                   f"internal error: {exc}\n")
-                    except Exception:
-                        pass
-
-        self._httpd = ReusableThreadingHTTPServer(
-            (self._host, self._requested_port), Handler
-        )
-        self._thread = threading.Thread(
-            target=self._httpd.serve_forever,
-            name="repro-obs-server",
-            daemon=True,
-        )
-        self._thread.start()
-        log.info("obs telemetry serving at %s (%s mode)", self.url, self.mode)
-        return self
-
-    @property
-    def port(self) -> int:
-        """The bound port (resolves 0 to the ephemeral pick)."""
-        if self._httpd is None:
-            return self._requested_port
-        return self._httpd.server_address[1]
-
-    @property
-    def url(self) -> str:
-        return f"http://{self._host}:{self.port}"
-
-    def stop(self) -> None:
-        """Shut the server down and join its thread (idempotent)."""
-        if self._httpd is not None:
-            self._httpd.shutdown()
-            self._httpd.server_close()
-            self._httpd = None
-        if self._thread is not None:
-            self._thread.join(timeout=2.0)
-            self._thread = None
-
-    def __enter__(self) -> "ObsServer":
-        return self.start()
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self.stop()
-        return False
+        try:
+            timeline = build_timeline(self.snapshot_report())
+        except ObsReportError as exc:
+            raise HttpError(404, str(exc)) from None
+        return json_reply(to_chrome_trace(timeline))

@@ -14,14 +14,15 @@ causally-ordered picture.  This module is that stitch for the streams
   wall clocks (on one machine: microseconds).
 - **Span reconstruction.**  ``B``/``E`` event pairs become closed
   spans; spans still open when their stream ended are emitted with
-  ``unclosed: true`` and extended to the stream's last event.  Each
+  ``unclosed: true`` and extended to the stream's last event.  An ``E``
+  whose ``B`` a full log evicted closes nothing and is skipped.  Each
   worker stream additionally gets a synthetic *root* span (its
   ``task_start``→``task_end`` execution window, or its full event
   range) carrying the stream's cross-process ``parent_span``, so every
   worker span chains back to the span that was open in the dispatching
   process.
-- **Happens-before edges.**  ``dispatch``/``requeue``/``redispatch``
-  (parent side), ``steal``/``task_start``/``task_end`` (worker side)
+- **Happens-before edges.**  ``dispatch``/``requeue`` (parent side),
+  ``steal``/``task_start``/``task_end`` (worker side)
   and ``merge`` (parent side) events share a ``key`` unique to one
   task of one fan-out; they pair into ``dispatch→start``,
   ``steal→start`` and ``end→merge`` edges.
@@ -42,7 +43,7 @@ from pathlib import Path
 from repro.errors import ObsReportError
 
 #: event kinds recorded on the dispatching (parent) side of an edge key
-_PARENT_SENDS = ("dispatch", "requeue", "redispatch")
+_PARENT_SENDS = ("dispatch", "requeue")
 
 
 @dataclass
@@ -187,7 +188,7 @@ def build_timeline(source) -> Timeline:
                     by_key.setdefault(key, []).append((ev, sid, t, e))
                 if ev in ("task_start", "task_end"):
                     task_window.append(t)
-        # spans the stream never closed (crash, capacity overflow)
+        # spans the stream never closed (a crash, or a live snapshot)
         for span_id in order:
             node = open_spans[span_id]
             node["t1_s"] = t_hi
@@ -229,7 +230,7 @@ def build_timeline(source) -> Timeline:
 
         for start in starts:
             # each execution chains from the closest prior dispatch (a
-            # re-dispatched task has several sends); clamp to the first
+            # requeued task has several sends); clamp to the first
             # send when clock skew puts the start before all of them
             prior = [s for s in sends if s[2] <= start[2]]
             send = max(prior, key=lambda p: p[2]) if prior else None

@@ -21,9 +21,9 @@ into the same shape, live:
 
 The daemon eats its own dog food: every request updates the
 :mod:`repro.obs` stack (ingest counters, fold-latency and chunk-size
-histograms, queue-depth and active-run gauges, flight-recorder run
-spans, a live sampler ring) and serves it back at ``/metrics`` and
-``/healthz`` — the service is observable with the same tooling it
+histograms, queue-depth and active-run gauges, run-lifecycle events in
+its trace log, a live sampler ring) and serves it back at ``/metrics``
+and ``/healthz`` — the service is observable with the same tooling it
 serves.  ``/shutdown`` (and SIGINT/SIGTERM on ``repro serve``) drains
 gracefully; with ``--snapshot PATH`` a restarted daemon replays a log of
 the wire bytes it accepted and resumes folding mid-run.

@@ -20,6 +20,7 @@ import json
 import time
 import urllib.error
 import urllib.request
+from urllib.parse import quote
 
 from repro.errors import ServiceError
 from repro.service.wire import encode_chunk, encode_table
@@ -139,14 +140,17 @@ class ServiceClient:
     def runs(self) -> list[dict]:
         return self._get_json("/runs")["runs"]
 
+    # a run id is one path segment: "/", "?" and spaces are percent-encoded
+
     def report_text(self, run: str) -> str:
-        return self._request("GET", f"/report/{run}").decode("utf-8")
+        route = f"/report/{quote(run, safe='')}"
+        return self._request("GET", route).decode("utf-8")
 
     def report_json(self, run: str) -> dict:
-        return self._get_json(f"/report/{run}?format=json")
+        return self._get_json(f"/report/{quote(run, safe='')}?format=json")
 
     def figdata(self, run: str) -> dict:
-        return self._get_json(f"/figdata/{run}")
+        return self._get_json(f"/figdata/{quote(run, safe='')}")
 
     def metrics_text(self) -> str:
         return self._request("GET", "/metrics").decode("utf-8")

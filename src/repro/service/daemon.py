@@ -1,7 +1,7 @@
 """The aggregator/query daemon behind ``repro serve``.
 
-:class:`TraceService` is an HTTP daemon (on the obs stack's
-:class:`~repro.obs.server.ReusableThreadingHTTPServer`) that accepts
+:class:`TraceService` is an HTTP daemon (a route table on the obs
+stack's :class:`~repro.obs.server.Router`) that accepts
 trace chunks from ``repro push`` collectors and folds them incrementally
 into one :class:`~repro.core.streaming.ChunkAccumulator` per registered
 run — the deferred-fold discipline of the fused batch engine, applied
@@ -21,8 +21,8 @@ readers cost one finalize.
 Thread discipline: HTTP handler threads never open ``observer.span()``
 (the span stack is single-threaded by design); all observer mutation
 happens under one metrics lock, per-run folding under that run's own
-lock.  Per-run lifecycle lands in the flight recorder as structured
-events instead of spans.
+lock.  Per-run lifecycle lands in the observer's trace log as
+structured events instead of spans.
 
 Restarts: with ``snapshot_path`` (``repro serve --snapshot PATH``) each
 accepted registration body and ingest frame is appended, as it arrives,
@@ -41,16 +41,21 @@ import os
 import struct
 import threading
 import time
-from http.server import BaseHTTPRequestHandler
 from pathlib import Path
 
-from repro import obs
 from repro.core.streaming import ChunkAccumulator, finalize_fused
 from repro.errors import ServiceError, TraceError
 from repro.obs.collector import Observer
-from repro.obs.flight import FlightRecorder
+from repro.obs.context import TraceContext
 from repro.obs.sampler import Sampler
-from repro.obs.server import _PROM_CONTENT_TYPE, ReusableThreadingHTTPServer
+from repro.obs.server import (
+    _PROM_CONTENT_TYPE,
+    TEXT_CONTENT_TYPE,
+    HttpError,
+    Reply,
+    Router,
+    json_reply,
+)
 from repro.service.figdata import figdata_from_report
 from repro.service.wire import WIRE_MAGIC, decode_chunk, decode_table
 from repro.trace.frame import FILE_DTYPE, JOB_DTYPE, FileTable, JobTable
@@ -67,13 +72,23 @@ LOG_MAGIC = b"RSVCLOG1\n"
 #: registration's JSON or an ingest frame (told apart by the wire magic)
 _RECORD_LEN = struct.Struct("<Q")
 
+#: the plain-text answer to ``GET /``
+_INDEX = (
+    "repro trace service\n"
+    "  GET  /runs            registered runs + chunk dirs\n"
+    "  GET  /report/<run>    finished report (?format=json)\n"
+    "  GET  /figdata/<run>   figure series (JSON)\n"
+    "  GET  /metrics         daemon self-telemetry\n"
+    "  GET  /healthz         liveness probe\n"
+    "  POST /runs            register a run\n"
+    "  POST /ingest          push one wire-framed chunk\n"
+    "  POST /shutdown        graceful drain\n"
+)
 
-class _HttpError(ServiceError):
-    """A request failure that maps to a specific HTTP status code."""
 
-    def __init__(self, code: int, message: str) -> None:
-        super().__init__(message)
-        self.code = code
+class _HttpError(HttpError, ServiceError):
+    """A daemon request failure with its HTTP status; a
+    :class:`~repro.errors.ServiceError` to direct callers and replay."""
 
 
 class _RunState:
@@ -191,8 +206,10 @@ class _RunState:
         }
 
 
-class TraceService:
+class TraceService(Router):
     """The collector → aggregator → query daemon (see module docstring)."""
+
+    thread_name = "repro-trace-service"
 
     def __init__(
         self,
@@ -202,37 +219,25 @@ class TraceService:
         observer: Observer | None = None,
         sample_period_s: float = 0.5,
     ) -> None:
-        self._host = host
-        self._requested_port = port
+        super().__init__(host, port)
         self.snapshot_path = Path(snapshot_path) if snapshot_path else None
         self._runs: dict[str, _RunState] = {}
         self._runs_lock = threading.Lock()
         self._t0 = time.time()
-        self._httpd: ReusableThreadingHTTPServer | None = None
-        self._thread: threading.Thread | None = None
-        # _stopping guards reentry; _stopped signals the drain (snapshot
-        # included) has *finished* — wait() must not release the CLI
-        # process while a /shutdown-spawned drain thread is still writing
-        self._stop_lock = threading.Lock()
-        self._stopping = False
-        self._stopped = threading.Event()
         # the daemon observes itself: with the CLI's --obs the session
         # observer is passed in (so `repro --obs X serve` writes the
-        # daemon's own run report); otherwise a private one is built with
-        # the full stack attached
+        # daemon's own run report); otherwise a private one is built
+        # with a trace log for the run-lifecycle events
         if observer is not None:
             self._observer = observer
-            self._own_observer = False
         else:
-            self._observer = Observer()
-            self._observer.flight = FlightRecorder()
-            self._own_observer = True
+            self._observer = Observer(TraceContext.root(worker="service"))
         self._own_sampler = self._observer.sampler is None
         if self._own_sampler:
             self._observer.sampler = Sampler(
                 self._observer, period_s=sample_period_s
             )
-        # Observer dicts and the flight ring are not thread-safe; every
+        # Observer dicts and the trace log are not thread-safe; every
         # mutation from a request thread goes through this lock
         self._obs_lock = threading.Lock()
         # finalize_fused opens spans on the *global* obs singleton, whose
@@ -482,166 +487,56 @@ class TraceService:
         log.info("service replayed %d records from %s", n_records, path)
         return off
 
-    # -- lifecycle -------------------------------------------------------------
+    # -- routes and lifecycle --------------------------------------------------
+
+    def routes(self) -> dict:
+        return {
+            ("GET", "/"): lambda req: Reply(200, TEXT_CONTENT_TYPE, _INDEX),
+            ("GET", "/healthz"): lambda req: json_reply(self.health()),
+            ("GET", "/metrics"): lambda req: Reply(
+                200, _PROM_CONTENT_TYPE, self.metrics_text()
+            ),
+            ("GET", "/runs"): lambda req: json_reply(
+                {"runs": self.run_summaries()}
+            ),
+            ("GET", "/report/"): self._report_route,
+            ("GET", "/figdata/"): lambda req: json_reply(self.figdata(req.arg)),
+            ("POST", "/runs"): lambda req: json_reply(
+                self.register_run(req.body())
+            ),
+            ("POST", "/ingest"): lambda req: json_reply(
+                self.ingest(req.body())
+            ),
+            # stop from another thread once the answer is out: shutdown()
+            # deadlocks when called from a handler the serve loop waits on
+            ("POST", "/shutdown"): lambda req: json_reply(
+                {"status": "draining"},
+                after=threading.Thread(
+                    target=self.stop, name="repro-service-drain", daemon=True,
+                ).start,
+            ),
+        }
+
+    def _report_route(self, req) -> Reply:
+        if "format=json" in req.query:
+            return json_reply(self.report_json(req.arg))
+        return Reply(200, TEXT_CONTENT_TYPE, self.report_text(req.arg))
 
     def start(self) -> "TraceService":
         """Bind and serve on a daemon thread (idempotent)."""
-        if self._httpd is not None:
-            return self
         sampler = self._observer.sampler
         if sampler is not None:
             sampler.start()
-        self._httpd = ReusableThreadingHTTPServer(
-            (self._host, self._requested_port), _make_handler(self)
-        )
-        self._thread = threading.Thread(
-            target=self._httpd.serve_forever,
-            name="repro-trace-service",
-            daemon=True,
-        )
-        self._thread.start()
-        log.info("trace service serving at %s", self.url)
-        return self
+        return super().start()
 
-    @property
-    def port(self) -> int:
-        """The bound port (resolves 0 to the ephemeral pick)."""
-        if self._httpd is None:
-            return self._requested_port
-        return self._httpd.server_address[1]
-
-    @property
-    def url(self) -> str:
-        return f"http://{self._host}:{self.port}"
-
-    def wait(self, timeout: float | None = None) -> bool:
-        """Block until the daemon stops (``stop()`` or ``POST /shutdown``)."""
-        return self._stopped.wait(timeout)
-
-    def stop(self) -> None:
-        """Graceful drain: stop accepting, fsync the restart log, halt sampler."""
-        with self._stop_lock:
-            if self._stopping:
-                return
-            self._stopping = True
-        if self._httpd is not None:
-            self._httpd.shutdown()
-            self._httpd.server_close()
-            self._httpd = None
-        if self._thread is not None:
-            self._thread.join(timeout=2.0)
-            self._thread = None
+    def _drain(self) -> None:
+        """Fsync and close the restart log, halt the sampler."""
         with self._log_lock:
-            if self._log is not None:
+            if self._log is not None and not self._log.closed:
                 self._log.flush()
                 os.fsync(self._log.fileno())
                 self._log.close()
         sampler = self._observer.sampler
         if self._own_sampler and sampler is not None:
             sampler.stop()
-        self._stopped.set()
 
-    def __enter__(self) -> "TraceService":
-        return self.start()
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self.stop()
-        return False
-
-
-def _make_handler(service: TraceService):
-    """The request handler class bound to one service instance."""
-
-    class Handler(BaseHTTPRequestHandler):
-        def log_message(self, fmt, *args):  # route into our logger
-            log.debug("%s %s", self.address_string(), fmt % args)
-
-        def _send(self, code: int, content_type: str, body) -> None:
-            data = body if isinstance(body, bytes) else body.encode("utf-8")
-            self.send_response(code)
-            self.send_header("Content-Type", content_type)
-            self.send_header("Content-Length", str(len(data)))
-            self.end_headers()
-            self.wfile.write(data)
-
-        def _send_json(self, code: int, payload: dict) -> None:
-            self._send(code, "application/json", json.dumps(payload) + "\n")
-
-        def _body(self) -> bytes:
-            length = int(self.headers.get("Content-Length", 0))
-            return self.rfile.read(length) if length else b""
-
-        def _guard(self, fn) -> None:
-            try:
-                fn()
-            except _HttpError as exc:
-                self._send_json(exc.code, {"error": str(exc)})
-            except BrokenPipeError:  # pragma: no cover - client gone
-                pass
-            except Exception as exc:  # pragma: no cover - defensive
-                log.warning("service request failed: %s", exc)
-                try:
-                    self._send_json(500, {"error": f"internal error: {exc}"})
-                except Exception:
-                    pass
-
-        def do_GET(self) -> None:  # noqa: N802 - http.server API
-            self._guard(self._get)
-
-        def do_POST(self) -> None:  # noqa: N802 - http.server API
-            self._guard(self._post)
-
-        def _get(self) -> None:
-            route, _, query = self.path.partition("?")
-            route = route.rstrip("/") or "/"
-            if route == "/healthz":
-                self._send_json(200, service.health())
-            elif route == "/metrics":
-                self._send(200, _PROM_CONTENT_TYPE, service.metrics_text())
-            elif route == "/runs":
-                self._send_json(200, {"runs": service.run_summaries()})
-            elif route.startswith("/report/"):
-                run = route[len("/report/"):]
-                if "format=json" in query:
-                    self._send_json(200, service.report_json(run))
-                else:
-                    self._send(
-                        200, "text/plain; charset=utf-8",
-                        service.report_text(run),
-                    )
-            elif route.startswith("/figdata/"):
-                self._send_json(200, service.figdata(route[len("/figdata/"):]))
-            elif route == "/":
-                self._send(
-                    200, "text/plain; charset=utf-8",
-                    "repro trace service\n"
-                    "  GET  /runs            registered runs + chunk dirs\n"
-                    "  GET  /report/<run>    finished report (?format=json)\n"
-                    "  GET  /figdata/<run>   figure series (JSON)\n"
-                    "  GET  /metrics         daemon self-telemetry\n"
-                    "  GET  /healthz         liveness probe\n"
-                    "  POST /runs            register a run\n"
-                    "  POST /ingest          push one wire-framed chunk\n"
-                    "  POST /shutdown        graceful drain\n",
-                )
-            else:
-                self._send_json(404, {"error": f"no such route {route}"})
-
-        def _post(self) -> None:
-            route = self.path.split("?", 1)[0].rstrip("/")
-            if route == "/runs":
-                self._send_json(200, service.register_run(self._body()))
-            elif route == "/ingest":
-                self._send_json(200, service.ingest(self._body()))
-            elif route == "/shutdown":
-                self._send_json(200, {"status": "draining"})
-                # stop from another thread: shutdown() deadlocks when
-                # called from a handler the serve loop is waiting on
-                threading.Thread(
-                    target=service.stop, name="repro-service-drain",
-                    daemon=True,
-                ).start()
-            else:
-                self._send_json(404, {"error": f"no such route {route}"})
-
-    return Handler

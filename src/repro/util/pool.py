@@ -62,8 +62,7 @@ def _run_serial(
     if not obs.enabled():
         return {name: tasks[name](obj) for name in names}
     results: dict[str, Any] = {}
-    for index, name in enumerate(names):
-        obs.event("pool_dispatch", name, index=index, mode="serial")
+    for name in names:
         t0 = time.perf_counter()
         results[name] = tasks[name](obj)
         _record_task(name, time.perf_counter() - t0)
@@ -74,7 +73,6 @@ def map_tasks(
     tasks: Mapping[str, Callable[[Any], Any]],
     obj: Any,
     workers: int | None,
-    straggler_timeout: float | None = None,
 ) -> dict[str, Any]:
     """Run every ``tasks[name](obj)`` and return ``{name: result}``.
 
@@ -87,8 +85,7 @@ def map_tasks(
     identical results because every task is deterministic.  A task that
     *raises* in a worker surfaces as :class:`~repro.errors.PoolTaskError`
     with the task name and submission index, the worker exception
-    chained.  ``straggler_timeout`` re-dispatches the oldest in-flight
-    task after that many seconds without progress.
+    chained.
     """
     names = list(tasks)
     obs.add("pool.batches")
@@ -104,7 +101,4 @@ def map_tasks(
 
     from repro.util import sched
 
-    return sched.run_stealing(
-        tasks, obj, min(workers, len(names)),
-        straggler_timeout=straggler_timeout,
-    )
+    return sched.run_stealing(tasks, obj, min(workers, len(names)))

@@ -17,23 +17,22 @@ help:
   to pop or steal blocks on the overflow queue, the only place new work
   can arrive; the parent ends each batch with one sentinel per started
   worker on that queue.
-- **Straggler re-dispatch.**  When no result has arrived for
-  ``straggler_timeout`` seconds and idle capacity exists, the oldest
-  in-flight task is re-enqueued on the overflow queue.  Tasks are
-  deterministic functions, so whichever copy finishes first wins and
-  the duplicate result is dropped.
 - **Crash requeue.**  A worker that dies mid-queue (OOM-killed,
   segfaulted C extension, ``os._exit`` in a task) or never starts has
   its unfinished chunk and in-flight task re-enqueued for the
   survivors; if every worker is gone the parent finishes the remainder
   serially.  A task that repeatedly kills its executor is eventually run
   in the parent so a genuine crash still surfaces instead of looping.
+  A result presumed lost in a crash may still arrive after its task was
+  requeued; tasks are deterministic functions, so whichever copy
+  finishes first wins and the duplicate result is dropped.
 
 Determinism: results and worker obs snapshots are reassembled in task
 submission order regardless of which worker ran what or how often, so a
-stolen, re-dispatched, or requeued run is byte-identical to a serial
-one.  Scheduling activity is observable through the ``pool.steal`` /
-``pool.requeue`` / ``pool.straggler_redispatch`` counters.
+stolen or requeued run is byte-identical to a serial one.  Scheduling
+activity is observable through the ``pool.steal`` / ``pool.requeue``
+counters and, on a traced run, the ``dispatch`` / ``steal`` /
+``requeue`` / ``merge`` events of the trace log.
 
 The pool requires the ``fork`` start method: workers inherit the task
 mapping and shared object copy-on-write.
@@ -118,7 +117,7 @@ def _steal(
     """Take one task from the tail of the fullest other queue.
 
     Returns ``(task index, victim worker)`` so the thief can attribute
-    the steal in its trace stream and flight events.
+    the steal in its trace stream.
     """
     victims = sorted(
         (v for v in range(n_workers) if v != worker),
@@ -227,7 +226,7 @@ def _steal_worker(
                 pickle.dumps(exc)
             except Exception:
                 exc = RuntimeError(repr(exc))
-        results.put((worker, victim, idx, value, snapshot, dur, exc))
+        results.put((victim, idx, value, snapshot, dur, exc))
     # the batch is over and the parent reads no more results: exit
     # without waiting to flush a late (duplicate or abandoned) one
     results.cancel_join_thread()
@@ -237,7 +236,6 @@ def run_stealing(
     tasks: Mapping[str, Callable[[Any], Any]],
     obj: Any,
     workers: int,
-    straggler_timeout: float | None = None,
 ) -> dict[str, Any]:
     """Run ``tasks[name](obj)`` for every task over a work-stealing pool.
 
@@ -245,8 +243,7 @@ def run_stealing(
     ``{name: result}`` with results (and worker obs snapshots) folded in
     submission order, raises :class:`~repro.errors.PoolTaskError` naming
     a task that raised, and runs serially with one worker, one task, or
-    no ``fork``.  ``straggler_timeout`` enables re-dispatching the
-    oldest in-flight task after that many seconds without progress.
+    no ``fork``.
     """
     names = list(tasks)
     n = len(names)
@@ -277,20 +274,14 @@ def run_stealing(
 
     obs_on = obs.enabled()
     wire = _make_wire()
-    tracelog = obs.current().tracelog
-    if obs_on:
+    if wire is not None:
         for i, name in enumerate(names):
             owner = next(
                 w for w in range(n_workers)
                 if bounds[2 * w] <= i < bounds[2 * w + 1]
             )
-            obs.event("pool_dispatch", name, index=i, mode="steal",
-                      worker=owner)
-            if tracelog is not None and wire is not None:
-                tracelog.record(
-                    "dispatch", name, key=f"{wire['batch']}/{name}",
-                    index=i, mode="steal", worker=owner,
-                )
+            obs.event("dispatch", name, key=f"{wire['batch']}/{name}",
+                      index=i, mode="steal", worker=owner)
     pool_mod._SHARED = (tasks, obj)
     procs = [
         ctx.Process(
@@ -314,7 +305,7 @@ def run_stealing(
                 started.append(p)
         outcome = _collect(
             names, tasks, obj, n_workers, procs, idx_arr, bounds, locks,
-            current, extra, results_q, straggler_timeout, obs_on, wire,
+            current, extra, results_q, obs_on, wire,
         )
     finally:
         done.set()
@@ -343,8 +334,8 @@ def run_stealing(
         if snapshot is not None:
             obs.current().merge_snapshot(snapshot)
             pool_mod._record_task(name, durations[idx])
-            if tracelog is not None and wire is not None:
-                tracelog.record("merge", name, key=f"{wire['batch']}/{name}")
+            if wire is not None:
+                obs.event("merge", name, key=f"{wire['batch']}/{name}")
     return {name: values[idx] for idx, name in enumerate(names)}
 
 
@@ -371,32 +362,25 @@ def _drain_dead_worker(worker, bounds, locks, idx_arr, current) -> list[int]:
 
 def _collect(
     names, tasks, obj, n_workers, procs, idx_arr, bounds, locks, current,
-    extra, results_q, straggler_timeout, obs_on, wire=None,
+    extra, results_q, obs_on, wire=None,
 ):
-    """Parent loop: gather results, police crashes and stragglers."""
+    """Parent loop: gather results, police crashed workers."""
     n = len(names)
     values: dict[int, Any] = {}
     snapshots: dict[int, dict] = {}
     durations: dict[int, float] = {}
     requeue_counts: dict[int, int] = {}
     steals = requeues = 0
-    last_progress = time.monotonic()
     dead: set[int] = set()
-    tracelog = obs.current().tracelog
 
     def _requeue(idx: int, why: str, worker: int | None = None) -> None:
         nonlocal requeues
         requeue_counts[idx] = requeue_counts.get(idx, 0) + 1
         requeues += 1
-        if obs_on:
-            obs.event("pool_requeue", names[idx], index=idx, reason=why,
-                      worker=worker)
-            if tracelog is not None and wire is not None:
-                tracelog.record(
-                    "requeue", names[idx],
-                    key=f"{wire['batch']}/{names[idx]}",
-                    reason=why, worker=worker,
-                )
+        if wire is not None:
+            obs.event("requeue", names[idx],
+                      key=f"{wire['batch']}/{names[idx]}",
+                      index=idx, reason=why, worker=worker)
         if requeue_counts[idx] > _MAX_REQUEUES:
             log.warning(
                 "task %r requeued %d times; running it in the parent",
@@ -422,13 +406,12 @@ def _collect(
 
     while len(values) < n:
         try:
-            worker, victim, idx, value, snapshot, dur, exc = results_q.get(
+            victim, idx, value, snapshot, dur, exc = results_q.get(
                 timeout=_POLL_S
             )
         except queue_mod.Empty:
             pass
         else:
-            last_progress = time.monotonic()
             if exc is not None:
                 raise PoolTaskError(
                     f"pool task {names[idx]!r} (#{idx} of {n}) failed in a "
@@ -443,11 +426,6 @@ def _collect(
                     durations[idx] = dur
                 if victim is not None:
                     steals += 1
-                    if obs_on:
-                        obs.event(
-                            "pool_steal", names[idx], index=idx,
-                            worker=worker, victim=victim,
-                        )
             continue
 
         # no result this poll: check for dead workers ...
@@ -503,40 +481,5 @@ def _collect(
                     snapshots[idx] = snapshot
                     durations[idx] = dur
             break
-
-        # ... and for stragglers worth re-dispatching
-        if (
-            straggler_timeout is not None
-            and time.monotonic() - last_progress > straggler_timeout
-        ):
-            in_flight = [
-                current[w] for w in range(n_workers)
-                if w not in dead and current[w] >= 0
-            ]
-            idle = any(
-                w not in dead and current[w] < 0 for w in range(n_workers)
-            )
-            candidates = [i for i in in_flight if i not in values]
-            if candidates and idle:
-                idx = min(candidates)  # deterministic pick: oldest index
-                owner = next(
-                    (w for w in range(n_workers)
-                     if w not in dead and current[w] == idx),
-                    None,
-                )
-                obs.add("pool.straggler_redispatch")
-                if obs_on:
-                    obs.event(
-                        "pool_straggler_redispatch", names[idx],
-                        index=idx, worker=owner,
-                    )
-                    if tracelog is not None and wire is not None:
-                        tracelog.record(
-                            "redispatch", names[idx],
-                            key=f"{wire['batch']}/{names[idx]}",
-                            worker=owner,
-                        )
-                _requeue(idx, "straggler timeout", worker=owner)
-                last_progress = time.monotonic()
 
     return values, snapshots, durations, steals, requeues

@@ -258,11 +258,11 @@ class TestObservability:
                      "characterize", str(trace_path)]) == 0
         assert not obs.enabled()
 
-    def test_obsreport_prints_report(self, trace_path, tmp_path, capsys):
+    def test_obs_show_prints_report(self, trace_path, tmp_path, capsys):
         report_path = tmp_path / "run.json"
         main(["--obs", str(report_path), "characterize", str(trace_path)])
         capsys.readouterr()
-        assert main(["obsreport", str(report_path)]) == 0
+        assert main(["obs", "show", str(report_path)]) == 0
         out = capsys.readouterr().out
         assert "obs run report" in out
         assert "cli/characterize" in out

@@ -3,7 +3,7 @@
 Three promises are pinned here: span trees nest and merge correctly;
 the disabled mode is a true no-op (characterization output is
 byte-identical with observation on or off); and a run report survives
-the JSON round trip the ``--obs``/``obsreport`` pair depends on.
+the JSON round trip the ``--obs``/``obs show`` pair depends on.
 """
 
 from __future__ import annotations

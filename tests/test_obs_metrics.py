@@ -1,5 +1,5 @@
-"""The metrics pipeline: histograms, sampler, exporters, flight
-recorder, and the perf-regression gate.
+"""The metrics pipeline: histograms, sampler, exporters, the bounded
+event log, and the perf-regression gate.
 
 Five promises are pinned here.  Histogram merge is associative and
 commutative on everything exact (counts, buckets, min/max) so the
@@ -7,7 +7,7 @@ fork-snapshot fold order cannot change a report.  Quantile estimates
 bracket the true sample quantile.  The Prometheus export is valid text
 exposition format with monotone cumulative buckets.  ``obs diff``
 detects a synthetic slowdown and exits nonzero.  And an unhandled CLI
-crash leaves a flight-recorder dump behind.
+crash leaves its reason and the trace log's tail in the run report.
 """
 
 from __future__ import annotations
@@ -22,7 +22,14 @@ from hypothesis import given, settings, strategies as st
 from repro import obs
 from repro.cli import main
 from repro.errors import ObsReportError
-from repro.obs import FlightRecorder, Histogram, Observer, RunReport, Sampler
+from repro.obs import (
+    Histogram,
+    Observer,
+    RunReport,
+    Sampler,
+    TraceContext,
+    TraceLog,
+)
 from repro.obs.export import to_jsonl, to_prometheus
 from repro.obs.hist import BASE, bucket_index
 from repro.obs.regress import compare, compare_files, direction_of, load_metrics
@@ -127,54 +134,60 @@ class TestHistogram:
             assert hi <= max(true_q * BASE, h.max)
 
 
-class TestFlightRecorder:
-    def test_records_in_order(self):
-        fr = FlightRecorder(capacity=8)
-        fr.record("span_open", "a")
-        fr.record("counter_bump", "b", value=5)
-        events = fr.events()
-        assert [e["kind"] for e in events] == ["span_open", "counter_bump"]
-        assert events[0]["seq"] == 1 and events[1]["seq"] == 2
+class TestEventLog:
+    def test_events_come_back_in_order(self):
+        log = TraceLog(TraceContext.root(), capacity=8)
+        log.record("dispatch", "a")
+        log.record("requeue", "b", value=5)
+        events = list(log.events)
+        assert [e["ev"] for e in events] == ["dispatch", "requeue"]
+        assert events[0]["t"] <= events[1]["t"]
         assert events[1]["value"] == 5
 
-    def test_ring_drops_oldest(self):
-        fr = FlightRecorder(capacity=4)
+    def test_full_log_keeps_the_newest_events(self):
+        log = TraceLog(TraceContext.root(), capacity=4)
         for i in range(10):
-            fr.record("tick", str(i))
-        events = fr.events()
+            log.record("tick", str(i))
+        events = list(log.events)
         assert len(events) == 4
         assert [e["name"] for e in events] == ["6", "7", "8", "9"]
-        assert fr.n_recorded == 10
-        assert fr.n_dropped == 6
+        assert log.n_dropped == 6
+        payload = log.payload()
+        assert [e["name"] for e in payload["events"]] == ["6", "7", "8", "9"]
+        assert payload["n_dropped"] == 6
 
-    def test_dump_writes_json(self, tmp_path):
-        fr = FlightRecorder(capacity=4)
-        fr.record("span_open", "x")
-        path = fr.dump(tmp_path / "flight.json", reason="test crash")
+    def test_report_carries_the_events(self, tmp_path):
+        observer = Observer(TraceContext.root())
+        observer.event("dispatch", "x", index=0)
+        path = tmp_path / "run.json"
+        observer.report(command=["x"]).save(path)
         payload = json.loads(path.read_text())
-        assert payload["reason"] == "test crash"
-        assert payload["events"][0]["name"] == "x"
+        assert payload["trace"]["events"][0]["name"] == "x"
+        assert payload["trace"]["events"][0]["index"] == 0
 
-    def test_cli_crash_leaves_a_flight_dump(self, tmp_path, capsys):
+    def test_cli_crash_is_recorded_in_the_report(self, tmp_path, capsys):
         report = tmp_path / "run.json"
-        with pytest.raises(Exception):
+        with pytest.raises(FileNotFoundError):
             main(["--obs", str(report), "characterize",
                   str(tmp_path / "missing.npz")])
-        flight_path = tmp_path / "run.json.flight.json"
-        assert flight_path.exists()
-        payload = json.loads(flight_path.read_text())
-        assert "FileNotFoundError" in payload["reason"]
-        kinds = {e["kind"] for e in payload["events"]}
-        assert "span_open" in kinds and "span_error" in kinds
-        assert "crash:" in capsys.readouterr().err
+        assert not (tmp_path / "run.json.flight.json").exists()
+        loaded = RunReport.load(report)
+        assert "FileNotFoundError" in loaded.notes["cli.crash"]
+        errors = [
+            e for e in loaded.trace["events"]
+            if e["ev"] == "E" and e["name"] == "cli/characterize"
+        ]
+        assert [e["error"] for e in errors] == ["FileNotFoundError"]
+        assert "[obs]" in capsys.readouterr().err
 
-    def test_span_events_reach_an_attached_recorder(self):
-        observer = obs.enable()
-        observer.flight = FlightRecorder(capacity=16)
+    def test_span_events_reach_the_log(self):
+        observer = obs.enable(TraceContext.root())
         with obs.span("work"):
             pass
-        kinds = [e["kind"] for e in observer.flight.events()]
-        assert kinds == ["span_open", "span_close"]
+        events = list(observer.tracelog.events)
+        assert [(e["ev"], e["name"]) for e in events] == [
+            ("B", "work"), ("E", "work"),
+        ]
 
 
 class TestSampler:
@@ -367,25 +380,31 @@ class TestRegressionGate:
 
 
 class TestCLIErrorPaths:
-    def test_obsreport_missing_file(self, tmp_path, capsys):
-        assert main(["obsreport", str(tmp_path / "nope.json")]) == 1
+    def test_obs_show_missing_file(self, tmp_path, capsys):
+        assert main(["obs", "show", str(tmp_path / "nope.json")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "nope.json" in err
 
-    def test_obsreport_truncated_json(self, tmp_path, capsys):
+    def test_obs_show_truncated_json(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"version": 2, "spans": {')
-        assert main(["obsreport", str(bad)]) == 1
+        assert main(["obs", "show", str(bad)]) == 1
         assert "truncated or invalid JSON" in capsys.readouterr().err
 
-    def test_obsreport_future_schema_version(self, tmp_path, capsys):
+    def test_obs_show_future_schema_version(self, tmp_path, capsys):
         observer = Observer()
         payload = observer.report(command=["x"]).to_dict()
         payload["version"] = 99
         future = tmp_path / "future.json"
         future.write_text(json.dumps(payload))
-        assert main(["obsreport", str(future)]) == 1
+        assert main(["obs", "show", str(future)]) == 1
         assert "version 99" in capsys.readouterr().err
+
+    def test_obsreport_is_gone(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["obsreport", str(tmp_path / "run.json")])
+        assert exc.value.code == 2
+        assert "invalid choice: 'obsreport'" in capsys.readouterr().err
 
     def test_v1_reports_still_load(self):
         observer = Observer()

@@ -94,6 +94,8 @@ class TestStaticServer:
         with pytest.raises(urllib.error.HTTPError) as err:
             _get(f"{server.url}/nope")
         assert err.value.code == 404
+        payload = json.loads(err.value.read().decode("utf-8"))
+        assert payload["error"] == "no such route /nope"
 
     def test_timeline_404_when_run_was_not_traced(self):
         untraced = Observer()  # no TraceContext

@@ -17,7 +17,7 @@ import pytest
 
 from repro import obs
 from repro.errors import ObsReportError
-from repro.obs import TraceContext
+from repro.obs import TraceContext, TraceLog
 from repro.obs.report import RunReport
 from repro.obs.timeline import (
     build_timeline,
@@ -173,6 +173,22 @@ class TestBuildTimeline:
         )
         # timeline zero sits at the earliest event (the first dispatch)
         assert sends == [(0.0, 0.5), (2.0, 2.5)]
+
+    def test_evicted_span_begins_leave_the_rest(self):
+        # a full log evicts its oldest events: "early" goes entirely and
+        # "outer" keeps only its E, which closes nothing
+        log = TraceLog(TraceContext.root(), capacity=3)
+        log.begin_span("early")
+        log.end_span("early")
+        log.begin_span("outer")
+        log.begin_span("inner")
+        log.end_span("inner")
+        log.end_span("outer")
+        timeline = build_timeline(log.payload())
+        names = [s["name"] for s in timeline.spans if not s.get("root")]
+        assert names == ["inner"]
+        assert timeline.n_dropped == 3
+        assert timeline.streams[0]["n_events"] == 3
 
     def test_dropped_events_are_totalled(self):
         trace = _synthetic_trace()

@@ -2,10 +2,10 @@
 
 Pinned promises: a ``TraceContext`` handed off through the
 work-stealing pool produces worker event streams whose causal parents
-resolve into the dispatching process's stream; scheduler activity (steals, requeues, straggler re-dispatches)
-reaches the flight recorder with worker ids; and the parent's observer
-survives the parent-side crash recovery paths instead of being
-clobbered by a fresh one.
+resolve into the dispatching process's stream; scheduler activity
+(steals, requeues) reaches the trace log with worker ids; and the
+parent's observer survives the parent-side crash recovery paths instead
+of being clobbered by a fresh one.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import os
 import pytest
 
 from repro import obs
-from repro.obs import FlightRecorder, Observer, TraceContext, TraceLog
+from repro.obs import Observer, TraceContext, TraceLog
 from repro.util.pool import map_tasks
 
 
@@ -160,8 +160,8 @@ class TestPoolPropagation:
         assert obs.current().trace_payload() == {}
 
 
-class TestSchedulerFlightEvents:
-    def test_steals_and_requeues_land_in_the_flight_ring(self, tmp_path):
+class TestSchedulerEvents:
+    def test_steals_and_requeues_land_in_the_trace_log(self, tmp_path):
         # one slow task forces the other worker to steal; the poison
         # task crashes its worker once, forcing a requeue
         flag = tmp_path / "crashed-once"
@@ -181,20 +181,17 @@ class TestSchedulerFlightEvents:
 
         tasks = {f"t{i}": make(i) for i in range(6)}
         observer = obs.enable(TraceContext.root())
-        observer.flight = FlightRecorder()
         result = map_tasks(tasks, 1, workers=2)
         assert result == {f"t{i}": i for i in range(6)}
 
-        events = observer.flight.events()
-        requeues = [e for e in events if e["kind"] == "pool_requeue"]
-        assert requeues, "worker crash must reach the flight ring"
+        requeues = [e for e in observer.tracelog.events if e["ev"] == "requeue"]
+        assert requeues, "worker crash must reach the parent's trace log"
         assert any(e.get("worker") is not None for e in requeues)
-        steals = [e for e in events if e["kind"] == "pool_steal"]
-        for e in steals:  # steals are timing-dependent; ids when present
-            assert e["worker"] != e["victim"]
-        # the crash/requeue also lands in the parent's trace stream
-        kinds = {e["ev"] for e in observer.tracelog.events}
-        assert "requeue" in kinds
+        # a thief records its steal in its own stream, labelled w<thief>
+        for stream in _all_streams(observer.trace_payload())[1:]:
+            for e in stream["events"]:
+                if e["ev"] == "steal":  # timing-dependent; ids when present
+                    assert stream["worker"] != f"w{e['victim']}"
 
 
 class TestParentSideRecovery:

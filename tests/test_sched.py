@@ -3,9 +3,9 @@
 :func:`repro.util.sched.run_stealing`, the pool behind
 :func:`repro.util.pool.map_tasks`, promises the serial path's contract —
 results folded in submission order, ``PoolTaskError`` naming a failing
-task — while surviving uneven task costs, straggler re-dispatch, workers
-that die mid-queue and workers that never start.  Every adversity
-scenario here must produce results identical to the serial path.
+task — while surviving uneven task costs, workers that die mid-queue
+and workers that never start.  Every adversity scenario here must
+produce results identical to the serial path.
 """
 
 import errno
@@ -88,29 +88,6 @@ class TestStragglers:
         counters = snap["counters"]
         assert counters.get("pool.steal_batches", 0) >= 1
         assert counters.get("pool.steal", 0) >= 1
-
-    def test_straggler_redispatch_first_result_wins(self):
-        # one task stalls long past the timeout while a worker idles:
-        # the parent re-dispatches it and drops the duplicate result
-        def make(i):
-            def task(shared, i=i):
-                if i == 1:
-                    time.sleep(1.0)
-                return (i, shared * 10 + i)
-
-            return task
-
-        tasks = {f"t{i}": make(i) for i in range(4)}
-        serial = map_tasks(tasks, 5, workers=None)
-
-        ob = obs.enable()
-        result = map_tasks(tasks, 5, workers=2, straggler_timeout=0.2)
-        snap = ob.snapshot()
-        obs.disable()
-
-        assert result == serial
-        counters = snap["counters"]
-        assert counters.get("pool.straggler_redispatch", 0) >= 1
 
 
 class TestWorkerCrash:

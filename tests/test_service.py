@@ -11,6 +11,7 @@ the standard Prometheus exporter.
 from __future__ import annotations
 
 import json
+import socket
 import struct
 import sys
 import threading
@@ -381,6 +382,60 @@ class TestServiceFolding:
                 characterize(frames[3])
             )
 
+    @pytest.mark.parametrize("run", ["my run", "a?b", "a/b", "r%41"])
+    def test_url_special_run_ids_round_trip(self, frames, batch_texts, run):
+        # the client percent-encodes the run as one path segment and the
+        # router decodes it, so "?", "/", " " and "%" survive the trip
+        batch = characterize(frames[3])
+        with TraceService() as svc:
+            client = ServiceClient(svc.url)
+            client.push(_source(frames, 3), run)
+            assert [r["run"] for r in client.runs()] == [run]
+            assert client.report_text(run) == batch_texts[3]
+            assert client.report_json(run) == json.loads(
+                json.dumps(batch.to_dict())
+            )
+            assert client.figdata(run) == figdata_from_report(batch)
+
+
+class TestContentLength:
+    """A bad ``Content-Length`` gets a 400 naming the header, never a 500
+    or a hang; the router reads the body in bounded pieces."""
+
+    @staticmethod
+    def _post_ingest(port: int, length: bytes, body: bytes = b"",
+                     end_body: bool = False) -> tuple[int, str]:
+        with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+            sock.sendall(
+                b"POST /ingest HTTP/1.1\r\nHost: test\r\n"
+                b"Content-Length: " + length + b"\r\n\r\n" + body
+            )
+            if end_body:
+                sock.shutdown(socket.SHUT_WR)
+            data = b""
+            while chunk := sock.recv(65536):
+                data += chunk
+        head, _, payload = data.partition(b"\r\n\r\n")
+        return int(head.split(b" ", 2)[1]), json.loads(payload)["error"]
+
+    @pytest.mark.parametrize("length", [b"-1", b"-5", b"abc", b"+7", b"1e3"])
+    def test_invalid_value_is_400(self, length):
+        with TraceService() as svc:
+            status, error = self._post_ingest(svc.port, length)
+        assert status == 400
+        assert "Content-Length" in error
+
+    @pytest.mark.parametrize("length", [b"99999999999999", b"10"])
+    def test_body_shorter_than_declared_is_400(self, length):
+        with TraceService() as svc:
+            status, error = self._post_ingest(
+                svc.port, length, b"abc", end_body=True
+            )
+            # the daemon keeps serving
+            assert ServiceClient(svc.url).health()["status"] == "ok"
+        assert status == 400
+        assert "Content-Length" in error
+
 
 # -- restart from the restart log -------------------------------------------
 
@@ -658,11 +713,11 @@ class TestServiceTelemetry:
             assert gauges["service.runs.active"] == 0
             assert gauges["service.queue.parked_chunks"] == 0
 
-    def test_flight_recorder_run_spans(self, frames):
+    def test_run_lifecycle_lands_in_the_trace_log(self, frames):
         source = _source(frames, 3)
         with TraceService() as svc:
             ServiceClient(svc.url).push(source, "w")
-            names = [e["name"] for e in svc._observer.flight.events()]
+            names = [e["name"] for e in svc._observer.tracelog.events]
         assert "run/w/registered" in names
         assert "run/w/complete" in names
 
