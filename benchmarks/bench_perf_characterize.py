@@ -1,28 +1,21 @@
-"""Perf benchmark: legacy vs fused vs parallel characterization.
+"""Perf benchmark: legacy vs fused characterization.
 
 The legacy analyzers (``tests/legacy_oracle.py``, the reference oracle)
 re-sort the trace inside every family; the engine behind
 ``characterize`` (``repro.core.streaming``) walks the event stream once,
-folding every family's state in a single pass with no index at all.  On
-top of that, ``characterize(frame, workers=N)`` partitions the stream
-across forked worker processes that share the trace copy-on-write.
-This benchmark times the three paths on the same traces
-at two scales, checks the acceptance contract (byte-identical report
-text, >= 3x end-to-end speedup on the bench trace), and records the
-trajectory in ``BENCH_characterize.json``.
+folding every family's state in a single pass with no index at all.
+This benchmark times the two paths on the same traces at two scales,
+checks the acceptance contract (byte-identical report text, >= 3x
+end-to-end speedup on the bench trace), and records the trajectory in
+``BENCH_characterize.json``.
 
 Methodology (also in docs/DEVELOPMENT.md): the per-frame fold and the
 ``of_kind`` views cache on the frame, so every timed run gets a *fresh* frame built
 from the same event arrays — each path pays its own sort/group/scan
 costs and nothing leaks between paths.  Every path is timed as the best
-of three; the first parallel run also absorbs pool start-up, which
-best-of-three discharges the same way a long-lived analysis server
-would.  The parallel path fans out one worker per CPU (capped at 4): on
-a single-core host it degenerates to the serial fused scan, which is
-exactly what a deployment would run there.
+of three.
 """
 
-import os
 import time
 
 from conftest import emit_json, show
@@ -38,9 +31,6 @@ SMALL_SCALE = 0.02
 
 #: acceptance floor for the bench-trace end-to-end speedup
 MIN_SPEEDUP = 3.0
-
-#: worker processes for the parallel path: the machine's width, capped
-WORKERS = max(1, min(4, os.cpu_count() or 1))
 
 
 def _fresh(frame) -> TraceFrame:
@@ -65,25 +55,16 @@ def _best_of(run, frame, rounds: int = 3) -> tuple[float, str]:
 def _time_paths(frame) -> dict:
     legacy_s, legacy_text = _best_of(characterize_legacy, frame)
     fused_s, fused_text = _best_of(characterize, frame)
-    parallel_s, parallel_text = _best_of(
-        lambda f: characterize(f, workers=WORKERS), frame
-    )
 
     assert fused_text == legacy_text, (
         "fused report must equal the legacy report byte-for-byte"
-    )
-    assert parallel_text == legacy_text, (
-        "parallel report must equal the legacy report byte-for-byte"
     )
     return {
         "events": int(frame.n_events),
         "legacy_seconds": legacy_s,
         "fused_seconds": fused_s,
-        "parallel_seconds": parallel_s,
-        "workers": WORKERS,
         "speedup_fused": legacy_s / fused_s,
-        "speedup_parallel": legacy_s / parallel_s,
-        "speedup_best": legacy_s / min(fused_s, parallel_s),
+        "speedup_best": legacy_s / fused_s,
         "report_identical": True,
     }
 
@@ -104,24 +85,20 @@ def test_perf_characterize(benchmark, frame):
             r["events"],
             f"{r['legacy_seconds']:.3f}",
             f"{r['fused_seconds']:.3f}",
-            f"{r['parallel_seconds']:.3f}",
             f"{r['speedup_fused']:.1f}x",
-            f"{r['speedup_parallel']:.1f}x",
         )
         for name, r in results.items()
     ]
     show(
-        "characterize(): legacy vs fused one-pass vs parallel",
+        "characterize(): legacy vs fused one-pass",
         format_table(
-            ["trace", "events", "legacy s", "fused s",
-             f"parallel s (N={WORKERS})", "fused", "parallel"],
-            rows,
+            ["trace", "events", "legacy s", "fused s", "fused"], rows,
         ),
     )
     emit_json("characterize", results)
 
-    # the best offering must beat the legacy serial path by >= 3x
-    # end-to-end on the bench trace (the smaller trace carries
-    # proportionally more fixed overhead, so it only needs to win)
+    # the fused engine must beat the legacy path by >= 3x end-to-end on
+    # the bench trace (the smaller trace carries proportionally more
+    # fixed overhead, so it only needs to win)
     assert results["bench"]["speedup_best"] >= MIN_SPEEDUP
     assert results["small"]["speedup_best"] > 1.0

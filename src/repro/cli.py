@@ -169,7 +169,7 @@ def cmd_generate(args) -> int:
 
 def cmd_characterize(args) -> int:
     trace = _load_source(args) if args.store else _load_frame(args)
-    print(characterize(trace, workers=args.workers).render())
+    print(characterize(trace).render())
     return 0
 
 
@@ -237,9 +237,9 @@ def cmd_figures(args) -> int:
             print(f"wrote {path}")
         return 0
     if args.figure:
-        print(render_figure(frame, args.figure, workers=args.workers))
+        print(render_figure(frame, args.figure))
     else:
-        print(render_all(frame, workers=args.workers))
+        print(render_all(frame))
     return 0
 
 
@@ -277,7 +277,6 @@ def cmd_cache(args) -> int:
         curves = sweep_lines(
             frame, counts,
             [SweepLine(policy=p, n_io_nodes=args.io_nodes) for p in args.policy],
-            workers=args.workers,
         )
         rows = [
             [policy] + [f"{r:.3f}" for r in curve.hit_rates]
@@ -689,9 +688,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chunk-size", type=int, default=None,
                    help="events per chunk when streaming a legacy .npz "
                         "(stores keep their on-disk chunking)")
-    p.add_argument("--workers", type=int, default=None,
-                   help="processes to fan the analysis across "
-                        "(report is byte-identical)")
     p.set_defaults(func=cmd_characterize)
 
     p = sub.add_parser("trace", help="trace-file utilities")
@@ -745,8 +741,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("figures", help="render the paper's figures as ASCII charts")
     _add_input_args(p)
     p.add_argument("--figure", choices=sorted(FIGURES))
-    p.add_argument("--workers", type=int, default=None,
-                   help="processes to fan figure families across")
     p.add_argument("--svg", metavar="DIR",
                    help="write SVG files into DIR instead of ASCII charts")
     p.set_defaults(func=cmd_figures)
@@ -765,8 +759,6 @@ def build_parser() -> argparse.ArgumentParser:
                    type=str.lower, choices=sorted(POLICIES))
     p.add_argument("--buffers", nargs="+", type=_int_at_least(0))
     p.add_argument("--io-nodes", type=_int_at_least(1), default=10)
-    p.add_argument("--workers", type=int, default=None,
-                   help="processes to fan fig9 policy lines across")
     p.set_defaults(func=cmd_cache)
 
     p = sub.add_parser("strided", help="measure the §5 strided-interface benefit")

@@ -106,9 +106,8 @@ def figure_series(
     Each figure finalizes only the family it draws on.  fig3 and fig5-7
     share the frame's one fold (:func:`repro.core.streaming.fold`), which
     scans every family's state on the first call for a frame; fig1-2 and
-    fig4 read the job table or the raw sizes.  ``workers`` caps the
-    process fan-out across fig9's policy lines (see
-    :func:`repro.caching.sweeps.sweep_lines`).
+    fig4 read the job table or the raw sizes.  ``workers`` is accepted
+    for older callers and ignored: every figure runs in this process.
     """
     if figure in _FAMILY_ANALYZERS:
         return family_series(figure, _FAMILY_ANALYZERS[figure](frame))
@@ -129,7 +128,6 @@ def figure_series(
         curves = sweep_lines(
             frame, counts,
             [SweepLine(policy=p, n_io_nodes=10) for p in policies],
-            workers=workers,
         )
         return {
             policy: (curve.buffer_counts.astype(float), curve.hit_rates)
@@ -143,11 +141,10 @@ def render_figure(
     figure: str,
     width: int = 64,
     height: int = 14,
-    workers: int | None = None,
 ) -> str:
     """One figure as a captioned ASCII chart."""
     with obs.span(f"core/figures/{figure}"):
-        series = figure_series(frame, figure, workers=workers)
+        series = figure_series(frame, figure)
     if obs.enabled():
         obs.add("core.figures.rendered")
     caption = f"{figure}: {FIGURES[figure]}"
@@ -197,44 +194,17 @@ def render_figure_svg(frame: TraceFrame, figure: str,
                      logx=logx, width=width, height=height)
 
 
-def _render_one(frame: TraceFrame, figure: str, width: int, height: int,
-                inner_workers: int | None) -> str:
-    try:
-        return render_figure(
-            frame, figure, width=width, height=height, workers=inner_workers
-        )
-    except (AnalysisError, CacheConfigError) as exc:
-        # a trace need not support every figure (e.g. a drift-engine
-        # trace with no read-only files cannot drive fig8)
-        return f"{figure}: skipped ({exc})"
-
-
-def render_all(
-    frame: TraceFrame,
-    width: int = 64,
-    height: int = 12,
-    workers: int | None = None,
-) -> str:
-    """All nine figures, skipping any the trace cannot support.
-
-    ``workers`` fans the figure families out across a process pool; when
-    it does, each figure runs with an inner worker count of 1 so fig9's
-    own sweep fan-out never nests a pool inside a pool.  Output is
-    byte-identical to the serial path — blocks are reassembled in
-    ``FIGURES`` order.
-    """
-    from functools import partial
-
-    from repro.util.pool import map_tasks
-
-    fanned = workers is not None and workers > 1
-    inner = 1 if fanned else workers
-    tasks = {
-        figure: partial(
-            _render_one, figure=figure, width=width, height=height,
-            inner_workers=inner,
-        )
-        for figure in FIGURES
-    }
-    blocks = map_tasks(tasks, frame, workers)
-    return "\n\n".join(blocks[figure] for figure in FIGURES)
+def render_all(frame: TraceFrame, width: int = 64, height: int = 12) -> str:
+    """All nine figures in ``FIGURES`` order, skipping any the trace
+    cannot support."""
+    blocks = []
+    for figure in FIGURES:
+        try:
+            blocks.append(
+                render_figure(frame, figure, width=width, height=height)
+            )
+        except (AnalysisError, CacheConfigError) as exc:
+            # a trace need not support every figure (e.g. a drift-engine
+            # trace with no read-only files cannot drive fig8)
+            blocks.append(f"{figure}: skipped ({exc})")
+    return "\n\n".join(blocks)

@@ -246,36 +246,27 @@ class WorkloadReport:
         return "\n".join(parts)
 
 
-def characterize(frame, workers: int | None = None) -> WorkloadReport:
+def characterize(frame) -> WorkloadReport:
     """Run the full §4 characterization over a trace.
 
     ``frame`` may be an in-memory :class:`~repro.trace.frame.TraceFrame`
     or any :class:`~repro.trace.store.TraceSource` (a chunked store or a
-    wrapped frame).  Either way one walk over the events folds every
-    analysis family into a :class:`~repro.core.streaming.ChunkAccumulator`
-    whose held state stays bounded, so a store is characterized without
-    materializing its event table.  The report is byte-identical to the
-    reference analyzers in ``tests/legacy_oracle.py`` (enforced, with
-    frozen digests, by ``tests/test_equivalence.py``).
-
-    ``workers`` fans the walk out across a process pool (see
-    :mod:`repro.util.pool`), one contiguous chunk range per worker; an
-    in-memory frame is cut into one chunk per worker.  The default
-    (``None``) runs serially in-process.  Partials merge in a fixed
-    order, so parallel and serial runs are byte-identical too.
+    wrapped frame).  Either way one walk over the events, in this
+    process, folds every analysis family into a
+    :class:`~repro.core.streaming.ChunkAccumulator` whose held state
+    stays bounded, so a store is characterized without materializing its
+    event table.  The report is byte-identical to the reference
+    analyzers in ``tests/legacy_oracle.py`` (enforced, with frozen
+    digests, by ``tests/test_equivalence.py``).
     """
     # imported here: streaming pulls WorkloadReport from this module
-    from repro.core.streaming import _scan_parallel, finalize_fused
+    from repro.core.streaming import _scan_chunks, finalize_fused
     from repro.trace.store import FrameSource
 
     source = frame
     if isinstance(frame, TraceFrame):
-        n = frame.n_events
-        # one chunk range per worker: workers scan disjoint slices of the
-        # frame's event array (zero-copy under fork / shared memory)
-        chunk = -(-n // int(workers)) if workers and workers > 1 and n else max(n, 1)
-        source = FrameSource(frame, chunk_size=chunk)
+        source = FrameSource(frame, chunk_size=max(frame.n_events, 1))
     with obs.span("core/characterize_fused"):
         with obs.span("core/characterize_fused/scan"):
-            acc = _scan_parallel(source, workers)
+            acc = _scan_chunks(source)
         return finalize_fused(acc, source.jobs, source.files)

@@ -41,16 +41,16 @@ per-group Python loop runs during the scan.  Deferred contributions are
 collapsed to their canonical aggregates after a fixed number of chunks
 or a fixed number of events, whichever comes first, so the state held
 between chunks is bounded by the trace's distinct keys plus one event
-budget — not by the trace's length.  Partials merge in a fixed
-left-to-right order over :func:`repro.util.pool.map_tasks` workers, so
-parallel and serial runs are byte-identical too.
+budget — not by the trace's length.  Two accumulators over adjacent
+chunk ranges merge left to right into the state one scan would hold,
+which is how the trace-service daemon folds chunks that arrive out of
+order.
 """
 
 from __future__ import annotations
 
 import time
 import weakref
-from functools import partial
 
 import numpy as np
 
@@ -72,7 +72,6 @@ from repro.trace.records import NO_VALUE, EventKind
 from repro.trace.store import TraceSource
 from repro.util.cdf import EmpiricalCDF
 from repro.util.histogram import bucket_counts
-from repro.util.pool import map_tasks
 from repro.util.units import BLOCK_SIZE
 
 __all__ = [
@@ -320,8 +319,7 @@ class ChunkAccumulator:
     covering *adjacent* chunk ranges (left before right).  State is
     numpy arrays throughout — per-chunk contributions are appended to
     part lists and collapsed lazily (:meth:`part`), so the scan runs no
-    per-group Python loops and instances pickle compactly across the
-    worker pool after :meth:`compact`.  A part collapses once it holds
+    per-group Python loops.  A part collapses once it holds
     ``_COLLAPSE_EVERY`` contributions, and every part collapses once
     ``_COLLAPSE_EVENTS`` events have been folded since the last full
     collapse, so raw rows never outgrow that budget plus one chunk.
@@ -359,9 +357,8 @@ class ChunkAccumulator:
         return agg
 
     def compact(self, runs: bool = True) -> "ChunkAccumulator":
-        """Collapse every part to its canonical aggregate (bounds the
-        pickle size shipped back from pool workers).  ``runs=False``
-        leaves the byte-run part raw — the serial path skips its final
+        """Collapse every part to its canonical aggregate.  ``runs=False``
+        leaves the byte-run part raw — a finished scan skips its final
         union because the sharing finalizer re-unions only the candidate
         files' rows.  Returns self."""
         for name in _PART_AGGS:
@@ -589,48 +586,19 @@ class ChunkAccumulator:
         self._bound()
 
 
-def _scan_chunks(
-    source: TraceSource,
-    lo: int,
-    hi: int,
-    compact_runs: bool = True,
-) -> ChunkAccumulator:
+def _scan_chunks(source: TraceSource) -> ChunkAccumulator:
+    """One accumulator over every chunk of ``source``, in order."""
     t0 = time.perf_counter()
     acc = ChunkAccumulator()
-    for i in range(lo, hi):
+    for i in range(source.n_chunks):
         acc.update(source.chunk(i))
-    acc.compact(runs=compact_runs)
+    # the run union can wait for finalize, which unions only the
+    # candidate files' rows
+    acc.compact(runs=False)
     if obs.enabled():
-        obs.add("fused.chunks", hi - lo)
+        obs.add("fused.chunks", source.n_chunks)
         obs.add("fused.events", acc.n_events)
         obs.hist("fused.scan_seconds", time.perf_counter() - t0)
-    return acc
-
-
-def _scan_parallel(source: TraceSource, workers: int | None) -> ChunkAccumulator:
-    """Partition the chunks into contiguous ranges, scan them (in
-    parallel when asked), and merge left to right — the deterministic
-    merge order that keeps parallel output byte-identical to serial."""
-    n_chunks = source.n_chunks
-    n_ranges = max(1, min(n_chunks, workers or 1))
-    bounds = np.linspace(0, n_chunks, n_ranges + 1).astype(int)
-    names = [
-        f"scan[{int(bounds[i])}:{int(bounds[i + 1])})" for i in range(n_ranges)
-    ]
-    tasks = {
-        name: partial(_scan_chunks, lo=int(bounds[i]), hi=int(bounds[i + 1]),
-                      # with one range the result never crosses a process
-                      # boundary, so the run union can wait for finalize
-                      compact_runs=n_ranges > 1)
-        for i, name in enumerate(names)
-    }
-    partials = map_tasks(tasks, source, workers)
-    acc = partials[names[0]]
-    if len(names) > 1:
-        t0 = time.perf_counter()
-        for name in names[1:]:
-            acc.merge(partials[name])
-        obs.hist("fused.merge_seconds", time.perf_counter() - t0)
     return acc
 
 

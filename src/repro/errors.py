@@ -63,17 +63,3 @@ class ServiceError(ReproError):
     frames and by the client for HTTP-level failures; the daemon maps it
     to a 4xx response with the message as the body.
     """
-
-
-class PoolTaskError(ReproError):
-    """A worker-pool task raised; carries the originating task context.
-
-    The wrapped worker exception is preserved as ``__cause__``;
-    ``task``/``index`` identify which of the submitted tasks failed.
-    """
-
-    def __init__(self, message: str, task: str | None = None,
-                 index: int | None = None) -> None:
-        super().__init__(message)
-        self.task = task
-        self.index = index

@@ -81,10 +81,9 @@ def enabled() -> bool:
 def enable(context: TraceContext | None = None) -> Observer:
     """Install (and return) a fresh collecting observer.
 
-    Passing a :class:`TraceContext` additionally opens a causal event
-    stream (:class:`TraceLog`) so spans and scheduler events feed the
-    cross-process timeline; without one the observer behaves exactly as
-    before.
+    Passing a :class:`TraceContext` additionally opens an event stream
+    (:class:`TraceLog`) so spans and events feed the run's timeline;
+    without one the observer records no events.
     """
     global _OBSERVER
     _OBSERVER = Observer(context)

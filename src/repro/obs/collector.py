@@ -4,9 +4,8 @@ The paper's own methodology (§2.5) insisted that the tracing system
 measure *itself* — buffered records, counted messages, benchmarked
 overhead.  :class:`Observer` applies the same discipline to this
 reproduction: hierarchical timed spans (wall + CPU clock per subtree),
-monotonic counters, last-write gauges, and a snapshot format cheap
-enough to ship across the fork-based worker pools so parallel runs lose
-nothing.
+monotonic counters, last-write gauges, histograms and string notes,
+frozen into a :class:`~repro.obs.report.RunReport` at the end of a run.
 
 :class:`NullObserver` is the disabled twin: every operation is a no-op
 method on a slotted singleton, so instrumented call sites cost one
@@ -103,15 +102,6 @@ class SpanNode:
             node.children[sub.name] = sub
         return node
 
-    def merge_dict(self, payload: dict) -> None:
-        """Fold a :meth:`to_dict` subtree into this node's children."""
-        for child in payload.get("children", ()):
-            node = self.child(str(child["name"]))
-            node.count += int(child.get("count", 0))
-            node.wall_s += float(child.get("wall_s", 0.0))
-            node.cpu_s += float(child.get("cpu_s", 0.0))
-            node.merge_dict(child)
-
 
 class _SpanHandle:
     """Context manager timing one entry of one span."""
@@ -169,14 +159,12 @@ class Observer:
         self.notes: dict[str, str] = {}
         #: optional background time-series sampler (attached by the CLI)
         self.sampler: Sampler | None = None
-        #: per-process causal event stream, the run's only event log;
-        #: None unless a TraceContext was supplied (the CLI's --obs path,
-        #: pool workers and the service daemon do)
+        #: the run's event stream, its only event log; None unless a
+        #: TraceContext was supplied (the CLI's --obs path and the
+        #: service daemon do)
         self.tracelog: TraceLog | None = (
             TraceLog(context) if context is not None else None
         )
-        #: flushed worker sampler rings folded in by merge_snapshot
-        self.worker_timeseries: list[dict] = []
         self.started_at = time.time()
         self._w0 = time.perf_counter()
         self._c0 = time.process_time()
@@ -217,61 +205,8 @@ class Observer:
         if tracelog is not None:
             tracelog.record(kind, name, **fields)
 
-    # -- crossing process boundaries -----------------------------------------
-
-    def snapshot(self) -> dict:
-        """Everything recorded so far as plain JSON types.
-
-        Worker processes return this alongside their task result so the
-        parent can fold their observations into its own tree (see
-        :func:`repro.util.pool.map_tasks`).
-        """
-        snap = {
-            "spans": self.root.to_dict(),
-            "counters": dict(self.counters),
-            "gauges": dict(self.gauges),
-            "histograms": {k: h.to_dict() for k, h in self.histograms.items()},
-            "notes": dict(self.notes),
-        }
-        if self.tracelog is not None:
-            snap["trace"] = self.tracelog.payload()
-        if self.worker_timeseries:
-            snap["worker_timeseries"] = list(self.worker_timeseries)
-        sampler = self.sampler
-        if sampler is not None:
-            ring = sampler.flush()
-            if ring.get("samples"):
-                snap.setdefault("worker_timeseries", []).append(ring)
-        return snap
-
-    def merge_snapshot(self, payload: dict) -> None:
-        """Fold another observer's :meth:`snapshot` under the open span.
-
-        Histogram merges are associative and commutative (fixed bucket
-        base), so folding worker snapshots in submission order yields
-        the same aggregate a serial run would record.
-        """
-        self._stack[-1].merge_dict(payload.get("spans", {}))
-        for name, value in payload.get("counters", {}).items():
-            self.add(name, value)
-        for name, value in payload.get("gauges", {}).items():
-            self.gauge(name, value)
-        for name, hd in payload.get("histograms", {}).items():
-            h = self.histograms.get(name)
-            if h is None:
-                h = self.histograms[name] = Histogram()
-            h.merge_dict(hd)
-        for name, text in payload.get("notes", {}).items():
-            self.note(name, text)
-        trace = payload.get("trace")
-        if trace and self.tracelog is not None:
-            self.tracelog.add_child(trace)
-        worker_ts = payload.get("worker_timeseries")
-        if worker_ts:
-            self.worker_timeseries.extend(worker_ts)
-
     def trace_payload(self) -> dict:
-        """The full trace tree (this stream + nested workers), or ``{}``."""
+        """The run's trace stream, or ``{}`` when the run is untraced."""
         if self.tracelog is None:
             return {}
         return self.tracelog.payload()
@@ -300,16 +235,9 @@ class Observer:
                 k: self.histograms[k].to_dict() for k in sorted(self.histograms)
             },
             notes={k: self.notes[k] for k in sorted(self.notes)},
-            timeseries=self._merged_timeseries(timeseries),
+            timeseries=dict(timeseries) if timeseries else {},
             trace=self.trace_payload(),
         )
-
-    def _merged_timeseries(self, timeseries: dict | None) -> dict:
-        """The parent sampler ring plus any worker rings folded back."""
-        merged = dict(timeseries) if timeseries else {}
-        if self.worker_timeseries:
-            merged["workers"] = list(self.worker_timeseries)
-        return merged
 
 
 class _NullSpan:
@@ -354,9 +282,6 @@ class NullObserver:
         pass
 
     def event(self, kind: str, name: str, **fields) -> None:
-        pass
-
-    def merge_snapshot(self, payload: dict) -> None:
         pass
 
 

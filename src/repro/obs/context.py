@@ -1,48 +1,34 @@
-"""Cross-process trace-context propagation.
+"""The run's trace context and its event log.
 
 The paper instrumented a *parallel* machine: per-node collectors wrote
-records whose value came from being stitched into one machine-wide
-picture (§2.5).  Since PR 7 this reproduction fans work out the same way
-— pool tasks and stolen tasks — but each worker's
-observations came back as an isolated snapshot blob with no causal
-thread back to the dispatch that created it.  This module adds that
-thread.
+records against their own clocks, and their value came from being
+stitched into one machine-wide picture (§2.5).  A traced run here keeps
+the same shape of record: one event stream, stamped with its identity
+and a clock calibration, which :mod:`repro.obs.timeline` lays out.
 
-A :class:`TraceContext` identifies one *process's* event stream inside
-one observed run:
+A :class:`TraceContext` identifies one stream inside one observed run:
 
-- ``run_id`` — shared by every process of the run;
-- ``span_id`` — the stream's synthetic root span (the worker's task
-  execution), unique across processes;
-- ``parent_span_id`` — the span open in the *dispatching* process when
-  this worker was handed its task, i.e. the causal parent;
-- ``worker`` — a human label (``main``, ``w3``, ``pid1234``);
+- ``run_id`` — the run's id;
+- ``span_id`` — the stream's synthetic root span;
+- ``parent_span_id`` — the span this stream hangs under (empty for a
+  run's own stream; set in reports whose nested streams came from
+  worker processes);
+- ``worker`` — a human label (``main``, ``service``);
 - ``epoch0``/``perf0`` — a wall-clock/monotonic-clock calibration pair
   taken at stream creation.  ``time.perf_counter()`` is monotonic but
-  process-local; recording each stream's offset lets
-  :mod:`repro.obs.timeline` place all streams on one shared clock
+  process-local; recording the stream's offset lets
+  :mod:`repro.obs.timeline` place streams on one shared clock
   (``t_abs = epoch0 + (t - perf0)``) without trusting the wall clock
   for intra-process ordering.
 
-The context crosses process boundaries as a small picklable *wire*
-dict (:meth:`TraceContext.handoff` → :meth:`TraceContext.adopt`):
-the parent stamps the causal parent span and a per-fan-out batch token,
-the child stamps its own calibration.  Dispatch→start, steal→start and
-result→merge events on both sides share ``key`` fields derived from the
-batch token, which is how the timeline draws its happens-before edges.
-
-A :class:`TraceLog` is the per-process event stream itself, and the
-run's only event log: span begin/end records emitted by
-:class:`~repro.obs.collector._SpanHandle`, the scheduler's semantic
-events (``dispatch``, ``task_start``, ``steal``, ``requeue``,
-``merge``, ...) and anything else recorded through
-:meth:`~repro.obs.collector.Observer.event`.  It is bounded: once full
-it evicts its oldest event, so its tail always holds the latest events
-— what a crashed run was doing in its final moments.  Worker logs travel
-back to the parent inside the observer snapshot and nest as
-``children`` of the parent's log;
-:meth:`~repro.obs.collector.Observer.trace_payload` freezes the whole
-tree into the run report (schema v3).
+A :class:`TraceLog` is the event stream itself, and the run's only
+event log: span begin/end records emitted by
+:class:`~repro.obs.collector._SpanHandle` and anything else recorded
+through :meth:`~repro.obs.collector.Observer.event`.  It is bounded:
+once full it evicts its oldest event, so its tail always holds the
+latest events — what a crashed run was doing in its final moments.
+:meth:`~repro.obs.collector.Observer.trace_payload` freezes it into the
+run report (schema v3).
 """
 
 from __future__ import annotations
@@ -94,42 +80,13 @@ class TraceContext:
             perf0=perf0,
         )
 
-    def handoff(self, parent_span_id: str, batch: str) -> dict:
-        """The picklable wire form a dispatching process hands a worker.
-
-        ``parent_span_id`` is the span open at dispatch time (the causal
-        parent of everything the worker records); ``batch`` is a token
-        unique to one fan-out, shared by the edge ``key`` fields on both
-        sides of the process boundary.
-        """
-        return {
-            "version": TRACE_VERSION,
-            "run_id": self.run_id,
-            "parent_span_id": parent_span_id,
-            "batch": batch,
-        }
-
-    @classmethod
-    def adopt(cls, wire: dict, worker: str) -> "TraceContext":
-        """Build a worker's context from a :meth:`handoff` wire dict,
-        stamping the worker's own clock calibration."""
-        epoch0, perf0 = _calibrate()
-        return cls(
-            run_id=str(wire["run_id"]),
-            span_id=f"{_fresh_prefix()}:0",
-            parent_span_id=str(wire["parent_span_id"]),
-            worker=worker,
-            epoch0=epoch0,
-            perf0=perf0,
-        )
-
 
 class TraceLog:
     """One process's causally-annotated, clock-calibrated event stream."""
 
     __slots__ = (
-        "context", "capacity", "events", "children", "n_dropped",
-        "_open", "_seq", "_prefix",
+        "context", "capacity", "events", "n_dropped", "_open", "_seq",
+        "_prefix",
     )
 
     def __init__(
@@ -140,8 +97,6 @@ class TraceLog:
         self.context = context
         self.capacity = capacity
         self.events: deque[dict] = deque(maxlen=capacity)
-        #: payloads of worker streams folded back through snapshot merge
-        self.children: list[dict] = []
         self.n_dropped = 0
         self._open: list[str] = []
         self._seq = 0
@@ -150,12 +105,12 @@ class TraceLog:
     # -- ids and causal position ----------------------------------------------
 
     def new_span_id(self) -> str:
-        """A stream-unique span id (also used as fan-out batch tokens)."""
+        """A stream-unique span id."""
         self._seq += 1
         return f"{self._prefix}:{self._seq}"
 
     def current_span(self) -> str:
-        """The innermost open span — the causal parent for new work."""
+        """The innermost open span — the parent of the next one."""
         return self._open[-1] if self._open else self.context.span_id
 
     # -- recording ------------------------------------------------------------
@@ -185,14 +140,10 @@ class TraceLog:
         else:
             self.record("E", name, span=sid)
 
-    def add_child(self, payload: dict) -> None:
-        """Nest a worker stream's payload under this log."""
-        self.children.append(payload)
-
     # -- serialization --------------------------------------------------------
 
     def payload(self) -> dict:
-        """The stream (and its nested worker streams) as plain JSON."""
+        """The stream as plain JSON."""
         ctx = self.context
         return {
             "version": TRACE_VERSION,
@@ -205,5 +156,4 @@ class TraceLog:
             "perf0": ctx.perf0,
             "n_dropped": self.n_dropped,
             "events": list(self.events),
-            "children": list(self.children),
         }

@@ -1,25 +1,21 @@
-"""Mergeable log-bucketed histograms for distribution-valued metrics.
+"""Log-bucketed histograms for distribution-valued metrics.
 
 Counters say *how much*, gauges say *how much right now*; neither says
 how a quantity was *distributed* — and the paper's headline results are
 distributions (request sizes, Figure 4; interval sizes, Table 2).  A
 :class:`Histogram` gives the observability layer the same vocabulary for
 its own measurements: span durations, CFS request sizes, per-chunk
-decode times, disk-op latencies, pool task durations.
+decode times, disk-op latencies.
 
 Design constraints, in order:
 
-1. **Mergeable.** Fork-based worker pools ship observation snapshots
-   back to the parent (:func:`repro.util.pool.map_tasks`), so two
-   histograms of the same quantity must combine into exactly the
-   histogram a single process would have built.  Buckets are fixed
-   geometric intervals of a *class-level* base — never per-instance —
-   so bucket counts add associatively and commutatively; ``count``,
-   ``min`` and ``max`` are exact under merge, and ``sum`` is exact up
-   to float addition order.
+1. **Fixed buckets.** Buckets are geometric intervals of a
+   *class-level* base — never per-instance — so any two histograms of
+   the same quantity, from two runs or two reports, have comparable
+   buckets.  ``count``, ``sum``, ``min`` and ``max`` are exact.
 2. **Sparse and cheap.** A bucket is a dict entry created on first hit;
    recording is one ``log``, one ``floor``, one dict update.  The JSON
-   form is a plain dict so snapshots cross process boundaries as-is.
+   form is a plain dict, so a run report carries it as-is.
 3. **Bounded-error quantiles.** The true q-quantile provably lies in
    the returned bucket, so every estimate carries a relative-error
    bound of one bucket width (``BASE`` — about 19% with the default
@@ -34,7 +30,7 @@ from collections.abc import Iterable
 import numpy as np
 
 #: geometric bucket growth factor: four buckets per power of two.
-#: Class-level (not per-instance) so any two histograms merge.
+#: Class-level (not per-instance) so any two histograms line up.
 BASE = 2.0 ** 0.25
 
 _LOG_BASE = math.log(BASE)
@@ -100,23 +96,6 @@ class Histogram:
             uniq, counts = np.unique(idx, return_counts=True)
             for i, c in zip(uniq.tolist(), counts.tolist()):
                 self.buckets[i] = self.buckets.get(i, 0) + c
-
-    # -- combining ------------------------------------------------------------
-
-    def merge(self, other: "Histogram") -> "Histogram":
-        """Fold ``other`` into this histogram (returns self).
-
-        Associative and commutative on counts/buckets/min/max; ``sum``
-        commutes exactly and reassociates up to float rounding.
-        """
-        self.count += other.count
-        self.sum += other.sum
-        self.min = min(self.min, other.min)
-        self.max = max(self.max, other.max)
-        self.zero += other.zero
-        for idx, c in other.buckets.items():
-            self.buckets[idx] = self.buckets.get(idx, 0) + c
-        return self
 
     # -- quantiles ------------------------------------------------------------
 
@@ -198,10 +177,6 @@ class Histogram:
         h.zero = int(payload.get("zero", 0))
         h.buckets = {int(k): int(v) for k, v in payload.get("buckets", {}).items()}
         return h
-
-    def merge_dict(self, payload: dict) -> None:
-        """Fold a :meth:`to_dict` payload in without materializing it."""
-        self.merge(Histogram.from_dict(payload))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         if not self.count:

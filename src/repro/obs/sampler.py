@@ -2,8 +2,8 @@
 
 Spans and counters answer *where the time went*; they cannot answer
 *what the process looked like while it went there* — whether RSS climbed
-monotonically through a streaming run, whether the CPU sat idle during a
-pool fan-out, when a counter's growth rate changed.  The sampler fills
+monotonically through a streaming run, whether the CPU sat idle waiting
+on I/O, when a counter's growth rate changed.  The sampler fills
 that gap: a daemon thread wakes at a fixed period and appends one sample
 — current RSS, cumulative CPU time, every gauge value, and the delta of
 every counter since the previous sample — to a bounded ring buffer.

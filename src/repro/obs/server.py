@@ -3,11 +3,11 @@
 :class:`Router` is the stdlib-only plumbing both HTTP servers here
 share: a ``ThreadingHTTPServer`` on a daemon thread, ``port``/``url``/
 ``stop``/``wait`` and the context manager, and per request the route
-lookup, a body read in bounded pieces, and the error answers — an
-:class:`HttpError` gets its status and a JSON ``{"error": ...}`` body,
-an unknown route a 404, anything else a logged 500.  Each server is a
-subclass that supplies its route table: :class:`ObsServer` below and
-:class:`~repro.service.daemon.TraceService`.
+lookup, a body read in bounded pieces under a socket timeout, and the
+error answers — an :class:`HttpError` gets its status and a JSON
+``{"error": ...}`` body, an unknown route a 404, anything else a
+logged 500.  Each server is a subclass that supplies its route table:
+:class:`ObsServer` below and :class:`~repro.service.daemon.TraceService`.
 
 :class:`ObsServer` is the pull-based way to look inside a running (or
 finished) observed run.  It answers
@@ -63,6 +63,11 @@ TEXT_CONTENT_TYPE = "text/plain; charset=utf-8"
 #: declared Content-Length is never allocated up front
 _BODY_PIECE = 1 << 20
 
+#: seconds a socket read or write may block before the request is
+#: answered 408 or the connection dropped, so a client that stalls
+#: cannot hold a handler thread for good
+_REQUEST_TIMEOUT_S = 30.0
+
 
 class HttpError(ReproError):
     """A request failure answered with status ``code`` and a JSON
@@ -110,11 +115,15 @@ class _Handler(BaseHTTPRequestHandler):
 
     A route function is called with this handler: ``arg`` is the
     percent-decoded path after a prefix route, ``query`` the raw query
-    string, and :meth:`body` reads the request body.
+    string, and :meth:`body` reads the request body.  A stalled body
+    read is answered 408; ``http.server`` closes a connection whose
+    request line or headers time out.
     """
 
     server: ReusableThreadingHTTPServer
     arg = query = ""
+    #: socket timeout, applied by StreamRequestHandler.setup
+    timeout = _REQUEST_TIMEOUT_S
 
     def log_message(self, fmt, *args):  # route into our logger
         log.debug("%s %s", self.address_string(), fmt % args)
@@ -142,7 +151,7 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_header("Content-Length", str(len(data)))
             self.end_headers()
             self.wfile.write(data)
-        except ConnectionError:  # pragma: no cover - client gone
+        except (ConnectionError, TimeoutError):  # client gone or stalled
             return
         if reply.after is not None:
             reply.after()
@@ -166,7 +175,13 @@ class _Handler(BaseHTTPRequestHandler):
                                  f"non-negative decimal integer")
         left, pieces = int(text), []
         while left > 0:
-            piece = self.rfile.read(min(left, _BODY_PIECE))
+            try:
+                # read1 returns what has arrived, so a timeout below
+                # names exactly the bytes still missing
+                piece = self.rfile.read1(min(left, _BODY_PIECE))
+            except TimeoutError:
+                raise HttpError(408, f"body timed out {left} bytes short "
+                                     f"of its Content-Length {text}") from None
             if not piece:
                 raise HttpError(400, f"body ended {left} bytes short of "
                                      f"its Content-Length {text}")

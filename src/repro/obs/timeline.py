@@ -1,9 +1,11 @@
-"""Merging per-process trace streams into one causal timeline.
+"""Laying a traced run's event streams out as one timeline.
 
 Recorder-style tooling (PAPERS.md) makes the case that per-rank traces
-only become useful once they are stitched into a single visualizable,
-causally-ordered picture.  This module is that stitch for the streams
-:mod:`repro.obs.context` collects:
+only become useful once they are stitched into a single visualizable
+picture.  This module is that stitch for the streams
+:mod:`repro.obs.context` collects.  A run records one stream; a report
+saved while analyses still fanned out across worker processes nests one
+stream per worker under ``children``, and those still load here.
 
 - **Clock alignment.**  Every stream carries an ``(epoch0, perf0)``
   calibration pair taken at stream creation; an event stamped ``t`` on
@@ -16,22 +18,16 @@ causally-ordered picture.  This module is that stitch for the streams
   spans; spans still open when their stream ended are emitted with
   ``unclosed: true`` and extended to the stream's last event.  An ``E``
   whose ``B`` a full log evicted closes nothing and is skipped.  Each
-  worker stream additionally gets a synthetic *root* span (its
-  ``task_start``→``task_end`` execution window, or its full event
-  range) carrying the stream's cross-process ``parent_span``, so every
+  stream additionally gets a synthetic *root* span (a worker's
+  ``task_start``→``task_end`` execution window, or the stream's full
+  event range) carrying the stream's ``parent_span``, so every nested
   worker span chains back to the span that was open in the dispatching
   process.
-- **Happens-before edges.**  ``dispatch``/``requeue`` (parent side),
-  ``steal``/``task_start``/``task_end`` (worker side)
-  and ``merge`` (parent side) events share a ``key`` unique to one
-  task of one fan-out; they pair into ``dispatch→start``,
-  ``steal→start`` and ``end→merge`` edges.
 
 The result exports as Chrome trace-event JSON — the ``traceEvents``
 array format both ``chrome://tracing`` and `Perfetto
 <https://ui.perfetto.dev>`_ load directly: one named process lane per
-stream (``M`` metadata events), ``X`` complete events for spans, and
-``s``/``f`` flow events for the causal edges.
+stream (``M`` metadata events) and ``X`` complete events for spans.
 """
 
 from __future__ import annotations
@@ -41,9 +37,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.errors import ObsReportError
-
-#: event kinds recorded on the dispatching (parent) side of an edge key
-_PARENT_SENDS = ("dispatch", "requeue")
 
 
 @dataclass
@@ -57,8 +50,6 @@ class Timeline:
     streams: list[dict] = field(default_factory=list)
     #: reconstructed spans: name/span/parent/stream/t0_s/t1_s/...
     spans: list[dict] = field(default_factory=list)
-    #: happens-before edges: kind/key/src fields and dst fields
-    edges: list[dict] = field(default_factory=list)
     #: total events dropped to stream capacity limits
     n_dropped: int = 0
 
@@ -133,7 +124,6 @@ def build_timeline(source) -> Timeline:
 
     timeline = Timeline(run_id=str(trace.get("run_id", "")), t0_epoch=t0_epoch)
     spans: list[dict] = []
-    by_key: dict[str, list[tuple[str, int, float, dict]]] = {}
 
     for sid, stream in enumerate(raw_streams):
         events = stream.get("events", ())
@@ -156,7 +146,7 @@ def build_timeline(source) -> Timeline:
         })
         timeline.n_dropped += int(stream.get("n_dropped", 0))
 
-        # reconstruct B/E spans and collect edge endpoints
+        # reconstruct B/E spans and each worker's execution window
         open_spans: dict[str, dict] = {}
         order: list[str] = []
         task_window: list[float] = []
@@ -182,12 +172,8 @@ def build_timeline(source) -> Timeline:
                     if e.get("error"):
                         node["error"] = e["error"]
                     spans.append(node)
-            else:
-                key = e.get("key")
-                if key is not None:
-                    by_key.setdefault(key, []).append((ev, sid, t, e))
-                if ev in ("task_start", "task_end"):
-                    task_window.append(t)
+            elif ev in ("task_start", "task_end"):
+                task_window.append(t)
         # spans the stream never closed (a crash, or a live snapshot)
         for span_id in order:
             node = open_spans[span_id]
@@ -209,51 +195,8 @@ def build_timeline(source) -> Timeline:
         }
         spans.append(root)
 
-    # pass 2: pair edge endpoints by key into happens-before edges
-    for key, points in by_key.items():
-        sends = [p for p in points if p[0] in _PARENT_SENDS]
-        steals = [p for p in points if p[0] == "steal"]
-        starts = [p for p in points if p[0] == "task_start"]
-        ends = [p for p in points if p[0] == "task_end"]
-        merges = [p for p in points if p[0] == "merge"]
-
-        def edge(kind: str, src, dst) -> dict:
-            return {
-                "kind": kind,
-                "key": key,
-                "name": src[3].get("name", ""),
-                "src_stream": src[1],
-                "dst_stream": dst[1],
-                "t_src_s": src[2],
-                "t_dst_s": dst[2],
-            }
-
-        for start in starts:
-            # each execution chains from the closest prior dispatch (a
-            # requeued task has several sends); clamp to the first
-            # send when clock skew puts the start before all of them
-            prior = [s for s in sends if s[2] <= start[2]]
-            send = max(prior, key=lambda p: p[2]) if prior else None
-            if send is None and sends:
-                send = min(sends, key=lambda p: p[2])
-            if send is not None:
-                timeline.edges.append(edge("dispatch", send, start))
-        for steal in steals:
-            after = [s for s in starts if s[1] == steal[1] and s[2] >= steal[2]]
-            if after:
-                start = min(after, key=lambda p: p[2])
-                timeline.edges.append(edge("steal", steal, start))
-        for merge in merges:
-            prior = [e for e in ends if e[2] <= merge[2]]
-            end = max(prior, key=lambda p: p[2]) if prior else None
-            if end is None and ends:
-                end = min(ends, key=lambda p: p[2])
-            if end is not None:
-                timeline.edges.append(edge("merge", end, merge))
-
     spans.sort(key=lambda s: (s["t0_s"], s["stream"]))
     timeline.spans = spans
-    timeline.edges.sort(key=lambda e: (e["t_src_s"], e["key"]))
     return timeline
 
 
@@ -263,9 +206,9 @@ def build_timeline(source) -> Timeline:
 def to_chrome_trace(timeline: Timeline) -> dict:
     """The timeline as a Chrome trace-event JSON object.
 
-    One process lane per stream (named after the worker), ``X``
-    complete events for spans, ``s``/``f`` flow pairs for the causal
-    edges.  Loadable by ``chrome://tracing`` and ui.perfetto.dev.
+    One process lane per stream (named after the worker) and ``X``
+    complete events for spans.  Loadable by ``chrome://tracing`` and
+    ui.perfetto.dev.
     """
     events: list[dict] = []
     for s in timeline.streams:
@@ -293,17 +236,6 @@ def to_chrome_trace(timeline: Timeline) -> dict:
             "ts": round(span["t0_s"] * 1e6, 3),
             "dur": round(max(0.0, span["t1_s"] - span["t0_s"]) * 1e6, 3),
             "args": args,
-        })
-    for i, e in enumerate(timeline.edges):
-        flow_id = f"{e['kind']}:{e['key']}:{i}"
-        common = {"cat": e["kind"], "name": e["kind"], "id": flow_id, "tid": 0}
-        events.append({
-            "ph": "s", "pid": e["src_stream"],
-            "ts": round(e["t_src_s"] * 1e6, 3), **common,
-        })
-        events.append({
-            "ph": "f", "bp": "e", "pid": e["dst_stream"],
-            "ts": round(e["t_dst_s"] * 1e6, 3), **common,
         })
     return {
         "traceEvents": events,
@@ -374,8 +306,7 @@ def render_summary(timeline: Timeline) -> str:
     """A terminal one-glance summary of the merged timeline."""
     lines = [
         f"timeline — run {timeline.run_id or '(unknown)'}: "
-        f"{timeline.n_streams} streams, {len(timeline.spans)} spans, "
-        f"{len(timeline.edges)} edges"
+        f"{timeline.n_streams} streams, {len(timeline.spans)} spans"
         + (f", {timeline.n_dropped} events dropped" if timeline.n_dropped else "")
     ]
     for s in timeline.streams:
@@ -383,14 +314,6 @@ def render_summary(timeline: Timeline) -> str:
             f"  [{s['stream']:>2}] {s['worker']:<10} pid {s['pid']:<7} "
             f"{s['n_events']:>5} events  "
             f"{s['t0_s']:.6f}s -> {s['t1_s']:.6f}s"
-        )
-    kinds: dict[str, int] = {}
-    for e in timeline.edges:
-        kinds[e["kind"]] = kinds.get(e["kind"], 0) + 1
-    if kinds:
-        lines.append(
-            "  edges: "
-            + ", ".join(f"{k}×{v}" for k, v in sorted(kinds.items()))
         )
     unresolved = timeline.unresolved_parents()
     if unresolved:

@@ -9,7 +9,7 @@ column compressed independently (zlib when it helps, raw bytes when it
 does not) and checksummed, with the job/file side tables and a JSON
 directory at the tail.  Readers memory-map the file and decode one chunk
 at a time, so a terabyte store and a megabyte store cost the same to
-open — and forked analysis workers share the mapping for free.
+open.
 
 Layout (all integers little-endian)::
 
@@ -512,9 +512,7 @@ class TraceStore(TraceSource):
 
     The file is mapped read-only and its whole directory checked once at
     open; every :meth:`chunk` call decodes just that chunk's column blobs
-    (CRC-checked) into a fresh EVENT_DTYPE array.  The mapping is
-    inherited across ``fork``, so :func:`repro.util.pool.map_tasks`
-    workers share it at zero cost.
+    (CRC-checked) into a fresh EVENT_DTYPE array.
     """
 
     def __init__(self, path) -> None:

@@ -6,13 +6,10 @@ actual cache policies.  These tests check that on random traces, plus
 the LRU inclusion (stack) property the engine's correctness rests on.
 """
 
-import os
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import obs
 from repro.caching.blockspan import expand_spans
 from repro.caching.compute_node import simulate_compute_node_caches
 from repro.caching.io_node import request_stream, simulate_io_node_caches, sweep_buffer_counts
@@ -236,32 +233,22 @@ class TestExpansionAndErrors:
 
 
 class TestSweepLines:
-    def test_serial_and_parallel_agree(self, micro_frame):
+    def test_each_line_matches_its_own_sweep(self, micro_frame):
         stream = request_stream(micro_frame)
         lines = [SweepLine("lru"), SweepLine("fifo"), ("lru", 3), "opt"]
         counts = [1, 5, 20]
-        serial = sweep_lines(None, counts, lines, workers=1, stream=stream)
-        fanned = sweep_lines(None, counts, lines, workers=2, stream=stream)
-        assert [c.policy for c in serial] == ["lru", "fifo", "lru", "opt"]
-        for a, b in zip(serial, fanned):
-            assert a.policy == b.policy
-            assert a.n_io_nodes == b.n_io_nodes
-            assert np.array_equal(a.hit_rates, b.hit_rates)
-
-    def test_default_workers_count_usable_cores(self, micro_frame, monkeypatch):
-        # a two-core host with one core in this process's affinity mask:
-        # the default fan-out must not fork two workers onto that core
-        monkeypatch.setattr(
-            os, "sched_getaffinity", lambda pid: {0}, raising=False
-        )
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        observer = obs.enable()
-        try:
-            sweep_lines(micro_frame, [1, 8], ["lru", "fifo"])
-        finally:
-            obs.disable()
-        assert observer.counters["pool.serial_batches"] == 1
-        assert "pool.worker_processes" not in observer.counters
+        curves = sweep_lines(None, counts, lines, stream=stream)
+        assert [c.policy for c in curves] == ["lru", "fifo", "lru", "opt"]
+        for curve, (policy, n_io_nodes) in zip(
+            curves, [("lru", 10), ("fifo", 10), ("lru", 3), ("opt", 10)]
+        ):
+            alone = sweep_buffer_counts(
+                None, counts, n_io_nodes=n_io_nodes, policy=policy,
+                stream=stream,
+            )
+            assert curve.policy == alone.policy
+            assert curve.n_io_nodes == alone.n_io_nodes == n_io_nodes
+            assert np.array_equal(curve.hit_rates, alone.hit_rates)
 
     def test_empty_lines(self, micro_frame):
         assert sweep_lines(micro_frame, [1], []) == []

@@ -104,8 +104,13 @@ class TestCommands:
           "--shards", "2"], "--shards"),
         (["characterize", "--shards", "2"], "--shards"),
         (["characterize", "--pipeline", "full", "--shards", "2"], "--shards"),
+        (["characterize", "--workers", "2"], "--workers"),
+        (["characterize", "x.store", "--store", "--workers", "2"], "--workers"),
+        (["figures", "--workers", "2"], "--workers"),
+        (["cache", "--experiment", "fig9", "--workers", "2"], "--workers"),
     ], ids=["generate-workers", "generate-full-shards", "characterize-shards",
-            "characterize-full-shards"])
+            "characterize-full-shards", "characterize-workers",
+            "characterize-store-workers", "figures-workers", "cache-workers"])
     def test_removed_generation_flags_exit_2_before_generating(
         self, argv, flag, capsys, monkeypatch
     ):

@@ -20,13 +20,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro import obs
 from repro.errors import ObsReportError, ServiceError, TraceFormatError
-from repro.obs import RunReport, Sampler, TraceContext
+from repro.obs import Observer, RunReport, Sampler, TraceContext, TraceLog
 from repro.service import ServiceClient, TraceService, decode_chunk, encode_chunk
 from repro.service.daemon import LOG_MAGIC
 from repro.trace.codec import decode_records_array
 from repro.trace.frame import TraceFrame
 from repro.trace.store import FrameSource, write_store
-from repro.util.pool import map_tasks
 from tests.test_trace_store import _read_everything
 
 EXAMPLES = 300
@@ -97,22 +96,19 @@ def record_bytes(full_pipeline_workload):
     return b"".join(block.payload for block in full_pipeline_workload.raw.blocks)
 
 
-def _observed_task(shared):
-    with obs.span("task"):
-        obs.add("task.items", shared)
-        obs.hist("task.size", shared * 100.0)
-    return shared
-
-
 @pytest.fixture(scope="module")
 def report_bytes(fuzz_dir):
     """A saved report with every field filled: spans, counters, gauges,
-    histograms, notes, a sampled time series and worker trace streams."""
+    histograms, notes, a sampled time series, and the nested worker
+    stream and worker sampler ring a report saved while analyses fanned
+    out across processes carries."""
     observer = obs.enable(TraceContext.root())
     observer.sampler = Sampler(observer, period_s=30.0).start()
     try:
         with obs.span("fuzz"):
-            map_tasks({"a": _observed_task, "b": _observed_task}, 3, workers=2)
+            obs.add("task.items", 3)
+            obs.hist("task.size", 300.0)
+            obs.note("pool.slowest_task", "a")
             obs.gauge("fuzz.ratio", 0.25)
         report = observer.report(
             command=["fuzz"], timeseries=observer.sampler.flush()
@@ -120,6 +116,14 @@ def report_bytes(fuzz_dir):
     finally:
         observer.sampler.stop()
         obs.disable()
+    worker = TraceLog(TraceContext.root(worker="w0"))
+    worker.record("task_start", "a", key="b:1/a")
+    worker.begin_span("task")
+    worker.end_span("task")
+    worker.record("task_end", "a", key="b:1/a")
+    report.trace["children"] = [worker.payload()]
+    ring = Sampler(Observer(), period_s=30.0).flush()
+    report.timeseries["workers"] = [ring]
     return report.save(fuzz_dir / "valid.json").read_bytes()
 
 

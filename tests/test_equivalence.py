@@ -1,7 +1,7 @@
-"""Byte-identity of the generators, the characterization engine and its fan-outs.
+"""Byte-identity of the generators and the characterization engine.
 
 The one-pass engine behind :func:`repro.core.characterize` and every way
-of feeding it — serial, process-pool, chunked, on-disk — promise
+of feeding it — whole frame, chunked, on-disk — promise
 *exactly* the report the original per-analyzer code produced, not merely
 statistically equivalent output.  These tests pin that promise against
 the frozen legacy implementation (``tests/legacy_oracle.py``), check
@@ -227,7 +227,6 @@ class TestFrozenCommands:
     def test_render_all(self, workload, request):
         text = render_all(workload.frame)
         assert _sha(text.encode()) == self._frozen(request)[0]
-        assert render_all(workload.frame, workers=2) == text
 
     def test_validate(self, workload, request):
         text = validate_workload(workload.frame).render()
@@ -279,7 +278,6 @@ def _chunked_report(frame, tmp_path):
 #: every way into characterize() the frozen digests are asserted on
 _REPORT_PATHS = {
     "serial": lambda frame, tmp_path: characterize(frame),
-    "workers4": lambda frame, tmp_path: characterize(frame, workers=4),
     "chunks777": _chunked_report,
     "store": _store_report,
 }
@@ -298,9 +296,9 @@ def _raw_rows(acc):
 
 
 class TestFrozenReport:
-    """The report's bytes are frozen: serial, fanned out, chunked and
-    streamed from disk all hash to the digests captured before the
-    indexed and windowed engines were deleted."""
+    """The report's bytes are frozen: whole-frame, chunked and streamed
+    from disk all hash to the digests captured before the indexed and
+    windowed engines were deleted."""
 
     @pytest.mark.parametrize("path", list(_REPORT_PATHS))
     def test_digest(self, workload, path, tmp_path, request):
@@ -343,7 +341,7 @@ _FROZEN_CACHE_FIGURE_DIGESTS = {
 class TestFrozenCacheFigures:
     """Figures 8 and 9 are frozen: the stack-distance passes (LRU/OPT)
     and the per-count replay (FIFO) must keep producing these bytes,
-    serially and with the policy lines fanned out."""
+    whatever ``workers`` a caller still passes (it is ignored)."""
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_digest(self, workload, workers, request):
@@ -361,7 +359,7 @@ class TestFrozenCacheFigures:
 class TestStreamingEquivalence:
     """The out-of-core chunked path reproduces the in-memory report
     byte for byte — at both fixture seeds/scales, through a wrapped
-    frame and through a real on-disk store, serial and fanned out."""
+    frame and through a real on-disk store."""
 
     def test_frame_source_report_identical(self, workload):
         from repro.trace.store import FrameSource
@@ -384,13 +382,8 @@ class TestStreamingEquivalence:
         write_store(frame, path, chunk_size=512)
         with TraceStore(path) as store:
             serial = characterize(store)
-            fanned = characterize(store, workers=4)
         assert serial.render() == ref.render()
-        assert fanned.render() == ref.render()
         assert json.dumps(serial.to_dict(), sort_keys=True) == json.dumps(
-            ref.to_dict(), sort_keys=True
-        )
-        assert json.dumps(fanned.to_dict(), sort_keys=True) == json.dumps(
             ref.to_dict(), sort_keys=True
         )
 
@@ -406,21 +399,6 @@ class TestStreamingEquivalence:
             got = request_stream(store)
         for a, b in zip(ref, got):
             assert np.array_equal(a, b)
-
-
-class TestParallelEquivalence:
-    def test_characterize_parallel_matches_serial(self, workload):
-        frame = workload.frame
-        serial = characterize(frame)
-        fanned = characterize(frame, workers=4)
-        assert serial.render() == fanned.render()
-        assert json.dumps(serial.to_dict(), sort_keys=True) == json.dumps(
-            fanned.to_dict(), sort_keys=True
-        )
-
-    def test_render_all_parallel_matches_serial(self, workload):
-        frame = workload.frame
-        assert render_all(frame) == render_all(frame, workers=4)
 
 
 # -- the full pipeline: frozen output and the step-replay oracle --------------
@@ -505,7 +483,7 @@ class TestFrozenFullPipeline:
         ob = obs.enable()
         try:
             WorkloadGenerator(scenario, seed=seed).run("full")
-            counters = ob.snapshot()["counters"]
+            counters = ob.counters
         finally:
             obs.disable()
         frozen = _frozen_full(request)[4]

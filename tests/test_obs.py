@@ -14,10 +14,8 @@ import pytest
 
 from repro import obs
 from repro.core import characterize
-from repro.core.figures import render_all
-from repro.errors import ObsReportError, PoolTaskError
+from repro.errors import ObsReportError
 from repro.obs import NULL_OBSERVER, Observer, RunReport, SpanNode
-from repro.util.pool import map_tasks
 
 
 @pytest.fixture(autouse=True)
@@ -90,19 +88,14 @@ class TestCounters:
         obs.gauge("g", 7.0)
         assert observer.gauges == {"g": 7.0}
 
-    def test_merge_snapshot_folds_counters_and_spans(self):
-        worker = Observer()
-        with worker.span("task"):
-            worker.add("items", 3)
-        snap = worker.snapshot()
-
+    def test_fused_scan_records_its_counters_and_span(self, small_frame):
         observer = obs.enable()
-        obs.add("items", 1)
-        with obs.span("parent"):
-            observer.merge_snapshot(snap)
-        assert observer.counters["items"] == 4
-        parent = observer.root.children["parent"]
-        assert parent.children["task"].count == 1
+        characterize(small_frame)
+        assert observer.counters["fused.chunks"] == 1
+        assert observer.counters["fused.events"] == small_frame.n_events
+        assert observer.counters["core.filestats.files"] > 0
+        span_names = set(RunReport(spans=observer.root.to_dict()).span_names())
+        assert "core/characterize_fused/scan" in span_names
 
 
 class TestDisabledMode:
@@ -131,56 +124,6 @@ class TestDisabledMode:
 
         assert off_text == on_text
         assert off_dict == on_dict
-
-
-class TestPoolObservability:
-    def test_parallel_map_tasks_merges_worker_observations(self, small_frame):
-        # render_all fans the nine figures out through the steal scheduler
-        obs.enable()
-        observer = obs.current()
-        render_all(small_frame, workers=4)
-        # the per-figure counters must have crossed the process boundary
-        assert observer.counters["core.figures.rendered"] == 9
-        assert observer.counters["core.sequentiality.files"] > 0
-        # nine figure tasks, plus fig9's two policy lines run serially
-        # inside its worker (the inner fan-out is capped at one process)
-        assert observer.counters["pool.tasks"] == 11
-        assert observer.counters["pool.steal_batches"] == 1
-        assert observer.counters["pool.serial_batches"] == 1
-        span_names = set(RunReport(spans=observer.root.to_dict()).span_names())
-        assert "core/figures/fig7" in span_names
-
-    def test_fused_scan_merges_worker_observations(self, small_frame):
-        # the fused engine partitions the event stream into chunk ranges
-        obs.enable()
-        observer = obs.current()
-        characterize(small_frame, workers=2)
-        assert observer.counters["fused.chunks"] >= 2
-        assert observer.counters["fused.events"] == small_frame.n_events
-        assert observer.counters["core.filestats.files"] > 0
-        span_names = set(RunReport(spans=observer.root.to_dict()).span_names())
-        assert "core/characterize_fused/scan" in span_names
-
-    def test_worker_exception_carries_task_context(self):
-        def ok(shared):
-            return shared
-
-        def boom(shared):
-            raise ValueError("exploded")
-
-        with pytest.raises(PoolTaskError) as info:
-            map_tasks({"fine": ok, "bad": boom}, 1, workers=2)
-        assert info.value.task == "bad"
-        assert info.value.index == 1
-        assert "bad" in str(info.value)
-        assert isinstance(info.value.__cause__, ValueError)
-
-    def test_serial_path_keeps_original_exception(self):
-        def boom(shared):
-            raise ValueError("plain")
-
-        with pytest.raises(ValueError):
-            map_tasks({"bad": boom}, 1, workers=None)
 
 
 class TestRunReport:
@@ -212,6 +155,12 @@ class TestRunReport:
         assert "beta" in text
         assert "rows" in text
         assert "characterize --scale 0.01" in text
+
+    def test_saved_pool_note_still_renders(self):
+        # reports saved while analyses fanned out name the slowest task
+        report = RunReport(notes={"pool.slowest_task": "fig9"},
+                           gauges={"pool.slowest_task_s": 1.5})
+        assert "slowest pool task: fig9 (1.50s)" in report.render()
 
     def test_span_node_round_trip(self):
         root = SpanNode("run")

@@ -1,10 +1,9 @@
 """The metrics pipeline: histograms, sampler, exporters, the bounded
 event log, and the perf-regression gate.
 
-Five promises are pinned here.  Histogram merge is associative and
-commutative on everything exact (counts, buckets, min/max) so the
-fork-snapshot fold order cannot change a report.  Quantile estimates
-bracket the true sample quantile.  The Prometheus export is valid text
+Five promises are pinned here.  Histograms keep count, sum, min and max
+exact, and batch recording matches one-by-one recording.  Quantile
+estimates bracket the true sample quantile.  The Prometheus export is valid text
 exposition format with monotone cumulative buckets.  ``obs diff``
 detects a synthetic slowdown and exits nonzero.  And an unhandled CLI
 crash leaves its reason and the trace log's tail in the run report.
@@ -52,7 +51,6 @@ def hist_of(values) -> Histogram:
 finite_values = st.floats(
     min_value=0.0, max_value=1e12, allow_nan=False, allow_infinity=False
 )
-value_lists = st.lists(finite_values, max_size=40)
 
 
 class TestHistogram:
@@ -95,28 +93,6 @@ class TestHistogram:
         cum = [c for _, c in h.cumulative_buckets()]
         assert cum == sorted(cum)
         assert cum[-1] == h.count
-
-    @given(value_lists, value_lists)
-    @settings(max_examples=80)
-    def test_merge_commutes(self, xs, ys):
-        ab = hist_of(xs).merge(hist_of(ys))
-        ba = hist_of(ys).merge(hist_of(xs))
-        assert ab.count == ba.count
-        assert ab.buckets == ba.buckets
-        assert ab.zero == ba.zero
-        assert ab.min == ba.min and ab.max == ba.max
-        assert ab.sum == pytest.approx(ba.sum, rel=1e-9, abs=1e-9)
-
-    @given(value_lists, value_lists, value_lists)
-    @settings(max_examples=80)
-    def test_merge_is_associative(self, xs, ys, zs):
-        a, b, c = hist_of(xs), hist_of(ys), hist_of(zs)
-        left = hist_of([]).merge(a).merge(b).merge(c)
-        right = a.merge(b.merge(c))
-        assert left.count == right.count
-        assert left.buckets == right.buckets
-        assert left.min == right.min and left.max == right.max
-        assert left.sum == pytest.approx(right.sum, rel=1e-9, abs=1e-9)
 
     @given(st.lists(finite_values, min_size=1, max_size=40),
            st.floats(min_value=0.01, max_value=0.99))
@@ -502,14 +478,15 @@ class TestDiffSchemaGuards:
 class TestAcceptance:
     def test_export_covers_five_layers_of_histograms(self, tmp_path):
         """An observed end-to-end run exports >= 5 histogram families
-        spanning the machine, CFS, caching, and pool layers."""
+        spanning the machine, CFS, caching, and characterization
+        layers."""
         from repro.caching.io_node import sweep_buffer_counts
         from repro.core import characterize
         from repro.workload import WorkloadGenerator, tiny
 
         observer = obs.enable()
         generated = WorkloadGenerator(tiny(1.0), seed=5).run("full")
-        characterize(generated.frame, workers=None)
+        characterize(generated.frame)
         sweep_buffer_counts(generated.frame, [8, 32], policy="lru")
         report = observer.report(command=["acceptance"])
 
@@ -517,13 +494,10 @@ class TestAcceptance:
         hist_fams = {n for n, f in fams.items() if f["type"] == "histogram"}
         assert len(hist_fams) >= 5
         for prefix in ("repro_machine_", "repro_cfs_", "repro_caching_",
-                       "repro_pool_"):
+                       "repro_fused_"):
             assert any(n.startswith(prefix) for n in hist_fams), (
                 f"no histogram family for {prefix}: {sorted(hist_fams)}"
             )
-        # pool slowest-task note surfaces in the rendered report
-        assert report.notes.get("pool.slowest_task")
-        assert "slowest pool task" in report.render()
 
 
 class TestSamplerConcurrency:

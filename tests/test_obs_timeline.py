@@ -1,12 +1,10 @@
-"""Causal timeline export (obs v3): merge, align, edge, validate.
+"""Timeline export (obs v3): merge, align, reconstruct, validate.
 
-Covers the synthetic-payload contract of :mod:`repro.obs.timeline`
-(clock alignment across skewed streams, B/E span pairing, unclosed
-spans, happens-before edge pairing, Chrome trace-event export and its
-validator) and the end-to-end acceptance promise: an observed fanned-out
-run (``repro figures --workers 4``) yields a timeline where every
-worker span has a resolvable cross-process parent, every causal edge
-is forward in aligned time, and the exported Perfetto JSON validates.
+Covers the synthetic-payload contract of :mod:`repro.obs.timeline`:
+clock alignment across skewed streams, B/E span pairing, unclosed and
+evicted spans, and the Chrome trace-event export and its validator.
+The synthetic trace nests a worker stream, as reports saved while
+analyses still fanned out across processes do; those must still load.
 """
 
 from __future__ import annotations
@@ -135,45 +133,6 @@ class TestBuildTimeline:
         assert hang["unclosed"] is True
         assert hang["t1_s"] == pytest.approx(3.0)
 
-    def test_edges_pair_by_key_and_point_forward(self):
-        timeline = build_timeline(_synthetic_trace())
-        kinds = sorted(e["kind"] for e in timeline.edges)
-        assert kinds == ["dispatch", "merge", "steal"]
-        for e in timeline.edges:
-            assert e["t_dst_s"] >= e["t_src_s"], e
-        dispatch = next(e for e in timeline.edges if e["kind"] == "dispatch")
-        assert dispatch["src_stream"] != dispatch["dst_stream"]
-        steal = next(e for e in timeline.edges if e["kind"] == "steal")
-        assert steal["src_stream"] == steal["dst_stream"]
-
-    def test_redispatch_start_pairs_with_closest_prior_send(self):
-        # one task sent twice (crash then requeue): each start must
-        # chain to the latest send not after it
-        main = _stream(
-            "main", epoch0=0.0, perf0=0.0,
-            events=[
-                {"ev": "dispatch", "name": "t0", "t": 1.0, "key": "k"},
-                {"ev": "requeue", "name": "t0", "t": 3.0, "key": "k"},
-            ],
-            root_span="m:0",
-            children=[
-                _stream("w0", 0.0, 0.0, [
-                    {"ev": "task_start", "name": "t0", "t": 1.5, "key": "k"},
-                ], root_span="a:0", parent_span="m:0"),
-                _stream("w1", 0.0, 0.0, [
-                    {"ev": "task_start", "name": "t0", "t": 3.5, "key": "k"},
-                    {"ev": "task_end", "name": "t0", "t": 4.0, "key": "k"},
-                ], root_span="b:0", parent_span="m:0"),
-            ],
-        )
-        timeline = build_timeline(main)
-        sends = sorted(
-            (e["t_src_s"], e["t_dst_s"])
-            for e in timeline.edges if e["kind"] == "dispatch"
-        )
-        # timeline zero sits at the earliest event (the first dispatch)
-        assert sends == [(0.0, 0.5), (2.0, 2.5)]
-
     def test_evicted_span_begins_leave_the_rest(self):
         # a full log evicts its oldest events: "early" goes entirely and
         # "outer" keeps only its E, which closes nothing
@@ -205,7 +164,7 @@ class TestChromeTrace:
         path = write_chrome_trace(timeline, tmp_path / "trace.json")
         assert validate_chrome_trace(json.loads(path.read_text())) == []
 
-    def test_lanes_spans_and_flows_are_present(self):
+    def test_lanes_and_spans_are_present(self):
         payload = to_chrome_trace(build_timeline(_synthetic_trace()))
         events = payload["traceEvents"]
         names = {
@@ -216,8 +175,6 @@ class TestChromeTrace:
         xs = [e for e in events if e["ph"] == "X"]
         assert {e["name"] for e in xs} >= {"fanout", "load", "main", "w0"}
         assert all(e["ts"] >= 0 and e["dur"] >= 0 for e in xs)
-        assert len([e for e in events if e["ph"] == "s"]) == \
-            len([e for e in events if e["ph"] == "f"]) == 3
         assert payload["otherData"]["run_id"] == "run-1"
 
     def test_validator_reports_problems(self):
@@ -235,67 +192,8 @@ class TestChromeTrace:
         assert any("dur must be" in p for p in problems)
         assert any("unpaired" in p for p in problems)
 
-    def test_summary_mentions_streams_and_edges(self):
+    def test_summary_mentions_streams(self):
         summary = render_summary(build_timeline(_synthetic_trace()))
         assert "2 streams" in summary
         assert "main" in summary and "w0" in summary
-        assert "dispatch×1" in summary
         assert "WARNING" not in summary
-
-
-class TestAcceptanceShardedRun:
-    """Acceptance: an observed fan-out run → valid causal timeline.
-
-    The run is ``render_all(frame, workers=4)`` (``repro figures
-    --workers 4``): nine figure tasks over four forked workers.
-    """
-
-    @pytest.fixture(scope="class")
-    def fanned_report(self):
-        from repro.core.figures import render_all
-        from repro.workload import WorkloadGenerator, tiny
-
-        frame = WorkloadGenerator(tiny(1.0), seed=5).run("direct").frame
-        obs.disable()
-        observer = obs.enable(TraceContext.root())
-        try:
-            render_all(frame, workers=4)
-            report = observer.report(command=["test", "figures"])
-        finally:
-            obs.disable()
-        return report
-
-    def test_every_worker_span_has_a_resolvable_parent(self, fanned_report):
-        timeline = build_timeline(fanned_report)
-        assert timeline.n_streams >= 5  # main + 4 workers at least
-        assert timeline.unresolved_parents() == []
-        # parents of worker roots live in a *different* stream
-        stream_of = {}
-        for s in timeline.spans:
-            stream_of.setdefault(s["span"], s["stream"])
-        for s in timeline.spans:
-            if s.get("root") and s["parent"]:
-                assert stream_of[s["parent"]] != s["stream"]
-
-    def test_causal_edges_are_ordered_after_alignment(self, fanned_report):
-        timeline = build_timeline(fanned_report)
-        kinds = {e["kind"] for e in timeline.edges}
-        assert "dispatch" in kinds and "merge" in kinds
-        for e in timeline.edges:
-            assert e["t_dst_s"] >= e["t_src_s"], (
-                f"backward {e['kind']} edge on {e['key']}"
-            )
-
-    def test_perfetto_json_validates(self, fanned_report, tmp_path):
-        timeline = build_timeline(fanned_report)
-        path = write_chrome_trace(timeline, tmp_path / "figures.json")
-        payload = json.loads(path.read_text())
-        assert validate_chrome_trace(payload) == []
-
-    def test_report_round_trips_the_trace(self, fanned_report):
-        clone = RunReport.from_dict(fanned_report.to_dict())
-        assert clone.version == 3
-        a = build_timeline(fanned_report)
-        b = build_timeline(clone)
-        assert a.span_ids() == b.span_ids()
-        assert len(a.edges) == len(b.edges)

@@ -22,6 +22,7 @@ import pytest
 
 from repro.core import characterize
 from repro.errors import ServiceError
+from repro.obs.server import _Handler
 from repro.service import (
     ServiceClient,
     TraceService,
@@ -435,6 +436,22 @@ class TestContentLength:
             assert ServiceClient(svc.url).health()["status"] == "ok"
         assert status == 400
         assert "Content-Length" in error
+
+    def test_stalled_client_is_timed_out(self, monkeypatch):
+        # a client that stops mid-body gets a 408, and one that never
+        # sends a request line is closed; neither holds a thread
+        assert 0 < _Handler.timeout <= 60
+        monkeypatch.setattr(_Handler, "timeout", 0.5)
+        with TraceService() as svc:
+            with socket.create_connection(
+                ("127.0.0.1", svc.port), timeout=5
+            ) as silent:
+                assert ServiceClient(svc.url).health()["status"] == "ok"
+                status, error = self._post_ingest(svc.port, b"10", b"abc")
+                assert silent.recv(1) == b""
+            assert ServiceClient(svc.url).health()["status"] == "ok"
+        assert status == 408
+        assert "7 bytes" in error and "Content-Length" in error
 
 
 # -- restart from the restart log -------------------------------------------

@@ -231,6 +231,20 @@ class TestSources:
         assert sub.n_events == 3
         assert sub.jobs is frame.jobs
 
+    def test_characterize_surfaces_a_chunk_error_unchanged(self, small_frame):
+        from repro.core import characterize
+
+        class Exploding(FrameSource):
+            def chunk(self, i):
+                if i == 1:
+                    raise RuntimeError("disk on fire")
+                return super().chunk(i)
+
+        src = Exploding(small_frame, chunk_size=-(-small_frame.n_events // 4))
+        with pytest.raises(RuntimeError, match="disk on fire") as info:
+            characterize(src)
+        assert type(info.value) is RuntimeError
+
     def test_open_source_sniffs_store_and_npz(self, tmp_path):
         events = _events_array(
             [(float(t), 0, 0, 0, int(EventKind.READ), -1, 0, 0, 1)
