@@ -6,17 +6,19 @@ dicts once *per buffer count*
 correct for any policy, tens of thousands of events per second.
 :func:`~repro.caching.io_node.sweep_buffer_counts` computes an LRU line
 from one **stack-distance** pass that pre-sorts per-node depth profiles
-and reads every capacity off by binary search.  This benchmark times
-both on the same LRU sweep at two trace scales, checks the acceptance
-contract (bit-for-bit equal curves, stackdist >= 5x the oracle sweep)
-and records the trajectory in ``BENCH_cache_sweep.json``.
+and reads every capacity off by binary search, and a FIFO line from an
+integer-keyed replay (one list-indexed loop per count over dense block
+ids, no queue).  This benchmark times both lines against the oracle at
+two trace scales, checks the acceptance contract (bit-for-bit equal
+curves, stackdist >= 5x and FIFO >= 3x the oracle sweep on the bench
+trace) and records the trajectory in ``BENCH_cache_sweep.json``.
 
 Methodology (also in docs/DEVELOPMENT.md): the request stream is
-precomputed and shared, so only engine time is measured; the oracle
+precomputed and shared, so only engine time is measured; each oracle
 sweep is timed once (it is seconds long — timer noise is negligible);
-the stackdist pass is timed as the best of three after one warmup run,
-which discharges first-call allocator effects the same way a warm sweep
-loop would.
+each sweep is timed as the best of three after one warmup run, which
+discharges first-call allocator effects the same way a warm sweep loop
+would.
 """
 
 import time
@@ -41,29 +43,36 @@ SMALL_SCALE = 0.02
 #: acceptance floor for the bench-trace stackdist speedup over the oracle
 MIN_SPEEDUP = 5.0
 
+#: acceptance floor for the bench-trace FIFO sweep speedup over the oracle
+MIN_FIFO_SPEEDUP = 3.0
 
-def _oracle(stream):
-    return np.asarray([
+
+def _oracle(stream, policy):
+    """The line from the per-count oracle, and its seconds (one run)."""
+    t0 = time.perf_counter()
+    rates = np.asarray([
         simulate_io_node_caches(
-            None, count, n_io_nodes=10, policy="lru", stream=stream
+            None, count, n_io_nodes=10, policy=policy, stream=stream
         ).hit_rate
         for count in COUNTS
     ])
+    return time.perf_counter() - t0, rates
 
 
-def _sweep(stream):
-    return sweep_buffer_counts(
-        None, COUNTS, n_io_nodes=10, policy="lru", stream=stream
-    ).hit_rates
+def _best_of(stream, policy, rounds: int = 3):
+    """The line from ``sweep_buffer_counts``, and its best seconds of
+    ``rounds`` after one warmup run."""
+    def sweep():
+        return sweep_buffer_counts(
+            None, COUNTS, n_io_nodes=10, policy=policy, stream=stream
+        ).hit_rates
 
-
-def _best_of(stream, rounds: int = 3):
-    _sweep(stream)  # warmup
+    sweep()  # warmup
     best = float("inf")
     rates = None
     for _ in range(rounds):
         t0 = time.perf_counter()
-        rates = _sweep(stream)
+        rates = sweep()
         best = min(best, time.perf_counter() - t0)
     return best, rates
 
@@ -72,14 +81,16 @@ def _time_engines(frame) -> dict:
     stream = request_stream(frame)
     n_events = int(len(stream[0]))
 
-    t0 = time.perf_counter()
-    oracle = _oracle(stream)
-    oracle_s = time.perf_counter() - t0
-
-    stack_s, stackdist = _best_of(stream)
+    oracle_s, oracle = _oracle(stream, "lru")
+    stack_s, stackdist = _best_of(stream, "lru")
+    fifo_oracle_s, fifo_oracle = _oracle(stream, "fifo")
+    fifo_s, fifo = _best_of(stream, "fifo")
 
     assert (stackdist == oracle).all(), (
         "stack-distance curve must equal the oracle bit-for-bit"
+    )
+    assert (fifo == fifo_oracle).all(), (
+        "FIFO sweep must equal the oracle bit-for-bit"
     )
     return {
         "events": n_events,
@@ -88,6 +99,10 @@ def _time_engines(frame) -> dict:
         "speedup_stackdist": oracle_s / stack_s,
         "oracle_events_per_sec": n_events / oracle_s,
         "stackdist_events_per_sec": n_events / stack_s,
+        "fifo_oracle_seconds": fifo_oracle_s,
+        "fifo_seconds": fifo_s,
+        "speedup_fifo": fifo_oracle_s / fifo_s,
+        "fifo_events_per_sec": n_events / fifo_s,
         "buffer_counts": COUNTS,
         "hit_rates": [float(r) for r in oracle],
     }
@@ -104,28 +119,34 @@ def test_perf_cache_sweep(benchmark, frame):
     )
 
     rows = [
-        (
-            name,
-            r["events"],
-            f"{r['oracle_seconds']:.2f}",
-            f"{r['stackdist_seconds']:.3f}",
-            f"{r['stackdist_events_per_sec']:,.0f}",
-            f"{r['speedup_stackdist']:.0f}x",
-        )
+        row
         for name, r in results.items()
+        for row in (
+            (name, "lru", r["events"], f"{r['oracle_seconds']:.2f}",
+             f"{r['stackdist_seconds']:.3f}",
+             f"{r['stackdist_events_per_sec']:,.0f}",
+             f"{r['speedup_stackdist']:.1f}x"),
+            (name, "fifo", r["events"], f"{r['fifo_oracle_seconds']:.2f}",
+             f"{r['fifo_seconds']:.3f}",
+             f"{r['fifo_events_per_sec']:,.0f}",
+             f"{r['speedup_fifo']:.1f}x"),
+        )
     ]
     show(
-        "Figure 9 LRU sweep: per-count oracle vs stack distances",
+        "Figure 9 sweeps: per-count oracle vs stack distances (LRU) and "
+        "the dense-key replay (FIFO)",
         format_table(
-            ["trace", "events", "oracle s", "stackdist s",
-             "stackdist ev/s", "gain"],
+            ["trace", "line", "events", "oracle s", "sweep s",
+             "sweep ev/s", "gain"],
             rows,
         ),
     )
     emit_json("cache_sweep", results)
 
-    # one stackdist pass must beat the whole oracle sweep by >= 5x on
-    # the bench trace (the smaller trace has proportionally more fixed
-    # overhead, so it only needs to win)
+    # each sweep must beat its whole oracle sweep on the bench trace by
+    # its floor (the smaller trace has proportionally more fixed
+    # overhead, so there it only needs to win)
     assert results["bench"]["speedup_stackdist"] >= MIN_SPEEDUP
     assert results["small"]["speedup_stackdist"] > 1.0
+    assert results["bench"]["speedup_fifo"] >= MIN_FIFO_SPEEDUP
+    assert results["small"]["speedup_fifo"] > 1.0

@@ -119,3 +119,22 @@ def expand_spans(
     req = np.repeat(np.arange(len(files), dtype=np.int64), lens)
     block = np.arange(starts[-1], dtype=np.int64) - starts[req] + first[req]
     return BlockSpans(req=req, file=files[req], block=block, starts=starts)
+
+
+def _encode_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Injective int64 encoding of (a, b) pairs.
+
+    Fast path: plain ``a * (max(b) + 1) + b`` when the product cannot
+    overflow; falls back to factorizing both columns otherwise.
+    """
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    if len(a) == 0:
+        return np.zeros(0, dtype=np.int64)
+    a_min, a_max = int(a.min()), int(a.max())
+    b_min, b_max = int(b.min()), int(b.max())
+    if a_min >= 0 and b_min >= 0 and (a_max + 1) * (b_max + 1) < (1 << 62):
+        return a * np.int64(b_max + 1) + b
+    _, ia = np.unique(a, return_inverse=True)
+    ub, ib = np.unique(b, return_inverse=True)
+    return ia.astype(np.int64) * np.int64(len(ub)) + ib.astype(np.int64)

@@ -26,9 +26,10 @@ The policy picks how a Figure 9 line is computed
 (:func:`sweep_buffer_counts`).  LRU and OPT are stack algorithms, so the
 single-pass **stack-distance** profile of :mod:`repro.caching.stackdist`
 yields their exact curve at every buffer count from one traversal of the
-trace.  FIFO and the interprocess policy are not, so they take the
-per-capacity **replay** simulator below, once per buffer count; for LRU
-and OPT that replay is the oracle the tests hold the profile to.
+trace.  FIFO is not, so :func:`_fifo_results` replays it over dense
+integer keys, one loop per buffer count; the interprocess policy takes
+the per-capacity **replay** simulator below, once per count.  For LRU,
+OPT and FIFO that replay is the oracle the tests hold the sweep to.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import obs
-from repro.caching.blockspan import expand_spans
+from repro.caching.blockspan import _encode_pairs, expand_spans
 from repro.caching.policies import (
     OptimalPolicy,
     ReplacementPolicy,
@@ -265,6 +266,72 @@ def simulate_io_node_caches(
     )
 
 
+def _fifo_results(
+    stream: tuple[np.ndarray, ...], counts: Sequence[int], n_io_nodes: int, policy: str
+) -> list[IONodeCacheResult]:
+    """FIFO's :func:`simulate_io_node_caches` result at each count, exactly.
+
+    FIFO needs no queue: a node of capacity ``C`` holds exactly the blocks
+    of its last ``C`` misses, so a block inserted when its node had taken
+    ``m`` misses stays resident while the node's miss count ``M`` satisfies
+    ``M - m <= C``.  A sub-request hits iff none of its blocks missed.
+    """
+    if min(counts, default=0) < 0:
+        raise CacheConfigError("total_buffers must be non-negative")
+    files, first, last, _nodes, is_read = stream
+    spans = expand_spans(files, first, last)
+    io = spans.io_nodes(n_io_nodes)
+    uniq, keys = np.unique(_encode_pairs(spans.file, spans.block), return_inverse=True)
+    subs = spans.sub_requests(n_io_nodes)
+    sub_read = np.asarray(is_read, dtype=bool)[subs.req]
+    n_read = int(sub_read.sum())
+    # each node's accesses in time order, less immediate repeats (the
+    # key the node saw last: a hit at any capacity >= 1 that changes
+    # nothing; a key lives on one node, so equal neighbours are repeats)
+    order = np.argsort(io, kind="stable")
+    srt = keys[order]
+    fresh = np.concatenate(([True], srt[1:] != srt[:-1]))
+    bounds = np.searchsorted(io[order], np.arange(n_io_nodes + 1)).tolist()
+    per_node = [
+        (order[lo:hi], order[lo:hi][fresh[lo:hi]].tolist(),
+         srt[lo:hi][fresh[lo:hi]].tolist())
+        for lo, hi in zip(bounds, bounds[1:])
+    ]
+
+    results = []
+    for count in counts:
+        base, extra = divmod(int(count), n_io_nodes)
+        # per key, the miss count up to which it stays resident (-1: never
+        # inserted); a key lives on one node, so one list serves them all
+        resident_until = [-1] * len(uniq)
+        missed: list[int] = []
+        for node, (every, positions, node_keys) in enumerate(per_node):
+            cap = base + (1 if node < extra else 0)
+            if cap == 0:  # every access misses, repeats included
+                missed.extend(every.tolist())
+                continue
+            m = 0
+            for pos, key in zip(positions, node_keys):
+                if m > resident_until[key]:
+                    resident_until[key] = m + cap
+                    m += 1
+                    missed.append(pos)
+        hit = np.bincount(subs.block_sub[missed], minlength=len(subs)) == 0
+        all_hits = int(hit.sum())
+        read_hits = int(np.count_nonzero(hit & sub_read))
+        if obs.enabled():
+            obs.add("caching.replay.simulations")
+            obs.add("caching.replay.sub_requests", len(subs))
+            obs.add("caching.replay.hits", all_hits)
+            obs.add(f"caching.replay.{policy.lower()}.read_hits", read_hits)
+            obs.add(f"caching.replay.{policy.lower()}.read_sub_requests", n_read)
+        results.append(IONodeCacheResult(
+            policy, n_io_nodes, count, read_sub_requests=n_read, read_hits=read_hits,
+            all_sub_requests=len(subs), all_hits=all_hits,
+        ))
+    return results
+
+
 def sweep_buffer_counts(
     frame,
     buffer_counts: Sequence[int],
@@ -277,8 +344,8 @@ def sweep_buffer_counts(
 
     LRU and OPT are stack algorithms: one stack-distance pass scores
     every count, bit-equal to replaying each.  FIFO and interprocess are
-    not, so they replay the trace once per count through
-    :func:`simulate_io_node_caches`.
+    not: FIFO replays over dense integer keys (:func:`_fifo_results`),
+    interprocess once per count through :func:`simulate_io_node_caches`.
     """
     # imported lazily: stackdist builds on this module's stream/result types
     from repro.caching.stackdist import STACKDIST_POLICIES, io_node_stack_profile
@@ -290,17 +357,17 @@ def sweep_buffer_counts(
                 n_io_nodes=n_io_nodes, policy=policy, stream=stream
             )
             return profile.curve(buffer_counts)
-    rates = []
     with obs.span("caching/sweep/replay"):
-        for count in buffer_counts:
-            result = simulate_io_node_caches(
-                None, count, n_io_nodes=n_io_nodes, policy=policy,
-                block_size=block_size, stream=stream,
-            )
-            rates.append(result.hit_rate)
+        if policy.lower() == "fifo":
+            results = _fifo_results(stream, buffer_counts, n_io_nodes, policy)
+        else:
+            results = [
+                simulate_io_node_caches(None, c, n_io_nodes, policy, block_size, stream)
+                for c in buffer_counts
+            ]
     return HitRateCurve(
         policy=policy,
         n_io_nodes=n_io_nodes,
         buffer_counts=np.asarray(list(buffer_counts), dtype=np.int64),
-        hit_rates=np.asarray(rates),
+        hit_rates=np.asarray([r.hit_rate for r in results]),
     )

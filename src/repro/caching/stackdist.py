@@ -22,8 +22,8 @@ capacity ``C`` iff its stack depth is <= ``C``.
   so the depths reproduce :class:`repro.caching.policies.OptimalPolicy`
   replay bit-for-bit at every capacity.
 - **FIFO** and the interprocess-aware policy are *not* stack algorithms
-  (FIFO famously violates inclusion — Belady's anomaly), so the replay
-  simulator remains the oracle for them.
+  (FIFO famously violates inclusion — Belady's anomaly), so
+  ``sweep_buffer_counts`` replays them, once per buffer count.
 
 The profiles returned here reproduce the replay simulators' results
 *exactly* — same integer hit/request counts, hence bit-identical hit
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import obs
-from repro.caching.blockspan import expand_spans
+from repro.caching.blockspan import _encode_pairs, expand_spans
 from repro.caching.compute_node import ComputeNodeCacheResult, read_only_file_ids
 from repro.caching.io_node import IONodeCacheResult, request_stream
 from repro.caching.results import HitRateCurve
@@ -80,25 +80,6 @@ def _next_occurrences(ids: np.ndarray) -> np.ndarray:
     same = srt[1:] == srt[:-1]
     nxt[order[:-1][same]] = order[1:][same]
     return nxt
-
-
-def _encode_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Injective int64 encoding of (a, b) pairs.
-
-    Fast path: plain ``a * (max(b) + 1) + b`` when the product cannot
-    overflow; falls back to factorizing both columns otherwise.
-    """
-    a = np.asarray(a, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64)
-    if len(a) == 0:
-        return np.zeros(0, dtype=np.int64)
-    a_min, a_max = int(a.min()), int(a.max())
-    b_min, b_max = int(b.min()), int(b.max())
-    if a_min >= 0 and b_min >= 0 and (a_max + 1) * (b_max + 1) < (1 << 62):
-        return a * np.int64(b_max + 1) + b
-    _, ia = np.unique(a, return_inverse=True)
-    ub, ib = np.unique(b, return_inverse=True)
-    return ia.astype(np.int64) * np.int64(len(ub)) + ib.astype(np.int64)
 
 
 # -- LRU: vectorized Bennett–Kruskal distances -------------------------------
@@ -301,8 +282,8 @@ def _depths_for_policy(
         return opt_depths(cache_ids, keys)
     raise CacheConfigError(
         f"stack-distance engine supports {STACKDIST_POLICIES}, not {policy!r}; "
-        "FIFO/interprocess are not stack algorithms: replay them per buffer "
-        "count (simulate_io_node_caches)"
+        "FIFO/interprocess are not stack algorithms: sweep_buffer_counts "
+        "replays them once per buffer count"
     )
 
 

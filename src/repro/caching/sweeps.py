@@ -5,8 +5,8 @@ A Figure 9 style experiment is a set of *lines* — one
 read-only request stream.  Each line is one
 :func:`~repro.caching.io_node.sweep_buffer_counts` call: a single
 stack-distance pass for LRU/OPT, one replay per buffer count for FIFO
-and interprocess.  :func:`sweep_lines` builds the request stream once
-and runs the lines over it one after another, in this process.
+(a loop over dense integer keys) and interprocess.  :func:`sweep_lines`
+builds the request stream once and runs the lines over it in turn.
 """
 
 from __future__ import annotations

@@ -3,8 +3,8 @@
 :class:`Router` is the stdlib-only plumbing both HTTP servers here
 share: a ``ThreadingHTTPServer`` on a daemon thread, ``port``/``url``/
 ``stop``/``wait`` and the context manager, and per request the route
-lookup, a body read in bounded pieces under a socket timeout, and the
-error answers — an :class:`HttpError` gets its status and a JSON
+lookup, a body read in bounded pieces under a per-request deadline, and
+the error answers — an :class:`HttpError` gets its status and a JSON
 ``{"error": ...}`` body, an unknown route a 404, anything else a
 logged 500.  Each server is a subclass that supplies its route table:
 :class:`ObsServer` below and :class:`~repro.service.daemon.TraceService`.
@@ -37,9 +37,11 @@ serves a report file until interrupted.
 
 from __future__ import annotations
 
+import io
 import json
 import logging
 import os
+import socket
 import threading
 import time
 from collections.abc import Callable
@@ -63,9 +65,9 @@ TEXT_CONTENT_TYPE = "text/plain; charset=utf-8"
 #: declared Content-Length is never allocated up front
 _BODY_PIECE = 1 << 20
 
-#: seconds a socket read or write may block before the request is
-#: answered 408 or the connection dropped, so a client that stalls
-#: cannot hold a handler thread for good
+#: seconds a whole request (line, headers, body) may take to arrive, or
+#: a response write may block, before it is answered 408 or dropped, so
+#: a client that stalls or trickles cannot hold a handler thread for good
 _REQUEST_TIMEOUT_S = 30.0
 
 
@@ -110,20 +112,43 @@ class ReusableThreadingHTTPServer(ThreadingHTTPServer):
     routes: dict
 
 
+class _DeadlineSocketIO(socket.SocketIO):
+    """A handler's socket reader whose every ``recv`` waits at most until
+    ``deadline`` (``time.monotonic``), however the bytes trickle in."""
+
+    deadline = 0.0
+
+    def readinto(self, buf) -> int:
+        left = self.deadline - time.monotonic()
+        if left <= 0:
+            raise TimeoutError("request deadline passed")
+        self._sock.settimeout(left)
+        return super().readinto(buf)
+
+
 class _Handler(BaseHTTPRequestHandler):
     """Answers a request from its server's route table.
 
     A route function is called with this handler: ``arg`` is the
     percent-decoded path after a prefix route, ``query`` the raw query
-    string, and :meth:`body` reads the request body.  A stalled body
-    read is answered 408; ``http.server`` closes a connection whose
-    request line or headers time out.
+    string, and :meth:`body` reads the request body.  A body still short
+    ``timeout`` seconds into its request is answered 408; ``http.server``
+    closes a connection whose request line or headers are.
     """
 
     server: ReusableThreadingHTTPServer
     arg = query = ""
-    #: socket timeout, applied by StreamRequestHandler.setup
+    #: the per-request read deadline, and the socket timeout of writes
     timeout = _REQUEST_TIMEOUT_S
+
+    def setup(self) -> None:
+        super().setup()
+        self.rfile.close()  # the socket stays open for the new reader
+        self.rfile = io.BufferedReader(_DeadlineSocketIO(self.connection, "rb"))
+
+    def handle_one_request(self) -> None:
+        self.rfile.raw.deadline = time.monotonic() + self.timeout
+        super().handle_one_request()
 
     def log_message(self, fmt, *args):  # route into our logger
         log.debug("%s %s", self.address_string(), fmt % args)
@@ -145,6 +170,7 @@ class _Handler(BaseHTTPRequestHandler):
             log.warning("%s %s failed", method, path, exc_info=True)
             reply = json_reply({"error": f"internal error: {exc}"}, 500)
         data = reply.body.encode("utf-8")
+        self.connection.settimeout(self.timeout)
         try:
             self.send_response(reply.status)
             self.send_header("Content-Type", reply.content_type)

@@ -3,16 +3,23 @@
 The engine's contract is exactness: at every capacity, the curves it
 produces must be bit-for-bit equal to brute-force replay through the
 actual cache policies.  These tests check that on random traces, plus
-the LRU inclusion (stack) property the engine's correctness rests on.
+the LRU inclusion (stack) property the engine's correctness rests on,
+and hold FIFO's dense-key replay to the same dictionary oracle.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import obs
 from repro.caching.blockspan import expand_spans
 from repro.caching.compute_node import simulate_compute_node_caches
-from repro.caching.io_node import request_stream, simulate_io_node_caches, sweep_buffer_counts
+from repro.caching.io_node import (
+    _fifo_results,
+    request_stream,
+    simulate_io_node_caches,
+    sweep_buffer_counts,
+)
 from repro.caching.policies import LRUPolicy, OptimalPolicy
 from repro.caching.stackdist import (
     COLD,
@@ -45,16 +52,24 @@ def _stream(draw_requests):
     )
 
 
-request_rows = st.lists(
-    st.tuples(
-        st.integers(0, 2),        # file
-        st.integers(0, 9),        # first block
-        st.integers(0, 3),        # extra blocks spanned
-        st.integers(0, 3),        # issuing node
-        st.booleans(),            # is_read
-    ),
-    min_size=1,
-    max_size=30,
+request_row = st.tuples(
+    st.integers(0, 2),        # file
+    st.integers(0, 9),        # first block
+    st.integers(0, 3),        # extra blocks spanned
+    st.integers(0, 3),        # issuing node
+    st.booleans(),            # is_read
+)
+
+request_rows = st.lists(request_row, min_size=1, max_size=30)
+
+#: request rows each issued 1-3 times back to back, then a one-block
+#: read issued twice and a read straddling I/O nodes: a repeated
+#: one-block request is an immediate repeat on its I/O node
+fifo_rows = st.lists(
+    st.tuples(request_row, st.integers(1, 3)), min_size=1, max_size=20
+).map(
+    lambda rows: [row for row, times in rows for _ in range(times)]
+    + [(1, 4, 0, 2, True), (1, 4, 0, 3, True), (2, 8, 3, 1, True)]
 )
 
 key_sequences = st.lists(st.integers(0, 7), min_size=1, max_size=40)
@@ -108,6 +123,59 @@ class TestIONodeEquivalence:
         assert np.array_equal(curve.hit_rates, oracle)
         assert curve.policy == policy
         assert curve.buffer_counts.tolist() == counts
+
+
+class TestFIFOReplay:
+    """FIFO's dense-key replay (:func:`_fifo_results`, behind
+    ``sweep_buffer_counts(policy="fifo")``) equals the dictionary oracle."""
+
+    @given(fifo_rows, st.sampled_from([1, 3, 10]))
+    @settings(max_examples=40, deadline=None)
+    def test_sweep_equals_oracle_at_every_count(self, rows, n_io):
+        # counts 0 .. 13 include counts below n_io: zero-capacity nodes
+        stream = _stream(rows)
+        counts = list(range(0, 14))
+        oracle = [
+            simulate_io_node_caches(
+                None, cap, n_io_nodes=n_io, policy="fifo", stream=stream
+            )
+            for cap in counts
+        ]
+        assert _fifo_results(stream, counts, n_io, "fifo") == oracle
+        curve = sweep_buffer_counts(
+            None, counts, n_io_nodes=n_io, policy="fifo", stream=stream
+        )
+        assert np.array_equal(curve.hit_rates, [r.hit_rate for r in oracle])
+
+    def test_fig9_counts_on_small_workload(self, small_frame):
+        stream = request_stream(small_frame)
+        counts = [50, 125, 250, 500, 1000, 2000, 4000]
+        curve = sweep_buffer_counts(None, counts, policy="fifo", stream=stream)
+        oracle = [
+            simulate_io_node_caches(None, cap, policy="fifo", stream=stream).hit_rate
+            for cap in counts
+        ]
+        assert np.array_equal(curve.hit_rates, oracle)
+
+    def test_counters_equal_the_oracle_loop(self):
+        rng = np.random.default_rng(3)
+        first = rng.integers(0, 60, 400)
+        stream = (
+            rng.integers(0, 4, 400), first, first + rng.integers(0, 3, 400),
+            rng.integers(0, 8, 400), rng.random(400) < 0.7,
+        )
+        counts = [0, 4, 10, 50]
+        try:
+            swept = obs.enable()
+            sweep_buffer_counts(None, counts, policy="fifo", stream=stream)
+            looped = obs.enable()
+            for cap in counts:
+                simulate_io_node_caches(None, cap, policy="fifo", stream=stream)
+        finally:
+            obs.disable()
+        assert swept.counters == looped.counters
+        assert swept.counters["caching.replay.simulations"] == len(counts)
+        assert swept.counters["caching.replay.fifo.read_hits"] > 0
 
 
 def _read_frame(rows):

@@ -340,7 +340,8 @@ _FROZEN_CACHE_FIGURE_DIGESTS = {
 
 class TestFrozenCacheFigures:
     """Figures 8 and 9 are frozen: the stack-distance passes (LRU/OPT)
-    and the per-count replay (FIFO) must keep producing these bytes,
+    and FIFO's dense-key replay (captured while FIFO still replayed
+    through the dictionary policy) must keep producing these bytes,
     whatever ``workers`` a caller still passes (it is ignored)."""
 
     @pytest.mark.parametrize("workers", [1, 2])

@@ -13,8 +13,10 @@ from __future__ import annotations
 import json
 import socket
 import struct
+import select
 import sys
 import threading
+import time
 import zlib
 
 import numpy as np
@@ -452,6 +454,35 @@ class TestContentLength:
             assert ServiceClient(svc.url).health()["status"] == "ok"
         assert status == 408
         assert "7 bytes" in error and "Content-Length" in error
+
+    def test_trickling_client_is_cut_at_the_deadline(self, monkeypatch):
+        # one header byte every 0.1 s keeps each read inside the timeout;
+        # the request's single deadline still closes the connection
+        monkeypatch.setattr(_Handler, "timeout", 0.5)
+        head = b"GET /healthz HTTP/1.1\r\nHost: test\r\nX-Slow: " + b"a" * 100
+        with TraceService() as svc:
+            with socket.create_connection(
+                ("127.0.0.1", svc.port), timeout=5
+            ) as sock:
+                t0 = time.monotonic()
+                answer = None
+                for byte in head:
+                    try:
+                        sock.sendall(bytes([byte]))
+                    except OSError:  # the daemon already closed it
+                        answer = b""
+                        break
+                    if select.select([sock], [], [], 0.1)[0]:
+                        try:
+                            answer = sock.recv(65536)
+                        except ConnectionResetError:
+                            answer = b""
+                        break
+                elapsed = time.monotonic() - t0
+                assert ServiceClient(svc.url).health()["status"] == "ok"
+        assert answer is not None, "trickled request never cut off"
+        assert answer == b"" or answer.startswith(b"HTTP/1.0 408")
+        assert elapsed < 0.5 + 1.0
 
 
 # -- restart from the restart log -------------------------------------------
