@@ -62,6 +62,14 @@ def flatten_metrics(payload, prefix: str = "") -> dict[str, float]:
     return out
 
 
+def _usable_cores() -> int:
+    """Cores this process may run on (its affinity mask where the OS
+    has one), which a shared or pinned host keeps below ``cpu_count``."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def emit_json(name: str, payload: dict) -> Path:
     """Write ``BENCH_<name>.json`` next to the benchmarks.
 
@@ -80,6 +88,7 @@ def emit_json(name: str, payload: dict) -> Path:
             "platform": platform.platform(),
             "python": platform.python_version(),
             "cpu_count": os.cpu_count(),
+            "usable_cores": _usable_cores(),
         },
         "metrics": flatten_metrics(payload),
         "raw": payload,

@@ -15,6 +15,10 @@ capacity ``C`` iff its stack depth is <= ``C``.
   at ``p`` is ``i - p - D(i)`` where ``D(i)`` counts earlier accesses
   whose own previous use lies after ``p`` — an inversion-style count
   done with a bottom-up, numpy-vectorized merge (no per-access Python).
+  Only re-references pay for it: immediate repeats (depth 1) collapse
+  first, cold accesses drop out of the count, and the merge pads to a
+  multiple of its bootstrap width rather than to a power of two, so its
+  cost follows the number of reuse accesses.
 - **OPT** (Belady) depths come from the Mattson priority stack with
   "sooner next use wins" percolation, primed with vectorized
   next-occurrence indices.  OPT is a stack algorithm under this
@@ -92,27 +96,73 @@ def _next_occurrences(ids: np.ndarray) -> np.ndarray:
 _BOOT = 32
 
 
+def _merge_rows(vals, idx, new_vals, new_idx, res, big, lo, nb, width, rwidth):
+    """Merge ``nb`` adjacent pairs of sorted runs, starting at ``lo``:
+    each pair is a ``width``-long left run and an ``rwidth``-long right
+    run of ``vals`` (``idx`` alongside), merged into ``new_vals`` and
+    ``new_idx``.  Each right element adds to ``res`` its count of greater
+    left elements."""
+    row = width + rwidth
+    hi = lo + nb * row
+    pairs = vals[lo:hi].reshape(nb, row)
+    pair_idx = idx[lo:hi].reshape(nb, row)
+    # broadcasting the row offset onto the halves yields contiguous
+    # copies whose concatenation is sorted row over row
+    rows_col = np.arange(nb, dtype=np.int64)[:, None]
+    left_flat = (pairs[:, :width] + rows_col * big).ravel()
+    right_flat = (pairs[:, width:] + rows_col * big).ravel()
+    # per right element: # of left elements <= it, its own row's and
+    # every earlier row's
+    le = np.searchsorted(left_flat, right_flat, side="right")
+    right_i = pair_idx[:, width:].ravel()
+    left_upto = np.arange(1, nb + 1, dtype=np.int64) * width
+    res[right_i] += np.repeat(left_upto, rwidth) - le
+    # merge by direct placement: each right element lands after the left
+    # elements <= it and the right elements before it; the left run fills
+    # the complement slots in order (both runs are sorted)
+    right_dest = le + np.arange(nb * rwidth, dtype=np.int64)
+    placed = np.zeros(hi - lo, dtype=bool)
+    placed[right_dest] = True
+    left_dest = np.flatnonzero(~placed)
+    out_vals = new_vals[lo:hi]
+    out_idx = new_idx[lo:hi]
+    out_vals[right_dest] = pairs[:, width:].ravel()
+    out_vals[left_dest] = pairs[:, :width].ravel()
+    out_idx[right_dest] = right_i
+    out_idx[left_dest] = pair_idx[:, :width].ravel()
+
+
 def _count_prev_greater_before(prev: np.ndarray) -> np.ndarray:
     """``res[i] = #{q < i : prev[q] > prev[i]}`` by vectorized merge.
 
-    A bottom-up merge sort where, at the level two blocks meet, each
-    right-block element counts the left-block elements greater than it
-    (a searchsorted against the already-sorted left block).  Each q < i
-    pair is counted exactly once, at the level where their blocks merge.
-    All per-level work is whole-array numpy; Python touches only the
+    Precondition: every entry is >= -1 (a position, or -1 for none).
+    Entries may exceed ``len(prev)``: the row offset that keeps the
+    flattened merge rows sorted is derived from the largest entry, so
+    positions in a longer sequence need no rank compression.
+
+    A bottom-up merge sort where, at the level two runs meet, each
+    right-run element counts the left-run elements greater than it (a
+    searchsorted against the already-sorted left run).  Each q < i pair
+    is counted exactly once, at the level where their runs merge.  All
+    per-level work is whole-array numpy; Python touches only the
     ``log2(n)`` levels.
 
-    Two constant-factor refinements matter at trace scale: the bottom
+    Three constant-factor refinements matter at trace scale: the bottom
     ``log2(_BOOT)`` levels are folded into a single broadcast compare
-    over ``_BOOT``-wide blocks, and each merge level places both sorted
-    halves directly (one searchsorted; the left half lands on the
-    complement slots) instead of re-sorting the merged block.
+    over ``_BOOT``-wide blocks; each merge level places both sorted runs
+    directly (one searchsorted; the left run lands on the complement
+    slots) instead of re-sorting the merged run; and the input is padded
+    only to a multiple of ``_BOOT``, not to a power of two, so the cost
+    follows ``n``.  Each level merges its regular pairs as one flattened
+    batch and the one irregular trailing pair (a full left run and a
+    shorter right run) on its own; a lone trailing run carries over.
     """
     n = len(prev)
     if n == 0:
         return np.zeros(0, dtype=np.int64)
-    size = 1 << max(_BOOT.bit_length() - 1, (n - 1).bit_length())
-    vals = np.full(size, -2, dtype=np.int64)  # padding never counts as greater
+    size = -(-n // _BOOT) * _BOOT
+    # padding trails every real entry, so it never counts for one
+    vals = np.full(size, -1, dtype=np.int64)
     vals[:n] = prev
 
     # bootstrap: count every q < i pair inside each _BOOT-wide block with
@@ -130,47 +180,25 @@ def _count_prev_greater_before(prev: np.ndarray) -> np.ndarray:
     idx = (order + np.arange(nb, dtype=np.int64)[:, None] * _BOOT).ravel()
     vals = np.take_along_axis(blocks, order, axis=1).ravel()
 
-    big = np.int64(size + 4)  # row offset keeping the flattened rows sorted
+    big = vals.max() + 2  # row offset: wider than the value range [-1, max]
     new_vals = np.empty(size, dtype=np.int64)
     new_idx = np.empty(size, dtype=np.int64)
-    taken = np.empty(size, dtype=bool)
     width = _BOOT
     while width < size:
-        nb = size // (2 * width)
-        shape = (nb, 2 * width)
-        rows_col = np.arange(nb, dtype=np.int64)[:, None]
-        left = vals.reshape(shape)[:, :width]
-        right = vals.reshape(shape)[:, width:]
-        # broadcasting the row offset onto the halves yields contiguous
-        # copies whose concatenation is sorted row over row
-        left_flat = (left + rows_col * big).ravel()
-        right_flat = (right + rows_col * big).ravel()
-        rows = np.repeat(np.arange(nb, dtype=np.int64), width)
-        # per right element: # of left-half elements <= it
-        le = np.searchsorted(left_flat, right_flat, side="right")
-        le -= rows * width
-        right_i = idx.reshape(shape)[:, width:].ravel()
-        res[right_i] += width - le
-        # merge by direct placement: each right element lands le slots
-        # deep into its output row; the left half fills the complement
-        # slots in order (both halves are sorted, so order is preserved)
-        right_dest = rows * (2 * width) + np.tile(
-            np.arange(width, dtype=np.int64), nb
-        )
-        right_dest += le
-        taken[:] = False
-        taken[right_dest] = True
-        left_dest = np.flatnonzero(~taken)
-        new_vals[right_dest] = right.ravel()
-        new_vals[left_dest] = left.ravel()
-        new_idx[right_dest] = right_i
-        new_idx[left_dest] = idx.reshape(shape)[:, :width].ravel()
+        nb, tail = divmod(size, 2 * width)
+        lo = nb * 2 * width
+        _merge_rows(vals, idx, new_vals, new_idx, res, big, 0, nb, width, width)
+        if tail > width:  # the irregular pair
+            _merge_rows(
+                vals, idx, new_vals, new_idx, res, big, lo, 1, width, tail - width
+            )
+        else:  # a lone trailing run (or none) carries over
+            new_vals[lo:] = vals[lo:]
+            new_idx[lo:] = idx[lo:]
         vals, new_vals = new_vals, vals
         idx, new_idx = new_idx, idx
         width *= 2
-    out = np.empty(n, dtype=np.int64)
-    out[:] = res[:n]
-    return out
+    return res[:n]
 
 
 def lru_depths(cache_ids: np.ndarray, keys: np.ndarray) -> np.ndarray:
@@ -180,18 +208,40 @@ def lru_depths(cache_ids: np.ndarray, keys: np.ndarray) -> np.ndarray:
     access only competes with accesses to the same cache); ``keys``
     identify blocks within a cache.  An access with depth ``d`` hits any
     LRU cache of capacity >= ``d`` — the LRU inclusion property.
+
+    The depth of an access at position ``i`` whose key was last used at
+    ``p`` is the number of distinct keys touched in ``(p, i]``: the
+    window size ``i - p`` less its *repeats*, the accesses ``q`` in the
+    window whose own previous use also lies in it (``prev[q] > p``).
+    Only re-references pay for that count, exactly:
+
+    - an *immediate repeat* (the key its cache saw last) has depth 1 and
+      leaves the stack as it was, so each run of them collapses to its
+      first access before the count, and no other depth moves;
+    - a cold access has ``prev = -1``, never greater than a reuse's
+      ``p >= 0``, so it is never a repeat in anyone's window and the
+      inversion count runs over the reuse accesses alone (their previous
+      uses stay positions in the collapsed sequence).
     """
     n = len(keys)
     if n == 0:
         return np.zeros(0, dtype=np.int64)
     order = np.argsort(cache_ids, kind="stable")  # time order kept per cache
     combined = _encode_pairs(np.asarray(cache_ids)[order], np.asarray(keys)[order])
-    prev = _prev_occurrences(combined)
-    # distinct keys touched since the previous use: window size minus
-    # repeats, where a repeat is a q in the window whose own previous use
-    # is also in the window (equivalently prev[q] > prev[i])
-    depth = np.arange(n, dtype=np.int64) - prev - _count_prev_greater_before(prev)
-    depth[prev < 0] = COLD
+    # equal neighbours are one cache's immediate repeats: the pair
+    # encoding includes the cache id
+    fresh = np.empty(n, dtype=bool)
+    fresh[0] = True
+    np.not_equal(combined[1:], combined[:-1], out=fresh[1:])
+    prev = _prev_occurrences(combined[fresh])
+    reuse = np.flatnonzero(prev >= 0)
+    prev_reuse = prev[reuse]
+    fresh_depth = np.full(len(prev), COLD, dtype=np.int64)
+    fresh_depth[reuse] = (
+        reuse - prev_reuse - _count_prev_greater_before(prev_reuse)
+    )
+    depth = np.ones(n, dtype=np.int64)
+    depth[fresh] = fresh_depth
     out = np.empty(n, dtype=np.int64)
     out[order] = depth
     return out
@@ -437,35 +487,37 @@ def compute_node_stack_profile(
     frame: TraceFrame, block_size: int = BLOCK_SIZE
 ) -> ComputeNodeStackProfile:
     """One pass over the read-only reads → Figure 8 at every buffer count."""
-    ro = read_only_file_ids(frame)
-    reads = frame.reads
-    reads = reads[np.isin(reads["file"], ro)]
-    if len(reads) == 0:
-        raise CacheConfigError("no read-only reads in trace")
-    if obs.enabled():
-        obs.add("caching.stackdist.passes")
-        obs.add("caching.stackdist.compute_node_reads", len(reads))
-    files = reads["file"].astype(np.int64)
-    offsets = reads["offset"].astype(np.int64)
-    sizes = reads["size"].astype(np.int64)
-    first = offsets // block_size
-    last = np.maximum(offsets + sizes - 1, offsets) // block_size
-    spans = expand_spans(files, first, last)
-    jobs = reads["job"].astype(np.int64)
-    nodes = reads["node"].astype(np.int64)
-    # one private LRU cache per (job, node); keys are (file, block)
-    cache_ids = _encode_pairs(jobs, nodes)[spans.req]
-    depths = lru_depths(cache_ids, _encode_pairs(spans.file, spans.block))
-    min_caps = spans.max_over_requests(depths)
-    order = np.lexsort((min_caps, jobs))
-    jobs_sorted = jobs[order]
-    caps_sorted = min_caps[order]
-    job_ids, starts, counts = np.unique(
-        jobs_sorted, return_index=True, return_counts=True
-    )
-    job_depths = tuple(
-        caps_sorted[lo : lo + cnt] for lo, cnt in zip(starts.tolist(), counts.tolist())
-    )
+    with obs.span("caching/stackdist/compute_node_profile"):
+        ro = read_only_file_ids(frame)
+        reads = frame.reads
+        reads = reads[np.isin(reads["file"], ro)]
+        if len(reads) == 0:
+            raise CacheConfigError("no read-only reads in trace")
+        if obs.enabled():
+            obs.add("caching.stackdist.passes")
+            obs.add("caching.stackdist.compute_node_reads", len(reads))
+        files = reads["file"].astype(np.int64)
+        offsets = reads["offset"].astype(np.int64)
+        sizes = reads["size"].astype(np.int64)
+        first = offsets // block_size
+        last = np.maximum(offsets + sizes - 1, offsets) // block_size
+        spans = expand_spans(files, first, last)
+        jobs = reads["job"].astype(np.int64)
+        nodes = reads["node"].astype(np.int64)
+        # one private LRU cache per (job, node); keys are (file, block)
+        cache_ids = _encode_pairs(jobs, nodes)[spans.req]
+        depths = lru_depths(cache_ids, _encode_pairs(spans.file, spans.block))
+        min_caps = spans.max_over_requests(depths)
+        order = np.lexsort((min_caps, jobs))
+        jobs_sorted = jobs[order]
+        caps_sorted = min_caps[order]
+        job_ids, starts, counts = np.unique(
+            jobs_sorted, return_index=True, return_counts=True
+        )
+        job_depths = tuple(
+            caps_sorted[lo : lo + cnt]
+            for lo, cnt in zip(starts.tolist(), counts.tolist())
+        )
     return ComputeNodeStackProfile(
         job_ids=job_ids.astype(np.int64),
         job_request_counts=counts.astype(np.int64),

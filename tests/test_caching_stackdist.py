@@ -23,6 +23,7 @@ from repro.caching.io_node import (
 from repro.caching.policies import LRUPolicy, OptimalPolicy
 from repro.caching.stackdist import (
     COLD,
+    _count_prev_greater_before,
     compute_node_stack_profile,
     io_node_stack_profile,
     lru_depths,
@@ -30,6 +31,7 @@ from repro.caching.stackdist import (
 )
 from repro.caching.sweeps import SweepLine, sweep_lines
 from repro.errors import CacheConfigError
+from repro.obs import RunReport
 from repro.trace.frame import TraceFrame
 from repro.trace.records import EventKind, Record
 
@@ -73,6 +75,32 @@ fifo_rows = st.lists(
 )
 
 key_sequences = st.lists(st.integers(0, 7), min_size=1, max_size=40)
+
+#: (cache id, key) accesses: a plain key sequence in one cache, or 1-3
+#: interleaved caches drawing on one key range (so a key lives in
+#: several caches), each access issued 1-3 times back to back (runs of
+#: immediate repeats); every cache ends by touching key 0
+cache_accesses = st.one_of(
+    key_sequences.map(lambda keys: [(0, k) for k in keys]),
+    st.integers(1, 3).flatmap(
+        lambda n_caches: st.lists(
+            st.tuples(
+                st.integers(0, n_caches - 1), st.integers(0, 7), st.integers(1, 3)
+            ),
+            min_size=1,
+            max_size=30,
+        ).map(
+            lambda rows: [(c, k) for c, k, times in rows for _ in range(times)]
+            + [(c, 0) for c in range(n_caches)]
+        )
+    ),
+)
+
+
+def _lru_depths_of(accesses):
+    caches = np.asarray([c for c, _ in accesses], dtype=np.int64)
+    keys = np.asarray([k for _, k in accesses], dtype=np.int64)
+    return lru_depths(caches, keys)
 
 
 class TestIONodeEquivalence:
@@ -201,6 +229,15 @@ read_rows = st.lists(
 
 
 class TestComputeNodeEquivalence:
+    def test_profile_records_its_span(self, small_frame):
+        try:
+            observer = obs.enable()
+            compute_node_stack_profile(small_frame)
+        finally:
+            obs.disable()
+        names = RunReport(spans=observer.root.to_dict()).span_names()
+        assert "caching/stackdist/compute_node_profile" in names
+
     @given(read_rows)
     @settings(max_examples=30, deadline=None)
     def test_profile_equals_replay_at_every_capacity(self, rows):
@@ -219,14 +256,14 @@ class TestComputeNodeEquivalence:
 
 
 class TestStackProperties:
-    @given(key_sequences)
-    @settings(max_examples=40, deadline=None)
-    def test_lru_depths_predict_policy_hits(self, keys):
-        arr = np.asarray(keys, dtype=np.int64)
-        depths = lru_depths(np.zeros(len(arr), dtype=np.int64), arr)
+    @given(cache_accesses)
+    @settings(max_examples=60, deadline=None)
+    def test_lru_depths_predict_policy_hits(self, accesses):
+        depths = _lru_depths_of(accesses)
         for cap in range(0, 9):
-            policy = LRUPolicy(cap)
-            hits = np.asarray([policy.access((0, k)) for k in keys])
+            # each cache against its own replay
+            policies = {c: LRUPolicy(cap) for c, _ in accesses}
+            hits = np.asarray([policies[c].access((0, k)) for c, k in accesses])
             assert np.array_equal(hits, depths <= cap)
 
     @given(key_sequences)
@@ -255,15 +292,39 @@ class TestStackProperties:
                     if key in small:
                         assert key in large
 
-    @given(key_sequences)
-    @settings(max_examples=40, deadline=None)
-    def test_depths_are_cold_exactly_on_first_touch(self, keys):
-        arr = np.asarray(keys, dtype=np.int64)
-        depths = lru_depths(np.zeros(len(arr), dtype=np.int64), arr)
+    @given(cache_accesses)
+    @settings(max_examples=60, deadline=None)
+    def test_depths_are_cold_exactly_on_first_touch(self, accesses):
+        depths = _lru_depths_of(accesses)
         seen = set()
-        for k, d in zip(keys, depths):
-            assert (d == COLD) == (k not in seen)
-            seen.add(k)
+        for access, d in zip(accesses, depths):
+            assert (d == COLD) == (access not in seen)
+            seen.add(access)
+
+
+#: lengths around the kernel's bootstrap width and merge-level edges
+_EDGE_LENGTHS = [31, 32, 33, 63, 64, 65, 1023, 1024, 1025]
+
+
+class TestRepeatCount:
+    """The Bennett–Kruskal repeat count behind :func:`lru_depths`,
+    held to the quadratic definition."""
+
+    @given(
+        st.one_of(st.integers(0, 300), st.sampled_from(_EDGE_LENGTHS)),
+        st.sampled_from([0, 3, None, 1 << 40]),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_kernel_equals_quadratic_count(self, n, top, seed):
+        # entries in [-1, top]; top None means the length, 1 << 40 far
+        # above it (positions in a longer sequence)
+        top = n if top is None else top
+        prev = np.random.default_rng(seed).integers(-1, top + 1, n)
+        want = [int((prev[:i] > prev[i]).sum()) for i in range(n)]
+        got = _count_prev_greater_before(prev)
+        assert got.dtype == np.int64
+        assert got.tolist() == want
 
 
 class TestExpansionAndErrors:
