@@ -7,7 +7,7 @@ Runs the library end-to-end in under a minute:
 2. generate the trace (direct pipeline),
 3. run the full §4 characterization and print it with the paper's
    values alongside,
-4. save the trace and re-load it.
+4. save the trace as a chunked store and re-load it.
 
 Usage::
 
@@ -19,7 +19,7 @@ import tempfile
 from pathlib import Path
 
 from repro.core import characterize
-from repro.trace.frame import TraceFrame
+from repro.trace.store import TraceStore, write_store
 from repro.workload import WorkloadGenerator, ames1993
 
 
@@ -42,9 +42,10 @@ def main() -> None:
     print(report.render())
 
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "trace.npz"
-        frame.save(path)
-        back = TraceFrame.load(path)
+        path = Path(tmp) / "trace.store"
+        write_store(frame, path)
+        with TraceStore(path) as store:
+            back = store.frame()
         print(f"\nsaved and re-loaded the trace: {path.stat().st_size / 1e6:.1f} MB, "
               f"{back.n_events} events")
 

@@ -61,7 +61,6 @@ from repro.caching.stackdist import (
     compute_node_stack_profile,
     io_node_stack_profile,
     lru_depths,
-    opt_depths,
 )
 from repro.caching.sweeps import SweepLine, sweep_lines
 from repro.caching.writeback import (
@@ -83,7 +82,6 @@ __all__ = [
     "expand_spans",
     "io_node_stack_profile",
     "lru_depths",
-    "opt_depths",
     "sweep_lines",
     "DiskDirectedComparison",
     "DiskTimeResult",

@@ -23,13 +23,13 @@ hot blocks on arrival schedule rather than on locality.  How the buffers
 are spread across 1-20 I/O nodes barely changes the hit rate.
 
 The policy picks how a Figure 9 line is computed
-(:func:`sweep_buffer_counts`).  LRU and OPT are stack algorithms, so the
+(:func:`sweep_buffer_counts`).  LRU is a stack algorithm, so the
 single-pass **stack-distance** profile of :mod:`repro.caching.stackdist`
-yields their exact curve at every buffer count from one traversal of the
+yields its exact curve at every buffer count from one traversal of the
 trace.  FIFO is not, so :func:`_fifo_results` replays it over dense
-integer keys, one loop per buffer count; the interprocess policy takes
-the per-capacity **replay** simulator below, once per count.  For LRU,
-OPT and FIFO that replay is the oracle the tests hold the sweep to.
+integer keys, one loop per buffer count; OPT and the interprocess policy
+take the per-capacity **replay** simulator below, once per count.  For
+LRU and FIFO that replay is the oracle the tests hold the sweep to.
 """
 
 from __future__ import annotations
@@ -342,10 +342,10 @@ def sweep_buffer_counts(
 ) -> HitRateCurve:
     """One Figure 9 line: hit rate across a range of total buffer counts.
 
-    LRU and OPT are stack algorithms: one stack-distance pass scores
-    every count, bit-equal to replaying each.  FIFO and interprocess are
-    not: FIFO replays over dense integer keys (:func:`_fifo_results`),
-    interprocess once per count through :func:`simulate_io_node_caches`.
+    LRU is a stack algorithm: one stack-distance pass scores every
+    count, bit-equal to replaying each.  The other policies replay once
+    per count: FIFO over dense integer keys (:func:`_fifo_results`), OPT
+    and interprocess through :func:`simulate_io_node_caches`.
     """
     # imported lazily: stackdist builds on this module's stream/result types
     from repro.caching.stackdist import STACKDIST_POLICIES, io_node_stack_profile

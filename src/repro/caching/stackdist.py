@@ -19,15 +19,13 @@ capacity ``C`` iff its stack depth is <= ``C``.
   first, cold accesses drop out of the count, and the merge pads to a
   multiple of its bootstrap width rather than to a power of two, so its
   cost follows the number of reuse accesses.
-- **OPT** (Belady) depths come from the Mattson priority stack with
-  "sooner next use wins" percolation, primed with vectorized
-  next-occurrence indices.  OPT is a stack algorithm under this
-  priority, and ties (blocks never referenced again) are interchangeable,
-  so the depths reproduce :class:`repro.caching.policies.OptimalPolicy`
-  replay bit-for-bit at every capacity.
 - **FIFO** and the interprocess-aware policy are *not* stack algorithms
   (FIFO famously violates inclusion — Belady's anomaly), so
   ``sweep_buffer_counts`` replays them, once per buffer count.
+- **OPT** (Belady) is a stack algorithm too, but a Mattson priority
+  stack percolates each access level by level in Python and measured
+  slower than replaying fig9's seven counts, so ``sweep_buffer_counts``
+  replays it once per buffer count as well.
 
 The profiles returned here reproduce the replay simulators' results
 *exactly* — same integer hit/request counts, hence bit-identical hit
@@ -53,8 +51,8 @@ from repro.util.units import BLOCK_SIZE
 #: sentinel depth for cold (first-touch) accesses: misses at any capacity
 COLD = np.iinfo(np.int64).max
 
-#: policies whose curves the stack-distance engine can produce exactly
-STACKDIST_POLICIES = ("lru", "opt")
+#: policies whose curves the stack-distance engine produces
+STACKDIST_POLICIES = ("lru",)
 
 
 # -- occurrence indexing -----------------------------------------------------
@@ -71,19 +69,6 @@ def _prev_occurrences(ids: np.ndarray) -> np.ndarray:
     same = srt[1:] == srt[:-1]
     prev[order[1:][same]] = order[:-1][same]
     return prev
-
-
-def _next_occurrences(ids: np.ndarray) -> np.ndarray:
-    """Index of the next access to the same id, or COLD for last touch."""
-    n = len(ids)
-    nxt = np.full(n, COLD, dtype=np.int64)
-    if n == 0:
-        return nxt
-    order = np.argsort(ids, kind="stable")
-    srt = ids[order]
-    same = srt[1:] == srt[:-1]
-    nxt[order[:-1][same]] = order[1:][same]
-    return nxt
 
 
 # -- LRU: vectorized Bennett–Kruskal distances -------------------------------
@@ -247,93 +232,16 @@ def lru_depths(cache_ids: np.ndarray, keys: np.ndarray) -> np.ndarray:
     return out
 
 
-# -- OPT: Mattson priority stack ---------------------------------------------
-
-
-def opt_depths(cache_ids: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """Per-access OPT (Belady) stack depth; :data:`COLD` on first touch.
-
-    Maintains, per cache, the Mattson priority stack for the MIN policy:
-    on each access the referenced block takes the top and the displaced
-    blocks percolate down, the block with the *sooner next use* winning
-    each level.  The top ``C`` entries are exactly the contents of a
-    capacity-``C`` Belady cache, so depth <= C  ⇔  replay hit.
-    """
-    n = len(keys)
-    if n == 0:
-        return np.zeros(0, dtype=np.int64)
-    order = np.argsort(cache_ids, kind="stable")
-    cache_srt = np.asarray(cache_ids)[order]
-    combined = _encode_pairs(cache_srt, np.asarray(keys)[order])
-    nxt = _next_occurrences(combined)
-    bounds = np.flatnonzero(cache_srt[1:] != cache_srt[:-1]) + 1
-    segments = np.concatenate(([0], bounds, [n]))
-    depth = np.empty(n, dtype=np.int64)
-    ids = combined.tolist()
-    nxts = nxt.tolist()
-    for lo, hi in zip(segments[:-1].tolist(), segments[1:].tolist()):
-        _opt_segment(ids, nxts, lo, hi, depth)
-    out = np.empty(n, dtype=np.int64)
-    out[order] = depth
-    return out
-
-
-def _opt_segment(
-    ids: list, nxts: list, lo: int, hi: int, depth: np.ndarray
-) -> None:
-    """Run the OPT priority stack over one cache's access slice."""
-    stack_key: list = []   # level 0 = top of stack
-    stack_next: list = []  # current next-use time of each resident
-    level: dict = {}
-    for i in range(lo, hi):
-        k = ids[i]
-        nx = nxts[i]
-        lvl = level.get(k)
-        if lvl is None:
-            depth[i] = COLD
-            d = len(stack_key)
-        else:
-            depth[i] = lvl + 1
-            d = lvl
-        if d == 0:
-            if lvl is None:  # miss into an empty stack
-                stack_key.append(k)
-                stack_next.append(nx)
-                level[k] = 0
-            else:            # hit at the top: refresh the priority
-                stack_next[0] = nx
-            continue
-        # k takes the top; the old top percolates down, winning each
-        # level contest when its next use is sooner than the incumbent's
-        ck, cn = stack_key[0], stack_next[0]
-        stack_key[0], stack_next[0] = k, nx
-        level[k] = 0
-        for j in range(1, d):
-            ik, inn = stack_key[j], stack_next[j]
-            if cn < inn:
-                stack_key[j], stack_next[j] = ck, cn
-                level[ck] = j
-                ck, cn = ik, inn
-        if lvl is None:
-            stack_key.append(ck)
-            stack_next.append(cn)
-        else:
-            stack_key[d], stack_next[d] = ck, cn
-        level[ck] = d
-
-
 def _depths_for_policy(
     policy: str, cache_ids: np.ndarray, keys: np.ndarray
 ) -> np.ndarray:
-    name = policy.lower()
-    if name == "lru":
+    if policy.lower() == "lru":
         return lru_depths(cache_ids, keys)
-    if name == "opt":
-        return opt_depths(cache_ids, keys)
     raise CacheConfigError(
         f"stack-distance engine supports {STACKDIST_POLICIES}, not {policy!r}; "
-        "FIFO/interprocess are not stack algorithms: sweep_buffer_counts "
-        "replays them once per buffer count"
+        "FIFO/interprocess are not stack algorithms and OPT's stack is "
+        "slower than its replay: sweep_buffer_counts replays them once "
+        "per buffer count"
     )
 
 

@@ -4,8 +4,8 @@ A Figure 9 style experiment is a set of *lines* — one
 ``(policy, n_io_nodes)`` curve each — that share nothing but the
 read-only request stream.  Each line is one
 :func:`~repro.caching.io_node.sweep_buffer_counts` call: a single
-stack-distance pass for LRU/OPT, one replay per buffer count for FIFO
-(a loop over dense integer keys) and interprocess.  :func:`sweep_lines`
+stack-distance pass for LRU, one replay per buffer count for FIFO (a
+loop over dense integer keys), OPT and interprocess.  :func:`sweep_lines`
 builds the request stream once and runs the lines over it in turn.
 """
 

@@ -3,21 +3,25 @@
 ``python -m repro <command>`` drives the whole reproduction from a
 terminal::
 
-    python -m repro generate --scale 0.05 --out trace.npz
-    python -m repro characterize trace.npz
-    python -m repro figures trace.npz --figure fig4
-    python -m repro cache trace.npz --experiment fig9 --policy lru fifo
-    python -m repro strided trace.npz
-    python -m repro dump trace.npz --limit 40
+    python -m repro generate --scale 0.05 --out trace.store
+    python -m repro characterize trace.store
+    python -m repro figures trace.store --figure fig4
+    python -m repro cache trace.store --experiment fig9 --policy lru fifo
+    python -m repro strided trace.store
+    python -m repro dump trace.store --limit 40
 
-Every analysis command also accepts ``--scale/--seed`` instead of a
-trace file, generating a workload on the fly.
+A trace file is a chunked store (:mod:`repro.trace.store`), the one
+format ``generate`` writes.  Every analysis command also accepts
+``--scale/--seed`` instead of a trace file, generating a workload on the
+fly.  ``characterize`` streams a store chunk by chunk, and ``cache
+--experiment fig9`` streams its request stream from it; the other
+commands read the whole trace.
 
 Global flags (before the subcommand) control observability and verbosity::
 
     python -m repro --obs run_report.json characterize --scale 0.02
     python -m repro obs show run_report.json
-    python -m repro -v generate --scale 0.02 --out trace.npz
+    python -m repro -v generate --scale 0.02 --out trace.store
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ from repro.core.figures import FIGURES, render_all, render_figure
 from repro.strided import coalesce_trace
 from repro.trace.dump import dump_frame
 from repro.trace.frame import TraceFrame
+from repro.trace.store import FrameSource, TraceSource, TraceStore, source_info
 from repro.util.tables import format_percent, format_table
 from repro.errors import WorkloadError
 from repro.workload import (
@@ -56,7 +61,7 @@ logger = logging.getLogger("repro.cli")
 
 
 def _add_input_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("trace", nargs="?", help="a trace .npz written by 'generate'")
+    parser.add_argument("trace", nargs="?", help="a trace store written by 'generate'")
     parser.add_argument("--scale", type=float, default=0.05,
                         help="generate on the fly: fraction of 156 hours")
     parser.add_argument("--seed", type=int, default=7)
@@ -126,41 +131,23 @@ def _generate_frame(args) -> TraceFrame:
     return generator.run(pipeline).frame
 
 
-def _load_frame(args) -> TraceFrame:
+def _load_source(args) -> TraceSource:
+    """The command's input: the store at ``args.trace``, read chunk by
+    chunk, or a trace generated on the fly as one in-memory chunk."""
     if args.trace:
-        from repro.trace.store import is_store_file, open_source
-
         logger.info("loading trace from %s", args.trace)
-        if is_store_file(args.trace):
-            return open_source(args.trace).frame()
-        return TraceFrame.load(args.trace)
-    return _generate_frame(args)
-
-
-def _load_source(args):
-    """The input as a chunked TraceSource (the --store streaming path)."""
-    from repro.trace.store import DEFAULT_CHUNK_SIZE, FrameSource, open_source
-
-    chunk_size = getattr(args, "chunk_size", None)
-    if args.trace:
-        logger.info("opening trace source %s", args.trace)
-        return open_source(args.trace, chunk_size=chunk_size)
-    return FrameSource(_generate_frame(args), chunk_size or DEFAULT_CHUNK_SIZE)
+        return TraceStore(args.trace)
+    frame = _generate_frame(args)
+    return FrameSource(frame, chunk_size=max(frame.n_events, 1))
 
 
 def cmd_generate(args) -> int:
     generator = _resolve_generator(args)
-    if args.store:
-        workload = generator.run_to_store(
-            args.out, args.pipeline, chunk_size=args.chunk_size
-        )
-        kind = "chunked store"
-    else:
-        workload = generator.run(args.pipeline)
-        workload.frame.save(args.out)
-        kind = "frame"
+    workload = generator.run_to_store(
+        args.out, args.pipeline, chunk_size=args.chunk_size
+    )
     print(
-        f"wrote {args.out} ({kind}): {workload.frame.n_events} events, "
+        f"wrote {args.out} (chunked store): {workload.frame.n_events} events, "
         f"{workload.n_jobs} jobs ({workload.n_traced_jobs} traced), "
         f"{len(workload.frame.files)} files"
     )
@@ -168,55 +155,36 @@ def cmd_generate(args) -> int:
 
 
 def cmd_characterize(args) -> int:
-    trace = _load_source(args) if args.store else _load_frame(args)
-    print(characterize(trace).render())
+    print(characterize(_load_source(args)).render())
     return 0
 
 
 def cmd_trace_info(args) -> int:
-    from repro.trace.store import TraceStore, is_store_file
+    import json
 
+    info = source_info(args.path)
     if args.json:
-        import json
-
-        from repro.trace.store import source_info
-
-        print(json.dumps(source_info(args.path), indent=2))
+        print(json.dumps(info, indent=2))
         return 0
-    if is_store_file(args.path):
-        with TraceStore(args.path) as st:
-            t0, t1 = st.time_span()
-            compressed = st.compressed_bytes
-            raw = st.uncompressed_bytes
-            ratio = compressed / raw if raw else 1.0
-            print(f"{args.path}: chunked columnar trace store")
-            print(f"  format version:  {st.format_version}")
-            print(f"  chunks:          {st.n_chunks} x {st.chunk_size} events")
-            print(f"  events:          {st.n_events}")
-            print(f"  jobs:            {len(st.jobs)} ({len(st.jobs.traced)} traced)")
-            print(f"  files:           {len(st.files)}")
-            print(f"  payload bytes:   {compressed} compressed, {raw} raw "
-                  f"({ratio:.2f}x)")
-            print(f"  time span:       {t0:.3f} .. {t1:.3f} s")
-            h = st.header
-            print(f"  header:          {h.machine} at {h.site} "
-                  f"({h.n_compute_nodes} compute / {h.n_io_nodes} I/O nodes)")
-        return 0
-    frame = TraceFrame.load(args.path)
-    t0, t1 = frame.time_span()
-    print(f"{args.path}: legacy single-file frame (.npz)")
-    print(f"  events:          {frame.n_events}")
-    print(f"  jobs:            {len(frame.jobs)} ({len(frame.jobs.traced)} traced)")
-    print(f"  files:           {len(frame.files)}")
+    t0, t1 = info["time_span"]
+    compressed, raw = info["compressed_bytes"], info["uncompressed_bytes"]
+    ratio = compressed / raw if raw else 1.0
+    h = info["header"]
+    print(f"{args.path}: chunked columnar trace store")
+    print(f"  format version:  {info['format_version']}")
+    print(f"  chunks:          {info['n_chunks']} x {info['chunk_size']} events")
+    print(f"  events:          {info['n_events']}")
+    print(f"  jobs:            {info['n_jobs']} ({info['n_traced_jobs']} traced)")
+    print(f"  files:           {info['n_files']}")
+    print(f"  payload bytes:   {compressed} compressed, {raw} raw ({ratio:.2f}x)")
     print(f"  time span:       {t0:.3f} .. {t1:.3f} s")
-    h = frame.header
-    print(f"  header:          {h.machine} at {h.site} "
-          f"({h.n_compute_nodes} compute / {h.n_io_nodes} I/O nodes)")
+    print(f"  header:          {h['machine']} at {h['site']} "
+          f"({h['n_compute_nodes']} compute / {h['n_io_nodes']} I/O nodes)")
     return 0
 
 
 def cmd_figures(args) -> int:
-    frame = _load_frame(args)
+    frame = _load_source(args).frame()
     if args.svg:
         from pathlib import Path
 
@@ -247,20 +215,13 @@ def cmd_cache(args) -> int:
     if args.experiment == "fig8" and min(args.buffers or [1]) < 1:
         print("error: --buffers: fig8 needs at least 1 buffer", file=sys.stderr)
         return 2
-    if args.store and args.experiment == "fig9":
-        # the fig9 sweeps run from a request stream, which a chunked
-        # source yields without materializing the event table
-        frame = _load_source(args)
-    else:
-        if args.store:
-            logger.info(
-                "--store streams only fig9; materializing the frame for %s",
-                args.experiment,
-            )
-        frame = _load_frame(args)
+    source = _load_source(args)
+    # the fig9 sweeps run from a request stream, which a source yields
+    # chunk by chunk without materializing the event table
+    trace = source if args.experiment == "fig9" else source.frame()
     if args.experiment == "fig8":
         rows = []
-        profile = compute_node_stack_profile(frame)
+        profile = compute_node_stack_profile(trace)
         for res in profile.sweep(args.buffers or (1, 10, 50)):
             rows.append((
                 res.buffers, len(res.job_ids),
@@ -275,7 +236,7 @@ def cmd_cache(args) -> int:
     elif args.experiment == "fig9":
         counts = args.buffers or [50, 125, 250, 500, 1000, 2000, 4000]
         curves = sweep_lines(
-            frame, counts,
+            trace, counts,
             [SweepLine(policy=p, n_io_nodes=args.io_nodes) for p in args.policy],
         )
         rows = [
@@ -287,7 +248,7 @@ def cmd_cache(args) -> int:
             title=f"Figure 9: I/O-node caching ({args.io_nodes} I/O nodes)",
         ))
     elif args.experiment == "combined":
-        res = simulate_combined(frame, n_io_nodes=args.io_nodes)
+        res = simulate_combined(trace, n_io_nodes=args.io_nodes)
         print("§4.8 combined caches:")
         print(f"  I/O hit rate without compute layer: {format_percent(res.io_hit_rate_without)}")
         print(f"  I/O hit rate with compute layer:    {format_percent(res.io_hit_rate_with)}")
@@ -296,7 +257,7 @@ def cmd_cache(args) -> int:
         buffers = int((args.buffers or [500])[0])
         rows = []
         for depth in (0, 1, 2, 4):
-            r = simulate_io_node_prefetch(frame, buffers, n_io_nodes=args.io_nodes,
+            r = simulate_io_node_prefetch(trace, buffers, n_io_nodes=args.io_nodes,
                                           depth=depth)
             rows.append((depth, f"{r.hit_rate:.3f}", r.prefetches_issued,
                          format_percent(r.prefetch_accuracy)))
@@ -306,7 +267,7 @@ def cmd_cache(args) -> int:
         ))
     else:  # disktime
         buffers = int((args.buffers or [500])[0])
-        raw, cached = simulate_disk_time(frame, buffers, n_io_nodes=args.io_nodes)
+        raw, cached = simulate_disk_time(trace, buffers, n_io_nodes=args.io_nodes)
         print("disk activity, cacheless vs cached:")
         print(f"  cacheless: {raw.n_disk_ops} ops, {raw.busy_seconds:.1f}s busy")
         print(f"  cached:    {cached.n_disk_ops} ops, {cached.busy_seconds:.1f}s busy")
@@ -315,7 +276,7 @@ def cmd_cache(args) -> int:
 
 
 def cmd_strided(args) -> int:
-    frame = _load_frame(args)
+    frame = _load_source(args).frame()
     res = coalesce_trace(frame)
     print(f"simple requests:  {res.simple_requests}")
     print(f"strided requests: {res.strided_requests}")
@@ -328,7 +289,7 @@ def cmd_reproduce(args) -> int:
     """Run every experiment of the paper in one pass."""
     import json
 
-    frame = _load_frame(args)
+    frame = _load_source(args).frame()
     report = characterize(frame)
     if args.json:
         payload = report.to_dict()
@@ -376,7 +337,7 @@ def cmd_reproduce(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    frame = _load_frame(args)
+    frame = _load_source(args).frame()
     report = validate_workload(frame)
     print(report.render())
     if report.profile == "structural":
@@ -544,10 +505,9 @@ def cmd_push(args) -> int:
     from pathlib import Path
 
     from repro.service import ServiceClient
-    from repro.trace.store import open_source
 
     client = ServiceClient(args.url)
-    source = open_source(args.path, chunk_size=args.chunk_size)
+    source = TraceStore(args.path)
     run = args.run or Path(args.path).stem
     summary = client.push(source, run, stride=args.stride, offset=args.offset)
     print(
@@ -620,7 +580,7 @@ def cmd_obs_diff(args) -> int:
 
 
 def cmd_dump(args) -> int:
-    frame = _load_frame(args)
+    frame = _load_source(args).frame()
     for line in dump_frame(frame, limit=args.limit, job=args.job, file=args.file):
         print(line)
     return 0
@@ -671,29 +631,19 @@ def build_parser() -> argparse.ArgumentParser:
                    help="drift engine: JSON op-weights file "
                         "(read/write/append/create/delete/stat)")
     p.add_argument("--pipeline", choices=["direct", "full"], default="direct")
-    p.add_argument("--out", required=True, help="output path (.npz or store)")
-    p.add_argument("--store", action="store_true",
-                   help="write a chunked columnar trace store instead of a "
-                        "single .npz frame")
+    p.add_argument("--out", required=True, help="output path of the trace store")
     p.add_argument("--chunk-size", type=int, default=None,
-                   help="events per store chunk (with --store)")
+                   help="events per store chunk")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("characterize", help="run the full §4 characterization")
     _add_input_args(p)
-    p.add_argument("--store", action="store_true",
-                   help="stream the trace chunk by chunk (out-of-core) "
-                        "instead of loading it whole; the report is "
-                        "byte-identical")
-    p.add_argument("--chunk-size", type=int, default=None,
-                   help="events per chunk when streaming a legacy .npz "
-                        "(stores keep their on-disk chunking)")
     p.set_defaults(func=cmd_characterize)
 
     p = sub.add_parser("trace", help="trace-file utilities")
     tsub = p.add_subparsers(dest="trace_command", required=True)
-    ti = tsub.add_parser("info", help="print a trace file's format and contents")
-    ti.add_argument("path", help="a chunked store or legacy .npz frame")
+    ti = tsub.add_parser("info", help="print a trace store's layout and contents")
+    ti.add_argument("path", help="a trace store written by 'generate'")
     ti.add_argument("--json", action="store_true",
                     help="emit the header and chunk directory as JSON "
                          "(the shape the service's /runs endpoint mirrors)")
@@ -718,7 +668,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "push", help="stream a trace's chunks to a running 'repro serve'"
     )
-    p.add_argument("path", help="trace file to push (store or .npz frame)")
+    p.add_argument("path", help="trace store to push")
     p.add_argument("--url", required=True,
                    help="service base URL, e.g. http://127.0.0.1:8322")
     p.add_argument("--run", default=None,
@@ -727,8 +677,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="push every STRIDE-th chunk (team of clients)")
     p.add_argument("--offset", type=int, default=0,
                    help="this client's first chunk (< --stride)")
-    p.add_argument("--chunk-size", type=int, default=None,
-                   help="re-chunk a frame input to this many events")
     p.add_argument("--wait", action="store_true",
                    help="block until the daemon reports the run complete")
     p.add_argument("--report", action="store_true",
@@ -747,11 +695,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cache", help="run the cache simulations")
     _add_input_args(p)
-    p.add_argument("--store", action="store_true",
-                   help="stream the trace out-of-core (fig9; other "
-                        "experiments materialize the frame)")
-    p.add_argument("--chunk-size", type=int, default=None,
-                   help="events per chunk when streaming a legacy .npz")
     p.add_argument("--experiment",
                    choices=["fig8", "fig9", "combined", "prefetch", "disktime"],
                    default="fig9")

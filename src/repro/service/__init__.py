@@ -5,10 +5,11 @@ per-node collectors buffered trace records and funneled them to an
 off-line analyzer (§2).  This package turns the reproduction's batch CLI
 into the same shape, live:
 
-- **collector**: ``repro push`` (:class:`ServiceClient`) reads any
-  :class:`~repro.trace.store.TraceSource` and streams its chunks over
-  HTTP, framed by the :mod:`~repro.service.wire` codec — many clients
-  may push disjoint chunk ranges of one run concurrently;
+- **collector**: ``repro push`` reads a trace store, and
+  :class:`ServiceClient` any :class:`~repro.trace.store.TraceSource`,
+  and streams its chunks over HTTP, framed by the
+  :mod:`~repro.service.wire` codec — many clients may push disjoint
+  chunk ranges of one run concurrently;
 - **aggregator**: ``repro serve`` (:class:`TraceService`) folds every
   pushed chunk incrementally through the fused engine's
   :class:`~repro.core.streaming.ChunkAccumulator`, one accumulator per
@@ -17,7 +18,7 @@ into the same shape, live:
 - **query tier**: the same daemon answers ``/runs``, ``/report/<run>``
   and ``/figdata/<run>`` from the accumulators alone — no store file is
   ever re-read, and the finished report is byte-identical to
-  ``repro characterize --store`` over the same trace.
+  ``repro characterize`` over the same trace.
 
 The daemon eats its own dog food: every request updates the
 :mod:`repro.obs` stack (ingest counters, fold-latency and chunk-size

@@ -39,8 +39,6 @@ from repro.trace.store import (
     StoreWriter,
     TraceSource,
     TraceStore,
-    is_store_file,
-    open_source,
     write_store,
 )
 from repro.trace.writer import NodeTraceBuffer, TraceWriter
@@ -71,9 +69,7 @@ __all__ = [
     "decode_records_array",
     "encode_record",
     "estimate_drift",
-    "is_store_file",
     "merge_raw_traces",
-    "open_source",
     "postprocess",
     "read_raw_trace",
     "TraceOverhead",

@@ -11,7 +11,6 @@ of events, far too many for per-record Python objects.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from pathlib import Path
 
 import numpy as np
 
@@ -399,87 +398,6 @@ class TraceFrame:
         op = self.opens
         if len(op) and ((op["mode"] < 0) | (op["mode"] > 3)).any():
             raise TraceError("OPEN with I/O mode outside 0-3")
-
-    # -- persistence ------------------------------------------------------------
-
-    def save(self, path: str | Path) -> None:
-        """Persist the frame (events + side tables + header) as ``.npz``."""
-        import json
-
-        header_json = json.dumps(
-            {
-                "machine": self.header.machine,
-                "site": self.header.site,
-                "n_compute_nodes": self.header.n_compute_nodes,
-                "n_io_nodes": self.header.n_io_nodes,
-                "block_size": self.header.block_size,
-                "start_time": self.header.start_time,
-                "version": self.header.version,
-                "notes": self.header.notes,
-            }
-        )
-        np.savez_compressed(
-            Path(path),
-            events=self.events,
-            jobs=self.jobs.data,
-            files=self.files.data,
-            header=np.array(header_json),
-        )
-
-    @classmethod
-    def load(cls, path: str | Path) -> "TraceFrame":
-        """Load a frame previously written by :meth:`save`.
-
-        Raises :class:`TraceError` naming the offending array or field
-        when the file is truncated, not an ``.npz``, or written by
-        something other than :meth:`save`.
-        """
-        import json
-        import zipfile
-
-        path = Path(path)
-        try:
-            data = np.load(path, allow_pickle=False)
-        except (zipfile.BadZipFile, ValueError) as exc:
-            raise TraceError(f"{path} is not a readable trace .npz: {exc}") from exc
-        with data:
-            for name in ("events", "jobs", "files", "header"):
-                if name not in data.files:
-                    raise TraceError(f"{path} is missing trace array {name!r}")
-            for name, want in (
-                ("events", EVENT_DTYPE),
-                ("jobs", JOB_DTYPE),
-                ("files", FILE_DTYPE),
-            ):
-                got = data[name].dtype
-                if got != want:
-                    missing = sorted(set(want.names) - set(got.names or ()))
-                    if missing:
-                        raise TraceError(
-                            f"{path}: array {name!r} is missing "
-                            f"field(s) {', '.join(repr(m) for m in missing)}"
-                        )
-                    bad = sorted(
-                        f for f in want.names if got.fields[f][0] != want.fields[f][0]
-                    )
-                    if bad:
-                        raise TraceError(
-                            f"{path}: array {name!r} has wrong dtype for "
-                            f"field(s) {', '.join(repr(b) for b in bad)}"
-                        )
-                    raise TraceError(
-                        f"{path}: array {name!r} has dtype {got}, expected {want}"
-                    )
-            try:
-                header = TraceHeader(**json.loads(str(data["header"])))
-            except (TypeError, ValueError) as exc:
-                raise TraceError(f"{path}: invalid trace header: {exc}") from exc
-            return cls(
-                data["events"],
-                jobs=JobTable(data["jobs"]),
-                files=FileTable(data["files"]),
-                header=header,
-            )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -38,9 +38,9 @@ naming the failing field or key.
 :class:`TraceSource` is the consumption-side abstraction: anything that
 can enumerate EVENT_DTYPE chunks plus the side tables.  A
 :class:`TraceStore` streams from disk; a :class:`FrameSource` adapts an
-in-memory frame (or a legacy ``.npz`` file — the migration path for old
-single-file traces) to the same interface, so every out-of-core consumer
-also accepts the classic format unchanged via :func:`open_source`.
+in-memory frame (a trace generated on the fly) to the same interface, so
+every consumer runs on either unchanged.  The store is the only trace
+file format: every command opens a path as ``TraceStore(path)``.
 """
 
 from __future__ import annotations
@@ -79,14 +79,16 @@ __all__ = [
     "decode_side_table",
     "encode_columns",
     "encode_side_table",
-    "is_store_file",
-    "open_source",
     "source_info",
     "write_store",
 ]
 
 #: magic prefix of every chunked trace store file
 STORE_MAGIC = b"CTRACE01\n"
+
+#: the zip signature the legacy single-file frame format starts with; no
+#: command reads that format any more, so its error names it
+_ZIP_MAGIC = b"PK\x03\x04"
 
 #: current on-disk format version (the fixed header's first field)
 FORMAT_VERSION = 1
@@ -455,7 +457,7 @@ class TraceSource:
         )
 
     def frame(self) -> TraceFrame:
-        """Materialize the full in-memory frame (the compat escape hatch)."""
+        """Materialize the full in-memory frame."""
         if self.n_chunks == 0:
             events = np.empty(0, dtype=EVENT_DTYPE)
         elif self.n_chunks == 1:
@@ -524,6 +526,12 @@ class TraceStore(TraceSource):
             raise TraceFormatError(f"{path} is not a readable trace store: {exc}")
         size = len(self._map)
         if size < _HEADER_SIZE or self._map[: len(STORE_MAGIC)] != STORE_MAGIC:
+            if self._map[: len(_ZIP_MAGIC)] == _ZIP_MAGIC:
+                raise TraceFormatError(
+                    f"{path} is not a chunked trace store (bad magic): it is "
+                    "a legacy .npz frame, which this version no longer reads; "
+                    "regenerate it with 'repro generate --out'"
+                )
             raise TraceFormatError(
                 f"{path} is not a chunked trace store (bad magic)"
             )
@@ -670,80 +678,36 @@ class TraceStore(TraceSource):
 
 
 def source_info(path) -> dict:
-    """Machine-readable description of any trace file.
+    """Machine-readable description of a store file.
 
-    One JSON-serializable dict covering both formats — the data behind
-    ``repro trace info --json``, and the per-run shape the trace
-    service's ``/runs`` listing reuses.  Chunked stores include the full
-    per-chunk directory (event count and time span per chunk); legacy
-    ``.npz`` frames report ``kind: "frame"`` with a single synthetic
-    chunk entry.
+    One JSON-serializable dict, the data behind ``repro trace info``
+    (its human form and ``--json``), and the per-run shape the trace
+    service's ``/runs`` listing reuses: the header, the side tables'
+    sizes and the full per-chunk directory (event count and time span
+    per chunk).
     """
-    if is_store_file(path):
-        with TraceStore(path) as st:
-            t0, t1 = st.time_span()
-            return {
-                "path": str(path),
-                "kind": "store",
-                "format_version": st.format_version,
-                "n_events": st.n_events,
-                "n_chunks": st.n_chunks,
-                "chunk_size": st.chunk_size,
-                "n_jobs": len(st.jobs),
-                "n_traced_jobs": len(st.jobs.traced),
-                "n_files": len(st.files),
-                "compressed_bytes": st.compressed_bytes,
-                "uncompressed_bytes": st.uncompressed_bytes,
-                "time_span": [t0, t1],
-                "header": st.header.to_dict(),
-                "chunks": [
-                    {
-                        "n": int(c["n"]),
-                        "t_min": float(c["t_min"]),
-                        "t_max": float(c["t_max"]),
-                    }
-                    for c in st._chunk_meta
-                ],
-            }
-    frame = TraceFrame.load(path)
-    t0, t1 = frame.time_span()
-    return {
-        "path": str(path),
-        "kind": "frame",
-        "n_events": frame.n_events,
-        "n_chunks": 1 if frame.n_events else 0,
-        "chunk_size": frame.n_events,
-        "n_jobs": len(frame.jobs),
-        "n_traced_jobs": len(frame.jobs.traced),
-        "n_files": len(frame.files),
-        "time_span": [t0, t1],
-        "header": frame.header.to_dict(),
-        "chunks": (
-            [{"n": frame.n_events, "t_min": t0, "t_max": t1}]
-            if frame.n_events else []
-        ),
-    }
-
-
-def is_store_file(path) -> bool:
-    """True when ``path`` starts with the chunked-store magic."""
-    try:
-        with open(path, "rb") as fh:
-            return fh.read(len(STORE_MAGIC)) == STORE_MAGIC
-    except OSError:
-        return False
-
-
-def open_source(path, chunk_size: int | None = None) -> TraceSource:
-    """Open any trace file as a :class:`TraceSource`.
-
-    Chunked stores stream from disk; legacy single-file ``.npz`` frames
-    load whole and are served through a :class:`FrameSource` — the
-    migration path that keeps pre-store traces working everywhere.
-    ``chunk_size`` re-chunks a legacy frame (stores keep their on-disk
-    chunking).
-    """
-    if is_store_file(path):
-        return TraceStore(path)
-    frame = TraceFrame.load(path)
-    return FrameSource(frame, chunk_size or DEFAULT_CHUNK_SIZE)
+    with TraceStore(path) as st:
+        t0, t1 = st.time_span()
+        return {
+            "path": str(path),
+            "kind": "store",
+            "format_version": st.format_version,
+            "n_events": st.n_events,
+            "n_chunks": st.n_chunks,
+            "chunk_size": st.chunk_size,
+            "n_jobs": len(st.jobs),
+            "n_traced_jobs": len(st.jobs.traced),
+            "n_files": len(st.files),
+            "compressed_bytes": st.compressed_bytes,
+            "uncompressed_bytes": st.uncompressed_bytes,
+            "time_span": [t0, t1],
+            "header": st.header.to_dict(),
+            "chunks": [
+                {
+                    "n": int(c["n"]),
+                    "t_min": float(c["t_min"]),
+                    "t_max": float(c["t_max"]),
+                }
+                for c in st._chunk_meta
+            ],
+        }

@@ -7,8 +7,8 @@ driver the other engines use, so characterization, cache sweeps, and
 ``run_to_store`` re-chunking all work on it unchanged.
 
 The source is named by the scenario's engine options: ``path`` points at
-a chunked trace store or a saved ``.npz`` frame, or ``frame`` carries an
-in-memory :class:`~repro.trace.frame.TraceFrame` directly.  The replayed
+a chunked trace store, or ``frame`` carries an in-memory
+:class:`~repro.trace.frame.TraceFrame` directly.  The replayed
 frame keeps its original header (including the ``engine=`` note), so
 downstream consumers still see the trace's true provenance — replay is
 transport, not authorship.
@@ -25,7 +25,7 @@ from repro.workload.scenarios import Scenario
 
 
 def replay_scenario(path) -> Scenario:
-    """A scenario that replays the store or frame at ``path``."""
+    """A scenario that replays the store at ``path``."""
     return Scenario(
         name="replay",
         duration_hours=1.0,
@@ -47,8 +47,8 @@ class ReplayEngine(WorkloadEngine):
         self.source_frame = opts.get("frame")
         if self.path is None and self.source_frame is None:
             raise WorkloadError(
-                "replay engine needs engine_options['path'] (a trace store "
-                "or .npz frame) or engine_options['frame'] (a TraceFrame)"
+                "replay engine needs engine_options['path'] (a trace store) "
+                "or engine_options['frame'] (a TraceFrame)"
             )
         if self.source_frame is not None and not isinstance(
             self.source_frame, TraceFrame
@@ -65,12 +65,10 @@ class ReplayEngine(WorkloadEngine):
             if self.source_frame is not None:
                 frame = self.source_frame
             else:
-                from repro.trace.store import is_store_file, open_source
+                from repro.trace.store import TraceStore
 
-                if is_store_file(self.path):
-                    frame = open_source(self.path).frame()
-                else:
-                    frame = TraceFrame.load(self.path)
+                with TraceStore(self.path) as store:
+                    frame = store.frame()
         if obs.enabled():
             obs.add("workload.events", frame.n_events)
         return GeneratedWorkload(

@@ -20,14 +20,13 @@ from repro.caching.io_node import (
     simulate_io_node_caches,
     sweep_buffer_counts,
 )
-from repro.caching.policies import LRUPolicy, OptimalPolicy
+from repro.caching.policies import LRUPolicy
 from repro.caching.stackdist import (
     COLD,
     _count_prev_greater_before,
     compute_node_stack_profile,
     io_node_stack_profile,
     lru_depths,
-    opt_depths,
 )
 from repro.caching.sweeps import SweepLine, sweep_lines
 from repro.errors import CacheConfigError
@@ -104,15 +103,15 @@ def _lru_depths_of(accesses):
 
 
 class TestIONodeEquivalence:
-    @given(request_rows, st.sampled_from([1, 3]), st.sampled_from(["lru", "opt"]))
+    @given(request_rows, st.sampled_from([1, 3]))
     @settings(max_examples=30, deadline=None)
-    def test_profile_equals_replay_at_every_capacity(self, rows, n_io, policy):
+    def test_profile_equals_replay_at_every_capacity(self, rows, n_io):
         stream = _stream(rows)
-        profile = io_node_stack_profile(n_io_nodes=n_io, policy=policy, stream=stream)
+        profile = io_node_stack_profile(n_io_nodes=n_io, policy="lru", stream=stream)
         for cap in range(0, 14):
             got = profile.result_at(cap)
             want = simulate_io_node_caches(
-                None, cap, n_io_nodes=n_io, policy=policy, stream=stream
+                None, cap, n_io_nodes=n_io, policy="lru", stream=stream
             )
             assert (
                 got.read_hits, got.read_sub_requests, got.all_hits, got.all_sub_requests
@@ -134,9 +133,10 @@ class TestIONodeEquivalence:
     @given(request_rows, st.sampled_from(["lru", "opt", "fifo", "interprocess"]))
     @settings(max_examples=20, deadline=None)
     def test_sweep_engines_agree(self, rows, policy):
-        """Whichever engine the policy selects (the stack pass for
-        LRU/OPT, per-count replay otherwise), the swept curve equals the
-        per-count replay oracle bit for bit."""
+        """Whichever engine the policy selects (the stack pass for LRU,
+        the dense-key replay for FIFO, the dictionary replay for OPT and
+        interprocess), the swept curve equals the per-count replay
+        oracle bit for bit."""
         stream = _stream(rows)
         counts = [0, 2, 5, 11]
         curve = sweep_buffer_counts(
@@ -268,17 +268,6 @@ class TestStackProperties:
 
     @given(key_sequences)
     @settings(max_examples=40, deadline=None)
-    def test_opt_depths_predict_policy_hits(self, keys):
-        arr = np.asarray(keys, dtype=np.int64)
-        depths = opt_depths(np.zeros(len(arr), dtype=np.int64), arr)
-        for cap in range(0, 9):
-            policy = OptimalPolicy(cap)
-            policy.prime([(0, k) for k in keys])
-            hits = np.asarray([policy.access((0, k)) for k in keys])
-            assert np.array_equal(hits, depths <= cap)
-
-    @given(key_sequences)
-    @settings(max_examples=40, deadline=None)
     def test_lru_inclusion(self, keys):
         """The stack property: a capacity-c LRU cache's contents are
         always a subset of the capacity-(c+1) cache's contents."""
@@ -345,8 +334,9 @@ class TestExpansionAndErrors:
 
     def test_stackdist_rejects_non_stack_policy(self):
         stream = _stream([(0, 0, 0, 0, True)])
-        with pytest.raises(CacheConfigError, match="replay"):
-            io_node_stack_profile(n_io_nodes=1, policy="fifo", stream=stream)
+        for policy in ("fifo", "opt"):
+            with pytest.raises(CacheConfigError, match="replay"):
+                io_node_stack_profile(n_io_nodes=1, policy=policy, stream=stream)
 
     def test_sweep_rejects_negative_count(self):
         stream = _stream([(0, 0, 0, 0, True)])

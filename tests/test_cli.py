@@ -3,17 +3,22 @@
 import json
 import logging
 
+import numpy as np
 import pytest
 
 from repro import obs
 from repro.cli import build_parser, main
+from repro.errors import TraceFormatError
 from repro.obs import RunReport
 
 
 @pytest.fixture(scope="module")
 def trace_path(tmp_path_factory):
-    path = tmp_path_factory.mktemp("cli") / "trace.npz"
-    rc = main(["generate", "--scale", "0.02", "--seed", "3", "--out", str(path)])
+    # 4096-event chunks, as CI writes: push sends several chunks and
+    # characterize streams more than one
+    path = tmp_path_factory.mktemp("cli") / "trace.store"
+    rc = main(["generate", "--scale", "0.02", "--seed", "3", "--out", str(path),
+               "--chunk-size", "4096"])
     assert rc == 0
     return path
 
@@ -108,9 +113,18 @@ class TestCommands:
         (["characterize", "x.store", "--store", "--workers", "2"], "--workers"),
         (["figures", "--workers", "2"], "--workers"),
         (["cache", "--experiment", "fig9", "--workers", "2"], "--workers"),
+        (["generate", "--out", "x.store", "--store"], "--store"),
+        (["characterize", "--store"], "--store"),
+        (["characterize", "--chunk-size", "4096"], "--chunk-size"),
+        (["cache", "--experiment", "fig9", "--store"], "--store"),
+        (["cache", "--experiment", "fig9", "--chunk-size", "4096"], "--chunk-size"),
+        (["push", "x.store", "--url", "http://127.0.0.1:1",
+          "--chunk-size", "2048"], "--chunk-size"),
     ], ids=["generate-workers", "generate-full-shards", "characterize-shards",
             "characterize-full-shards", "characterize-workers",
-            "characterize-store-workers", "figures-workers", "cache-workers"])
+            "characterize-store-workers", "figures-workers", "cache-workers",
+            "generate-store", "characterize-store", "characterize-chunk-size",
+            "cache-store", "cache-chunk-size", "push-chunk-size"])
     def test_removed_generation_flags_exit_2_before_generating(
         self, argv, flag, capsys, monkeypatch
     ):
@@ -119,8 +133,10 @@ class TestCommands:
 
         monkeypatch.setattr("repro.cli._resolve_generator", no_trace)
         monkeypatch.setattr("repro.cli._generate_frame", no_trace)
+        # push generates nothing and takes no --scale
+        scale = [] if argv[0] == "push" else ["--scale", "0.01"]
         with pytest.raises(SystemExit) as info:
-            main([*argv[:1], "--scale", "0.01", *argv[1:]])
+            main([*argv[:1], *scale, *argv[1:]])
         assert info.value.code == 2
         err = capsys.readouterr().err
         assert "unrecognized arguments" in err
@@ -162,14 +178,14 @@ class TestCommands:
 class TestEngineCli:
     @pytest.fixture(scope="class")
     def drift_path(self, tmp_path_factory):
-        path = tmp_path_factory.mktemp("cli-drift") / "drift.npz"
+        path = tmp_path_factory.mktemp("cli-drift") / "drift.store"
         rc = main(["generate", "--scenario", "drift", "--scale", "0.003",
                    "--seed", "3", "--out", str(path)])
         assert rc == 0
         return path
 
     def test_generate_engine_override(self, tmp_path, capsys):
-        path = tmp_path / "t.npz"
+        path = tmp_path / "t.store"
         rc = main(["generate", "--scenario", "tiny", "--engine", "drift",
                    "--scale", "0.003", "--seed", "3", "--out", str(path)])
         assert rc == 0
@@ -178,7 +194,7 @@ class TestEngineCli:
     def test_generate_with_mix_file(self, tmp_path, capsys):
         mix = tmp_path / "mix.json"
         mix.write_text('{"read": 1.0, "create": 1.0, "delete": 0.5}')
-        path = tmp_path / "t.npz"
+        path = tmp_path / "t.store"
         rc = main(["generate", "--scenario", "drift", "--mix", str(mix),
                    "--scale", "0.003", "--seed", "3", "--out", str(path)])
         assert rc == 0
@@ -189,14 +205,14 @@ class TestEngineCli:
         mix.write_text('{"read": 1.0}')
         with pytest.raises(SystemExit) as exc:
             main(["generate", "--mix", str(mix), "--out",
-                  str(tmp_path / "t.npz")])
+                  str(tmp_path / "t.store")])
         assert exc.value.code == 2
         assert "--mix only applies" in capsys.readouterr().err
 
     def test_unknown_scenario_lists_available(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["generate", "--scenario", "nope", "--out",
-                  str(tmp_path / "t.npz")])
+                  str(tmp_path / "t.store")])
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "unknown scenario" in err and "ames1993" in err
@@ -204,7 +220,7 @@ class TestEngineCli:
     def test_unknown_engine_lists_available(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["generate", "--engine", "nope", "--out",
-                  str(tmp_path / "t.npz")])
+                  str(tmp_path / "t.store")])
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "unknown workload engine" in err and "drift" in err
@@ -300,7 +316,7 @@ class TestTraceInfo:
     def store_path(self, tmp_path_factory):
         path = tmp_path_factory.mktemp("cli-info") / "trace.ctrace"
         rc = main(["generate", "--scale", "0.02", "--seed", "3",
-                   "--out", str(path), "--store", "--chunk-size", "4096"])
+                   "--out", str(path), "--chunk-size", "4096"])
         assert rc == 0
         return path
 
@@ -309,10 +325,6 @@ class TestTraceInfo:
         out = capsys.readouterr().out
         assert "chunked columnar trace store" in out
         assert "time span" in out
-
-    def test_human_frame(self, trace_path, capsys):
-        assert main(["trace", "info", str(trace_path)]) == 0
-        assert "legacy single-file frame" in capsys.readouterr().out
 
     def test_json_store(self, store_path, capsys):
         assert main(["trace", "info", str(store_path), "--json"]) == 0
@@ -325,12 +337,12 @@ class TestTraceInfo:
         maxes = [c["t_max"] for c in info["chunks"]]
         assert maxes == sorted(maxes)
 
-    def test_json_frame(self, trace_path, capsys):
-        assert main(["trace", "info", str(trace_path), "--json"]) == 0
-        info = json.loads(capsys.readouterr().out)
-        assert info["kind"] == "frame"
-        assert info["n_chunks"] == 1
-        assert info["chunks"][0]["n"] == info["n_events"]
+    def test_legacy_npz_is_named_in_the_error(self, tmp_path):
+        path = tmp_path / "old.npz"
+        np.savez_compressed(path, events=np.zeros(3))
+        for argv in (["characterize", str(path)], ["trace", "info", str(path)]):
+            with pytest.raises(TraceFormatError, match=r"legacy \.npz frame"):
+                main(argv)
 
     def test_json_matches_source_info(self, store_path, capsys):
         from repro.trace.store import source_info
@@ -389,7 +401,7 @@ class TestServeCli:
         batch = capsys.readouterr().out
         with TraceService() as svc:
             rc = main(["push", str(trace_path), "--url", svc.url,
-                       "--run", "w", "--report", "--chunk-size", "2048"])
+                       "--run", "w", "--report"])
             assert rc == 0
         out = capsys.readouterr().out
         assert out.startswith("pushed ")

@@ -339,7 +339,7 @@ _FROZEN_CACHE_FIGURE_DIGESTS = {
 
 
 class TestFrozenCacheFigures:
-    """Figures 8 and 9 are frozen: the stack-distance passes (LRU/OPT)
+    """Figures 8 and 9 are frozen: the LRU stack-distance passes
     and FIFO's dense-key replay (captured while FIFO still replayed
     through the dictionary policy) must keep producing these bytes,
     whatever ``workers`` a caller still passes (it is ignored)."""

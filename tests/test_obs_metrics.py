@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import obs
 from repro.cli import main
-from repro.errors import ObsReportError
+from repro.errors import ObsReportError, TraceFormatError
 from repro.obs import (
     Histogram,
     Observer,
@@ -143,17 +143,17 @@ class TestEventLog:
 
     def test_cli_crash_is_recorded_in_the_report(self, tmp_path, capsys):
         report = tmp_path / "run.json"
-        with pytest.raises(FileNotFoundError):
+        with pytest.raises(TraceFormatError):
             main(["--obs", str(report), "characterize",
                   str(tmp_path / "missing.npz")])
         assert not (tmp_path / "run.json.flight.json").exists()
         loaded = RunReport.load(report)
-        assert "FileNotFoundError" in loaded.notes["cli.crash"]
+        assert "TraceFormatError" in loaded.notes["cli.crash"]
         errors = [
             e for e in loaded.trace["events"]
             if e["ev"] == "E" and e["name"] == "cli/characterize"
         ]
-        assert [e["error"] for e in errors] == ["FileNotFoundError"]
+        assert [e["error"] for e in errors] == ["TraceFormatError"]
         assert "[obs]" in capsys.readouterr().err
 
     def test_span_events_reach_the_log(self):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import TraceError
-from repro.trace.frame import EVENT_DTYPE, FileTable, JobTable, TraceFrame
+from repro.trace.frame import FileTable, JobTable, TraceFrame
 from repro.trace.records import NO_VALUE, EventKind, OpenFlags, Record
 
 
@@ -139,17 +139,6 @@ class TestValidation:
             frame.validate()
 
 
-class TestPersistence:
-    def test_save_load_roundtrip(self, micro_frame, tmp_path):
-        path = tmp_path / "trace.npz"
-        micro_frame.save(path)
-        back = TraceFrame.load(path)
-        assert np.array_equal(back.events, micro_frame.events)
-        assert np.array_equal(back.jobs.data, micro_frame.jobs.data)
-        assert np.array_equal(back.files.data, micro_frame.files.data)
-        assert back.header == micro_frame.header
-
-
 class TestOfKindCache:
     def test_same_view_returned(self, micro_frame):
         a = micro_frame.of_kind(EventKind.READ, EventKind.WRITE)
@@ -169,75 +158,3 @@ class TestOfKindCache:
 
     def test_transfers_property_is_cached_view(self, micro_frame):
         assert micro_frame.transfers is micro_frame.transfers
-
-
-class TestLoadValidation:
-    def _arrays(self, micro_frame, tmp_path):
-        path = tmp_path / "good.npz"
-        micro_frame.save(path)
-        with np.load(path, allow_pickle=False) as data:
-            return {name: data[name] for name in data.files}
-
-    def test_roundtrip(self, micro_frame, tmp_path):
-        path = tmp_path / "trace.npz"
-        micro_frame.save(path)
-        loaded = TraceFrame.load(path)
-        assert (loaded.events == micro_frame.events).all()
-
-    def test_rejects_garbage_file(self, tmp_path):
-        path = tmp_path / "garbage.npz"
-        path.write_bytes(b"this is not a zip archive")
-        with pytest.raises(TraceError, match="not a readable trace"):
-            TraceFrame.load(path)
-
-    def test_rejects_truncated_file(self, micro_frame, tmp_path):
-        path = tmp_path / "trace.npz"
-        micro_frame.save(path)
-        clipped = tmp_path / "clipped.npz"
-        clipped.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
-        with pytest.raises(TraceError):
-            TraceFrame.load(clipped)
-
-    def test_names_missing_array(self, micro_frame, tmp_path):
-        arrays = self._arrays(micro_frame, tmp_path)
-        del arrays["files"]
-        path = tmp_path / "missing.npz"
-        np.savez(path, **arrays)
-        with pytest.raises(TraceError, match="missing trace array 'files'"):
-            TraceFrame.load(path)
-
-    def test_names_missing_field(self, micro_frame, tmp_path):
-        arrays = self._arrays(micro_frame, tmp_path)
-        fields = [(n, EVENT_DTYPE.fields[n][0]) for n in EVENT_DTYPE.names
-                  if n != "offset"]
-        stripped = np.zeros(len(arrays["events"]), dtype=np.dtype(fields))
-        for name, _ in fields:
-            stripped[name] = arrays["events"][name]
-        arrays["events"] = stripped
-        path = tmp_path / "stripped.npz"
-        np.savez(path, **arrays)
-        with pytest.raises(TraceError, match=r"missing\s+field\(s\) 'offset'"):
-            TraceFrame.load(path)
-
-    def test_names_wrong_field_dtype(self, micro_frame, tmp_path):
-        arrays = self._arrays(micro_frame, tmp_path)
-        fields = [
-            (n, np.float32 if n == "time" else EVENT_DTYPE.fields[n][0])
-            for n in EVENT_DTYPE.names
-        ]
-        cast = np.zeros(len(arrays["events"]), dtype=np.dtype(fields))
-        for name, _ in fields:
-            cast[name] = arrays["events"][name]
-        arrays["events"] = cast
-        path = tmp_path / "cast.npz"
-        np.savez(path, **arrays)
-        with pytest.raises(TraceError, match=r"wrong dtype for\s+field\(s\) 'time'"):
-            TraceFrame.load(path)
-
-    def test_rejects_bad_header(self, micro_frame, tmp_path):
-        arrays = self._arrays(micro_frame, tmp_path)
-        arrays["header"] = np.array("{not json")
-        path = tmp_path / "badheader.npz"
-        np.savez(path, **arrays)
-        with pytest.raises(TraceError, match="invalid trace header"):
-            TraceFrame.load(path)

@@ -27,13 +27,10 @@ from repro.trace.frame import (
 )
 from repro.trace.records import NO_VALUE, EventKind, TraceHeader
 from repro.trace.store import (
-    DEFAULT_CHUNK_SIZE,
     STORE_MAGIC,
     FrameSource,
     StoreWriter,
     TraceStore,
-    is_store_file,
-    open_source,
     write_store,
 )
 
@@ -245,38 +242,6 @@ class TestSources:
             characterize(src)
         assert type(info.value) is RuntimeError
 
-    def test_open_source_sniffs_store_and_npz(self, tmp_path):
-        events = _events_array(
-            [(float(t), 0, 0, 0, int(EventKind.READ), -1, 0, 0, 1)
-             for t in range(5)]
-        )
-        jobs, files = _tables_for(events)
-        frame = TraceFrame(events, jobs=jobs, files=files, header=HEADER)
-        store_path = tmp_path / "t.store"
-        npz_path = tmp_path / "t.npz"
-        write_store(frame, store_path, chunk_size=2)
-        frame.save(npz_path)
-        assert is_store_file(store_path)
-        assert not is_store_file(npz_path)
-        src = open_source(store_path)
-        assert isinstance(src, TraceStore)
-        legacy = open_source(npz_path, chunk_size=2)
-        assert isinstance(legacy, FrameSource)
-        assert legacy.chunk_size == 2
-        assert (
-            np.concatenate(list(src.iter_chunks())).tobytes()
-            == np.concatenate(list(legacy.iter_chunks())).tobytes()
-        )
-        src.close()
-
-    def test_open_source_default_chunking(self, tmp_path):
-        events = _events_array([(0.0, 0, 0, 0, int(EventKind.READ), -1, 0, 0, 1)])
-        jobs, files = _tables_for(events)
-        frame = TraceFrame(events, jobs=jobs, files=files, header=HEADER)
-        npz_path = tmp_path / "t.npz"
-        frame.save(npz_path)
-        assert open_source(npz_path).chunk_size == DEFAULT_CHUNK_SIZE
-
 
 class TestWriterValidation:
     def test_rejects_wrong_dtype(self, tmp_path):
@@ -370,13 +335,15 @@ class TestCorruption:
             TraceStore(path)
 
     def test_npz_is_not_a_store(self, tmp_path):
-        # a legacy frame must fail the magic check, not decode as garbage
+        # a legacy frame must fail the magic check, not decode as garbage,
+        # and the error names the format
         events = _events_array([(0.0, 0, 0, 0, int(EventKind.READ), -1, 0, 0, 1)])
-        jobs, files = _tables_for(events)
-        frame = TraceFrame(events, jobs=jobs, files=files, header=HEADER)
         npz_path = tmp_path / "t.npz"
-        frame.save(npz_path)
-        with pytest.raises(TraceFormatError, match="bad magic"):
+        np.savez_compressed(npz_path, events=events)
+        with pytest.raises(
+            TraceFormatError,
+            match=r"bad magic\): it is a legacy \.npz frame.*repro generate --out",
+        ):
             TraceStore(npz_path)
 
     def test_unsupported_version(self, tmp_path):

@@ -3,15 +3,16 @@
 Covers the engine contract end to end: registry lookup and error
 surfaces, driver resolution order, drift's frozen output at two
 scales/seeds, the steady-state convergence of its file population under
-create/delete churn, and replay's round-trips through stores, frames,
-and in-memory objects.
+create/delete churn, and replay's round-trips through stores and
+in-memory frames.
 """
 
 import numpy as np
 import pytest
 
-from repro.errors import WorkloadError
+from repro.errors import TraceFormatError, WorkloadError
 from repro.trace.records import EventKind, OpenFlags
+from repro.trace.store import write_store
 from repro.workload import (
     DriftConfig,
     DriftEngine,
@@ -287,19 +288,16 @@ class TestReplayEngine:
     def test_replays_store(self, tmp_path):
         src = WorkloadGenerator(drift_scenario(0.002), seed=5).run("direct")
         path = tmp_path / "t.store"
-        from repro.trace.store import write_store
-
         write_store(src.frame, path, chunk_size=512)
         wl = WorkloadGenerator(replay_scenario(path)).run()
         assert _digest(wl.frame) == _digest(src.frame)
         assert wl.n_jobs == src.n_jobs
 
-    def test_replays_npz(self, tmp_path):
-        src = WorkloadGenerator(ames1993(0.002), seed=5).run("direct")
+    def test_replaying_npz_raises_format_error(self, tmp_path):
         path = tmp_path / "t.npz"
-        src.frame.save(path)
-        wl = WorkloadGenerator(replay_scenario(path)).run()
-        assert _digest(wl.frame) == _digest(src.frame)
+        np.savez_compressed(path, events=np.zeros(3))
+        with pytest.raises(TraceFormatError, match=r"legacy \.npz frame"):
+            WorkloadGenerator(replay_scenario(path)).run()
 
     def test_replays_in_memory_frame(self):
         src = WorkloadGenerator(drift_scenario(0.002), seed=5).run("direct")
@@ -317,15 +315,15 @@ class TestReplayEngine:
 
     def test_full_pipeline_rejected(self, tmp_path):
         src = WorkloadGenerator(drift_scenario(0.002), seed=5).run("direct")
-        path = tmp_path / "t.npz"
-        src.frame.save(path)
+        path = tmp_path / "t.store"
+        write_store(src.frame, path)
         with pytest.raises(WorkloadError, match="only the 'direct'"):
             WorkloadGenerator(replay_scenario(path)).run("full")
 
     def test_preserves_source_provenance(self, tmp_path):
         src = WorkloadGenerator(drift_scenario(0.002), seed=5).run("direct")
-        path = tmp_path / "t.npz"
-        src.frame.save(path)
+        path = tmp_path / "t.store"
+        write_store(src.frame, path)
         wl = WorkloadGenerator(replay_scenario(path)).run()
         # replay is transport, not authorship: the replayed trace still
         # validates under its original engine's profile
