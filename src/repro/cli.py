@@ -632,7 +632,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "(read/write/append/create/delete/stat)")
     p.add_argument("--pipeline", choices=["direct", "full"], default="direct")
     p.add_argument("--out", required=True, help="output path of the trace store")
-    p.add_argument("--chunk-size", type=int, default=None,
+    p.add_argument("--chunk-size", type=_int_at_least(1), default=None,
                    help="events per store chunk")
     p.set_defaults(func=cmd_generate)
 

@@ -13,8 +13,9 @@ Frame layout (integers little-endian)::
 
     offset 0  WIRE_MAGIC            b"RWIRE1\\n"
     offset 7  u32 meta length
-    offset 11 meta JSON             {"v", "run", "seq", "n", "fields"}
-    ...       field blobs           per EVENT_DTYPE field, zlib or raw
+    offset 11 meta JSON             {"v": 2, "run", "seq", "n", "fields"}
+    ...       field blobs           per EVENT_DTYPE field, its byte
+                                    planes at zlib level 1 or raw
 
 Side tables (jobs/files) and the trace header travel in the run
 *registration* instead — they are tiny, so :func:`encode_table` packs
@@ -51,7 +52,7 @@ __all__ = [
 WIRE_MAGIC = b"RWIRE1\n"
 
 #: wire protocol version carried in every frame's meta object
-WIRE_VERSION = 1
+WIRE_VERSION = 2
 
 _META_LEN = struct.Struct("<I")
 

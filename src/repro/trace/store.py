@@ -14,12 +14,16 @@ open.
 Layout (all integers little-endian)::
 
     offset 0   STORE_MAGIC            b"CTRACE01\\n"
-    offset 9   fixed header           <IIQQQQ: version, chunk_size,
+    offset 9   fixed header           <IIQQQQ: version (2), chunk_size,
                                       n_events, n_chunks,
                                       dir_offset, dir_bytes
     offset 49  chunk payload          per chunk, per event field: one
-                                      blob, zlib- or raw-encoded
-    ...        jobs/files blobs       the side tables, same encoding
+                                      blob holding the field's byte
+                                      planes (byte 0 of every value,
+                                      then byte 1, ...), zlib level 1
+                                      or raw
+    ...        jobs/files blobs       the side tables, one blob each of
+                                      their rows, same encoding
     dir_offset directory              one JSON object (dir_bytes long)
                                       describing every blob: encoding,
                                       offset, stored/raw byte counts,
@@ -91,7 +95,7 @@ STORE_MAGIC = b"CTRACE01\n"
 _ZIP_MAGIC = b"PK\x03\x04"
 
 #: current on-disk format version (the fixed header's first field)
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 #: events per chunk when the caller does not choose: ~10 MB of raw
 #: event rows, small enough to stream on a laptop, large enough that
@@ -106,30 +110,50 @@ _HEADER_SIZE = len(STORE_MAGIC) + _FIXED_HEADER.size
 #: the directory's "dtype" entry: every table's fields, in this order
 _DTYPES = {"events": EVENT_DTYPE, "jobs": JOB_DTYPE, "files": FILE_DTYPE}
 
+#: bytes per event row, and each field's byte planes [lo, hi) in a row
+_ROW = EVENT_DTYPE.itemsize
+_PLANES = {
+    name: (EVENT_DTYPE.fields[name][1],
+           EVENT_DTYPE.fields[name][1] + EVENT_DTYPE[name].itemsize)
+    for name in EVENT_DTYPE.names
+}
+
 #: deflate inflates at most 1032-fold; a blob claiming more is refused
 _MAX_INFLATE = 1032
 
 
-def _encode_blob(raw: bytes) -> tuple[str, bytes]:
-    """(encoding, stored bytes): zlib level 6 when that shrinks the blob."""
-    packed = zlib.compress(raw, 6)
+def _encode_blob(raw) -> tuple[str, bytes]:
+    """(encoding, stored bytes): zlib level 1 when that shrinks the blob.
+
+    Level 1 deflates event columns about 4x faster than level 6; byte
+    planes (:func:`encode_columns`) win back more than the bytes it loses.
+    """
+    packed = zlib.compress(raw, 1)
     if len(packed) < len(raw):
         return "zlib", packed
-    return "raw", raw
+    return "raw", bytes(raw)
 
 
 def encode_columns(events: np.ndarray, off: int = 0) -> tuple[dict, list[bytes]]:
-    """A chunk's field directory and blobs, to be stored back to back at ``off``."""
+    """A chunk's field directory and blobs, to be stored back to back at ``off``.
+
+    Each blob is one field's byte planes: byte 0 of every value, then
+    byte 1, and so on.  Bytes of equal weight sit together, so the slowly
+    varying high bytes of times, offsets and sizes compress to almost
+    nothing.  All planes come from one strided copy of the row bytes.
+    """
+    n = len(events)
+    rows = np.ascontiguousarray(events).view(np.uint8).reshape(n, _ROW)
+    planes = memoryview(rows.T.copy().reshape(-1))
     fields: dict[str, dict] = {}
     blobs: list[bytes] = []
-    for name in EVENT_DTYPE.names:
-        col = np.ascontiguousarray(events[name])
-        enc, stored = _encode_blob(col.tobytes())
+    for name, (lo, hi) in _PLANES.items():
+        enc, stored = _encode_blob(planes[lo * n : hi * n])
         fields[name] = {
             "enc": enc,
             "off": off,
             "nbytes": len(stored),
-            "raw": col.nbytes,
+            "raw": (hi - lo) * n,
             "crc32": zlib.crc32(stored),
         }
         blobs.append(stored)
@@ -225,12 +249,16 @@ def decode_columns(buf, n, fields, what: str) -> np.ndarray:
 
     ``n`` and ``fields`` are checked whole before the output is allocated;
     ``what`` (``"<path>: chunk 3"``, ``"ingest frame"``) prefixes errors.
+    Every field's planes are inflated into one buffer, which one strided
+    copy writes back into the rows.
     """
     n = _check_columns(n, fields, what, len(buf))
-    out = np.empty(n, dtype=EVENT_DTYPE)
-    for name in EVENT_DTYPE.names:
+    planes = np.empty((_ROW, n), dtype=np.uint8)
+    for name, (lo, hi) in _PLANES.items():
         raw = _blob_bytes(buf, fields[name], f"{what} field {name!r}")
-        out[name] = np.frombuffer(raw, dtype=EVENT_DTYPE[name])
+        planes[lo:hi] = np.frombuffer(raw, dtype=np.uint8).reshape(hi - lo, n)
+    out = np.empty(n, dtype=EVENT_DTYPE)
+    out.view(np.uint8).reshape(n, _ROW)[:] = planes.T
     return out
 
 
@@ -538,6 +566,12 @@ class TraceStore(TraceSource):
         (version, chunk_size, n_events, n_chunks, dir_offset, dir_nbytes) = (
             _FIXED_HEADER.unpack_from(self._map, len(STORE_MAGIC))
         )
+        if 0 < version < FORMAT_VERSION:
+            raise TraceFormatError(
+                f"{path}: store format version {version} is no longer read "
+                f"(this reader handles version {FORMAT_VERSION}); regenerate "
+                "it with 'repro generate --out'"
+            )
         if version != FORMAT_VERSION:
             raise TraceFormatError(
                 f"{path}: unsupported store format version {version} "

@@ -485,11 +485,11 @@ class WorkloadGenerator:
         """
         from repro.trace.store import DEFAULT_CHUNK_SIZE, write_store
 
+        if chunk_size is None:
+            chunk_size = DEFAULT_CHUNK_SIZE
         workload = self.run(pipeline)
         with obs.span("workload/store"):
-            write_store(
-                workload.frame, path, chunk_size=chunk_size or DEFAULT_CHUNK_SIZE
-            )
+            write_store(workload.frame, path, chunk_size=chunk_size)
         return workload
 
 

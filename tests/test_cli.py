@@ -142,6 +142,22 @@ class TestCommands:
         assert "unrecognized arguments" in err
         assert flag in err
 
+    @pytest.mark.parametrize("size", ["0", "-5"])
+    def test_generate_chunk_size_below_1_exits_2_before_generating(
+        self, size, tmp_path, capsys, monkeypatch
+    ):
+        def no_trace(args):
+            raise AssertionError("generated a trace for a bad command line")
+
+        monkeypatch.setattr("repro.cli._resolve_generator", no_trace)
+        out = tmp_path / "x.store"
+        with pytest.raises(SystemExit) as info:
+            main(["generate", "--scale", "0.01", "--out", str(out),
+                  "--chunk-size", size])
+        assert info.value.code == 2
+        assert f"--chunk-size: must be >= 1, got {size}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_cache_policy_is_case_insensitive(self, trace_path, capsys):
         rc = main(["cache", str(trace_path), "--policy", "LRU", "--buffers", "50"])
         assert rc == 0

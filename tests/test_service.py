@@ -40,7 +40,7 @@ from repro.trace.store import FrameSource
 from repro.workload.generator import WorkloadGenerator
 from repro.workload.scenarios import ames1993
 from tests.test_obs_metrics import parse_prometheus
-from tests.test_trace_store import _layout_blob
+from tests.test_trace_store import _layout_blob, _layout_planes
 
 SEEDS = (3, 11)
 
@@ -73,13 +73,34 @@ def _source(frames, seed, chunk_size=CHUNK):
 # -- wire codec ---------------------------------------------------------------
 
 
+def _extreme_events() -> np.ndarray:
+    """Each field at its extremes: int64 min/max offset and size, negative
+    mode, flags 0xFFFF, -0.0 and +-inf time."""
+    events = np.zeros(6, dtype=EVENT_DTYPE)
+    events["time"] = [-np.inf, -0.0, 0.0, 5e-324, 1.7976931348623157e308, np.inf]
+    for name in ("node", "job", "file", "offset", "size"):
+        info = np.iinfo(EVENT_DTYPE[name])
+        events[name] = [info.min, -1, 0, 1, info.max - 1, info.max]
+    events["kind"] = [0, 1, 127, 128, 254, 255]
+    events["mode"] = [-128, -1, 0, 1, 3, 127]
+    events["flags"] = [0, 1, 0x7FFF, 0x8000, 0xFFFE, 0xFFFF]
+    return events
+
+
 class TestWire:
     def test_chunk_round_trip(self, frames):
-        events = frames[3].events[:500]
-        frame = encode_chunk("r1", 4, events)
-        run, seq, out = decode_chunk(frame)
-        assert (run, seq) == ("r1", 4)
-        assert np.array_equal(out, events)
+        """Bit for bit at n = 0, 1, odd and even counts, and with every
+        field at its extremes (-0.0 and 0.0 differ in their bytes)."""
+        events = frames[3].events
+        for i, chunk in enumerate(
+            [events[:500], events[:0], events[:1], events[7:784],
+             events[::3][:99], _extreme_events()]
+        ):
+            frame = encode_chunk("r1", i, chunk)
+            run, seq, out = decode_chunk(frame)
+            assert (run, seq) == ("r1", i)
+            assert out.dtype == EVENT_DTYPE
+            assert out.tobytes() == chunk.tobytes()
 
     def test_empty_chunk_round_trip(self, frames):
         events = frames[3].events[:0]
@@ -102,10 +123,17 @@ class TestWire:
             decode_chunk(bytes(frame))
 
     def test_wrong_version_rejected(self, frames):
+        """Version 1 (row-ordered blobs) and unknown versions are refused,
+        naming the frame's version and the daemon's."""
         frame = encode_chunk("r", 0, frames[3].events[:10])
-        bad = frame.replace(b'{"v":1,', b'{"v":9,', 1)
-        with pytest.raises(ServiceError, match="version"):
-            decode_chunk(bad)
+        for version in (b"1", b"9"):
+            bad = frame.replace(b'{"v":2,', b'{"v":' + version + b",", 1)
+            assert bad != frame
+            with pytest.raises(
+                ServiceError,
+                match=f"wire version {version.decode()} not supported.*version 2",
+            ):
+                decode_chunk(bad)
 
     def test_wrong_dtype_rejected(self):
         with pytest.raises(ServiceError, match="dtype"):
@@ -127,15 +155,15 @@ def _layout_frame(run: str, seq: int, events: np.ndarray) -> bytes:
     """An ingest frame rebuilt by hand from wire.py's documented layout."""
     fields, blobs, off = {}, [], 0
     for name in EVENT_DTYPE.names:
-        col = np.ascontiguousarray(events[name]).tobytes()
-        enc, stored = _layout_blob(col)
+        planes = _layout_planes(events[name])
+        enc, stored = _layout_blob(planes)
         fields[name] = {
             "enc": enc, "off": off, "nbytes": len(stored),
-            "raw": len(col), "crc32": zlib.crc32(stored),
+            "raw": len(planes), "crc32": zlib.crc32(stored),
         }
         blobs.append(stored)
         off += len(stored)
-    meta = {"v": 1, "run": run, "seq": seq, "n": len(events), "fields": fields}
+    meta = {"v": 2, "run": run, "seq": seq, "n": len(events), "fields": fields}
     meta_bytes = json.dumps(meta, separators=(",", ":")).encode("utf-8")
     return b"".join(
         [b"RWIRE1\n", struct.pack("<I", len(meta_bytes)), meta_bytes, *blobs]
@@ -699,6 +727,28 @@ class TestSnapshotRestart:
         with pytest.raises(ServiceError, match="log magic"):
             TraceService(snapshot_path=snap)
         assert snap.read_bytes() == pickle.dumps({"version": 2, "runs": []})
+
+    def test_version_1_frame_names_its_offset(self, tmp_path, frames):
+        """A log written by a version-1 daemon holds version-1 frames: the
+        restart stops at the first one, naming its byte offset and both
+        wire versions."""
+        source = _source(frames, 3)
+        snap = tmp_path / "service.log"
+        with TraceService(snapshot_path=snap) as first:
+            client = ServiceClient(first.url)
+            client.register(source, "w")
+            client.push_chunk("w", 0, source.chunk(0))
+        _, (off, body) = _log_records(snap)
+        data = snap.read_bytes()
+        old = body.replace(b'{"v":2,', b'{"v":1,', 1)
+        assert len(old) == len(body) and old != body
+        snap.write_bytes(data[: off + 8] + old + data[off + 8 + len(body) :])
+        with pytest.raises(
+            ServiceError,
+            match=rf"record at byte {off} failed to replay: wire version 1 "
+            r"not supported \(this daemon speaks version 2\)",
+        ):
+            TraceService(snapshot_path=snap)
 
     def test_failing_record_names_its_offset(self, tmp_path, frames):
         """A whole record that does not replay (a chunk of a run that was

@@ -146,9 +146,21 @@ class TestRoundTrip:
 
 
 def _layout_blob(raw: bytes) -> tuple[str, bytes]:
-    """The documented blob rule: zlib level 6 when shorter, else raw."""
-    packed = zlib.compress(raw, 6)
+    """The documented blob rule: zlib level 1 when shorter, else raw."""
+    packed = zlib.compress(raw, 1)
     return ("zlib", packed) if len(packed) < len(raw) else ("raw", raw)
+
+
+def _layout_planes(values: np.ndarray) -> bytes:
+    """A field's documented byte planes, built value by value: byte 0
+    (least significant) of every value, then byte 1, and so on."""
+    little = [
+        np.asarray(v, dtype=values.dtype.newbyteorder("<")).tobytes()
+        for v in values
+    ]
+    return b"".join(
+        bytes(v[k] for v in little) for k in range(values.dtype.itemsize)
+    )
 
 
 class TestFormatPinned:
@@ -164,7 +176,7 @@ class TestFormatPinned:
         version, cs, n_events, n_chunks, dir_off, dir_len = struct.unpack_from(
             "<IIQQQQ", data, head
         )
-        assert (version, cs, n_events) == (1, chunk_size, small_frame.n_events)
+        assert (version, cs, n_events) == (2, chunk_size, small_frame.n_events)
         directory = json.loads(data[dir_off : dir_off + dir_len])
         assert dir_off + dir_len == len(data)
         assert list(directory) == [
@@ -196,7 +208,7 @@ class TestFormatPinned:
             for name in EVENT_DTYPE.names:
                 check(
                     chunk["fields"][name],
-                    np.ascontiguousarray(rows[name]).tobytes(),
+                    _layout_planes(rows[name]),
                     ["enc", "off", "nbytes", "raw", "crc32"],
                 )
         assert list(directory["tables"]) == ["jobs", "files"]
@@ -347,12 +359,18 @@ class TestCorruption:
             TraceStore(npz_path)
 
     def test_unsupported_version(self, tmp_path):
+        """A version-1 store (row-ordered blobs) is refused with the way
+        out; an unknown version is refused as unsupported."""
         path = self._valid_store(tmp_path)
         data = bytearray(path.read_bytes())
-        struct.pack_into("<I", data, len(STORE_MAGIC), 99)
-        path.write_bytes(bytes(data))
-        with pytest.raises(TraceFormatError, match="version 99"):
-            TraceStore(path)
+        for version, match in (
+            (1, r"version 1 is no longer read.*repro generate --out"),
+            (99, r"unsupported store format version 99"),
+        ):
+            struct.pack_into("<I", data, len(STORE_MAGIC), version)
+            path.write_bytes(bytes(data))
+            with pytest.raises(TraceFormatError, match=match):
+                TraceStore(path)
 
     def test_flipped_chunk_byte_names_chunk_and_field(self, tmp_path):
         path = self._valid_store(tmp_path)
