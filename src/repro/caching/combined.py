@@ -94,62 +94,63 @@ def simulate_combined(
     """
     if compute_buffers < 1:
         raise CacheConfigError("need at least one compute-node buffer")
-    ro = set(read_only_file_ids(frame).tolist())
-    files, first, last, nodes, is_read = _resolve_stream(frame, stream, block_size)
-    jobs = request_jobs(frame, block_size)
+    with obs.span("caching/combined"):
+        ro = set(read_only_file_ids(frame).tolist())
+        files, first, last, nodes, is_read = _resolve_stream(frame, stream, block_size)
+        jobs = request_jobs(frame, block_size)
 
-    io_with = _build_caches(policy, io_buffers_per_node * n_io_nodes, n_io_nodes)
-    io_without = _build_caches(policy, io_buffers_per_node * n_io_nodes, n_io_nodes)
-    compute: dict[tuple[int, int], LRUPolicy] = {}
+        io_with = _build_caches(policy, io_buffers_per_node * n_io_nodes, n_io_nodes)
+        io_without = _build_caches(policy, io_buffers_per_node * n_io_nodes, n_io_nodes)
+        compute: dict[tuple[int, int], LRUPolicy] = {}
 
-    spans = expand_spans(files, first, last)
-    starts = spans.starts.tolist()
-    blocks = spans.block.tolist()
-    ios = spans.io_nodes(n_io_nodes).tolist()
+        spans = expand_spans(files, first, last)
+        starts = spans.starts.tolist()
+        blocks = spans.block.tolist()
+        ios = spans.io_nodes(n_io_nodes).tolist()
 
-    io_hits_with = io_hits_without = 0
-    io_sub_with = io_sub_without = 0
-    comp_hits = comp_reqs = 0
-    absorbed = 0
+        io_hits_with = io_hits_without = 0
+        io_sub_with = io_sub_without = 0
+        comp_hits = comp_reqs = 0
+        absorbed = 0
 
-    for r, (job, node, file, rd) in enumerate(
-        zip(jobs.tolist(), nodes.tolist(), files.tolist(), is_read.tolist())
-    ):
-        lo, hi = starts[r], starts[r + 1]
-        # the unfiltered baseline sees every request
-        subs, hits = _serve(io_without, blocks, ios, file, lo, hi)
-        if rd:
-            io_sub_without += subs
-            io_hits_without += hits
-        forwarded = True
-        if rd and file in ro:
-            cache = compute.get((job, node))
-            if cache is None:
-                cache = LRUPolicy(compute_buffers)
-                compute[(job, node)] = cache
-            hit = all((file, blocks[i]) in cache for i in range(lo, hi))
-            for i in range(lo, hi):
-                cache.touch((file, blocks[i]))
-            comp_reqs += 1
-            if hit:
-                comp_hits += 1
-                absorbed += 1
-                forwarded = False
-        if forwarded:
-            subs, hits = _serve(io_with, blocks, ios, file, lo, hi)
+        for r, (job, node, file, rd) in enumerate(
+            zip(jobs.tolist(), nodes.tolist(), files.tolist(), is_read.tolist())
+        ):
+            lo, hi = starts[r], starts[r + 1]
+            # the unfiltered baseline sees every request
+            subs, hits = _serve(io_without, blocks, ios, file, lo, hi)
             if rd:
-                io_sub_with += subs
-                io_hits_with += hits
+                io_sub_without += subs
+                io_hits_without += hits
+            forwarded = True
+            if rd and file in ro:
+                cache = compute.get((job, node))
+                if cache is None:
+                    cache = LRUPolicy(compute_buffers)
+                    compute[(job, node)] = cache
+                hit = all((file, blocks[i]) in cache for i in range(lo, hi))
+                for i in range(lo, hi):
+                    cache.touch((file, blocks[i]))
+                comp_reqs += 1
+                if hit:
+                    comp_hits += 1
+                    absorbed += 1
+                    forwarded = False
+            if forwarded:
+                subs, hits = _serve(io_with, blocks, ios, file, lo, hi)
+                if rd:
+                    io_sub_with += subs
+                    io_hits_with += hits
 
-    if obs.enabled():
-        obs.add("caching.combined.simulations")
-        obs.add("caching.combined.requests_absorbed", absorbed)
-        obs.add("caching.combined.compute_requests", comp_reqs)
-    return CombinedResult(
-        io_hit_rate_without=io_hits_without / io_sub_without if io_sub_without else 0.0,
-        io_hit_rate_with=io_hits_with / io_sub_with if io_sub_with else 0.0,
-        compute_hit_rate=comp_hits / comp_reqs if comp_reqs else 0.0,
-        requests_absorbed=absorbed,
-        sub_requests_without=io_sub_without,
-        sub_requests_with=io_sub_with,
-    )
+        if obs.enabled():
+            obs.add("caching.combined.simulations")
+            obs.add("caching.combined.requests_absorbed", absorbed)
+            obs.add("caching.combined.compute_requests", comp_reqs)
+        return CombinedResult(
+            io_hit_rate_without=io_hits_without / io_sub_without if io_sub_without else 0.0,
+            io_hit_rate_with=io_hits_with / io_sub_with if io_sub_with else 0.0,
+            compute_hit_rate=comp_hits / comp_reqs if comp_reqs else 0.0,
+            requests_absorbed=absorbed,
+            sub_requests_without=io_sub_without,
+            sub_requests_with=io_sub_with,
+        )

@@ -79,8 +79,8 @@ def sweep_lines(
     specs = [_as_line(line) for line in lines]
     if not specs:
         return []
-    stream = _resolve_stream(frame, stream, block_size)
     counts = [int(c) for c in buffer_counts]
     obs.add("caching.sweeps.lines", len(specs))
     with obs.span("caching/sweep_lines"):
+        stream = _resolve_stream(frame, stream, block_size)
         return [_run_line(stream, counts, line, block_size) for line in specs]

@@ -441,27 +441,6 @@ def cmd_obs_timeline(args) -> int:
     return 0
 
 
-def cmd_obs_serve(args) -> int:
-    from repro.obs.server import ObsServer
-
-    report = _load_report(args.report)
-    if report is None:
-        return 1
-    server = ObsServer(report=report, host=args.host, port=args.port).start()
-    print(
-        f"serving {args.report} at {server.url} "
-        f"(/metrics /healthz /timeline)"
-        + ("" if args.duration else "; Ctrl-C to stop")
-    )
-    try:
-        server.wait(args.duration)
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.stop()
-    return 0
-
-
 def cmd_serve(args) -> int:
     import signal
 
@@ -604,12 +583,6 @@ def build_parser() -> argparse.ArgumentParser:
              "series (implies --obs)",
     )
     parser.add_argument(
-        "--obs-serve", type=int, default=None, metavar="PORT",
-        help="with --obs: serve live telemetry on 127.0.0.1:PORT for the "
-             "duration of the run — /metrics (Prometheus), /healthz, "
-             "/timeline (Perfetto JSON); implies --obs",
-    )
-    parser.add_argument(
         "-v", "--verbose", action="count", default=0,
         help="more log output (-v info, -vv debug)",
     )
@@ -730,7 +703,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_dump)
 
     p = sub.add_parser(
-        "obs", help="run-report utilities (show, export, diff, timeline, serve)"
+        "obs", help="run-report utilities (show, export, diff, timeline)"
     )
     osub = p.add_subparsers(dest="obs_command", required=True)
     osh = osub.add_parser("show", help="pretty-print an --obs run report")
@@ -762,25 +735,14 @@ def build_parser() -> argparse.ArgumentParser:
     od.set_defaults(func=cmd_obs_diff)
     ot = osub.add_parser(
         "timeline",
-        help="merge a traced run report's per-process event streams into "
-             "one causal timeline (Chrome trace-event / Perfetto JSON)",
+        help="lay a traced run report's event stream out as one causal "
+             "timeline (Chrome trace-event / Perfetto JSON)",
     )
     ot.add_argument("report", help="a schema-v3 run report written by --obs")
     ot.add_argument("-o", "--out", metavar="PATH",
                     help="write Chrome trace-event JSON to PATH "
                          "(load it in ui.perfetto.dev)")
     ot.set_defaults(func=cmd_obs_timeline)
-    osv = osub.add_parser(
-        "serve",
-        help="serve a saved run report over HTTP "
-             "(/metrics, /healthz, /timeline)",
-    )
-    osv.add_argument("report", help="a JSON run report written by --obs")
-    osv.add_argument("--host", default="127.0.0.1")
-    osv.add_argument("--port", type=int, default=8321)
-    osv.add_argument("--duration", type=float, default=None, metavar="SECONDS",
-                     help="serve for SECONDS then exit 0 (default: forever)")
-    osv.set_defaults(func=cmd_obs_serve)
 
     return parser
 
@@ -798,10 +760,8 @@ def main(argv: list[str] | None = None) -> int:
     _configure_logging(args.verbose, args.quiet)
     if args.obs_sample is not None and args.obs_sample <= 0:
         build_parser().error("--obs-sample period must be positive")
-    if args.obs is None and (
-        args.obs_sample is not None or args.obs_serve is not None
-    ):
-        args.obs = "obs_report.json"  # sampling/serving imply observation
+    if args.obs is None and args.obs_sample is not None:
+        args.obs = "obs_report.json"  # sampling implies observation
     if args.obs is None:
         return args.func(args)
 
@@ -813,15 +773,6 @@ def main(argv: list[str] | None = None) -> int:
         sampler = Sampler(observer, period_s=args.obs_sample)
         sampler.start()
         observer.sampler = sampler
-    server = None
-    if args.obs_serve is not None:
-        from repro.obs.server import ObsServer
-
-        command = list(argv) if argv is not None else sys.argv[1:]
-        server = ObsServer(
-            observer=observer, port=args.obs_serve, command=command
-        ).start()
-        print(f"[obs] live telemetry at {server.url}", file=sys.stderr)
     try:
         with observer.span(f"cli/{args.command}"):
             return args.func(args)
@@ -833,8 +784,6 @@ def main(argv: list[str] | None = None) -> int:
     finally:
         # write the report even when the command raises: a profile of the
         # partial run is exactly what a post-mortem wants
-        if server is not None:
-            server.stop()
         timeseries = sampler.flush() if sampler is not None else None
         command = list(argv) if argv is not None else sys.argv[1:]
         report = observer.report(command=command, timeseries=timeseries)

@@ -3,20 +3,21 @@
 ``benchmarks/BENCH_*.json`` files were written for five PRs before
 anything *compared* them — a regression could ship silently as long as
 each bench's own absolute assertions held.  This module closes the
-loop: it loads two metric records (run reports or benchmark files, any
-vintage), lines their numeric metrics up, and classifies each relative
-change against a threshold.  The CLI front-end —
+loop: it loads two metric records (run reports or benchmark files),
+lines their numeric metrics up, and classifies each relative change
+against a threshold.  The CLI front-end —
 ``python -m repro obs diff A B --threshold 0.1`` — exits nonzero when
 any metric regressed, which is what CI wires against committed
 baselines.
 
-Three on-disk layouts are understood:
+Two on-disk layouts are understood; any other JSON is refused with
+:class:`~repro.errors.ObsReportError`:
 
-- a v1/v2 :class:`~repro.obs.report.RunReport` (``--obs`` output):
-  process totals, ``counter.*``, ``gauge.*`` and ``hist.*`` summaries;
-- the unified benchmark layout written by ``benchmarks/conftest.py``
-  (``schema``/``metrics`` keys): the curated metric map, as-is;
-- a legacy benchmark file: every numeric leaf, dot-joined.
+- a :class:`~repro.obs.report.RunReport` (``--obs`` output): process
+  totals, ``counter.*``, ``gauge.*`` and ``hist.*`` summaries;
+- the benchmark envelope written by ``benchmarks/conftest.py`` and
+  pipebench (``schema``/``metrics`` keys): the curated metric map,
+  as-is.
 
 Whether a change is a regression depends on the metric's *direction*:
 ``*_seconds`` going up is bad, ``*speedup*`` going up is good, and a
@@ -82,22 +83,6 @@ class Delta:
         )
 
 
-def _flatten(payload, prefix: str = "") -> dict[str, float]:
-    """Every numeric leaf of a nested payload, dot-joined."""
-    out: dict[str, float] = {}
-    if isinstance(payload, dict):
-        for key, value in payload.items():
-            out.update(_flatten(value, f"{prefix}{key}."))
-    elif isinstance(payload, (list, tuple)):
-        for i, value in enumerate(payload):
-            out.update(_flatten(value, f"{prefix}{i}."))
-    elif isinstance(payload, bool):
-        out[prefix[:-1]] = float(payload)
-    elif isinstance(payload, (int, float)):
-        out[prefix[:-1]] = float(payload)
-    return out
-
-
 def _report_metrics(payload: dict) -> dict[str, float]:
     from repro.obs.hist import Histogram
     from repro.obs.report import RunReport
@@ -128,9 +113,9 @@ def load_record(path: str | Path) -> tuple[str, int, dict[str, float]]:
     """Load any supported record as ``(kind, schema version, metrics)``.
 
     The schema version is the run report's ``version`` or the bench
-    envelope's ``schema`` (0 for legacy benches, which predate both).
-    Raises :class:`~repro.errors.ObsReportError` with a one-line message
-    on unreadable, truncated, or unrecognizable files.
+    envelope's ``schema``.  Raises :class:`~repro.errors.ObsReportError`
+    with a one-line message on unreadable, truncated, or unrecognizable
+    files.
     """
     path = Path(path)
     try:
@@ -161,10 +146,10 @@ def load_record(path: str | Path) -> tuple[str, int, dict[str, float]]:
             str(k): float(v) for k, v in metrics.items()
             if isinstance(v, (int, float)) and not isinstance(v, bool)
         }
-    flat = _flatten(payload)
-    if not flat:
-        raise ObsReportError(f"{path}: no numeric metrics found")
-    return "legacy-bench", 0, flat
+    raise ObsReportError(
+        f"{path}: neither a run report (spans, counters) nor a bench "
+        f"record (schema, metrics)"
+    )
 
 
 def load_metrics(path: str | Path) -> tuple[str, dict[str, float]]:

@@ -13,13 +13,16 @@ Schema history:
 - **v2**: adds ``histograms`` (mergeable log-bucketed distributions,
   :mod:`repro.obs.hist`), ``timeseries`` (flushed sampler ring,
   :mod:`repro.obs.sampler`), and ``notes`` (string annotations such as
-  the slowest pool task).
-- **v3**: adds ``trace`` (the cross-process causal event tree,
-  :mod:`repro.obs.context` — one stream per process, nested worker
-  streams under ``children``) and ``timeseries["workers"]`` (flushed
-  worker sampler rings).  v1/v2 files load with those fields empty;
+  ``cli.crash``).
+- **v3**: adds ``trace`` (the run's bounded event stream,
+  :mod:`repro.obs.context`).  v1/v2 files load with those fields empty;
   files from a *future* version raise
   :class:`~repro.errors.ObsReportError` instead of being misread.
+
+A v3 report saved while analyses still fanned out across processes
+also carries nested worker streams under ``trace["children"]`` and
+worker sampler rings under ``timeseries["workers"]``; nothing writes
+those any more, so they load unchecked and are ignored.
 
 Loading checks every field's shape before building the report, so a
 malformed file — wrong types, numbers past 64 bits or the platform's
@@ -127,8 +130,6 @@ def _histogram(payload) -> dict:
 def _timeseries(payload) -> dict:
     for sample in _array(_object(payload).get("samples", [])):
         _number(_object(sample).get("rss_bytes", 0))
-    for ring in _array(payload.get("workers", [])):
-        _array(_object(ring).get("samples", []))
     return payload
 
 
@@ -136,8 +137,6 @@ def _stream(payload) -> dict:
     _object(payload)
     _string(payload.get("worker", "?"))
     _array(payload.get("events", []))
-    for child in _array(payload.get("children", [])):
-        _stream(child)
     return payload
 
 
@@ -199,9 +198,9 @@ class RunReport:
     histograms: dict[str, dict] = field(default_factory=dict)
     #: flushed :meth:`repro.obs.sampler.Sampler.flush` payload ({} if unsampled)
     timeseries: dict = field(default_factory=dict)
-    #: string annotations (e.g. ``pool.slowest_task``)
+    #: string annotations (e.g. ``cli.crash``)
     notes: dict[str, str] = field(default_factory=dict)
-    #: cross-process causal event tree (:meth:`repro.obs.context.TraceLog.payload`)
+    #: the run's event stream (:meth:`repro.obs.context.TraceLog.payload`)
     trace: dict = field(default_factory=dict)
     version: int = REPORT_VERSION
 
@@ -231,30 +230,16 @@ class RunReport:
         """The named histogram rebuilt as a :class:`Histogram`."""
         return Histogram.from_dict(self.histograms[name])
 
-    def trace_streams(self) -> list[dict]:
-        """Every per-process trace stream, flattened (root first)."""
-        streams: list[dict] = []
-
-        def walk(stream: dict) -> None:
-            streams.append(stream)
-            for child in stream.get("children", ()):
-                walk(child)
-
-        if self.trace:
-            walk(self.trace)
-        return streams
-
     def span_names(self) -> list[str]:
-        """Every distinct span path, ``/``-joined from the root."""
+        """Every span node's name, depth first from the root."""
         names: list[str] = []
 
-        def walk(node: SpanNode, prefix: str) -> None:
+        def walk(node: SpanNode) -> None:
             for child in node.children.values():
-                path = f"{prefix}{child.name}" if not prefix else f"{prefix} > {child.name}"
                 names.append(child.name)
-                walk(child, path)
+                walk(child)
 
-        walk(self.span_tree, "")
+        walk(self.span_tree)
         return names
 
     # -- serialization --------------------------------------------------------
@@ -396,19 +381,10 @@ class RunReport:
                     f"p90={h.quantile(0.9):<10.4g} max={h.max:<10.4g} "
                     f"sum={h.sum:.6g}"
                 )
-        slowest = self.notes.get("pool.slowest_task")
-        if slowest is not None:
-            slowest_s = self.gauges.get("pool.slowest_task_s", 0.0)
-            lines.append(
-                f"slowest pool task: {slowest} ({_fmt_seconds(slowest_s)})"
-            )
-        other_notes = {
-            k: v for k, v in self.notes.items() if k != "pool.slowest_task"
-        }
-        if other_notes:
-            lines.append(f"notes ({len(other_notes)}):")
-            for name in sorted(other_notes):
-                lines.append(f"  {name:<52} {other_notes[name]}")
+        if self.notes:
+            lines.append(f"notes ({len(self.notes)}):")
+            for name in sorted(self.notes):
+                lines.append(f"  {name:<52} {self.notes[name]}")
         if self.timeseries.get("samples"):
             samples = self.timeseries["samples"]
             rss = [s.get("rss_bytes", 0) for s in samples]
@@ -418,20 +394,10 @@ class RunReport:
                 f"({self.timeseries.get('n_dropped', 0)} dropped), "
                 f"rss {_fmt_bytes(min(rss))} -> {_fmt_bytes(max(rss))}"
             )
-        worker_rings = self.timeseries.get("workers")
-        if worker_rings:
+        if self.trace:
             lines.append(
-                f"worker timeseries: {len(worker_rings)} rings, "
-                f"{sum(len(r.get('samples', ())) for r in worker_rings)} samples"
-            )
-        streams = self.trace_streams()
-        if streams:
-            n_events = sum(len(s.get("events", ())) for s in streams)
-            workers = [s.get("worker", "?") for s in streams[1:]]
-            suffix = f" (workers: {', '.join(workers)})" if workers else ""
-            lines.append(
-                f"trace: {len(streams)} process streams, "
-                f"{n_events} events{suffix} — "
+                f"trace: 1 process streams, "
+                f"{len(self.trace.get('events', ()))} events — "
                 f"render with `repro obs timeline`"
             )
         return "\n".join(lines)

@@ -130,10 +130,10 @@ class Sampler:
     def peek(self) -> dict:
         """The ring contents *without* stopping the sampling thread.
 
-        The live telemetry endpoint (:mod:`repro.obs.server`) serves
-        this mid-run from HTTP request threads; the snapshot is taken
-        under the sampling lock, so a concurrent :meth:`sample_once`,
-        :meth:`flush`, or :meth:`stop` can never tear it.
+        The trace service's ``/metrics`` reads this mid-run from HTTP
+        request threads; the snapshot is taken under the sampling lock,
+        so a concurrent :meth:`sample_once`, :meth:`flush`, or
+        :meth:`stop` can never tear it.
         """
         with self._lock:
             return {

@@ -1,33 +1,26 @@
-"""Laying a traced run's event streams out as one timeline.
+"""Laying a traced run's event stream out as one timeline.
 
-Recorder-style tooling (PAPERS.md) makes the case that per-rank traces
-only become useful once they are stitched into a single visualizable
-picture.  This module is that stitch for the streams
-:mod:`repro.obs.context` collects.  A run records one stream; a report
-saved while analyses still fanned out across worker processes nests one
-stream per worker under ``children``, and those still load here.
+Recorder-style tooling (PAPERS.md) makes the case that a trace becomes
+useful once it is laid out as one visualizable picture.  This module
+does that for the stream :mod:`repro.obs.context` records, one per run.
+(A report saved while analyses still fanned out across worker processes
+nests their streams under ``children``; those are ignored.)
 
-- **Clock alignment.**  Every stream carries an ``(epoch0, perf0)``
-  calibration pair taken at stream creation; an event stamped ``t`` on
-  a stream's process-local monotonic clock lands on the shared timeline
-  at ``epoch0 + (t - perf0)``, shifted so the earliest event across all
-  streams is zero.  Within one stream, ordering is exactly the
-  monotonic-clock ordering; across streams it is as good as the hosts'
-  wall clocks (on one machine: microseconds).
+- **Clock alignment.**  The stream carries an ``(epoch0, perf0)``
+  calibration pair taken at its creation; an event stamped ``t`` on
+  the process-local monotonic clock lands at ``epoch0 + (t - perf0)``,
+  shifted so the stream's first event is zero.
 - **Span reconstruction.**  ``B``/``E`` event pairs become closed
-  spans; spans still open when their stream ended are emitted with
+  spans; spans still open when the stream ended are emitted with
   ``unclosed: true`` and extended to the stream's last event.  An ``E``
-  whose ``B`` a full log evicted closes nothing and is skipped.  Each
-  stream additionally gets a synthetic *root* span (a worker's
-  ``task_start``→``task_end`` execution window, or the stream's full
-  event range) carrying the stream's ``parent_span``, so every nested
-  worker span chains back to the span that was open in the dispatching
-  process.
+  whose ``B`` a full log evicted closes nothing and is skipped.  The
+  stream additionally gets a synthetic *root* span over its full event
+  range, carrying the stream's ``root_span`` id.
 
 The result exports as Chrome trace-event JSON — the ``traceEvents``
 array format both ``chrome://tracing`` and `Perfetto
-<https://ui.perfetto.dev>`_ load directly: one named process lane per
-stream (``M`` metadata events) and ``X`` complete events for spans.
+<https://ui.perfetto.dev>`_ load directly: one named process lane for
+the stream (``M`` metadata events) and ``X`` complete events for spans.
 """
 
 from __future__ import annotations
@@ -41,16 +34,16 @@ from repro.errors import ObsReportError
 
 @dataclass
 class Timeline:
-    """The merged, clock-aligned view of one traced run."""
+    """The clock-aligned view of one traced run."""
 
     run_id: str = ""
-    #: epoch seconds of timeline zero (the earliest event anywhere)
+    #: epoch seconds of timeline zero (the stream's first event)
     t0_epoch: float = 0.0
-    #: per-stream lane metadata: worker, pid, root_span, parent_span, ...
+    #: the stream's lane metadata: worker, pid, root_span, parent_span, ...
     streams: list[dict] = field(default_factory=list)
     #: reconstructed spans: name/span/parent/stream/t0_s/t1_s/...
     spans: list[dict] = field(default_factory=list)
-    #: total events dropped to stream capacity limits
+    #: events dropped to the stream's capacity limit
     n_dropped: int = 0
 
     @property
@@ -70,18 +63,6 @@ class Timeline:
         ]
 
 
-def _flatten_streams(trace: dict) -> list[dict]:
-    streams: list[dict] = []
-
-    def walk(stream: dict) -> None:
-        streams.append(stream)
-        for child in stream.get("children", ()):
-            walk(child)
-
-    walk(trace)
-    return streams
-
-
 def _trace_of(source) -> dict:
     """Accept a RunReport, a report payload dict, or a raw trace payload."""
     trace = getattr(source, "trace", None)
@@ -97,45 +78,31 @@ def _trace_of(source) -> dict:
 
 
 def build_timeline(source) -> Timeline:
-    """Merge every stream of a traced run into one :class:`Timeline`.
+    """Lay a traced run's event stream out as one :class:`Timeline`.
 
     ``source`` may be a :class:`~repro.obs.report.RunReport`, its
     ``to_dict`` payload, or a raw trace payload
     (:meth:`~repro.obs.context.TraceLog.payload`).  Raises
     :class:`~repro.errors.ObsReportError` when there is no trace.
     """
-    trace = _trace_of(source)
-    raw_streams = _flatten_streams(trace)
+    stream = _trace_of(source)
+    events = stream.get("events", ())
+    worker = str(stream.get("worker", "stream0"))
 
-    # pass 1: clock alignment — find the earliest aligned instant
-    def aligned(stream: dict, t: float) -> float:
+    def aligned(t: float) -> float:
         return float(stream.get("epoch0", 0.0)) + (
             t - float(stream.get("perf0", 0.0))
         )
 
-    t0_epoch = min(
-        (
-            aligned(s, s["events"][0]["t"])
-            for s in raw_streams
-            if s.get("events")
-        ),
-        default=0.0,
-    )
-
-    timeline = Timeline(run_id=str(trace.get("run_id", "")), t0_epoch=t0_epoch)
-    spans: list[dict] = []
-
-    for sid, stream in enumerate(raw_streams):
-        events = stream.get("events", ())
-        worker = str(stream.get("worker", f"stream{sid}"))
-        rel = (
-            lambda t, _s=stream: round(aligned(_s, t) - t0_epoch, 9)
-        )
-        times = [rel(e["t"]) for e in events]
-        t_lo = min(times) if times else 0.0
-        t_hi = max(times) if times else 0.0
-        timeline.streams.append({
-            "stream": sid,
+    t0_epoch = aligned(events[0]["t"]) if events else 0.0
+    times = [round(aligned(e["t"]) - t0_epoch, 9) for e in events]
+    t_lo = min(times) if times else 0.0
+    t_hi = max(times) if times else 0.0
+    timeline = Timeline(
+        run_id=str(stream.get("run_id", "")),
+        t0_epoch=t0_epoch,
+        streams=[{
+            "stream": 0,
             "worker": worker,
             "pid": int(stream.get("pid", 0)),
             "root_span": str(stream.get("root_span", "")),
@@ -143,59 +110,51 @@ def build_timeline(source) -> Timeline:
             "t0_s": t_lo,
             "t1_s": t_hi,
             "n_events": len(events),
-        })
-        timeline.n_dropped += int(stream.get("n_dropped", 0))
+        }],
+        n_dropped=int(stream.get("n_dropped", 0)),
+    )
 
-        # reconstruct B/E spans and each worker's execution window
-        open_spans: dict[str, dict] = {}
-        order: list[str] = []
-        task_window: list[float] = []
-        for e, t in zip(events, times):
-            ev = e["ev"]
-            if ev == "B":
-                node = {
-                    "name": e["name"],
-                    "span": e.get("span", ""),
-                    "parent": e.get("parent", ""),
-                    "stream": sid,
-                    "worker": worker,
-                    "t0_s": t,
-                    "t1_s": t,
-                }
-                open_spans[node["span"]] = node
-                order.append(node["span"])
-            elif ev == "E":
-                node = open_spans.pop(e.get("span", ""), None)
-                if node is not None:
-                    order.remove(node["span"])
-                    node["t1_s"] = t
-                    if e.get("error"):
-                        node["error"] = e["error"]
-                    spans.append(node)
-            elif ev in ("task_start", "task_end"):
-                task_window.append(t)
-        # spans the stream never closed (a crash, or a live snapshot)
-        for span_id in order:
-            node = open_spans[span_id]
-            node["t1_s"] = t_hi
-            node["unclosed"] = True
-            spans.append(node)
+    # reconstruct B/E spans
+    spans: list[dict] = []
+    open_spans: dict[str, dict] = {}
+    for e, t in zip(events, times):
+        ev = e["ev"]
+        if ev == "B":
+            node = {
+                "name": e["name"],
+                "span": e.get("span", ""),
+                "parent": e.get("parent", ""),
+                "stream": 0,
+                "worker": worker,
+                "t0_s": t,
+                "t1_s": t,
+            }
+            open_spans[node["span"]] = node
+        elif ev == "E":
+            node = open_spans.pop(e.get("span", ""), None)
+            if node is not None:
+                node["t1_s"] = t
+                if e.get("error"):
+                    node["error"] = e["error"]
+                spans.append(node)
+    # spans the stream never closed (a crash), in the order they opened
+    for node in open_spans.values():
+        node["t1_s"] = t_hi
+        node["unclosed"] = True
+        spans.append(node)
 
-        # synthetic per-stream root span: the worker's execution window
-        # (its cross-process parent is the dispatching process's span)
-        root = {
-            "name": worker,
-            "span": str(stream.get("root_span", "")),
-            "parent": str(stream.get("parent_span", "")),
-            "stream": sid,
-            "worker": worker,
-            "t0_s": min(task_window) if task_window else t_lo,
-            "t1_s": max(task_window) if task_window else t_hi,
-            "root": True,
-        }
-        spans.append(root)
-
-    spans.sort(key=lambda s: (s["t0_s"], s["stream"]))
+    # synthetic root span over the stream's full event range
+    spans.append({
+        "name": worker,
+        "span": str(stream.get("root_span", "")),
+        "parent": str(stream.get("parent_span", "")),
+        "stream": 0,
+        "worker": worker,
+        "t0_s": t_lo,
+        "t1_s": t_hi,
+        "root": True,
+    })
+    spans.sort(key=lambda s: s["t0_s"])
     timeline.spans = spans
     return timeline
 
@@ -253,21 +212,19 @@ def validate_chrome_trace(payload: dict) -> list[str]:
     """Schema-check a :func:`to_chrome_trace` payload; returns problems.
 
     An empty list means every event carries the fields the Perfetto /
-    chrome://tracing loaders require with sane types and every flow
-    start has a matching flow end.
+    chrome://tracing loaders require with sane types.
     """
     problems: list[str] = []
     events = payload.get("traceEvents")
     if not isinstance(events, list):
         return ["traceEvents is missing or not a list"]
-    flows: dict[str, set[str]] = {}
     for i, e in enumerate(events):
         where = f"traceEvents[{i}]"
         if not isinstance(e, dict):
             problems.append(f"{where}: not an object")
             continue
         ph = e.get("ph")
-        if ph not in ("X", "M", "s", "f", "i", "B", "E"):
+        if ph not in ("X", "M", "i", "B", "E"):
             problems.append(f"{where}: unknown phase {ph!r}")
             continue
         if not isinstance(e.get("name"), str) or not e["name"]:
@@ -283,15 +240,6 @@ def validate_chrome_trace(payload: dict) -> list[str]:
             dur = e.get("dur")
             if not isinstance(dur, (int, float)) or dur < 0:
                 problems.append(f"{where}: dur must be a non-negative number")
-        if ph in ("s", "f"):
-            fid = e.get("id")
-            if not isinstance(fid, (str, int)):
-                problems.append(f"{where}: flow event needs an id")
-            else:
-                flows.setdefault(str(fid), set()).add(ph)
-    for fid, phases in sorted(flows.items()):
-        if phases != {"s", "f"}:
-            problems.append(f"flow {fid!r}: unpaired ({'/'.join(sorted(phases))})")
     return problems
 
 
@@ -303,7 +251,7 @@ def write_chrome_trace(timeline: Timeline, path: str | Path) -> Path:
 
 
 def render_summary(timeline: Timeline) -> str:
-    """A terminal one-glance summary of the merged timeline."""
+    """A terminal one-glance summary of the timeline."""
     lines = [
         f"timeline — run {timeline.run_id or '(unknown)'}: "
         f"{timeline.n_streams} streams, {len(timeline.spans)} spans"

@@ -1,8 +1,8 @@
 """The aggregator/query daemon behind ``repro serve``.
 
-:class:`TraceService` is an HTTP daemon (a route table on the obs
-stack's :class:`~repro.obs.server.Router`) that accepts
-trace chunks from ``repro push`` collectors and folds them incrementally
+:class:`TraceService` is an HTTP daemon (a route table on
+:class:`~repro.service.http.Router`) that accepts trace chunks from
+``repro push`` collectors and folds them incrementally
 into one :class:`~repro.core.streaming.ChunkAccumulator` per registered
 run — the deferred-fold discipline of the fused batch engine, applied
 live.  Chunks may arrive from many clients, interleaved and out of
@@ -48,7 +48,8 @@ from repro.errors import ServiceError, TraceError
 from repro.obs.collector import Observer
 from repro.obs.context import TraceContext
 from repro.obs.sampler import Sampler
-from repro.obs.server import (
+from repro.service.figdata import figdata_from_report
+from repro.service.http import (
     _PROM_CONTENT_TYPE,
     TEXT_CONTENT_TYPE,
     HttpError,
@@ -56,7 +57,6 @@ from repro.obs.server import (
     Router,
     json_reply,
 )
-from repro.service.figdata import figdata_from_report
 from repro.service.wire import WIRE_MAGIC, decode_chunk, decode_table
 from repro.trace.frame import FILE_DTYPE, JOB_DTYPE, FileTable, JobTable
 from repro.trace.records import TraceHeader

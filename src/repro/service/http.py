@@ -1,38 +1,13 @@
-"""HTTP serving: one router behind the telemetry endpoint and the daemon.
+"""HTTP plumbing of the trace service: a route table on a router.
 
-:class:`Router` is the stdlib-only plumbing both HTTP servers here
-share: a ``ThreadingHTTPServer`` on a daemon thread, ``port``/``url``/
-``stop``/``wait`` and the context manager, and per request the route
-lookup, a body read in bounded pieces under a per-request deadline, and
-the error answers — an :class:`HttpError` gets its status and a JSON
-``{"error": ...}`` body, an unknown route a 404, anything else a
-logged 500.  Each server is a subclass that supplies its route table:
-:class:`ObsServer` below and :class:`~repro.service.daemon.TraceService`.
-
-:class:`ObsServer` is the pull-based way to look inside a running (or
-finished) observed run.  It answers
-
-- ``/metrics``  — Prometheus text exposition (reusing
-  :func:`repro.obs.export.to_prometheus`), so a scraper pointed at a
-  long characterization sees counters, gauges and histogram families
-  update live;
-- ``/healthz``  — a one-object JSON liveness probe (run id, uptime,
-  pid, spans/counters so far);
-- ``/timeline`` — the current causal timeline as Chrome trace-event
-  JSON (:mod:`repro.obs.timeline`), downloadable mid-run and loadable
-  in Perfetto;
-- ``/``         — a plain-text index of the above.
-
-Two modes share the same routes: **live** (constructed with the
-running :class:`~repro.obs.collector.Observer`; every request takes a
-fresh report snapshot, reading the sampler ring non-destructively via
-:meth:`~repro.obs.sampler.Sampler.peek`) and **static** (constructed
-with a saved :class:`~repro.obs.report.RunReport`, which is how
-``repro obs serve report.json`` republishes a finished run).
-
-The CLI exposes both: ``--obs-serve PORT`` on any observed command
-serves live for the duration of the run, and ``repro obs serve``
-serves a report file until interrupted.
+:class:`Router` is stdlib-only: a ``ThreadingHTTPServer`` on a daemon
+thread, ``port``/``url``/``stop``/``wait`` and the context manager, and
+per request the route lookup, a body read in bounded pieces under a
+per-request deadline, and the error answers — an :class:`HttpError`
+gets its status and a JSON ``{"error": ...}`` body, an unknown route a
+404, anything else a logged 500.  A server is a subclass that supplies
+its route table; :class:`~repro.service.daemon.TraceService` is the one
+here.
 """
 
 from __future__ import annotations
@@ -40,7 +15,6 @@ from __future__ import annotations
 import io
 import json
 import logging
-import os
 import socket
 import threading
 import time
@@ -49,11 +23,9 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import NamedTuple
 from urllib.parse import unquote
 
-from repro.errors import ObsReportError, ReproError
-from repro.obs.collector import Observer
-from repro.obs.report import RunReport
+from repro.errors import ReproError
 
-log = logging.getLogger("repro.obs.server")
+log = logging.getLogger("repro.service.http")
 
 #: content type Prometheus scrapers expect
 _PROM_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
@@ -303,93 +275,3 @@ class Router:
         self.stop()
         return False
 
-
-class ObsServer(Router):
-    """Serves one run's telemetry over HTTP from a daemon thread."""
-
-    thread_name = "repro-obs-server"
-
-    def __init__(
-        self,
-        observer: Observer | None = None,
-        report: RunReport | None = None,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        command: list[str] | None = None,
-    ) -> None:
-        if (observer is None) == (report is None):
-            raise ValueError("pass exactly one of observer= or report=")
-        super().__init__(host, port)
-        self.observer = observer
-        self.report = report
-        self.command = list(command) if command else []
-        self._t0 = time.time()
-
-    # -- report access ---------------------------------------------------------
-
-    @property
-    def mode(self) -> str:
-        return "live" if self.observer is not None else "static"
-
-    def snapshot_report(self) -> RunReport:
-        """The most current report: frozen for static, fresh for live."""
-        if self.report is not None:
-            return self.report
-        observer = self.observer
-        assert observer is not None
-        sampler = observer.sampler
-        timeseries = sampler.peek() if sampler is not None else None
-        return observer.report(command=self.command, timeseries=timeseries)
-
-    def health(self) -> dict:
-        """The ``/healthz`` payload."""
-        payload = {
-            "status": "ok",
-            "mode": self.mode,
-            "uptime_s": round(time.time() - self._t0, 3),
-        }
-        if self.observer is not None:
-            payload["pid"] = os.getpid()
-            payload["n_counters"] = len(self.observer.counters)
-            tracelog = self.observer.tracelog
-            if tracelog is not None:
-                payload["run_id"] = tracelog.context.run_id
-                payload["n_trace_events"] = len(tracelog.events)
-        else:
-            assert self.report is not None
-            payload["command"] = list(self.report.command)
-            if self.report.trace:
-                payload["run_id"] = str(self.report.trace.get("run_id", ""))
-        return payload
-
-    # -- routes ----------------------------------------------------------------
-
-    def routes(self) -> dict:
-        return {
-            ("GET", "/"): lambda req: Reply(
-                200, TEXT_CONTENT_TYPE,
-                f"repro obs telemetry ({self.mode} mode)\n"
-                "  /metrics   Prometheus text exposition\n"
-                "  /healthz   liveness probe (JSON)\n"
-                "  /timeline  Chrome trace-event JSON "
-                "(load in ui.perfetto.dev)\n",
-            ),
-            ("GET", "/healthz"): lambda req: json_reply(self.health()),
-            ("GET", "/metrics"): self._metrics,
-            ("GET", "/timeline"): self._timeline,
-        }
-
-    def _metrics(self, req) -> Reply:
-        from repro.obs.export import to_prometheus
-
-        return Reply(200, _PROM_CONTENT_TYPE,
-                     to_prometheus(self.snapshot_report()))
-
-    def _timeline(self, req) -> Reply:
-        from repro.obs.timeline import build_timeline, to_chrome_trace
-
-        try:
-            timeline = build_timeline(self.snapshot_report())
-        except ObsReportError as exc:
-            raise HttpError(404, str(exc)) from None
-        return json_reply(to_chrome_trace(timeline))

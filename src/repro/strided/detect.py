@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro import obs
 from repro.errors import AnalysisError
 from repro.strided.requests import StridedRequest
 from repro.trace.frame import TraceFrame
@@ -172,39 +173,40 @@ def coalesce_trace(frame: TraceFrame) -> StridedCoalescing:
     Reads and writes are coalesced separately within a stream (a strided
     interface call is one direction of transfer).
     """
-    tr = frame.transfers
-    if len(tr) == 0:
-        raise AnalysisError("no transfers in trace")
-    # one stable sort groups the (file, node, kind) streams, each in
-    # issue order
-    tr = tr[np.lexsort((tr["kind"], tr["node"], tr["file"]))]
-    change = np.ones(len(tr), dtype=bool)
-    change[1:] = (
-        (tr["file"][1:] != tr["file"][:-1])
-        | (tr["node"][1:] != tr["node"][:-1])
-        | (tr["kind"][1:] != tr["kind"][:-1])
-    )
-    starts = np.flatnonzero(change)
-    ends = np.append(starts[1:], len(tr))
+    with obs.span("strided/coalesce"):
+        tr = frame.transfers
+        if len(tr) == 0:
+            raise AnalysisError("no transfers in trace")
+        # one stable sort groups the (file, node, kind) streams, each
+        # kept in trace order
+        tr = tr[np.lexsort((tr["kind"], tr["node"], tr["file"]))]
+        change = np.ones(len(tr), dtype=bool)
+        change[1:] = (
+            (tr["file"][1:] != tr["file"][:-1])
+            | (tr["node"][1:] != tr["node"][:-1])
+            | (tr["kind"][1:] != tr["kind"][:-1])
+        )
+        starts = np.flatnonzero(change)
+        ends = np.append(starts[1:], len(tr))
 
-    offsets = tr["offset"]
-    sizes = tr["size"]
-    run_starts: list[np.ndarray] = []
-    run_counts: list[np.ndarray] = []
-    for a, b in zip(starts.tolist(), ends.tolist()):
-        s, c = coalesce_runs(offsets[a:b], sizes[a:b])
-        run_starts.append(s + a)
-        run_counts.append(c)
-    all_starts = np.concatenate(run_starts)
-    all_counts = np.concatenate(run_counts)
+        offsets = tr["offset"]
+        sizes = tr["size"]
+        run_starts: list[np.ndarray] = []
+        run_counts: list[np.ndarray] = []
+        for a, b in zip(starts.tolist(), ends.tolist()):
+            s, c = coalesce_runs(offsets[a:b], sizes[a:b])
+            run_starts.append(s + a)
+            run_counts.append(c)
+        all_starts = np.concatenate(run_starts)
+        all_counts = np.concatenate(run_counts)
 
-    run_sizes = sizes[all_starts].astype(np.int64)
-    lengths, length_counts = np.unique(all_counts, return_counts=True)
-    return StridedCoalescing(
-        simple_requests=len(tr),
-        strided_requests=int(len(all_starts)),
-        bytes_transferred=int((run_sizes * all_counts).sum()),
-        runs_by_length={
-            int(l): int(c) for l, c in zip(lengths.tolist(), length_counts.tolist())
-        },
-    )
+        run_sizes = sizes[all_starts].astype(np.int64)
+        lengths, length_counts = np.unique(all_counts, return_counts=True)
+        return StridedCoalescing(
+            simple_requests=len(tr),
+            strided_requests=int(len(all_starts)),
+            bytes_transferred=int((run_sizes * all_counts).sum()),
+            runs_by_length={
+                int(l): int(c) for l, c in zip(lengths.tolist(), length_counts.tolist())
+            },
+        )

@@ -102,6 +102,13 @@ FORMAT_VERSION = 2
 #: per-chunk overhead (compression dictionaries, numpy dispatch) is noise
 DEFAULT_CHUNK_SIZE = 1 << 18
 
+
+def _check_chunk_size(chunk_size: int) -> int:
+    """``chunk_size`` as an int; a ValueError unless it is positive."""
+    if chunk_size < 1:
+        raise ValueError(f"chunk_size must be positive, not {chunk_size}")
+    return int(chunk_size)
+
 #: version, chunk_size, n_events, n_chunks, dir_offset, dir_bytes
 _FIXED_HEADER = struct.Struct("<IIQQQQ")
 
@@ -283,11 +290,9 @@ class StoreWriter:
         header: TraceHeader,
         chunk_size: int = DEFAULT_CHUNK_SIZE,
     ) -> None:
-        if chunk_size < 1:
-            raise ValueError(f"chunk_size must be positive, not {chunk_size}")
+        self.chunk_size = _check_chunk_size(chunk_size)
         self.path = path
         self.header = header
-        self.chunk_size = int(chunk_size)
         self._jobs: JobTable | None = None
         self._files: FileTable | None = None
         self._pending: list[np.ndarray] = []
@@ -501,10 +506,8 @@ class FrameSource(TraceSource):
     """An in-memory frame seen through the chunked interface."""
 
     def __init__(self, frame: TraceFrame, chunk_size: int = DEFAULT_CHUNK_SIZE) -> None:
-        if chunk_size < 1:
-            raise ValueError(f"chunk_size must be positive, not {chunk_size}")
+        self._chunk_size = _check_chunk_size(chunk_size)
         self._frame = frame
-        self._chunk_size = int(chunk_size)
         self.header = frame.header
 
     @property

@@ -475,18 +475,24 @@ class WorkloadGenerator:
     def run_to_store(
         self, path, pipeline: str = "direct", chunk_size: int | None = None
     ) -> GeneratedWorkload:
-        """Generate the workload and emit it as a chunked trace store.
+        """Generate the workload, then write it as a chunked trace store.
 
-        The event stream flows through :class:`~repro.trace.store.StoreWriter`
-        chunk by chunk, so downstream consumers can characterize or sweep
-        the trace out-of-core with ``--chunk-size``-bounded memory.
-        Returns the workload (its in-memory frame is still attached for
-        callers that want both).
+        The whole trace is generated in memory first and its frame is
+        written through :func:`~repro.trace.store.write_store`, so peak
+        memory is the whole frame's; ``chunk_size`` only sets the store's
+        chunking, which later readers stream chunk by chunk.  A
+        ``chunk_size`` below 1 raises ``ValueError`` before anything is
+        generated.  Returns the workload, its frame still attached.
         """
-        from repro.trace.store import DEFAULT_CHUNK_SIZE, write_store
+        from repro.trace.store import (
+            DEFAULT_CHUNK_SIZE,
+            _check_chunk_size,
+            write_store,
+        )
 
         if chunk_size is None:
             chunk_size = DEFAULT_CHUNK_SIZE
+        _check_chunk_size(chunk_size)
         workload = self.run(pipeline)
         with obs.span("workload/store"):
             write_store(workload.frame, path, chunk_size=chunk_size)

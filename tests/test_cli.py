@@ -103,44 +103,57 @@ class TestCommands:
         assert rc == 2
         assert flag in capsys.readouterr().err
 
-    @pytest.mark.parametrize("argv, flag", [
-        (["generate", "--out", "x.store", "--workers", "2"], "--workers"),
-        (["generate", "--out", "x.store", "--pipeline", "full",
-          "--shards", "2"], "--shards"),
-        (["characterize", "--shards", "2"], "--shards"),
-        (["characterize", "--pipeline", "full", "--shards", "2"], "--shards"),
-        (["characterize", "--workers", "2"], "--workers"),
-        (["characterize", "x.store", "--store", "--workers", "2"], "--workers"),
-        (["figures", "--workers", "2"], "--workers"),
-        (["cache", "--experiment", "fig9", "--workers", "2"], "--workers"),
-        (["generate", "--out", "x.store", "--store"], "--store"),
-        (["characterize", "--store"], "--store"),
-        (["characterize", "--chunk-size", "4096"], "--chunk-size"),
-        (["cache", "--experiment", "fig9", "--store"], "--store"),
-        (["cache", "--experiment", "fig9", "--chunk-size", "4096"], "--chunk-size"),
+    @pytest.mark.parametrize("argv, error", [
+        (["generate", "--scale", "0.01", "--out", "x.store", "--workers", "2"],
+         "unrecognized arguments: --workers"),
+        (["generate", "--scale", "0.01", "--out", "x.store", "--pipeline",
+          "full", "--shards", "2"], "unrecognized arguments: --shards"),
+        (["characterize", "--scale", "0.01", "--shards", "2"],
+         "unrecognized arguments: --shards"),
+        (["characterize", "--scale", "0.01", "--pipeline", "full",
+          "--shards", "2"], "unrecognized arguments: --shards"),
+        (["characterize", "--scale", "0.01", "--workers", "2"],
+         "unrecognized arguments: --workers"),
+        (["characterize", "--scale", "0.01", "x.store", "--store",
+          "--workers", "2"], "unrecognized arguments: --store --workers"),
+        (["figures", "--scale", "0.01", "--workers", "2"],
+         "unrecognized arguments: --workers"),
+        (["cache", "--scale", "0.01", "--experiment", "fig9", "--workers",
+          "2"], "unrecognized arguments: --workers"),
+        (["generate", "--scale", "0.01", "--out", "x.store", "--store"],
+         "unrecognized arguments: --store"),
+        (["characterize", "--scale", "0.01", "--store"],
+         "unrecognized arguments: --store"),
+        (["characterize", "--scale", "0.01", "--chunk-size", "4096"],
+         "unrecognized arguments: --chunk-size"),
+        (["cache", "--scale", "0.01", "--experiment", "fig9", "--store"],
+         "unrecognized arguments: --store"),
+        (["cache", "--scale", "0.01", "--experiment", "fig9", "--chunk-size",
+          "4096"], "unrecognized arguments: --chunk-size"),
         (["push", "x.store", "--url", "http://127.0.0.1:1",
-          "--chunk-size", "2048"], "--chunk-size"),
+          "--chunk-size", "2048"], "unrecognized arguments: --chunk-size"),
+        # a report is read from its file; nothing serves it over HTTP
+        (["--obs-serve", "0", "characterize", "--scale", "0.01"],
+         "invalid choice: '0'"),
+        (["obs", "serve", "r.json"], "invalid choice: 'serve'"),
     ], ids=["generate-workers", "generate-full-shards", "characterize-shards",
             "characterize-full-shards", "characterize-workers",
             "characterize-store-workers", "figures-workers", "cache-workers",
             "generate-store", "characterize-store", "characterize-chunk-size",
-            "cache-store", "cache-chunk-size", "push-chunk-size"])
+            "cache-store", "cache-chunk-size", "push-chunk-size",
+            "obs-serve-flag", "obs-serve-command"])
     def test_removed_generation_flags_exit_2_before_generating(
-        self, argv, flag, capsys, monkeypatch
+        self, argv, error, capsys, monkeypatch
     ):
         def no_trace(args):
             raise AssertionError("generated a trace for a bad command line")
 
         monkeypatch.setattr("repro.cli._resolve_generator", no_trace)
         monkeypatch.setattr("repro.cli._generate_frame", no_trace)
-        # push generates nothing and takes no --scale
-        scale = [] if argv[0] == "push" else ["--scale", "0.01"]
         with pytest.raises(SystemExit) as info:
-            main([*argv[:1], *scale, *argv[1:]])
+            main(argv)
         assert info.value.code == 2
-        err = capsys.readouterr().err
-        assert "unrecognized arguments" in err
-        assert flag in err
+        assert error in capsys.readouterr().err
 
     @pytest.mark.parametrize("size", ["0", "-5"])
     def test_generate_chunk_size_below_1_exits_2_before_generating(

@@ -100,8 +100,10 @@ def record_bytes(full_pipeline_workload):
 def report_bytes(fuzz_dir):
     """A saved report with every field filled: spans, counters, gauges,
     histograms, notes, a sampled time series, and the nested worker
-    stream and worker sampler ring a report saved while analyses fanned
-    out across processes carries."""
+    stream, worker sampler ring and slowest-task note a report saved
+    while analyses fanned out across processes carries.  Nothing reads
+    those three any more; the seed shows such a report still loads and
+    renders."""
     observer = obs.enable(TraceContext.root())
     observer.sampler = Sampler(observer, period_s=30.0).start()
     try:
@@ -124,7 +126,9 @@ def report_bytes(fuzz_dir):
     report.trace["children"] = [worker.payload()]
     ring = Sampler(Observer(), period_s=30.0).flush()
     report.timeseries["workers"] = [ring]
-    return report.save(fuzz_dir / "valid.json").read_bytes()
+    path = report.save(fuzz_dir / "valid.json")
+    assert "pool.slowest_task" in RunReport.load(path).render()
+    return path.read_bytes()
 
 
 @given(data=st.data())

@@ -27,6 +27,25 @@ class TestEventGuard:
         assert cols.n == 2  # empty adds are no-ops
 
 
+class TestRunToStore:
+    @pytest.mark.parametrize("size", [0, -5])
+    def test_bad_chunk_size_fails_before_generating(
+        self, size, tmp_path, monkeypatch
+    ):
+        gen = WorkloadGenerator(tiny(1.0), seed=3)
+
+        def no_run(pipeline):
+            raise AssertionError("generated a trace for a bad chunk_size")
+
+        monkeypatch.setattr(gen.engine, "run", no_run)
+        path = tmp_path / "x.store"
+        with pytest.raises(
+            ValueError, match=f"chunk_size must be positive, not {size}"
+        ):
+            gen.run_to_store(path, chunk_size=size)
+        assert not path.exists()
+
+
 class TestPlanDeterminism:
     def test_plan_is_stable_across_calls(self):
         gen = WorkloadGenerator(tiny(1.0), seed=9)

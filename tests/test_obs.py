@@ -13,9 +13,11 @@ import json
 import pytest
 
 from repro import obs
+from repro.caching import simulate_combined
 from repro.core import characterize
 from repro.errors import ObsReportError
 from repro.obs import NULL_OBSERVER, Observer, RunReport, SpanNode
+from repro.strided import coalesce_trace
 
 
 @pytest.fixture(autouse=True)
@@ -157,10 +159,13 @@ class TestRunReport:
         assert "characterize --scale 0.01" in text
 
     def test_saved_pool_note_still_renders(self):
-        # reports saved while analyses fanned out name the slowest task
+        # reports saved while analyses fanned out name the slowest task;
+        # it renders like any other note
         report = RunReport(notes={"pool.slowest_task": "fig9"},
                            gauges={"pool.slowest_task_s": 1.5})
-        assert "slowest pool task: fig9 (1.50s)" in report.render()
+        lines = report.render().splitlines()
+        assert "notes (1):" in lines
+        assert f"  {'pool.slowest_task':<52} fig9" in lines
 
     def test_span_node_round_trip(self):
         root = SpanNode("run")
@@ -203,9 +208,39 @@ class TestRunReport:
             RunReport.load(path)
 
 
+class TestLayerSpans:
+    """Each stage ``reproduce`` runs times itself in a layer span."""
+
+    @pytest.mark.parametrize("stage, span", [
+        (simulate_combined, "caching/combined"),
+        (coalesce_trace, "strided/coalesce"),
+    ], ids=["simulate_combined", "coalesce_trace"])
+    def test_stage_opens_its_span(self, full_pipeline_workload, stage, span):
+        observer = obs.enable()
+        stage(full_pipeline_workload.frame)
+        node = observer.root.children[span]
+        assert node.count == 1 and node.wall_s > 0.0
+
+    def test_sweep_lines_builds_its_stream_inside_its_span(
+        self, full_pipeline_workload, monkeypatch
+    ):
+        import repro.caching.sweeps as sweeps
+
+        observer = obs.enable()
+        open_at_build = []
+        build = sweeps._resolve_stream
+
+        def spy(*args):
+            open_at_build.append(observer._stack[-1].name)
+            return build(*args)
+
+        monkeypatch.setattr(sweeps, "_resolve_stream", spy)
+        sweeps.sweep_lines(full_pipeline_workload.frame, [8], ["lru"])
+        assert open_at_build == ["caching/sweep_lines"]
+
+
 class TestAllLayers:
     def test_full_pipeline_report_covers_every_layer(self, full_pipeline_workload):
-        from repro.caching.combined import simulate_combined
         from repro.caching.compute_node import simulate_compute_node_caches
         from repro.caching.io_node import sweep_buffer_counts
 

@@ -329,9 +329,11 @@ class TestRegressionGate:
         bench = tmp_path / "b.json"
         bench.write_text(json.dumps({"schema": 1, "metrics": {"a_s": 1.0}}))
         assert load_metrics(bench) == ("bench", {"a_s": 1.0})
+        # a JSON without the bench envelope is refused, not flattened
         legacy = tmp_path / "l.json"
         legacy.write_text(json.dumps({"nested": {"t_s": 2.0}}))
-        assert load_metrics(legacy) == ("legacy-bench", {"nested.t_s": 2.0})
+        with pytest.raises(ObsReportError, match="neither a run report"):
+            load_metrics(legacy)
 
     def test_cli_diff_gates_synthetic_slowdown(self, tmp_path, capsys):
         base = {"schema": 1, "metrics": {"indexed_seconds": 1.0, "events": 5.0}}
@@ -427,7 +429,8 @@ class TestDiffSchemaGuards:
         assert load_record(bench)[:2] == ("bench", 2)
         legacy = tmp_path / "l.json"
         legacy.write_text(json.dumps({"t_s": 2.0}))
-        assert load_record(legacy)[:2] == ("legacy-bench", 0)
+        with pytest.raises(ObsReportError, match="neither a run report"):
+            load_record(legacy)
 
     def test_missing_metrics_split_and_filter(self):
         from repro.obs.regress import missing_metrics
@@ -505,8 +508,9 @@ class TestSamplerConcurrency:
         """peek() from reader threads while sample_once() appends.
 
         Unlocked, ``list(deque)`` raises RuntimeError the moment the
-        sampling thread mutates the ring mid-copy; the telemetry server
-        peeks from HTTP request threads, so this must never happen.
+        sampling thread mutates the ring mid-copy; the trace service's
+        ``/metrics`` peeks from HTTP request threads, so this must never
+        happen.
         """
         import threading
 

@@ -1,10 +1,10 @@
-"""Timeline export (obs v3): merge, align, reconstruct, validate.
+"""Timeline export (obs v3): align, reconstruct, validate.
 
 Covers the synthetic-payload contract of :mod:`repro.obs.timeline`:
-clock alignment across skewed streams, B/E span pairing, unclosed and
-evicted spans, and the Chrome trace-event export and its validator.
-The synthetic trace nests a worker stream, as reports saved while
-analyses still fanned out across processes do; those must still load.
+clock alignment of a stream whose monotonic base is far from its epoch,
+B/E span pairing, unclosed and evicted spans, and the Chrome
+trace-event export and its validator.  A run records one stream, and
+so does every fixture here.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ def _reset_observer():
 
 
 def _stream(worker, epoch0, perf0, events, *, root_span="", parent_span="",
-            children=(), pid=100, n_dropped=0):
+            pid=100, n_dropped=0):
     return {
         "version": 1,
         "run_id": "run-1",
@@ -46,40 +46,28 @@ def _stream(worker, epoch0, perf0, events, *, root_span="", parent_span="",
         "perf0": perf0,
         "n_dropped": n_dropped,
         "events": list(events),
-        "children": list(children),
     }
 
 
 def _synthetic_trace():
-    """Main stream dispatches one task; a worker steals and runs it.
+    """One run's stream: an outer span, a nested one, and an event.
 
-    The two streams use wildly different monotonic bases (perf0) so any
-    alignment mistake shows up as a huge time error.
+    The monotonic base (perf0) is far from the epoch, so any alignment
+    mistake shows up as a huge time error.
     """
-    worker = _stream(
-        "w0", epoch0=1000.0, perf0=5000.0,
+    return _stream(
+        "main", epoch0=1000.0, perf0=5000.0,
         events=[
-            {"ev": "steal", "name": "t0", "t": 5000.35, "key": "b:1/t0"},
-            {"ev": "task_start", "name": "t0", "t": 5000.4, "key": "b:1/t0"},
-            {"ev": "B", "name": "load", "t": 5000.45,
-             "span": "w:1", "parent": "w:0"},
-            {"ev": "E", "name": "load", "t": 5000.5, "span": "w:1"},
-            {"ev": "task_end", "name": "t0", "t": 5000.6, "key": "b:1/t0"},
-        ],
-        root_span="w:0", parent_span="m:1", pid=222,
-    )
-    main = _stream(
-        "main", epoch0=1000.0, perf0=77.0,
-        events=[
-            {"ev": "B", "name": "fanout", "t": 77.1, "span": "m:1",
+            {"ev": "B", "name": "sweep", "t": 5000.1, "span": "m:1",
              "parent": "m:0"},
-            {"ev": "dispatch", "name": "t0", "t": 77.2, "key": "b:1/t0"},
-            {"ev": "merge", "name": "t0", "t": 77.8, "key": "b:1/t0"},
-            {"ev": "E", "name": "fanout", "t": 77.9, "span": "m:1"},
+            {"ev": "B", "name": "load", "t": 5000.35, "span": "m:2",
+             "parent": "m:1"},
+            {"ev": "E", "name": "load", "t": 5000.5, "span": "m:2"},
+            {"ev": "i", "name": "checkpoint", "t": 5000.6},
+            {"ev": "E", "name": "sweep", "t": 5000.9, "span": "m:1"},
         ],
-        root_span="m:0", children=[worker], pid=111,
+        root_span="m:0", pid=111,
     )
-    return main
 
 
 class TestBuildTimeline:
@@ -89,7 +77,7 @@ class TestBuildTimeline:
         for source in (report, report.to_dict(), trace):
             timeline = build_timeline(source)
             assert timeline.run_id == "run-1"
-            assert timeline.n_streams == 2
+            assert timeline.n_streams == 1
 
     def test_no_trace_raises(self):
         with pytest.raises(ObsReportError, match="no trace"):
@@ -99,23 +87,26 @@ class TestBuildTimeline:
 
     def test_clocks_align_across_skewed_monotonic_bases(self):
         timeline = build_timeline(_synthetic_trace())
-        # earliest event (main's B at aligned epoch 1000.1) is zero
+        # the first event (B at aligned epoch 1000 + 0.1) is zero
         assert timeline.t0_epoch == pytest.approx(1000.1)
-        by_worker = {s["worker"]: s for s in timeline.streams}
-        assert by_worker["main"]["t0_s"] == pytest.approx(0.0)
-        # worker's steal: 1000 + (5000.35 - 5000) - 1000.1 = 0.25
-        assert by_worker["w0"]["t0_s"] == pytest.approx(0.25)
-        assert by_worker["w0"]["t1_s"] == pytest.approx(0.5)
+        (lane,) = timeline.streams
+        assert lane["t0_s"] == pytest.approx(0.0)
+        assert lane["t1_s"] == pytest.approx(0.8)
+        # load's B: 1000 + (5000.35 - 5000) - 1000.1 = 0.25
+        load = next(s for s in timeline.spans if s["name"] == "load")
+        assert load["t0_s"] == pytest.approx(0.25)
+        assert load["t1_s"] == pytest.approx(0.4)
 
     def test_spans_reconstruct_with_parents(self):
         timeline = build_timeline(_synthetic_trace())
         named = {s["name"]: s for s in timeline.spans if not s.get("root")}
-        assert named["fanout"]["span"] == "m:1"
-        assert named["load"]["parent"] == "w:0"
+        assert named["sweep"]["span"] == "m:1"
+        assert named["load"]["parent"] == "m:1"
         assert named["load"]["t1_s"] > named["load"]["t0_s"]
-        # synthetic root spans chain each stream to its dispatcher
-        roots = {s["name"]: s for s in timeline.spans if s.get("root")}
-        assert roots["w0"]["parent"] == "m:1"
+        # the synthetic root span is the parent of the outermost span
+        (root,) = [s for s in timeline.spans if s.get("root")]
+        assert (root["name"], root["span"]) == ("main", "m:0")
+        assert named["sweep"]["parent"] == root["span"]
         assert timeline.unresolved_parents() == []
 
     def test_unclosed_span_extends_to_stream_end(self):
@@ -152,8 +143,7 @@ class TestBuildTimeline:
     def test_dropped_events_are_totalled(self):
         trace = _synthetic_trace()
         trace["n_dropped"] = 3
-        trace["children"][0]["n_dropped"] = 4
-        assert build_timeline(trace).n_dropped == 7
+        assert build_timeline(trace).n_dropped == 3
 
 
 class TestChromeTrace:
@@ -171,9 +161,9 @@ class TestChromeTrace:
             e["args"]["name"]
             for e in events if e["ph"] == "M" and e["name"] == "process_name"
         }
-        assert names == {"main (pid 111)", "w0 (pid 222)"}
+        assert names == {"main (pid 111)"}
         xs = [e for e in events if e["ph"] == "X"]
-        assert {e["name"] for e in xs} >= {"fanout", "load", "main", "w0"}
+        assert {e["name"] for e in xs} == {"sweep", "load", "main"}
         assert all(e["ts"] >= 0 and e["dur"] >= 0 for e in xs)
         assert payload["otherData"]["run_id"] == "run-1"
 
@@ -183,17 +173,20 @@ class TestChromeTrace:
         bad = {"traceEvents": [
             {"ph": "Z", "name": "x", "pid": 0},
             {"ph": "X", "name": "", "pid": 0, "ts": -1.0, "dur": "no"},
+            # no exporter emits flow events, so they are unknown too
             {"ph": "s", "name": "flow", "pid": 0, "ts": 0.0, "id": "f1"},
         ]}
         problems = validate_chrome_trace(bad)
-        assert any("unknown phase" in p for p in problems)
-        assert any("missing name" in p for p in problems)
-        assert any("ts must be" in p for p in problems)
-        assert any("dur must be" in p for p in problems)
-        assert any("unpaired" in p for p in problems)
+        assert problems == [
+            "traceEvents[0]: unknown phase 'Z'",
+            "traceEvents[1]: missing name",
+            "traceEvents[1]: ts must be a non-negative number",
+            "traceEvents[1]: dur must be a non-negative number",
+            "traceEvents[2]: unknown phase 's'",
+        ]
 
     def test_summary_mentions_streams(self):
         summary = render_summary(build_timeline(_synthetic_trace()))
-        assert "2 streams" in summary
-        assert "main" in summary and "w0" in summary
+        assert "1 streams" in summary
+        assert "main" in summary
         assert "WARNING" not in summary

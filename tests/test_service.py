@@ -24,7 +24,6 @@ import pytest
 
 from repro.core import characterize
 from repro.errors import ServiceError
-from repro.obs.server import _Handler
 from repro.service import (
     ServiceClient,
     TraceService,
@@ -35,6 +34,7 @@ from repro.service import (
 )
 from repro.service.daemon import LOG_MAGIC
 from repro.service.figdata import REPORT_FIGURES, figdata_from_report
+from repro.service.http import ReusableThreadingHTTPServer, _Handler
 from repro.trace.frame import EVENT_DTYPE, JOB_DTYPE
 from repro.trace.store import FrameSource
 from repro.workload.generator import WorkloadGenerator
@@ -842,3 +842,72 @@ class TestServiceTelemetry:
             assert svc.port != 0
             assert str(svc.port) in svc.url
             ServiceClient(svc.url).wait_healthy()
+
+    def test_repeated_scrapes_keep_the_sampler_ring(self):
+        # a 60 s period: the ring holds only the samples taken before the
+        # scrapes, so a /metrics that drained the ring would show here
+        with TraceService(sample_period_s=60.0) as svc:
+            sampler = svc._observer.sampler
+            sampler.sample_once()
+            before = sampler.peek()["samples"]
+            client = ServiceClient(svc.url)
+            client.metrics_text()
+            client.metrics_text()
+            after = sampler.peek()["samples"]
+        assert before
+        assert after[: len(before)] == before
+
+
+class TestRouter:
+    """The router under the daemon: routing, stopping, rebinding."""
+
+    def test_unknown_route_is_a_json_404(self):
+        with TraceService() as svc:
+            with pytest.raises(ServiceError) as err:
+                ServiceClient(svc.url)._request("GET", "/nope")
+        assert str(err.value) == (
+            "GET /nope failed with HTTP 404: no such route /nope"
+        )
+
+    def test_port_is_unresolved_until_start(self):
+        svc = TraceService(port=0)
+        assert svc.port == 0  # nothing is bound before start()
+        svc.start()
+        try:
+            assert svc.port != 0
+            assert f":{svc.port}" in svc.url
+        finally:
+            svc.stop()
+
+    def test_url_names_the_host_and_bound_port(self):
+        with TraceService() as svc:
+            assert svc.port > 0
+            assert svc.url == f"http://127.0.0.1:{svc.port}"
+
+    def test_port_rebinds_at_once_after_stop(self):
+        # SO_REUSEADDR: a restarted daemon takes its old port back at
+        # once instead of waiting out TIME_WAIT
+        first = TraceService().start()
+        port = first.port
+        ServiceClient(first.url).wait_healthy()
+        first.stop()
+        with TraceService(port=port) as second:
+            assert second.port == port
+            assert ServiceClient(second.url).health()["status"] == "ok"
+
+    def test_second_stop_is_a_noop_and_the_port_refuses(self):
+        svc = TraceService().start()
+        port = svc.port
+        ServiceClient(svc.url).wait_healthy()
+        svc.stop()
+        svc.stop()
+        assert svc.wait(timeout=0)
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection(("127.0.0.1", port), timeout=5)
+
+    def test_server_class_flags(self):
+        from http.server import ThreadingHTTPServer
+
+        assert issubclass(ReusableThreadingHTTPServer, ThreadingHTTPServer)
+        assert ReusableThreadingHTTPServer.allow_reuse_address is True
+        assert ReusableThreadingHTTPServer.daemon_threads is True
