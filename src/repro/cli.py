@@ -42,6 +42,7 @@ from repro.caching import (
 from repro.caching.policies import POLICIES
 from repro.core import characterize
 from repro.core.figures import FIGURES, render_all, render_figure
+from repro.core.report import paper_row
 from repro.strided import coalesce_trace
 from repro.trace.dump import dump_frame
 from repro.trace.frame import TraceFrame
@@ -252,7 +253,8 @@ def cmd_cache(args) -> int:
         print("§4.8 combined caches:")
         print(f"  I/O hit rate without compute layer: {format_percent(res.io_hit_rate_without)}")
         print(f"  I/O hit rate with compute layer:    {format_percent(res.io_hit_rate_with)}")
-        print(f"  reduction: {format_percent(res.io_hit_rate_reduction)} (paper ~3%)")
+        print(f"  reduction: {format_percent(res.io_hit_rate_reduction)} "
+              f"(paper {paper_row('combined-cache I/O hit-rate drop').text})")
     elif args.experiment == "prefetch":
         buffers = int((args.buffers or [500])[0])
         rows = []
@@ -323,13 +325,15 @@ def cmd_reproduce(args) -> int:
 
     print("== Caching (Figures 8-9, §4.8) ==")
     print(f"fig8 (1 buffer): {format_percent(fig8.fraction_above(0.75))} of jobs "
-          f">75% hit (paper 40%), {format_percent(fig8.fraction_zero())} at zero "
-          f"(paper 30%)")
+          f">75% hit (paper {paper_row('jobs above 75% compute-node hit rate').text}), "
+          f"{format_percent(fig8.fraction_zero())} at zero "
+          f"(paper {paper_row('jobs at 0% compute-node hit rate').text})")
     for policy, curve in fig9.items():
         rows = " ".join(f"{c}:{r:.2f}" for c, r in curve.rows())
         print(f"fig9 {policy}: {rows}")
     print(f"§4.8 combined: hit-rate drop "
-          f"{format_percent(combined.io_hit_rate_reduction)} (paper ~3%)")
+          f"{format_percent(combined.io_hit_rate_reduction)} "
+          f"(paper {paper_row('combined-cache I/O hit-rate drop').text})")
     print("== Strided interface (§5) ==")
     print(f"{strided.simple_requests} requests -> {strided.strided_requests} "
           f"strided ({strided.reduction_factor:.1f}x)")
@@ -599,7 +603,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="registered scenario (see 'repro scenarios')")
     p.add_argument("--engine", dest="engine_name", default=None,
                    help="override the scenario's workload engine "
-                        "(synthetic, drift, replay, ...)")
+                        "(synthetic, drift, ...)")
     p.add_argument("--mix", default=None, metavar="PATH",
                    help="drift engine: JSON op-weights file "
                         "(read/write/append/create/delete/stat)")

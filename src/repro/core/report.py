@@ -1,14 +1,20 @@
-"""The whole characterization in one call.
+"""The whole characterization in one call, and the paper's numbers.
 
 :func:`characterize` runs every analysis in :mod:`repro.core` over a
 trace — in one pass of the engine in :mod:`repro.core.streaming` — and
 returns a :class:`WorkloadReport`; ``report.render()`` prints the same
 rows the paper's tables and figure captions report, side by side with
 the published values for easy comparison.
+
+:data:`PAPER_ROWS` holds, once, each value the paper publishes that the
+program prints or checks: ``render()`` and the CLI print their "(paper …)"
+text from it, and :func:`~repro.workload.validate.validate_workload`
+checks its banded rows against what a report measured.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from repro import obs
@@ -22,21 +28,105 @@ from repro.trace.frame import TraceFrame
 from repro.util.cdf import EmpiricalCDF
 from repro.util.tables import format_percent, format_table
 
-#: the published values each statistic is compared against in render()
-PAPER = {
-    "idle_fraction": 0.27,
-    "multiprogrammed_fraction": 0.35,
-    "read_small_fraction": 0.961,
-    "read_small_bytes": 0.020,
-    "write_small_fraction": 0.894,
-    "write_small_bytes": 0.030,
-    "wo_fully_consecutive": 0.86,
-    "ro_fully_consecutive": 0.29,
-    "mode0_files": 0.99,
-    "temporary_opens": 0.0061,
-    "interval_table_pct": {"0": 36.5, "1": 58.2, "2": 4.0, "3": 0.2, "4+": 1.0},
-    "request_table_pct": {"0": 3.9, "1": 40.0, "2": 51.4, "3": 3.9, "4+": 0.8},
-}
+
+@dataclass(frozen=True)
+class PaperRow:
+    """One published value: its ``name``, the ``paper`` value (a
+    percentage kept as a fraction), the ``text`` printed beside a
+    measured value (None where nothing prints it) and, for a value
+    ``repro validate`` checks, the tolerance ``band`` (or a function of
+    the report giving it) and the ``measure`` that reads the value off a
+    report (a None reading leaves the check out)."""
+
+    name: str
+    paper: float
+    text: str | None = None
+    band: tuple[float, float] | Callable[[WorkloadReport], tuple] | None = None
+    measure: Callable[[WorkloadReport], float | None] | None = None
+
+
+def _consecutive(r: WorkloadReport, label: str) -> float | None:
+    return None if r.regularity is None else r.regularity.fully_consecutive_fraction(label)
+
+
+def _buckets(table: str, what: str, fractions: dict[str, float]) -> tuple[PaperRow, ...]:
+    """Table 2's or 3's share of files per bucket, printed as a percent."""
+    return tuple(PaperRow(f"{table}: {k} {what}", p, f"{100 * p:.1f}")
+                 for k, p in fractions.items())
+
+
+_INTERVALS = _buckets("Table 2", "distinct intervals",
+                      {"0": 0.365, "1": 0.582, "2": 0.040, "3": 0.002, "4+": 0.010})
+_REQUEST_SIZES = _buckets("Table 3", "distinct sizes",
+                          {"0": 0.039, "1": 0.400, "2": 0.514, "3": 0.039, "4+": 0.008})
+
+#: every value the paper publishes that the program prints or checks
+PAPER_ROWS: tuple[PaperRow, ...] = (
+    # §4.1, Figures 1-2
+    PaperRow("idle fraction", 0.27, ">25%", (0.05, 0.60),
+             lambda r: r.concurrency.idle_fraction),
+    PaperRow("multiprogrammed fraction", 0.35, "~35%", (0.10, 0.60),
+             lambda r: r.concurrency.multiprogrammed_fraction),
+    PaperRow("max concurrent jobs", 8, "8", (2, 8), lambda r: r.concurrency.max_level),
+    PaperRow("single-node job fraction", 0.74, None, (0.55, 0.90),
+             lambda r: next((jf for c, _, jf, _ in r.node_counts.rows() if c == 1), 0)),
+    PaperRow("node-seconds in >=16-node jobs", 0.7, None, (0.30, 0.95),
+             lambda r: sum(uf for c, _, _, uf in r.node_counts.rows() if c >= 16)),
+    # §4.2, Figure 3
+    PaperRow("write-only file fraction", 0.70, None, (0.55, 0.88),
+             lambda r: r.files.fractions()["write_only"]),
+    PaperRow("read-only file fraction", 0.23, None, (0.08, 0.40),
+             lambda r: r.files.fractions()["read_only"]),
+    PaperRow("read-write file fraction", 0.036, None, (0.0, 0.12),
+             lambda r: r.files.fractions()["read_write"]),
+    PaperRow("untouched file fraction", 0.039, None, (0.0, 0.15),
+             lambda r: r.files.fractions()["untouched"]),
+    PaperRow("temporary open fraction", 0.0061, "0.61%", (0.0, 0.04),
+             lambda r: r.files.temporary_open_fraction),
+    PaperRow("write-only to read-only file ratio", 3.1, "~3.1"),
+    PaperRow("MB read per reading file", 3.3, "3.3"),
+    PaperRow("MB written per writing file", 1.2, "1.2"),
+    # Figure 4
+    PaperRow("reads <4000B (count)", 0.961, "96.1%", (0.60, 1.0),
+             lambda r: r.reads.small_request_fraction),
+    PaperRow("reads <4000B (bytes)", 0.020, "2.0%", (0.0, 0.35),
+             lambda r: r.reads.small_byte_fraction),
+    PaperRow("writes <4000B (count)", 0.894, "89.4%", (0.70, 1.0),
+             lambda r: r.writes.small_request_fraction),
+    PaperRow("writes <4000B (bytes)", 0.030, "3.0%", (0.0, 0.20),
+             lambda r: r.writes.small_byte_fraction),
+    # Figures 5-6; read-only files may be as consecutive as write-only ones
+    PaperRow("write-only fully consecutive", 0.86, None, (0.60, 1.0),
+             lambda r: _consecutive(r, "wo")),
+    PaperRow("read-only fully consecutive", 0.29, None,
+             lambda r: (0.0, max(0.85, _consecutive(r, "wo"))),
+             lambda r: _consecutive(r, "ro")),
+    # Tables 2-3
+    *_INTERVALS,
+    *_REQUEST_SIZES,
+    PaperRow("files with <=1 interval size", _INTERVALS[0].paper + _INTERVALS[1].paper,
+             None, (0.75, 1.0),
+             lambda r: (r.intervals["0"] + r.intervals["1"]) / sum(r.intervals.values())),
+    PaperRow("files with 1-2 request sizes", _REQUEST_SIZES[1].paper + _REQUEST_SIZES[2].paper,
+             None, (0.70, 1.0),
+             lambda r: (r.request_sizes["1"] + r.request_sizes["2"])
+             / sum(r.request_sizes.values())),
+    # §4.6
+    PaperRow("mode-0 file fraction", 0.99, ">99%", (0.97, 1.0),
+             lambda r: r.modes.mode0_file_fraction),
+    # §4.8: Figure 8 at one buffer per compute node, and the combined caches
+    PaperRow("jobs above 75% compute-node hit rate", 0.40, "40%"),
+    PaperRow("jobs at 0% compute-node hit rate", 0.30, "30%"),
+    PaperRow("combined-cache I/O hit-rate drop", 0.03, "~3%"),
+)
+
+
+def paper_row(name: str) -> PaperRow:
+    """The row of :data:`PAPER_ROWS` named ``name``."""
+    for row in PAPER_ROWS:
+        if row.name == name:
+            return row
+    raise KeyError(f"no published value named {name!r}")
 
 
 @dataclass
@@ -130,9 +220,11 @@ class WorkloadReport:
         parts.append("== Jobs (Figures 1-2, Table 1) ==")
         parts.append(
             f"idle fraction {format_percent(self.concurrency.idle_fraction)} "
-            f"(paper >25%); >1 job "
+            f"(paper {paper_row('idle fraction').text}); >1 job "
             f"{format_percent(self.concurrency.multiprogrammed_fraction)} "
-            f"(paper ~35%); max concurrent {self.concurrency.max_level} (paper 8)"
+            f"(paper {paper_row('multiprogrammed fraction').text}); "
+            f"max concurrent {self.concurrency.max_level} "
+            f"(paper {paper_row('max concurrent jobs').text})"
         )
         parts.append(
             format_table(
@@ -157,13 +249,16 @@ class WorkloadReport:
             f"{f.n_files} files, {f.n_opens} opens: "
             f"read-only {f.read_only}, write-only {f.write_only}, "
             f"read-write {f.read_write}, untouched {f.untouched} "
-            f"(WO:RO ratio {f.write_to_read_ratio:.2f}, paper ~3.1)"
+            f"(WO:RO ratio {f.write_to_read_ratio:.2f}, "
+            f"paper {paper_row('write-only to read-only file ratio').text})"
         )
         parts.append(
             f"mean bytes/file: read {f.mean_bytes_read_per_reading_file / 1e6:.2f} MB "
-            f"(paper 3.3), written {f.mean_bytes_written_per_writing_file / 1e6:.2f} MB "
-            f"(paper 1.2); temporary opens "
-            f"{format_percent(f.temporary_open_fraction, 2)} (paper 0.61%)"
+            f"(paper {paper_row('MB read per reading file').text}), "
+            f"written {f.mean_bytes_written_per_writing_file / 1e6:.2f} MB "
+            f"(paper {paper_row('MB written per writing file').text}); "
+            f"temporary opens {format_percent(f.temporary_open_fraction, 2)} "
+            f"(paper {paper_row('temporary open fraction').text})"
         )
         parts.append(
             f"file sizes: median {self.size_cdf.median / 1024:.0f} KB, "
@@ -172,16 +267,13 @@ class WorkloadReport:
             "(paper: most files 10KB-1MB)"
         )
         parts.append("== Requests (Figure 4) ==")
-        for s, pk, pb in (
-            (self.reads, PAPER["read_small_fraction"], PAPER["read_small_bytes"]),
-            (self.writes, PAPER["write_small_fraction"], PAPER["write_small_bytes"]),
-        ):
+        for s, small in ((self.reads, "reads <4000B"), (self.writes, "writes <4000B")):
             parts.append(
                 f"{s.kind}s <{s.small_threshold}B: "
                 f"{format_percent(s.small_request_fraction)} of requests "
-                f"(paper {format_percent(pk)}), carrying "
+                f"(paper {paper_row(f'{small} (count)').text}), carrying "
                 f"{format_percent(s.small_byte_fraction)} of bytes "
-                f"(paper {format_percent(pb)})"
+                f"(paper {paper_row(f'{small} (bytes)').text})"
             )
         if self.regularity is not None:
             parts.append("== Sequentiality (Figures 5-6) ==")
@@ -200,7 +292,8 @@ class WorkloadReport:
             format_table(
                 ["distinct intervals", "files", "% (paper %)"],
                 [
-                    (k, v, f"{100 * v / total_files:.1f} ({PAPER['interval_table_pct'].get(k, 0):.1f})")
+                    (k, v, f"{100 * v / total_files:.1f} "
+                           f"({paper_row(f'Table 2: {k} distinct intervals').text})")
                     for k, v in self.intervals.items()
                 ],
                 title="Table 2: distinct interval sizes per file",
@@ -211,7 +304,8 @@ class WorkloadReport:
             format_table(
                 ["distinct sizes", "files", "% (paper %)"],
                 [
-                    (k, v, f"{100 * v / total_files:.1f} ({PAPER['request_table_pct'].get(k, 0):.1f})")
+                    (k, v, f"{100 * v / total_files:.1f} "
+                           f"({paper_row(f'Table 3: {k} distinct sizes').text})")
                     for k, v in self.request_sizes.items()
                 ],
                 title="Table 3: distinct request sizes per file",
@@ -220,7 +314,8 @@ class WorkloadReport:
         parts.append("== Modes (§4.6) ==")
         parts.append(
             f"mode-0 files: {format_percent(self.modes.mode0_file_fraction, 2)} "
-            f"(paper >99%); opens per mode {self.modes.opens_per_mode}"
+            f"(paper {paper_row('mode-0 file fraction').text}); "
+            f"opens per mode {self.modes.opens_per_mode}"
         )
         if self.sharing is not None:
             parts.append("== Sharing (Figure 7, §4.7) ==")

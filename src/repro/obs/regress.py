@@ -139,10 +139,14 @@ def load_record(path: str | Path) -> tuple[str, int, dict[str, float]]:
             raise ObsReportError(f"{path}: {exc}") from exc
         return "run-report", int(payload.get("version", 1)), metrics
     if "metrics" in payload and "schema" in payload:
-        metrics = payload["metrics"]
+        metrics, schema = payload["metrics"], payload["schema"]
         if not isinstance(metrics, dict):
             raise ObsReportError(f"{path}: 'metrics' must be an object")
-        return "bench", int(payload.get("schema", 0)), {
+        if type(schema) is not int:
+            raise ObsReportError(
+                f"{path}: 'schema' must be an integer, got {schema!r:.40}"
+            )
+        return "bench", schema, {
             str(k): float(v) for k, v in metrics.items()
             if isinstance(v, (int, float)) and not isinstance(v, bool)
         }

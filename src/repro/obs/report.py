@@ -26,9 +26,11 @@ those any more, so they load unchecked and are ignored.
 
 Loading checks every field's shape before building the report, so a
 malformed file — wrong types, numbers past 64 bits or the platform's
-clock, a span node or histogram that is not an object — raises
+clock, a span node, histogram or trace event that is not an object, a
+trace event without its ``ev`` or ``t`` — raises
 :class:`~repro.errors.ObsReportError` naming the field instead of
-failing later in :meth:`RunReport.render`.
+failing later in :meth:`RunReport.render` or
+:func:`~repro.obs.timeline.build_timeline`.
 """
 
 from __future__ import annotations
@@ -133,10 +135,31 @@ def _timeseries(payload) -> dict:
     return payload
 
 
+def _key(obj: dict, key: str, check, default=None) -> None:
+    """``check`` of ``obj[key]`` (``default`` if absent), naming ``key``."""
+    try:
+        check(obj.get(key, default))
+    except _MALFORMED as exc:
+        raise ValueError(f"{key!r}: {exc}") from None
+
+
 def _stream(payload) -> dict:
+    """The trace stream, with what ``build_timeline`` reads of it."""
     _object(payload)
     _string(payload.get("worker", "?"))
-    _array(payload.get("events", []))
+    for key, check in (("epoch0", _number), ("perf0", _number),
+                       ("pid", _integer), ("n_dropped", _integer)):
+        _key(payload, key, check, 0)
+    for i, event in enumerate(_array(payload.get("events", []))):
+        try:
+            _key(_object(event), "ev", _string)
+            _key(event, "t", _number)
+            if event["ev"] == "B":
+                _key(event, "name", _string)
+            for key in ("span", "parent"):
+                _key(event, key, _string, "")
+        except _MALFORMED as exc:
+            raise ValueError(f"event {i}: {exc}") from None
     return payload
 
 

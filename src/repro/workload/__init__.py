@@ -18,9 +18,8 @@ Layers:
   into per-job file-use plans;
 - :mod:`repro.workload.jobs` — the job mix and machine occupancy;
 - :mod:`repro.workload.engines` — the :class:`WorkloadEngine` registry;
-  ``synthetic`` (this calibrated planner), ``replay`` (re-emit an
-  existing trace), and ``drift`` (fs-drift-style equilibrium aging,
-  :mod:`repro.workload.drift`) ship built in;
+  ``synthetic`` (this calibrated planner) and ``drift`` (fs-drift-style
+  equilibrium aging, :mod:`repro.workload.drift`) ship built in;
 - :mod:`repro.workload.generator` — the engine-agnostic
   :class:`WorkloadGenerator` driver plus the ``synthetic`` engine, which
   turns a schedule of planned jobs into a
@@ -70,7 +69,6 @@ from repro.workload.generator import (
     WorkloadGenerator,
 )
 from repro.workload.jobs import JobMix, JobSpec, PlacedJob, schedule_jobs
-from repro.workload.replay import ReplayEngine, replay_scenario
 from repro.workload.scenarios import (
     Scenario,
     ames1993,
@@ -103,7 +101,6 @@ __all__ = [
     "PerNodeOutputApp",
     "PlacedJob",
     "RecordSizeModel",
-    "ReplayEngine",
     "Scenario",
     "SegmentedReadApp",
     "SharedPointerApp",
@@ -122,7 +119,6 @@ __all__ = [
     "population_curve",
     "register_engine",
     "register_scenario",
-    "replay_scenario",
     "schedule_jobs",
     "tiny",
     "validate_workload",

@@ -4,16 +4,12 @@ A :class:`WorkloadEngine` owns one way of turning a
 :class:`~repro.workload.scenarios.Scenario` into a
 :class:`~repro.workload.generator.GeneratedWorkload`; the engine-agnostic
 :class:`~repro.workload.generator.WorkloadGenerator` merely resolves the
-scenario's engine by name and drives it.  Three engines ship built in:
+scenario's engine by name and drives it.  Two engines ship built in:
 
 ``synthetic``
     The calibrated CHARISMA planner (job mix, app models, phase windows)
     — the original 1994 CFD workload, byte-identical to the code that
     predates this registry (:class:`repro.workload.generator.SyntheticEngine`).
-``replay``
-    Re-emits an existing trace store or frame through the pipeline, so
-    any previously captured workload can feed the analyzers and cache
-    sweeps again (:class:`repro.workload.replay.ReplayEngine`).
 ``drift``
     An fs-drift-style equilibrium aging workload: operations drawn from
     a configurable weights table over a bounded namespace, per-tenant
@@ -80,7 +76,6 @@ class WorkloadEngine(abc.ABC):
 #: dotted paths of the built-in engines, imported on first lookup
 _BUILTIN_ENGINES: dict[str, str] = {
     "synthetic": "repro.workload.generator:SyntheticEngine",
-    "replay": "repro.workload.replay:ReplayEngine",
     "drift": "repro.workload.drift:DriftEngine",
 }
 

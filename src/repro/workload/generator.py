@@ -4,7 +4,7 @@
 into a trace.  The generator itself is engine-agnostic: it resolves the
 scenario's named :class:`~repro.workload.engines.WorkloadEngine` (the
 calibrated CHARISMA planner lives here as :class:`SyntheticEngine`;
-``replay`` and ``drift`` live in their own modules) and drives it
+``drift`` lives in its own module) and drives it
 through planning, emission, and the direct/full run paths, all in one
 process.
 
@@ -67,8 +67,8 @@ class GeneratedWorkload:
     @property
     def n_jobs(self) -> int:
         """Total jobs in the period (traced or not)."""
-        # engines without a placement pass (e.g. replay) leave placed
-        # empty; the frame's job table is then the authoritative count
+        # an engine without a placement pass leaves placed empty; the
+        # frame's job table is then the authoritative count
         return len(self.placed) if self.placed else len(self.frame.jobs)
 
     @property

@@ -1,15 +1,16 @@
 """Calibration validation: how close is a workload to the paper?
 
-:func:`validate_workload` measures a generated trace against every
-marginal the paper publishes and reports, per metric, the target, the
-measured value, and whether it falls inside a tolerance band.  The test
-suite uses it to police the default calibration, and anyone adapting
+:func:`validate_workload` characterizes a generated trace and reports,
+for each banded row of :data:`repro.core.report.PAPER_ROWS` (the paper's
+published marginals), the target, the measured value, and whether it
+falls inside the row's tolerance band.  The test suite uses it to police
+the default calibration, and anyone adapting
 :class:`~repro.workload.scenarios.Scenario` to their own site can use it
 to see exactly which published property their change moves.
 
 Validation is engine-aware: the CHARISMA marginals only describe the
 ``synthetic`` engine's 1994 CFD mix, so traces from other engines
-(``drift``, ``replay`` of foreign traces, third-party engines) get the
+(``drift``, foreign traces, third-party engines) get the
 *structural* profile instead — trace invariants (time-sorted events,
 valid file/node/job ids, legal open modes) plus a one-line note that the
 marginals were skipped, rather than a wall of spurious failures.  The
@@ -21,15 +22,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.filestats import population
-from repro.core.intervals import interval_size_table, request_size_table
-from repro.core.jobstats import concurrency_profile, node_count_distribution
-from repro.core.modes import mode_usage
-from repro.core.requests import request_size_summary
-from repro.core.sequentiality import per_file_regularity
-from repro.errors import AnalysisError, WorkloadError
+from repro.core import report as core_report
+from repro.errors import WorkloadError
 from repro.trace.frame import TraceFrame
-from repro.trace.records import NO_VALUE, EventKind
+from repro.trace.records import NO_VALUE
 from repro.util.tables import format_table
 
 
@@ -107,8 +103,9 @@ def validate_workload(
 ) -> ValidationReport:
     """Validate a trace with the profile its engine declares.
 
-    ``synthetic`` traces are checked against the paper's published
-    marginals — bands deliberately wide, so a miss means *distributional*
+    ``synthetic`` traces are characterized once, and each banded row of
+    :data:`~repro.core.report.PAPER_ROWS` reads its value off that
+    report — bands deliberately wide, so a miss means *distributional*
     drift, not seed noise.  Every other engine gets structural checks
     only, with a note that the marginals were skipped.  ``engine``
     overrides the header-notes inference; an explicit unknown name
@@ -125,9 +122,17 @@ def validate_workload(
         # inferred from a foreign trace's notes: be permissive
         profile = "structural"
     if profile == "marginals":
-        return ValidationReport(
-            _marginal_checks(frame), engine=name, profile=profile
-        )
+        report = core_report.characterize(frame)
+        checks = []
+        for row in core_report.PAPER_ROWS:
+            measured = None if row.measure is None else row.measure(report)
+            if measured is None:
+                continue
+            lo, hi = row.band(report) if callable(row.band) else row.band
+            checks.append(
+                Check(row.name, float(row.paper), float(measured), lo, hi)
+            )
+        return ValidationReport(checks, engine=name, profile=profile)
     return ValidationReport(
         _structural_checks(frame),
         engine=name,
@@ -138,65 +143,6 @@ def validate_workload(
             "the synthetic 1994 CFD mix)"
         ],
     )
-
-
-def _marginal_checks(frame: TraceFrame) -> list[Check]:
-    """The paper's published marginals, one Check per metric."""
-    checks: list[Check] = []
-
-    def add(name, paper, measured, lo, hi):
-        checks.append(Check(name, float(paper), float(measured), lo, hi))
-
-    prof = concurrency_profile(frame)
-    add("idle fraction", 0.27, prof.idle_fraction, 0.05, 0.60)
-    add("multiprogrammed fraction", 0.35, prof.multiprogrammed_fraction, 0.10, 0.60)
-    add("max concurrent jobs", 8, prof.max_level, 2, 8)
-
-    dist = node_count_distribution(frame)
-    one = dict(zip(dist.node_counts.tolist(), dist.job_fractions.tolist())).get(1, 0)
-    add("single-node job fraction", 0.74, one, 0.55, 0.90)
-    usage = dict(zip(dist.node_counts.tolist(), dist.usage_fractions.tolist()))
-    add("node-seconds in >=16-node jobs", 0.7,
-        sum(v for k, v in usage.items() if k >= 16), 0.30, 0.95)
-
-    pop = population(frame)
-    fr = pop.fractions()
-    add("write-only file fraction", 0.70, fr["write_only"], 0.55, 0.88)
-    add("read-only file fraction", 0.23, fr["read_only"], 0.08, 0.40)
-    add("read-write file fraction", 0.036, fr["read_write"], 0.0, 0.12)
-    add("untouched file fraction", 0.039, fr["untouched"], 0.0, 0.15)
-    add("temporary open fraction", 0.0061, pop.temporary_open_fraction, 0.0, 0.04)
-
-    reads = request_size_summary(frame, EventKind.READ)
-    writes = request_size_summary(frame, EventKind.WRITE)
-    add("reads <4000B (count)", 0.961, reads.small_request_fraction, 0.60, 1.0)
-    add("reads <4000B (bytes)", 0.020, reads.small_byte_fraction, 0.0, 0.35)
-    add("writes <4000B (count)", 0.894, writes.small_request_fraction, 0.70, 1.0)
-    add("writes <4000B (bytes)", 0.030, writes.small_byte_fraction, 0.0, 0.20)
-
-    try:
-        reg = per_file_regularity(frame)
-        add("write-only fully consecutive", 0.86,
-            reg.fully_consecutive_fraction("wo"), 0.60, 1.0)
-        ro = reg.fully_consecutive_fraction("ro")
-        add("read-only fully consecutive", 0.29, ro, 0.0,
-            max(0.85, reg.fully_consecutive_fraction("wo")))
-    except AnalysisError:
-        pass
-
-    t2 = interval_size_table(frame)
-    total = sum(t2.values())
-    add("files with <=1 interval size", 0.947,
-        (t2["0"] + t2["1"]) / total, 0.75, 1.0)
-    t3 = request_size_table(frame)
-    total3 = sum(t3.values())
-    add("files with 1-2 request sizes", 0.914,
-        (t3["1"] + t3["2"]) / total3, 0.70, 1.0)
-
-    usage_modes = mode_usage(frame)
-    add("mode-0 file fraction", 0.99, usage_modes.mode0_file_fraction, 0.97, 1.0)
-
-    return checks
 
 
 def _structural_checks(frame: TraceFrame) -> list[Check]:

@@ -11,7 +11,7 @@ import pytest
 
 from repro.caching import simulate_combined, simulate_io_node_caches
 from repro.core import characterize
-from repro.core.report import PAPER
+from repro.core.report import paper_row
 from repro.strided import coalesce_trace
 from repro.trace.merge import concat_frames
 from repro.workload import WorkloadGenerator, ames1993, tiny
@@ -79,7 +79,8 @@ class TestPaperShapeAtScale:
         assert report.files.write_to_read_ratio > 1.5
 
     def test_mode_zero_dominates(self, report):
-        assert report.modes.mode0_file_fraction > PAPER["mode0_files"] - 0.02
+        paper = paper_row("mode-0 file fraction").paper
+        assert report.modes.mode0_file_fraction > paper - 0.02
 
     def test_regular_access(self, report):
         total = sum(report.intervals.values())

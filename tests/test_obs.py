@@ -187,8 +187,11 @@ class TestRunReport:
         ("peak_rss_bytes", "1e999"),
         ("spans", '{"name": "run", "count": 0, "children": [5]}'),
         ("histograms", '{"h": 5}'),
+        ("trace", '{"events": [5]}'),
+        ("trace", '{"events": [{"ev": "B", "name": "x"}]}'),
     ], ids=["version-str", "version-null", "version-inf", "rss-inf",
-            "span-child-int", "histogram-int"])
+            "span-child-int", "histogram-int", "trace-event-int",
+            "trace-event-without-t"])
     def test_malformed_field_is_named(self, tmp_path, field, text):
         payload = json.loads(self._sample().to_json())
         payload[field] = "@"

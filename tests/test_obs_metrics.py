@@ -432,6 +432,11 @@ class TestDiffSchemaGuards:
         with pytest.raises(ObsReportError, match="neither a run report"):
             load_record(legacy)
 
+    def test_cli_diff_non_integer_schema_is_an_error(self, tmp_path, capsys):
+        a, _ = self._pair(tmp_path, {"a": 1.0}, {"a": 1.0}, base_schema="x")
+        assert main(["obs", "diff", str(a), str(a)]) == 1
+        assert "'schema' must be an integer, got 'x'" in capsys.readouterr().err
+
     def test_missing_metrics_split_and_filter(self):
         from repro.obs.regress import missing_metrics
 

@@ -1,24 +1,20 @@
-"""The engine registry, the drift engine, and the replay engine.
+"""The engine registry and the drift engine.
 
 Covers the engine contract end to end: registry lookup and error
 surfaces, driver resolution order, drift's frozen output at two
-scales/seeds, the steady-state convergence of its file population under
-create/delete churn, and replay's round-trips through stores and
-in-memory frames.
+scales/seeds, and the steady-state convergence of its file population
+under create/delete churn.
 """
 
 import numpy as np
 import pytest
 
-from repro.errors import TraceFormatError, WorkloadError
+from repro.errors import WorkloadError
 from repro.trace.records import EventKind, OpenFlags
-from repro.trace.store import write_store
 from repro.workload import (
     DriftConfig,
     DriftEngine,
     DriftMix,
-    ReplayEngine,
-    Scenario,
     SyntheticEngine,
     WorkloadEngine,
     WorkloadGenerator,
@@ -30,7 +26,6 @@ from repro.workload import (
     get_scenario,
     population_curve,
     register_engine,
-    replay_scenario,
     validate_workload,
 )
 from repro.workload.validate import engine_of
@@ -49,16 +44,15 @@ def _digest(frame):
 class TestEngineRegistry:
     def test_builtins_available(self):
         names = available_engines()
-        assert {"synthetic", "replay", "drift"} <= set(names)
+        assert {"synthetic", "drift"} <= set(names)
         assert names == sorted(names)
 
     def test_get_engine_resolves_builtins(self):
         assert get_engine("synthetic") is SyntheticEngine
         assert get_engine("drift") is DriftEngine
-        assert get_engine("replay") is ReplayEngine
 
     def test_unknown_engine_lists_available(self):
-        with pytest.raises(WorkloadError, match="drift.*replay.*synthetic"):
+        with pytest.raises(WorkloadError, match="drift.*synthetic"):
             get_engine("nope")
 
     def test_register_engine_roundtrip(self):
@@ -89,7 +83,6 @@ class TestEngineRegistry:
     def test_validation_profiles(self):
         assert SyntheticEngine.validation == "marginals"
         assert DriftEngine.validation == "structural"
-        assert ReplayEngine.validation == "structural"
 
 
 class TestDriverResolution:
@@ -284,53 +277,6 @@ class TestDriftSteadyState:
         assert (np.diff(pop) >= 0).all()
 
 
-class TestReplayEngine:
-    def test_replays_store(self, tmp_path):
-        src = WorkloadGenerator(drift_scenario(0.002), seed=5).run("direct")
-        path = tmp_path / "t.store"
-        write_store(src.frame, path, chunk_size=512)
-        wl = WorkloadGenerator(replay_scenario(path)).run()
-        assert _digest(wl.frame) == _digest(src.frame)
-        assert wl.n_jobs == src.n_jobs
-
-    def test_replaying_npz_raises_format_error(self, tmp_path):
-        path = tmp_path / "t.npz"
-        np.savez_compressed(path, events=np.zeros(3))
-        with pytest.raises(TraceFormatError, match=r"legacy \.npz frame"):
-            WorkloadGenerator(replay_scenario(path)).run()
-
-    def test_replays_in_memory_frame(self):
-        src = WorkloadGenerator(drift_scenario(0.002), seed=5).run("direct")
-        scenario = Scenario(
-            name="replay", duration_hours=1.0, engine="replay",
-            engine_options={"frame": src.frame},
-        )
-        wl = WorkloadGenerator(scenario).run()
-        assert wl.frame is src.frame
-
-    def test_requires_source(self):
-        scenario = Scenario(name="replay", duration_hours=1.0, engine="replay")
-        with pytest.raises(WorkloadError, match="path"):
-            WorkloadGenerator(scenario)
-
-    def test_full_pipeline_rejected(self, tmp_path):
-        src = WorkloadGenerator(drift_scenario(0.002), seed=5).run("direct")
-        path = tmp_path / "t.store"
-        write_store(src.frame, path)
-        with pytest.raises(WorkloadError, match="only the 'direct'"):
-            WorkloadGenerator(replay_scenario(path)).run("full")
-
-    def test_preserves_source_provenance(self, tmp_path):
-        src = WorkloadGenerator(drift_scenario(0.002), seed=5).run("direct")
-        path = tmp_path / "t.store"
-        write_store(src.frame, path)
-        wl = WorkloadGenerator(replay_scenario(path)).run()
-        # replay is transport, not authorship: the replayed trace still
-        # validates under its original engine's profile
-        assert engine_of(wl.frame) == "drift"
-        assert validate_workload(wl.frame).engine == "drift"
-
-
 class TestEngineAwareValidation:
     def test_drift_gets_structural_profile(self, drift_run):
         report = validate_workload(drift_run.frame)
@@ -339,6 +285,16 @@ class TestEngineAwareValidation:
         assert report.all_ok
         assert any("marginal checks skipped" in n for n in report.notes)
         assert "marginal checks skipped" in report.render()
+
+    def test_stored_trace_keeps_its_engine(self, drift_run, tmp_path):
+        from repro.trace.store import TraceStore, write_store
+
+        path = tmp_path / "d.store"
+        write_store(drift_run.frame, path)
+        with TraceStore(path) as store:
+            frame = store.frame()
+        assert engine_of(frame) == "drift"
+        assert validate_workload(frame).engine == "drift"
 
     def test_synthetic_gets_marginals(self):
         wl = WorkloadGenerator(ames1993(0.01), seed=7).run("direct")

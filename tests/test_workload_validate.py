@@ -1,7 +1,10 @@
 """Tests for repro.workload.validate."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro.core import report as core_report
 from repro.workload import WorkloadGenerator, ames1993
 from repro.workload.validate import Check, validate_workload
 
@@ -46,8 +49,6 @@ class TestValidateWorkload:
     def test_detects_distributional_drift(self):
         """A deliberately mis-calibrated scenario must fail validation —
         the module's whole purpose."""
-        from dataclasses import replace
-
         base = ames1993(0.04)
         # kill the parallel apps: everything becomes single-node tools
         broken = replace(
@@ -59,6 +60,48 @@ class TestValidateWorkload:
         report = validate_workload(frame)
         by_name = {c.name: c for c in report.checks}
         assert not by_name["node-seconds in >=16-node jobs"].ok
+
+
+class TestPaperTable:
+    """``validate`` checks the banded rows of the table ``characterize``
+    prints from."""
+
+    def test_checks_are_the_banded_rows_in_order(self, small_frame):
+        report = validate_workload(small_frame)
+        banded = [r.name for r in core_report.PAPER_ROWS if r.band is not None]
+        assert [c.name for c in report.checks] == banded
+        assert len(banded) == 19
+
+    def test_one_row_feeds_both_reports(self, small_frame, monkeypatch):
+        name = "reads <4000B (count)"
+        rows = tuple(
+            replace(r, paper=0.5, text="50.0%") if r.name == name else r
+            for r in core_report.PAPER_ROWS
+        )
+        monkeypatch.setattr(core_report, "PAPER_ROWS", rows)
+        text = core_report.characterize(small_frame).render()
+        assert "of requests (paper 50.0%)" in text
+        line = next(
+            ln for ln in validate_workload(small_frame).render().splitlines()
+            if ln.startswith(name)
+        )
+        assert line.split("|")[1].strip() == "0.5"
+
+    def test_no_regularity_drops_both_consecutive_rows(
+        self, small_frame, monkeypatch
+    ):
+        characterize = core_report.characterize
+        monkeypatch.setattr(
+            core_report, "characterize",
+            lambda frame: replace(characterize(frame), regularity=None),
+        )
+        names = [c.name for c in validate_workload(small_frame).checks]
+        assert len(names) == 17
+        assert not any("fully consecutive" in n for n in names)
+
+    def test_unknown_row_raises(self):
+        with pytest.raises(KeyError, match="no published value"):
+            core_report.paper_row("nope")
 
 
 def replace_node_counts():
