@@ -12,8 +12,10 @@ Top-level convenience re-exports; see the subpackages for the full API:
 - :mod:`repro.strided` — strided-request coalescing (§5 future work).
 """
 
-from repro.trace.frame import TraceFrame
+from repro._exports import lazy_exports
 
 __version__ = "1.0.0"
 
 __all__ = ["TraceFrame", "__version__"]
+
+__getattr__, __dir__ = lazy_exports(__name__, {"trace.frame": ("TraceFrame",)})

@@ -21,53 +21,26 @@ The paper evaluates buffer caches at both ends of the I/O path:
 extension.
 """
 
-from repro.caching.blockspan import BlockSpans, SubRequests, expand_spans
-from repro.caching.compute_node import (
-    ComputeNodeCacheResult,
-    simulate_compute_node_caches,
-)
-from repro.caching.diskdirected import (
-    DiskDirectedComparison,
-    compare_interfaces,
-    simulate_disk_directed,
-)
-from repro.caching.disktime import DiskTimeResult, simulate_disk_time
-from repro.caching.combined import CombinedResult, simulate_combined
-from repro.caching.latency import (
-    LatencyComparison,
-    LatencyResult,
-    compare_latency,
-    simulate_request_latency,
-)
-from repro.caching.io_node import IONodeCacheResult, simulate_io_node_caches, sweep_buffer_counts
-from repro.caching.prefetch import (
-    PrefetchResult,
-    prefetch_benefit,
-    simulate_io_node_prefetch,
-)
-from repro.caching.policies import (
-    FIFOPolicy,
-    InterprocessAwarePolicy,
-    LRUPolicy,
-    OptimalPolicy,
-    ReplacementPolicy,
-    make_policy,
-)
-from repro.caching.results import HitRateCurve
-from repro.caching.stackdist import (
-    STACKDIST_POLICIES,
-    ComputeNodeStackProfile,
-    IONodeStackProfile,
-    compute_node_stack_profile,
-    io_node_stack_profile,
-    lru_depths,
-)
-from repro.caching.sweeps import SweepLine, sweep_lines
-from repro.caching.writeback import (
-    WritebackResult,
-    compare_write_policies,
-    simulate_writeback,
-)
+from repro._exports import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "blockspan": ("BlockSpans", "SubRequests", "expand_spans"),
+    "compute_node": ("ComputeNodeCacheResult", "simulate_compute_node_caches"),
+    "diskdirected": ("DiskDirectedComparison", "compare_interfaces", "simulate_disk_directed"),
+    "disktime": ("DiskTimeResult", "simulate_disk_time"),
+    "combined": ("CombinedResult", "simulate_combined"),
+    "latency": ("LatencyComparison", "LatencyResult", "compare_latency",
+                "simulate_request_latency"),
+    "io_node": ("IONodeCacheResult", "simulate_io_node_caches", "sweep_buffer_counts"),
+    "prefetch": ("PrefetchResult", "prefetch_benefit", "simulate_io_node_prefetch"),
+    "policies": ("FIFOPolicy", "InterprocessAwarePolicy", "LRUPolicy", "OptimalPolicy",
+                 "ReplacementPolicy", "make_policy"),
+    "results": ("HitRateCurve",),
+    "stackdist": ("STACKDIST_POLICIES", "ComputeNodeStackProfile", "IONodeStackProfile",
+                  "compute_node_stack_profile", "io_node_stack_profile", "lru_depths"),
+    "sweeps": ("SweepLine", "sweep_lines"),
+    "writeback": ("WritebackResult", "compare_write_policies", "simulate_writeback"),
+})
 
 __all__ = [
     "BlockSpans",

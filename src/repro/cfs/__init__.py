@@ -18,12 +18,16 @@ applications run against an actual file system and the instrumentation
 layer (:mod:`repro.cfs.instrument`) records exactly the calls they make.
 """
 
-from repro.cfs.cache import BlockCache, CacheStats
-from repro.cfs.file import CFSFile, SharedPointerGroup
-from repro.cfs.filesystem import ConcurrentFileSystem, FileHandle
-from repro.cfs.instrument import InstrumentedCFS
-from repro.cfs.modes import IOMode
-from repro.cfs.striping import Striping
+from repro._exports import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "cache": ("BlockCache", "CacheStats"),
+    "file": ("CFSFile", "SharedPointerGroup"),
+    "filesystem": ("ConcurrentFileSystem", "FileHandle"),
+    "instrument": ("InstrumentedCFS",),
+    "modes": ("IOMode",),
+    "striping": ("Striping",),
+})
 
 __all__ = [
     "BlockCache",

@@ -15,7 +15,9 @@ format ``generate`` writes.  Every analysis command also accepts
 ``--scale/--seed`` instead of a trace file, generating a workload on the
 fly.  ``characterize`` streams a store chunk by chunk, and ``cache
 --experiment fig9`` streams its request stream from it; the other
-commands read the whole trace.
+commands read the whole trace.  Each command imports the modules it runs
+inside its ``cmd_*`` function, so ``repro serve`` starts without loading
+the generator or the cache simulators.
 
 Global flags (before the subcommand) control observability and verbosity::
 
@@ -29,34 +31,14 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from typing import TYPE_CHECKING
 
 from repro import obs
-from repro.caching import (
-    SweepLine,
-    compute_node_stack_profile,
-    simulate_combined,
-    simulate_disk_time,
-    simulate_io_node_prefetch,
-    sweep_lines,
-)
-from repro.caching.policies import POLICIES
-from repro.core import characterize
-from repro.core.figures import FIGURES, render_all, render_figure
-from repro.core.report import paper_row
-from repro.strided import coalesce_trace
-from repro.trace.dump import dump_frame
-from repro.trace.frame import TraceFrame
-from repro.trace.store import FrameSource, TraceSource, TraceStore, source_info
-from repro.util.tables import format_percent, format_table
-from repro.errors import WorkloadError
-from repro.workload import (
-    WorkloadGenerator,
-    available_engines,
-    available_scenarios,
-    get_engine,
-    get_scenario,
-    validate_workload,
-)
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.trace.frame import TraceFrame
+    from repro.trace.store import TraceSource
+    from repro.workload import WorkloadGenerator
 
 logger = logging.getLogger("repro.cli")
 
@@ -100,6 +82,9 @@ def _resolve_generator(args) -> WorkloadGenerator:
     Unknown scenario or engine names exit 2 with the available names on
     stderr (the registries' own error message lists them).
     """
+    from repro.errors import WorkloadError
+    from repro.workload import WorkloadGenerator, get_scenario
+
     engine = (
         getattr(args, "workload_engine", None)
         or getattr(args, "engine_name", None)
@@ -135,6 +120,8 @@ def _generate_frame(args) -> TraceFrame:
 def _load_source(args) -> TraceSource:
     """The command's input: the store at ``args.trace``, read chunk by
     chunk, or a trace generated on the fly as one in-memory chunk."""
+    from repro.trace.store import FrameSource, TraceStore
+
     if args.trace:
         logger.info("loading trace from %s", args.trace)
         return TraceStore(args.trace)
@@ -156,12 +143,16 @@ def cmd_generate(args) -> int:
 
 
 def cmd_characterize(args) -> int:
+    from repro.core import characterize
+
     print(characterize(_load_source(args)).render())
     return 0
 
 
 def cmd_trace_info(args) -> int:
     import json
+
+    from repro.trace.store import source_info
 
     info = source_info(args.path)
     if args.json:
@@ -185,11 +176,12 @@ def cmd_trace_info(args) -> int:
 
 
 def cmd_figures(args) -> int:
+    from repro.core.figures import FIGURES, render_all, render_figure, render_figure_svg
+
     frame = _load_source(args).frame()
     if args.svg:
         from pathlib import Path
 
-        from repro.core.figures import render_figure_svg
         from repro.errors import AnalysisError, CacheConfigError
 
         out = Path(args.svg)
@@ -213,6 +205,17 @@ def cmd_figures(args) -> int:
 
 
 def cmd_cache(args) -> int:
+    from repro.caching import (
+        SweepLine,
+        compute_node_stack_profile,
+        simulate_combined,
+        simulate_disk_time,
+        simulate_io_node_prefetch,
+        sweep_lines,
+    )
+    from repro.core.report import paper_row
+    from repro.util.tables import format_percent, format_table
+
     if args.experiment == "fig8" and min(args.buffers or [1]) < 1:
         print("error: --buffers: fig8 needs at least 1 buffer", file=sys.stderr)
         return 2
@@ -278,6 +281,9 @@ def cmd_cache(args) -> int:
 
 
 def cmd_strided(args) -> int:
+    from repro.strided import coalesce_trace
+    from repro.util.tables import format_percent
+
     frame = _load_source(args).frame()
     res = coalesce_trace(frame)
     print(f"simple requests:  {res.simple_requests}")
@@ -290,6 +296,11 @@ def cmd_strided(args) -> int:
 def cmd_reproduce(args) -> int:
     """Run every experiment of the paper in one pass."""
     import json
+
+    from repro.caching import compute_node_stack_profile, simulate_combined, sweep_lines
+    from repro.core.report import characterize, paper_row
+    from repro.strided import coalesce_trace
+    from repro.util.tables import format_percent
 
     frame = _load_source(args).frame()
     report = characterize(frame)
@@ -341,6 +352,8 @@ def cmd_reproduce(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    from repro.workload import validate_workload
+
     frame = _load_source(args).frame()
     report = validate_workload(frame)
     print(report.render())
@@ -363,6 +376,9 @@ def cmd_validate(args) -> int:
 
 
 def cmd_scenarios(args) -> int:
+    from repro.util.tables import format_table
+    from repro.workload import available_engines, available_scenarios, get_engine, get_scenario
+
     rows = []
     for name in available_scenarios():
         sc = get_scenario(name)
@@ -488,6 +504,7 @@ def cmd_push(args) -> int:
     from pathlib import Path
 
     from repro.service import ServiceClient
+    from repro.trace.store import TraceStore
 
     client = ServiceClient(args.url)
     source = TraceStore(args.path)
@@ -563,6 +580,8 @@ def cmd_obs_diff(args) -> int:
 
 
 def cmd_dump(args) -> int:
+    from repro.trace.dump import dump_frame
+
     frame = _load_source(args).frame()
     for line in dump_frame(frame, limit=args.limit, job=args.job, file=args.file):
         print(line)
@@ -570,6 +589,9 @@ def cmd_dump(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.caching.policies import POLICIES
+    from repro.core.figures import FIGURES
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="CHARISMA reproduction: Kotz & Nieuwejaar, SC'94",

@@ -18,25 +18,21 @@ analyzers finalize their family from the frame's one fold, and
   per-frame fold and one finalizer per family.
 """
 
-from repro.core.compare import ReportComparison, compare_reports
-from repro.core.filestats import FilePopulation, file_size_cdf, population
-from repro.core.intervals import (
-    interval_size_table,
-    per_file_distinct_intervals,
-    per_file_distinct_request_sizes,
-    request_size_table,
-)
-from repro.core.jobstats import (
-    concurrency_profile,
-    files_per_job_table,
-    node_count_distribution,
-)
-from repro.core.modes import mode_usage
-from repro.core.report import WorkloadReport, characterize
-from repro.core.requests import request_size_cdfs, request_size_summary
-from repro.core.sequentiality import per_file_regularity
-from repro.core.sharing import interjob_shared_files, sharing_per_file
-from repro.core.temporal import ThroughputSeries, demand_vs_capacity, throughput_series
+from repro._exports import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "compare": ("ReportComparison", "compare_reports"),
+    "filestats": ("FilePopulation", "file_size_cdf", "population"),
+    "intervals": ("interval_size_table", "per_file_distinct_intervals",
+                  "per_file_distinct_request_sizes", "request_size_table"),
+    "jobstats": ("concurrency_profile", "files_per_job_table", "node_count_distribution"),
+    "modes": ("mode_usage",),
+    "report": ("WorkloadReport", "characterize"),
+    "requests": ("request_size_cdfs", "request_size_summary"),
+    "sequentiality": ("per_file_regularity",),
+    "sharing": ("interjob_shared_files", "sharing_per_file"),
+    "temporal": ("ThroughputSeries", "demand_vs_capacity", "throughput_series"),
+})
 
 __all__ = [
     "FilePopulation",

@@ -16,8 +16,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro import obs
-from repro.caching.stackdist import compute_node_stack_profile
-from repro.caching.sweeps import SweepLine, sweep_lines
 from repro.core.filestats import file_size_cdf
 from repro.core.jobstats import concurrency_profile, node_count_distribution
 from repro.core.requests import request_size_cdfs
@@ -115,6 +113,8 @@ def figure_series(
         by_count, by_bytes = request_size_cdfs(frame, EventKind.READ)
         return {"reads": by_count.steps(), "data": by_bytes.steps()}
     if figure == "fig8":
+        from repro.caching.stackdist import compute_node_stack_profile
+
         # one stack-distance pass yields the exact per-job hit rates at
         # every buffer count (bit-equal to the per-capacity replay)
         profile = compute_node_stack_profile(frame)
@@ -123,6 +123,8 @@ def figure_series(
             for res in profile.sweep((1, 10, 50))
         }
     if figure == "fig9":
+        from repro.caching.sweeps import SweepLine, sweep_lines
+
         counts = [50, 125, 250, 500, 1000, 2000, 4000]
         policies = ("lru", "fifo")
         curves = sweep_lines(

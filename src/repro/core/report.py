@@ -25,6 +25,7 @@ from repro.core.requests import RequestSizeSummary
 from repro.core.sequentiality import FileRegularity
 from repro.core.sharing import SharingResult
 from repro.trace.frame import TraceFrame
+from repro.trace.store import FrameSource
 from repro.util.cdf import EmpiricalCDF
 from repro.util.tables import format_percent, format_table
 
@@ -341,6 +342,12 @@ class WorkloadReport:
         return "\n".join(parts)
 
 
+# characterize runs the engine, and the engine builds WorkloadReport, so
+# the engine is imported once that class exists: loading either module
+# loads both, in either order
+from repro.core import streaming  # noqa: E402
+
+
 def characterize(frame) -> WorkloadReport:
     """Run the full §4 characterization over a trace.
 
@@ -354,14 +361,10 @@ def characterize(frame) -> WorkloadReport:
     analyzers in ``tests/legacy_oracle.py`` (enforced, with frozen
     digests, by ``tests/test_equivalence.py``).
     """
-    # imported here: streaming pulls WorkloadReport from this module
-    from repro.core.streaming import _scan_chunks, finalize_fused
-    from repro.trace.store import FrameSource
-
     source = frame
     if isinstance(frame, TraceFrame):
         source = FrameSource(frame, chunk_size=max(frame.n_events, 1))
     with obs.span("core/characterize_fused"):
         with obs.span("core/characterize_fused/scan"):
-            acc = _scan_chunks(source)
-        return finalize_fused(acc, source.jobs, source.files)
+            acc = streaming._scan_chunks(source)
+        return streaming.finalize_fused(acc, source.jobs, source.files)

@@ -17,7 +17,7 @@ Two on-disk layouts are understood; any other JSON is refused with
   totals, ``counter.*``, ``gauge.*`` and ``hist.*`` summaries;
 - the benchmark envelope written by ``benchmarks/conftest.py`` and
   pipebench (``schema``/``metrics`` keys): the curated metric map,
-  as-is.
+  as-is, each value a finite number.
 
 Whether a change is a regression depends on the metric's *direction*:
 ``*_seconds`` going up is bad, ``*speedup*`` going up is good, and a
@@ -109,6 +109,21 @@ def _report_metrics(payload: dict) -> dict[str, float]:
     return metrics
 
 
+def _finite(value) -> float | None:
+    """``value`` as a float if it is a finite JSON number, else None.
+
+    Python's ``json`` parses ``NaN`` and ``Infinity``, and a gate can
+    never fail on them; a bool, string, null or object is no metric.
+    """
+    if type(value) not in (int, float):
+        return None
+    try:
+        number = float(value)
+    except OverflowError:  # an integer past the float range
+        return None
+    return number if math.isfinite(number) else None
+
+
 def load_record(path: str | Path) -> tuple[str, int, dict[str, float]]:
     """Load any supported record as ``(kind, schema version, metrics)``.
 
@@ -146,10 +161,16 @@ def load_record(path: str | Path) -> tuple[str, int, dict[str, float]]:
             raise ObsReportError(
                 f"{path}: 'schema' must be an integer, got {schema!r:.40}"
             )
-        return "bench", schema, {
-            str(k): float(v) for k, v in metrics.items()
-            if isinstance(v, (int, float)) and not isinstance(v, bool)
-        }
+        values = {}
+        for name, value in metrics.items():
+            number = _finite(value)
+            if number is None:
+                raise ObsReportError(
+                    f"{path}: metric {name!r} must be a finite number, "
+                    f"got {value!r:.40}"
+                )
+            values[name] = number
+        return "bench", schema, values
     raise ObsReportError(
         f"{path}: neither a run report (spans, counters) nor a bench "
         f"record (schema, metrics)"

@@ -30,16 +30,14 @@ gracefully; with ``--snapshot PATH`` a restarted daemon replays a log of
 the wire bytes it accepted and resumes folding mid-run.
 """
 
-from repro.service.client import ServiceClient
-from repro.service.daemon import TraceService
-from repro.service.figdata import figdata_from_report
-from repro.service.wire import (
-    WIRE_VERSION,
-    decode_chunk,
-    decode_table,
-    encode_chunk,
-    encode_table,
-)
+from repro._exports import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "client": ("ServiceClient",),
+    "daemon": ("TraceService",),
+    "figdata": ("figdata_from_report",),
+    "wire": ("WIRE_VERSION", "decode_chunk", "decode_table", "encode_chunk", "encode_table"),
+})
 
 __all__ = [
     "ServiceClient",

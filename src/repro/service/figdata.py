@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.figures import FIGURES, family_series
 from repro.core.report import WorkloadReport
 
 __all__ = ["REPORT_FIGURES", "figdata_from_report"]
@@ -49,6 +48,8 @@ def figdata_from_report(
     no field for, or one whose family was skipped for this run (no
     regularity or sharing data).
     """
+    from repro.core.figures import FIGURES, family_series
+
     out: dict = {}
     for figure in figures:
         field = _REPORT_FIELDS.get(figure)

@@ -24,24 +24,22 @@ This package reimplements that whole pipeline:
   lets every consumer stream a trace out-of-core.
 """
 
-from repro.trace.anonymize import anonymize
-from repro.trace.codec import RECORD_SIZE, decode_records, decode_records_array, encode_record
-from repro.trace.collector import Collector, RawBlock, RawTrace
-from repro.trace.frame import FileTable, JobTable, TraceFrame
-from repro.trace.merge import concat_frames, merge_raw_traces
-from repro.trace.postprocess import DriftModel, estimate_drift, postprocess
-from repro.trace.reader import read_raw_trace
-from repro.trace.records import EventKind, OpenFlags, Record, TraceHeader
-from repro.trace.stats import TraceOverhead, per_node_record_counts, trace_overhead
-from repro.trace.store import (
-    DEFAULT_CHUNK_SIZE,
-    FrameSource,
-    StoreWriter,
-    TraceSource,
-    TraceStore,
-    write_store,
-)
-from repro.trace.writer import NodeTraceBuffer, TraceWriter
+from repro._exports import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "anonymize": ("anonymize",),
+    "codec": ("RECORD_SIZE", "decode_records", "decode_records_array", "encode_record"),
+    "collector": ("Collector", "RawBlock", "RawTrace"),
+    "frame": ("FileTable", "JobTable", "TraceFrame"),
+    "merge": ("concat_frames", "merge_raw_traces"),
+    "postprocess": ("DriftModel", "estimate_drift", "postprocess"),
+    "reader": ("read_raw_trace",),
+    "records": ("EventKind", "OpenFlags", "Record", "TraceHeader"),
+    "stats": ("TraceOverhead", "per_node_record_counts", "trace_overhead"),
+    "store": ("DEFAULT_CHUNK_SIZE", "FrameSource", "StoreWriter", "TraceSource",
+              "TraceStore", "write_store"),
+    "writer": ("NodeTraceBuffer", "TraceWriter"),
+})
 
 __all__ = [
     "Collector",

@@ -29,55 +29,22 @@ Layers:
   scenario registry, chiefly :func:`~repro.workload.scenarios.ames1993`.
 """
 
-from repro.workload.apps import (
-    APP_REGISTRY,
-    AppModel,
-    BroadcastReadApp,
-    CheckpointApp,
-    FileUse,
-    InterleavedScanApp,
-    OpsPlan,
-    OutOfCoreApp,
-    PerNodeFilterApp,
-    PerNodeOutputApp,
-    SegmentedReadApp,
-    SharedPointerApp,
-    SmallToolApp,
-)
-from repro.workload.distributions import (
-    FileSizeModel,
-    JobArrivalModel,
-    NodeCountModel,
-    RecordSizeModel,
-)
-from repro.workload.drift import (
-    DriftConfig,
-    DriftEngine,
-    DriftMix,
-    drift_scenario,
-    population_curve,
-)
-from repro.workload.engines import (
-    WorkloadEngine,
-    available_engines,
-    get_engine,
-    register_engine,
-)
-from repro.workload.generator import (
-    GeneratedWorkload,
-    SyntheticEngine,
-    WorkloadGenerator,
-)
-from repro.workload.jobs import JobMix, JobSpec, PlacedJob, schedule_jobs
-from repro.workload.scenarios import (
-    Scenario,
-    ames1993,
-    available_scenarios,
-    get_scenario,
-    register_scenario,
-    tiny,
-)
-from repro.workload.validate import Check, ValidationReport, validate_workload
+from repro._exports import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "apps": ("APP_REGISTRY", "AppModel", "BroadcastReadApp", "CheckpointApp", "FileUse",
+             "InterleavedScanApp", "OpsPlan", "OutOfCoreApp", "PerNodeFilterApp",
+             "PerNodeOutputApp", "SegmentedReadApp", "SharedPointerApp", "SmallToolApp"),
+    "distributions": ("FileSizeModel", "JobArrivalModel", "NodeCountModel",
+                      "RecordSizeModel"),
+    "drift": ("DriftConfig", "DriftEngine", "DriftMix", "drift_scenario", "population_curve"),
+    "engines": ("WorkloadEngine", "available_engines", "get_engine", "register_engine"),
+    "generator": ("GeneratedWorkload", "SyntheticEngine", "WorkloadGenerator"),
+    "jobs": ("JobMix", "JobSpec", "PlacedJob", "schedule_jobs"),
+    "scenarios": ("Scenario", "ames1993", "available_scenarios", "get_scenario",
+                  "register_scenario", "tiny"),
+    "validate": ("Check", "ValidationReport", "validate_workload"),
+})
 
 __all__ = [
     "APP_REGISTRY",

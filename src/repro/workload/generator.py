@@ -29,25 +29,25 @@ interprocess spatial locality the I/O-node cache study measures.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro import obs
-from repro.cfs.filesystem import ConcurrentFileSystem
-from repro.cfs.instrument import InstrumentedCFS
 from repro.cfs.modes import IOMode
 from repro.errors import WorkloadError
-from repro.machine.machine import IPSC860
-from repro.trace.collector import Collector, RawTrace
 from repro.trace.frame import FILE_DTYPE, FileTable, JobTable, TraceFrame
-from repro.trace.postprocess import postprocess
 from repro.trace.records import NO_VALUE, EventKind, OpenFlags, TraceHeader
-from repro.trace.writer import TraceWriter
 from repro.util.rng import SeedSequencePool
 from repro.workload.apps import APP_REGISTRY, FileUse
 from repro.workload.engines import WorkloadEngine, get_engine
 from repro.workload.jobs import PlacedJob, schedule_jobs
 from repro.workload.scenarios import Scenario
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.cfs.filesystem import ConcurrentFileSystem
+    from repro.cfs.instrument import InstrumentedCFS
+    from repro.trace.collector import RawTrace
 
 #: guard against accidentally planning an unrepresentable trace
 MAX_EVENTS: int = 50_000_000
@@ -331,6 +331,13 @@ class SyntheticEngine(WorkloadEngine):
     # -- full pipeline ----------------------------------------------------------------
 
     def _run_full(self) -> GeneratedWorkload:
+        from repro.cfs.filesystem import ConcurrentFileSystem
+        from repro.cfs.instrument import InstrumentedCFS
+        from repro.machine.machine import IPSC860
+        from repro.trace.collector import Collector
+        from repro.trace.postprocess import postprocess
+        from repro.trace.writer import TraceWriter
+
         pool = SeedSequencePool(self.seed)
         placed, uses_by_job = self.plan()
         machine = IPSC860(

@@ -437,6 +437,28 @@ class TestDiffSchemaGuards:
         assert main(["obs", "diff", str(a), str(a)]) == 1
         assert "'schema' must be an integer, got 'x'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, shown", [
+        ("NaN", "nan"), ("Infinity", "inf"), ("-Infinity", "-inf"),
+        ('"slow"', "'slow'"), ("true", "True"), ("null", "None"),
+        ('{"median": 5.0}', "{'median': 5.0}"),
+        ("1" + "0" * 400, "1" + "0" * 39),  # an integer past the float range
+    ])
+    @pytest.mark.parametrize("side", ["base", "new"])
+    def test_cli_diff_refuses_a_metric_that_is_not_a_finite_number(
+        self, tmp_path, capsys, text, shown, side
+    ):
+        good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+        good.write_text('{"schema": 1, "metrics": {"wall_s": 5.0}}')
+        bad.write_text('{"schema": 1, "metrics": {"wall_s": %s}}' % text)
+        pair = [good, bad] if side == "new" else [bad, good]
+        assert main(["obs", "diff", *map(str, pair)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: {bad}: metric 'wall_s' must be a finite number, "
+            f"got {shown}\n"
+        )
+        assert "regressions" not in captured.out
+
     def test_missing_metrics_split_and_filter(self):
         from repro.obs.regress import missing_metrics
 
