@@ -7,17 +7,18 @@ temporal, locality.
 
 from conftest import show
 
-from repro.caching import simulate_compute_node_caches
+from repro.caching import compute_node_stack_profile
+from repro.core.report import paper_row
 from repro.util.tables import format_percent, format_table
 
 
 def test_fig8_compute_node_cache(benchmark, frame):
-    one = benchmark.pedantic(
-        simulate_compute_node_caches, args=(frame,),
-        kwargs={"buffers": 1}, rounds=1, iterations=1,
+    profile = benchmark.pedantic(
+        compute_node_stack_profile, args=(frame,), rounds=1, iterations=1,
     )
-    ten = simulate_compute_node_caches(frame, buffers=10)
-    fifty = simulate_compute_node_caches(frame, buffers=50)
+    one, ten, fifty = profile.sweep([1, 10, 50])
+    above = paper_row("jobs above 75% compute-node hit rate").text
+    zero = paper_row("jobs at 0% compute-node hit rate").text
 
     rows = [
         (r.buffers, len(r.job_ids),
@@ -29,7 +30,8 @@ def test_fig8_compute_node_cache(benchmark, frame):
     show(
         "Figure 8: compute-node cache (read-only, LRU)",
         format_table(
-            ["buffers", "jobs", ">75% hit (paper 40%)", "0% hit (paper 30%)", "overall"],
+            ["buffers", "jobs", f">75% hit (paper {above})", f"0% hit (paper {zero})",
+             "overall"],
             rows,
         ),
     )

@@ -2,7 +2,7 @@
 
 The dictionary **oracle** replays the trace through per-block Python
 dicts once *per buffer count*
-(:func:`~repro.caching.io_node.simulate_io_node_caches`) — definitionally
+(:func:`~repro.caching.io_node.replay_io_node_caches`) — definitionally
 correct for any policy, tens of thousands of events per second.
 :func:`~repro.caching.io_node.sweep_buffer_counts` computes an LRU line
 from one **stack-distance** pass that pre-sorts per-node depth profiles
@@ -29,8 +29,8 @@ import numpy as np
 from conftest import emit_json, show
 
 from repro.caching.io_node import (
+    replay_io_node_caches,
     request_stream,
-    simulate_io_node_caches,
     sweep_buffer_counts,
 )
 from repro.util.tables import format_table
@@ -56,7 +56,7 @@ def _oracle(stream, policy, rounds: int = 3):
     for _ in range(rounds):
         t0 = time.perf_counter()
         rates = np.asarray([
-            simulate_io_node_caches(
+            replay_io_node_caches(
                 None, count, n_io_nodes=10, policy=policy, stream=stream
             ).hit_rate
             for count in COUNTS

@@ -9,6 +9,7 @@ cache cannot capture.
 from conftest import show
 
 from repro.caching import simulate_combined
+from repro.core.report import paper_row
 from repro.util.tables import format_percent
 
 
@@ -25,7 +26,8 @@ def test_section48_combined_caches(benchmark, frame):
         f"{format_percent(res.io_hit_rate_without)}\n"
         f"I/O-node hit rate with compute layer:    "
         f"{format_percent(res.io_hit_rate_with)}\n"
-        f"reduction: {format_percent(res.io_hit_rate_reduction)} (paper ~3%)\n"
+        f"reduction: {format_percent(res.io_hit_rate_reduction)} "
+        f"(paper {paper_row('combined-cache I/O hit-rate drop').text})\n"
         f"compute layer absorbed {res.requests_absorbed} requests at "
         f"{format_percent(res.compute_hit_rate)} hit rate",
     )

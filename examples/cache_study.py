@@ -18,10 +18,11 @@ Usage::
 import argparse
 
 from repro.caching import (
+    compute_node_stack_profile,
     simulate_combined,
-    simulate_compute_node_caches,
     sweep_buffer_counts,
 )
+from repro.core.report import paper_row
 from repro.util.tables import format_percent, format_table
 from repro.workload import WorkloadGenerator, ames1993
 
@@ -40,17 +41,19 @@ def main() -> None:
 
     print("== Figure 8: compute-node caching (read-only, LRU) ==")
     rows = []
-    for buffers in (1, 10, 50):
-        res = simulate_compute_node_caches(frame, buffers=buffers)
+    for res in compute_node_stack_profile(frame).sweep((1, 10, 50)):
         rows.append((
-            buffers,
+            res.buffers,
             len(res.job_ids),
             format_percent(res.fraction_above(0.75)),
             format_percent(res.fraction_zero()),
             format_percent(res.overall_hit_rate),
         ))
+    above = paper_row("jobs above 75% compute-node hit rate").text
+    zero = paper_row("jobs at 0% compute-node hit rate").text
     print(format_table(
-        ["buffers", "jobs", ">75% hit (paper 40%)", "0% hit (paper 30%)", "overall"],
+        ["buffers", "jobs", f">75% hit (paper {above})", f"0% hit (paper {zero})",
+         "overall"],
         rows,
     ))
     print("paper: one buffer was as good as many; hit rates clump at the extremes\n")
@@ -77,7 +80,8 @@ def main() -> None:
     print(f"I/O-node hit rate with 1-buffer compute caches: "
           f"{format_percent(res.io_hit_rate_with)}")
     print(f"reduction: {format_percent(res.io_hit_rate_reduction)} "
-          f"(paper: ~3% — the I/O-node hits are interprocess)")
+          f"(paper: {paper_row('combined-cache I/O hit-rate drop').text} "
+          "— the I/O-node hits are interprocess)")
     print(f"compute-node layer absorbed {res.requests_absorbed} requests "
           f"at {format_percent(res.compute_hit_rate)} hit rate")
 

@@ -25,7 +25,7 @@ from repro._exports import lazy_exports
 
 __getattr__, __dir__ = lazy_exports(__name__, {
     "blockspan": ("BlockSpans", "SubRequests", "expand_spans"),
-    "compute_node": ("ComputeNodeCacheResult", "simulate_compute_node_caches"),
+    "compute_node": ("ComputeNodeCacheResult",),
     "diskdirected": ("DiskDirectedComparison", "compare_interfaces", "simulate_disk_directed"),
     "disktime": ("DiskTimeResult", "simulate_disk_time"),
     "combined": ("CombinedResult", "simulate_combined"),
@@ -36,7 +36,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "policies": ("FIFOPolicy", "InterprocessAwarePolicy", "LRUPolicy", "OptimalPolicy",
                  "ReplacementPolicy", "make_policy"),
     "results": ("HitRateCurve",),
-    "stackdist": ("STACKDIST_POLICIES", "ComputeNodeStackProfile", "IONodeStackProfile",
+    "stackdist": ("ComputeNodeStackProfile", "IONodeStackProfile",
                   "compute_node_stack_profile", "io_node_stack_profile", "lru_depths"),
     "sweeps": ("SweepLine", "sweep_lines"),
     "writeback": ("WritebackResult", "compare_write_policies", "simulate_writeback"),
@@ -48,7 +48,6 @@ __all__ = [
     "ComputeNodeCacheResult",
     "ComputeNodeStackProfile",
     "IONodeStackProfile",
-    "STACKDIST_POLICIES",
     "SubRequests",
     "SweepLine",
     "compute_node_stack_profile",
@@ -77,7 +76,6 @@ __all__ = [
     "simulate_disk_time",
     "simulate_io_node_prefetch",
     "simulate_combined",
-    "simulate_compute_node_caches",
     "simulate_io_node_caches",
     "simulate_writeback",
     "compare_write_policies",

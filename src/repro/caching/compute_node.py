@@ -15,6 +15,10 @@ The paper's findings this reproduces:
   (small sequential requests within a block), not temporal;
 - the few jobs where more buffers help are those interleaving reads
   from several files at once.
+
+This module holds the result type and the read-only file set; the
+simulation is :func:`repro.caching.stackdist.compute_node_stack_profile`,
+one LRU stack-distance pass that scores every buffer count.
 """
 
 from __future__ import annotations
@@ -23,13 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro import obs
-from repro.caching.blockspan import expand_spans
-from repro.caching.policies import LRUPolicy
-from repro.errors import CacheConfigError
 from repro.trace.frame import TraceFrame
 from repro.util.cdf import EmpiricalCDF
-from repro.util.units import BLOCK_SIZE
 
 
 @dataclass(frozen=True)
@@ -71,75 +70,3 @@ def read_only_file_ids(frame: TraceFrame) -> np.ndarray:
     read_files = np.unique(frame.reads["file"])
     written = np.unique(frame.writes["file"])
     return read_files[~np.isin(read_files, written)].astype(np.int64)
-
-
-def simulate_compute_node_caches(
-    frame: TraceFrame,
-    buffers: int = 1,
-    block_size: int = BLOCK_SIZE,
-) -> ComputeNodeCacheResult:
-    """Run the Figure 8 simulation at one buffer count.
-
-    Jobs with no read-only reads are excluded (they have no cache to
-    measure), matching the per-job population of the figure.
-    """
-    if buffers < 1:
-        raise CacheConfigError("need at least one buffer")
-    ro = read_only_file_ids(frame)
-    reads = frame.reads
-    mask = np.isin(reads["file"], ro)
-    reads = reads[mask]
-    if len(reads) == 0:
-        raise CacheConfigError("no read-only reads in trace")
-
-    file_arr = reads["file"].astype(np.int64)
-    first_block = (reads["offset"] // block_size).astype(np.int64)
-    last_block = (
-        np.maximum(reads["offset"] + reads["size"] - 1, reads["offset"]) // block_size
-    ).astype(np.int64)
-    spans = expand_spans(file_arr, first_block, last_block)
-    starts = spans.starts.tolist()
-    blocks = spans.block.tolist()
-    jobs = reads["job"].astype(np.int64).tolist()
-    nodes = reads["node"].astype(np.int64).tolist()
-    files = file_arr.tolist()
-
-    caches: dict[tuple[int, int], LRUPolicy] = {}
-    hits_by_job: dict[int, int] = {}
-    reqs_by_job: dict[int, int] = {}
-
-    for r, (job, node, file) in enumerate(zip(jobs, nodes, files)):
-        cache = caches.get((job, node))
-        if cache is None:
-            cache = LRUPolicy(buffers)
-            caches[(job, node)] = cache
-        lo, hi = starts[r], starts[r + 1]
-        if hi - lo == 1:
-            # fast path: the common sub-block request
-            key = (file, blocks[lo])
-            hit = key in cache
-            cache.touch(key)
-        else:
-            # a request hits only when every block it spans is present
-            hit = all((file, blocks[i]) in cache for i in range(lo, hi))
-            for i in range(lo, hi):
-                cache.touch((file, blocks[i]))
-        reqs_by_job[job] = reqs_by_job.get(job, 0) + 1
-        if hit:
-            hits_by_job[job] = hits_by_job.get(job, 0) + 1
-
-    job_ids = np.asarray(sorted(reqs_by_job), dtype=np.int64)
-    counts = np.asarray([reqs_by_job[j] for j in job_ids.tolist()], dtype=np.int64)
-    hits = np.asarray([hits_by_job.get(j, 0) for j in job_ids.tolist()], dtype=np.int64)
-    if obs.enabled():
-        obs.add("caching.compute_node.simulations")
-        obs.add("caching.compute_node.requests", int(counts.sum()))
-        obs.add("caching.compute_node.hits", int(hits.sum()))
-    return ComputeNodeCacheResult(
-        buffers=buffers,
-        job_ids=job_ids,
-        job_hit_rates=hits / counts,
-        job_request_counts=counts,
-        total_hits=int(hits.sum()),
-        total_requests=int(counts.sum()),
-    )

@@ -22,14 +22,16 @@ system reach a 90 % hit rate; FIFO needs nearly 20000, because it evicts
 hot blocks on arrival schedule rather than on locality.  How the buffers
 are spread across 1-20 I/O nodes barely changes the hit rate.
 
-The policy picks how a Figure 9 line is computed
-(:func:`sweep_buffer_counts`).  LRU is a stack algorithm, so the
+The policy picks the one engine that scores it, whatever the entry
+point (:func:`simulate_io_node_caches`, :func:`sweep_buffer_counts`,
+and through them the §4.8 experiment).  LRU is a stack algorithm, so the
 single-pass **stack-distance** profile of :mod:`repro.caching.stackdist`
-yields its exact curve at every buffer count from one traversal of the
+yields its exact result at every buffer count from one traversal of the
 trace.  FIFO is not, so :func:`_fifo_results` replays it over dense
 integer keys, one loop per buffer count; OPT and the interprocess policy
-take the per-capacity **replay** simulator below, once per count.  For
-LRU and FIFO that replay is the oracle the tests hold the sweep to.
+take the per-capacity dictionary **replay**
+(:func:`replay_io_node_caches`), once per count.  For LRU and FIFO that
+replay is the oracle the tests hold the engines to.
 """
 
 from __future__ import annotations
@@ -186,7 +188,7 @@ def _prime_opt(
         cache.prime(seq)
 
 
-def simulate_io_node_caches(
+def replay_io_node_caches(
     frame,
     total_buffers: int,
     n_io_nodes: int = 10,
@@ -194,17 +196,21 @@ def simulate_io_node_caches(
     block_size: int = BLOCK_SIZE,
     stream: tuple[np.ndarray, ...] | None = None,
 ) -> IONodeCacheResult:
-    """Run the Figure 9 replay at one (policy, buffer count) setting.
+    """Replay Figure 9 at one (policy, buffer count) setting through
+    per-block dictionary caches.
 
-    ``stream`` lets sweeps reuse one precomputed request stream; when it
-    is supplied the ``frame`` may be ``None``.
+    OPT's and the interprocess policy's engine, and for LRU and FIFO
+    the oracle their engines are held to.  ``stream`` lets callers reuse
+    one precomputed request stream; when it is supplied the ``frame``
+    may be ``None``.
     """
     stream = _resolve_stream(frame, stream, block_size)
+    policy = policy.lower()
     files, first, last, nodes, is_read = stream
     caches = _build_caches(policy, total_buffers, n_io_nodes)
-    if policy.lower() == "opt":
+    if policy == "opt":
         _prime_opt(caches, files, first, last, n_io_nodes)
-    interprocess = policy.lower() == "interprocess"
+    interprocess = policy == "interprocess"
 
     spans = expand_spans(files, first, last)
     starts = spans.starts.tolist()
@@ -253,8 +259,8 @@ def simulate_io_node_caches(
         obs.add("caching.replay.simulations")
         obs.add("caching.replay.sub_requests", all_subs)
         obs.add("caching.replay.hits", all_hits)
-        obs.add(f"caching.replay.{policy.lower()}.read_hits", read_hits)
-        obs.add(f"caching.replay.{policy.lower()}.read_sub_requests", read_subs)
+        obs.add(f"caching.replay.{policy}.read_hits", read_hits)
+        obs.add(f"caching.replay.{policy}.read_sub_requests", read_subs)
     return IONodeCacheResult(
         policy=policy,
         n_io_nodes=n_io_nodes,
@@ -267,17 +273,15 @@ def simulate_io_node_caches(
 
 
 def _fifo_results(
-    stream: tuple[np.ndarray, ...], counts: Sequence[int], n_io_nodes: int, policy: str
+    stream: tuple[np.ndarray, ...], counts: Sequence[int], n_io_nodes: int
 ) -> list[IONodeCacheResult]:
-    """FIFO's :func:`simulate_io_node_caches` result at each count, exactly.
+    """FIFO's :func:`replay_io_node_caches` result at each count, exactly.
 
     FIFO needs no queue: a node of capacity ``C`` holds exactly the blocks
     of its last ``C`` misses, so a block inserted when its node had taken
     ``m`` misses stays resident while the node's miss count ``M`` satisfies
     ``M - m <= C``.  A sub-request hits iff none of its blocks missed.
     """
-    if min(counts, default=0) < 0:
-        raise CacheConfigError("total_buffers must be non-negative")
     files, first, last, _nodes, is_read = stream
     spans = expand_spans(files, first, last)
     io = spans.io_nodes(n_io_nodes)
@@ -323,13 +327,57 @@ def _fifo_results(
             obs.add("caching.replay.simulations")
             obs.add("caching.replay.sub_requests", len(subs))
             obs.add("caching.replay.hits", all_hits)
-            obs.add(f"caching.replay.{policy.lower()}.read_hits", read_hits)
-            obs.add(f"caching.replay.{policy.lower()}.read_sub_requests", n_read)
+            obs.add("caching.replay.fifo.read_hits", read_hits)
+            obs.add("caching.replay.fifo.read_sub_requests", n_read)
         results.append(IONodeCacheResult(
-            policy, n_io_nodes, count, read_sub_requests=n_read, read_hits=read_hits,
+            "fifo", n_io_nodes, count, read_sub_requests=n_read, read_hits=read_hits,
             all_sub_requests=len(subs), all_hits=all_hits,
         ))
     return results
+
+
+def _io_node_results(
+    stream: tuple[np.ndarray, ...], counts: Sequence[int], n_io_nodes: int, policy: str
+) -> list[IONodeCacheResult]:
+    """Each count's exact result, from the one engine the policy has: one
+    stack-distance pass for LRU, the dense-key replay for FIFO, and the
+    dictionary replay once per count for OPT and interprocess."""
+    # imported lazily: stackdist builds on this module's stream/result types
+    from repro.caching.stackdist import io_node_stack_profile
+
+    if min(counts, default=0) < 0:
+        raise CacheConfigError("total_buffers must be non-negative")
+    policy = policy.lower()
+    if policy == "lru":
+        with obs.span("caching/sweep/stackdist"):
+            profile = io_node_stack_profile(n_io_nodes=n_io_nodes, stream=stream)
+            return [profile.result_at(count) for count in counts]
+    with obs.span("caching/sweep/replay"):
+        if policy == "fifo":
+            return _fifo_results(stream, counts, n_io_nodes)
+        return [
+            replay_io_node_caches(None, count, n_io_nodes, policy, stream=stream)
+            for count in counts
+        ]
+
+
+def simulate_io_node_caches(
+    frame,
+    total_buffers: int,
+    n_io_nodes: int = 10,
+    policy: str = "lru",
+    block_size: int = BLOCK_SIZE,
+    stream: tuple[np.ndarray, ...] | None = None,
+) -> IONodeCacheResult:
+    """Figure 9 at one (policy, buffer count) setting: the one-count view
+    of :func:`sweep_buffer_counts`, from the same engine.
+
+    ``stream`` lets callers reuse one precomputed request stream; when it
+    is supplied the ``frame`` may be ``None``.  The result's ``policy``
+    is the lowercased name.
+    """
+    stream = _resolve_stream(frame, stream, block_size)
+    return _io_node_results(stream, [total_buffers], n_io_nodes, policy)[0]
 
 
 def sweep_buffer_counts(
@@ -345,29 +393,15 @@ def sweep_buffer_counts(
     LRU is a stack algorithm: one stack-distance pass scores every
     count, bit-equal to replaying each.  The other policies replay once
     per count: FIFO over dense integer keys (:func:`_fifo_results`), OPT
-    and interprocess through :func:`simulate_io_node_caches`.
+    and interprocess through :func:`replay_io_node_caches`.  The curve's
+    ``policy`` is the lowercased name.
     """
-    # imported lazily: stackdist builds on this module's stream/result types
-    from repro.caching.stackdist import STACKDIST_POLICIES, io_node_stack_profile
-
     stream = _resolve_stream(frame, stream, block_size)
-    if policy.lower() in STACKDIST_POLICIES:
-        with obs.span("caching/sweep/stackdist"):
-            profile = io_node_stack_profile(
-                n_io_nodes=n_io_nodes, policy=policy, stream=stream
-            )
-            return profile.curve(buffer_counts)
-    with obs.span("caching/sweep/replay"):
-        if policy.lower() == "fifo":
-            results = _fifo_results(stream, buffer_counts, n_io_nodes, policy)
-        else:
-            results = [
-                simulate_io_node_caches(None, c, n_io_nodes, policy, block_size, stream)
-                for c in buffer_counts
-            ]
+    counts = list(buffer_counts)
+    results = _io_node_results(stream, counts, n_io_nodes, policy)
     return HitRateCurve(
-        policy=policy,
+        policy=policy.lower(),
         n_io_nodes=n_io_nodes,
-        buffer_counts=np.asarray(list(buffer_counts), dtype=np.int64),
+        buffer_counts=np.asarray(counts, dtype=np.int64),
         hit_rates=np.asarray([r.hit_rate for r in results]),
     )

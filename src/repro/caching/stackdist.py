@@ -1,14 +1,15 @@
 """Single-pass stack-distance cache analysis: exact curves at all capacities.
 
-The replay simulators in :mod:`repro.caching.io_node` and
-:mod:`repro.caching.compute_node` answer "what is the hit rate at *one*
-cache size" by replaying the whole trace; sweeping Figure 8/9 over a
-grid of buffer counts replays the trace once per point.  This module
-answers the same question for **every** capacity simultaneously from one
+A dictionary replay answers "what is the hit rate at *one* cache size"
+by replaying the whole trace; sweeping Figure 8/9 over a grid of buffer
+counts that way replays the trace once per point.  This module answers
+the same question for **every** capacity simultaneously from one
 traversal, using the classic stack-distance observation (Mattson et al.
 1970): for a *stack algorithm*, the capacity-``C`` cache always holds
 the top ``C`` entries of a single priority stack, so an access hits at
-capacity ``C`` iff its stack depth is <= ``C``.
+capacity ``C`` iff its stack depth is <= ``C``.  It is the LRU engine
+of every cache layer: Figure 8's compute-node caches, Figure 9's
+I/O-node caches, and both layers of the §4.8 combined experiment.
 
 - **LRU** depths are computed with the Bennett–Kruskal counting method,
   vectorized: the depth of an access at position ``i`` with previous use
@@ -21,16 +22,17 @@ capacity ``C`` iff its stack depth is <= ``C``.
   cost follows the number of reuse accesses.
 - **FIFO** and the interprocess-aware policy are *not* stack algorithms
   (FIFO famously violates inclusion — Belady's anomaly), so
-  ``sweep_buffer_counts`` replays them, once per buffer count.
+  :mod:`repro.caching.io_node` replays them, once per buffer count.
 - **OPT** (Belady) is a stack algorithm too, but a Mattson priority
   stack percolates each access level by level in Python and measured
-  slower than replaying fig9's seven counts, so ``sweep_buffer_counts``
-  replays it once per buffer count as well.
+  slower than replaying fig9's seven counts, so it is replayed once per
+  buffer count as well.
 
-The profiles returned here reproduce the replay simulators' results
+The profiles returned here reproduce the dictionary replays' results
 *exactly* — same integer hit/request counts, hence bit-identical hit
 rates — which the property-based tests in
-``tests/test_caching_stackdist.py`` enforce on random traces.
+``tests/test_caching_stackdist.py`` enforce on random traces against
+the replays kept as oracles.
 """
 
 from __future__ import annotations
@@ -42,17 +44,13 @@ import numpy as np
 from repro import obs
 from repro.caching.blockspan import _encode_pairs, expand_spans
 from repro.caching.compute_node import ComputeNodeCacheResult, read_only_file_ids
-from repro.caching.io_node import IONodeCacheResult, request_stream
-from repro.caching.results import HitRateCurve
+from repro.caching.io_node import IONodeCacheResult, _resolve_stream
 from repro.errors import CacheConfigError
 from repro.trace.frame import TraceFrame
 from repro.util.units import BLOCK_SIZE
 
 #: sentinel depth for cold (first-touch) accesses: misses at any capacity
 COLD = np.iinfo(np.int64).max
-
-#: policies whose curves the stack-distance engine produces
-STACKDIST_POLICIES = ("lru",)
 
 
 # -- occurrence indexing -----------------------------------------------------
@@ -232,17 +230,26 @@ def lru_depths(cache_ids: np.ndarray, keys: np.ndarray) -> np.ndarray:
     return out
 
 
-def _depths_for_policy(
-    policy: str, cache_ids: np.ndarray, keys: np.ndarray
+def compute_node_min_capacities(
+    jobs: np.ndarray,
+    nodes: np.ndarray,
+    files: np.ndarray,
+    first: np.ndarray,
+    last: np.ndarray,
 ) -> np.ndarray:
-    if policy.lower() == "lru":
-        return lru_depths(cache_ids, keys)
-    raise CacheConfigError(
-        f"stack-distance engine supports {STACKDIST_POLICIES}, not {policy!r}; "
-        "FIFO/interprocess are not stack algorithms and OPT's stack is "
-        "slower than its replay: sweep_buffer_counts replays them once "
-        "per buffer count"
-    )
+    """Per read request, the smallest compute-node LRU cache it hits.
+
+    Each ``(job, node)`` pair has its own cache of ``(file, block)``
+    buffers, and a request hits when every block it spans is resident
+    on arrival.  Its blocks are distinct, so that holds iff the largest
+    LRU depth over them is at most the capacity; a request with a cold
+    block gets :data:`COLD`.  All five inputs are parallel per-request
+    arrays in time order.
+    """
+    spans = expand_spans(files, first, last)
+    cache_ids = _encode_pairs(jobs, nodes)[spans.req]
+    depths = lru_depths(cache_ids, _encode_pairs(spans.file, spans.block))
+    return spans.max_over_requests(depths)
 
 
 # -- I/O-node profile (Figure 9 at all capacities) ---------------------------
@@ -250,7 +257,7 @@ def _depths_for_policy(
 
 @dataclass(frozen=True)
 class IONodeStackProfile:
-    """One-pass summary yielding exact Figure 9 results at any capacity.
+    """One-pass summary yielding exact Figure 9 LRU results at any capacity.
 
     Per I/O node, holds the sorted minimum capacity (max stack depth over
     the sub-request's blocks) at which each sub-request becomes a full
@@ -258,7 +265,6 @@ class IONodeStackProfile:
     per node.
     """
 
-    policy: str
     n_io_nodes: int
     #: per node: sorted min-capacity of each *read* sub-request
     read_depths: tuple[np.ndarray, ...]
@@ -274,7 +280,7 @@ class IONodeStackProfile:
         return int(sum(len(d) for d in self.all_depths))
 
     def result_at(self, total_buffers: int) -> IONodeCacheResult:
-        """The exact :func:`simulate_io_node_caches` result at one size."""
+        """The exact LRU result at one total buffer count."""
         if total_buffers < 0:
             raise CacheConfigError("total_buffers must be non-negative")
         base, extra = divmod(int(total_buffers), self.n_io_nodes)
@@ -284,7 +290,7 @@ class IONodeStackProfile:
             read_hits += int(np.searchsorted(self.read_depths[node], cap, side="right"))
             all_hits += int(np.searchsorted(self.all_depths[node], cap, side="right"))
         return IONodeCacheResult(
-            policy=self.policy,
+            policy="lru",
             n_io_nodes=self.n_io_nodes,
             total_buffers=int(total_buffers),
             read_sub_requests=self.read_sub_requests,
@@ -293,41 +299,27 @@ class IONodeStackProfile:
             all_hits=all_hits,
         )
 
-    def curve(self, buffer_counts) -> HitRateCurve:
-        """The exact Figure 9 line over any grid of buffer counts."""
-        rates = [self.result_at(count).hit_rate for count in buffer_counts]
-        return HitRateCurve(
-            policy=self.policy,
-            n_io_nodes=self.n_io_nodes,
-            buffer_counts=np.asarray(list(buffer_counts), dtype=np.int64),
-            hit_rates=np.asarray(rates),
-        )
-
 
 def io_node_stack_profile(
     frame=None,
     n_io_nodes: int = 10,
-    policy: str = "lru",
     block_size: int = BLOCK_SIZE,
     stream: tuple[np.ndarray, ...] | None = None,
 ) -> IONodeStackProfile:
-    """One pass over the trace → Figure 9 at every buffer count.
+    """One LRU pass over the trace → Figure 9 at every buffer count.
 
     ``stream`` (from :func:`repro.caching.io_node.request_stream`) lets
     callers reuse a precomputed request stream; otherwise it is derived
     from ``frame``.
     """
-    if stream is None:
-        if frame is None:
-            raise CacheConfigError("need a frame or a precomputed stream")
-        stream = request_stream(frame, block_size)
+    stream = _resolve_stream(frame, stream, block_size)
     if n_io_nodes <= 0:
         raise CacheConfigError("need at least one I/O node")
     files, first, last, _nodes, is_read = stream
     with obs.span("caching/stackdist/io_node_profile"):
         spans = expand_spans(files, first, last)
         io = spans.io_nodes(n_io_nodes)
-        depths = _depths_for_policy(policy, io, _encode_pairs(spans.file, spans.block))
+        depths = lru_depths(io, _encode_pairs(spans.file, spans.block))
         subs = spans.sub_requests(n_io_nodes)
         # a sub-request becomes a full hit once every block it spans is
         # resident: min sufficient capacity = max depth over its blocks
@@ -343,12 +335,11 @@ def io_node_stack_profile(
             obs.add("caching.stackdist.passes")
             obs.add("caching.stackdist.block_accesses", len(depths))
             obs.add("caching.stackdist.cold_accesses", int((depths == COLD).sum()))
-            obs.add(f"caching.stackdist.{policy.lower()}.passes")
+            obs.add("caching.stackdist.lru.passes")
             obs.hist_many(
                 "caching.stackdist.depth_blocks", depths[depths != COLD]
             )
     return IONodeStackProfile(
-        policy=policy.lower(),
         n_io_nodes=n_io_nodes,
         read_depths=tuple(read_depths),
         all_depths=tuple(all_depths),
@@ -370,7 +361,7 @@ class ComputeNodeStackProfile:
     job_depths: tuple[np.ndarray, ...]
 
     def result_at(self, buffers: int = 1) -> ComputeNodeCacheResult:
-        """The exact :func:`simulate_compute_node_caches` result."""
+        """Figure 8 at one buffer count per compute node."""
         if buffers < 1:
             raise CacheConfigError("need at least one buffer")
         hits = np.asarray(
@@ -404,18 +395,17 @@ def compute_node_stack_profile(
         if obs.enabled():
             obs.add("caching.stackdist.passes")
             obs.add("caching.stackdist.compute_node_reads", len(reads))
-        files = reads["file"].astype(np.int64)
         offsets = reads["offset"].astype(np.int64)
         sizes = reads["size"].astype(np.int64)
-        first = offsets // block_size
-        last = np.maximum(offsets + sizes - 1, offsets) // block_size
-        spans = expand_spans(files, first, last)
         jobs = reads["job"].astype(np.int64)
-        nodes = reads["node"].astype(np.int64)
-        # one private LRU cache per (job, node); keys are (file, block)
-        cache_ids = _encode_pairs(jobs, nodes)[spans.req]
-        depths = lru_depths(cache_ids, _encode_pairs(spans.file, spans.block))
-        min_caps = spans.max_over_requests(depths)
+        # a zero-size read counts as a one-block request
+        min_caps = compute_node_min_capacities(
+            jobs,
+            reads["node"].astype(np.int64),
+            reads["file"].astype(np.int64),
+            offsets // block_size,
+            np.maximum(offsets + sizes - 1, offsets) // block_size,
+        )
         order = np.lexsort((min_caps, jobs))
         jobs_sorted = jobs[order]
         caps_sorted = min_caps[order]

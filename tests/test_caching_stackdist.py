@@ -4,7 +4,10 @@ The engine's contract is exactness: at every capacity, the curves it
 produces must be bit-for-bit equal to brute-force replay through the
 actual cache policies.  These tests check that on random traces, plus
 the LRU inclusion (stack) property the engine's correctness rests on,
-and hold FIFO's dense-key replay to the same dictionary oracle.
+and hold FIFO's dense-key replay to the same dictionary oracle.  The
+oracles are the dictionary replays — :func:`replay_io_node_caches` for
+Figure 9 and ``tests/cache_oracle.py`` for Figure 8 — never the entry
+points that dispatch to an engine.
 """
 
 import numpy as np
@@ -13,9 +16,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro import obs
 from repro.caching.blockspan import expand_spans
-from repro.caching.compute_node import simulate_compute_node_caches
 from repro.caching.io_node import (
     _fifo_results,
+    replay_io_node_caches,
     request_stream,
     simulate_io_node_caches,
     sweep_buffer_counts,
@@ -33,6 +36,7 @@ from repro.errors import CacheConfigError
 from repro.obs import RunReport
 from repro.trace.frame import TraceFrame
 from repro.trace.records import EventKind, Record
+from tests.cache_oracle import simulate_compute_node_caches
 
 
 def _stream(draw_requests):
@@ -107,10 +111,10 @@ class TestIONodeEquivalence:
     @settings(max_examples=30, deadline=None)
     def test_profile_equals_replay_at_every_capacity(self, rows, n_io):
         stream = _stream(rows)
-        profile = io_node_stack_profile(n_io_nodes=n_io, policy="lru", stream=stream)
+        profile = io_node_stack_profile(n_io_nodes=n_io, stream=stream)
         for cap in range(0, 14):
             got = profile.result_at(cap)
-            want = simulate_io_node_caches(
+            want = replay_io_node_caches(
                 None, cap, n_io_nodes=n_io, policy="lru", stream=stream
             )
             assert (
@@ -123,10 +127,11 @@ class TestIONodeEquivalence:
     @given(request_rows)
     @settings(max_examples=20, deadline=None)
     def test_curve_matches_result_at(self, rows):
+        """An LRU line is the profile read at each count."""
         stream = _stream(rows)
-        profile = io_node_stack_profile(n_io_nodes=2, policy="lru", stream=stream)
+        profile = io_node_stack_profile(n_io_nodes=2, stream=stream)
         counts = [0, 1, 3, 8]
-        curve = profile.curve(counts)
+        curve = sweep_buffer_counts(None, counts, n_io_nodes=2, stream=stream)
         for cap, rate in zip(counts, curve.hit_rates):
             assert rate == profile.result_at(cap).hit_rate
 
@@ -135,27 +140,47 @@ class TestIONodeEquivalence:
     def test_sweep_engines_agree(self, rows, policy):
         """Whichever engine the policy selects (the stack pass for LRU,
         the dense-key replay for FIFO, the dictionary replay for OPT and
-        interprocess), the swept curve equals the per-count replay
-        oracle bit for bit."""
+        interprocess), the swept curve and each one-count result equal
+        the per-count dictionary replay bit for bit."""
         stream = _stream(rows)
         counts = [0, 2, 5, 11]
         curve = sweep_buffer_counts(
             None, counts, n_io_nodes=3, policy=policy, stream=stream
         )
         oracle = [
-            simulate_io_node_caches(
-                None, cap, n_io_nodes=3, policy=policy, stream=stream
-            ).hit_rate
+            replay_io_node_caches(None, cap, n_io_nodes=3, policy=policy, stream=stream)
             for cap in counts
         ]
-        assert np.array_equal(curve.hit_rates, oracle)
+        assert np.array_equal(curve.hit_rates, [r.hit_rate for r in oracle])
         assert curve.policy == policy
         assert curve.buffer_counts.tolist() == counts
+        assert [
+            simulate_io_node_caches(None, cap, n_io_nodes=3, policy=policy, stream=stream)
+            for cap in counts
+        ] == oracle
+
+    @pytest.mark.parametrize("policy", ["LRU", "Fifo", "OPT", "InterProcess"])
+    def test_policy_name_is_lowercased(self, policy):
+        """Every entry point reports the lowercased policy name, whichever
+        engine it reaches."""
+        stream = _stream([(0, 0, 1, 0, True), (0, 1, 0, 1, True)])
+        lower = policy.lower()
+        assert sweep_buffer_counts(
+            None, [2], n_io_nodes=1, policy=policy, stream=stream
+        ).policy == lower
+        assert simulate_io_node_caches(
+            None, 2, n_io_nodes=1, policy=policy, stream=stream
+        ).policy == lower
+        assert replay_io_node_caches(
+            None, 2, n_io_nodes=1, policy=policy, stream=stream
+        ).policy == lower
 
 
 class TestFIFOReplay:
     """FIFO's dense-key replay (:func:`_fifo_results`, behind
-    ``sweep_buffer_counts(policy="fifo")``) equals the dictionary oracle."""
+    ``sweep_buffer_counts(policy="fifo")`` and
+    ``simulate_io_node_caches(policy="fifo")``) equals the dictionary
+    oracle."""
 
     @given(fifo_rows, st.sampled_from([1, 3, 10]))
     @settings(max_examples=40, deadline=None)
@@ -164,12 +189,12 @@ class TestFIFOReplay:
         stream = _stream(rows)
         counts = list(range(0, 14))
         oracle = [
-            simulate_io_node_caches(
+            replay_io_node_caches(
                 None, cap, n_io_nodes=n_io, policy="fifo", stream=stream
             )
             for cap in counts
         ]
-        assert _fifo_results(stream, counts, n_io, "fifo") == oracle
+        assert _fifo_results(stream, counts, n_io) == oracle
         curve = sweep_buffer_counts(
             None, counts, n_io_nodes=n_io, policy="fifo", stream=stream
         )
@@ -180,7 +205,7 @@ class TestFIFOReplay:
         counts = [50, 125, 250, 500, 1000, 2000, 4000]
         curve = sweep_buffer_counts(None, counts, policy="fifo", stream=stream)
         oracle = [
-            simulate_io_node_caches(None, cap, policy="fifo", stream=stream).hit_rate
+            replay_io_node_caches(None, cap, policy="fifo", stream=stream).hit_rate
             for cap in counts
         ]
         assert np.array_equal(curve.hit_rates, oracle)
@@ -198,7 +223,7 @@ class TestFIFOReplay:
             sweep_buffer_counts(None, counts, policy="fifo", stream=stream)
             looped = obs.enable()
             for cap in counts:
-                simulate_io_node_caches(None, cap, policy="fifo", stream=stream)
+                replay_io_node_caches(None, cap, policy="fifo", stream=stream)
         finally:
             obs.disable()
         assert swept.counters == looped.counters
@@ -332,12 +357,6 @@ class TestExpansionAndErrors:
         with pytest.raises(CacheConfigError):
             expand_spans([1, 2], [0], [0])
 
-    def test_stackdist_rejects_non_stack_policy(self):
-        stream = _stream([(0, 0, 0, 0, True)])
-        for policy in ("fifo", "opt"):
-            with pytest.raises(CacheConfigError, match="replay"):
-                io_node_stack_profile(n_io_nodes=1, policy=policy, stream=stream)
-
     def test_sweep_rejects_negative_count(self):
         stream = _stream([(0, 0, 0, 0, True)])
         for policy in ("lru", "opt", "fifo", "interprocess"):
@@ -347,8 +366,11 @@ class TestExpansionAndErrors:
                 )
 
     def test_stream_or_frame_required(self):
+        for entry in (simulate_io_node_caches, replay_io_node_caches):
+            with pytest.raises(CacheConfigError, match="stream"):
+                entry(None, 10)
         with pytest.raises(CacheConfigError, match="stream"):
-            simulate_io_node_caches(None, 10)
+            io_node_stack_profile()
 
 
 class TestSweepLines:

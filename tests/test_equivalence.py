@@ -6,7 +6,7 @@ of feeding it — whole frame, chunked, on-disk — promise
 statistically equivalent output.  These tests pin that promise against
 the frozen legacy implementation (``tests/legacy_oracle.py``), check
 every per-family analyzer the oracle also implements against its copy
-there, and check against frozen report, command-output and cache-figure
+there, and check against frozen report, command-output, cache-figure and §4.8
 digests at two seeds/scales.  They also freeze the direct and full
 pipelines' output (the full pipeline's raw trace, frame, CFS end state
 and simulation counters), check the full pipeline's replayer against the
@@ -355,6 +355,29 @@ class TestFrozenCacheFigures:
                 h.update(ys.tobytes())
         scale_seed = request.node.callspec.params["workload"]
         assert h.hexdigest() == _FROZEN_CACHE_FIGURE_DIGESTS[scale_seed]
+
+
+#: sha256 of the sorted-key JSON of ``simulate_combined(frame)``, captured
+#: while §4.8 still replayed its three caches through per-request
+#: dictionaries
+_FROZEN_COMBINED_DIGESTS = {
+    (0.02, 5): "6c66f4e8700f89dd0efd2ff124c3842872bfec3193cd09f5e278819d0ef79632",
+    (0.01, 11): "97d29711256766e348bc40f5abfa789d7c5ad08ef30566cb95a8248190faff72",
+}
+
+
+class TestFrozenCombined:
+    """The §4.8 combined experiment is frozen: its compute layer's stack
+    pass and its two I/O-node runs on the Figure 9 engine must keep
+    producing the result of the dictionary replay they replaced."""
+
+    def test_digest(self, workload, request):
+        from repro.caching import simulate_combined
+
+        result = simulate_combined(workload.frame)
+        data = json.dumps(dataclasses.asdict(result), sort_keys=True)
+        scale_seed = request.node.callspec.params["workload"]
+        assert _sha(data.encode()) == _FROZEN_COMBINED_DIGESTS[scale_seed]
 
 
 class TestStreamingEquivalence:

@@ -244,8 +244,8 @@ class TestLayerSpans:
 
 class TestAllLayers:
     def test_full_pipeline_report_covers_every_layer(self, full_pipeline_workload):
-        from repro.caching.compute_node import simulate_compute_node_caches
         from repro.caching.io_node import sweep_buffer_counts
+        from repro.caching.stackdist import compute_node_stack_profile
 
         observer = obs.enable()
         frame = full_pipeline_workload.frame
@@ -256,7 +256,7 @@ class TestAllLayers:
         generated = WorkloadGenerator(tiny(1.0), seed=5).run("full")
         characterize(generated.frame)
         sweep_buffer_counts(generated.frame, [8, 32], policy="lru")
-        simulate_compute_node_caches(generated.frame)
+        compute_node_stack_profile(generated.frame).result_at(1)
         simulate_combined(generated.frame)
         report = observer.report(command=["test-all-layers"])
 

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from repro.caching import (
+    compute_node_stack_profile,
     simulate_combined,
-    simulate_compute_node_caches,
     simulate_io_node_caches,
 )
 from repro.core.filestats import file_size_cdf, population
@@ -81,8 +81,7 @@ class TestCachingRecommendations:
     requests' (§5)."""
 
     def test_single_compute_buffer_suffices(self, small_frame):
-        one = simulate_compute_node_caches(small_frame, buffers=1)
-        fifty = simulate_compute_node_caches(small_frame, buffers=50)
+        one, fifty = compute_node_stack_profile(small_frame).sweep([1, 50])
         assert fifty.fraction_above(0.75) - one.fraction_above(0.75) < 0.25
 
     def test_io_node_cache_effective_with_modest_size(self, small_frame):
