@@ -9,6 +9,7 @@ a fixed-byte cache holds fewer of them.
 from conftest import show
 
 from repro.caching import simulate_io_node_caches
+from repro.caching.io_node import request_stream
 from repro.util.tables import format_table
 from repro.util.units import format_bytes
 
@@ -20,7 +21,8 @@ def _sweep(frame):
     for block_size in (1024, 4096, 16384):
         buffers = CACHE_BYTES // block_size
         res = simulate_io_node_caches(
-            frame, buffers, n_io_nodes=10, policy="lru", block_size=block_size
+            None, buffers, n_io_nodes=10, policy="lru",
+            stream=request_stream(frame, block_size),
         )
         out[block_size] = res.hit_rate
     return out

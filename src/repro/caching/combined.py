@@ -16,11 +16,10 @@ import numpy as np
 
 from repro import obs
 from repro.caching.compute_node import read_only_file_ids
-from repro.caching.io_node import request_jobs, request_stream, simulate_io_node_caches
+from repro.caching.io_node import _nonzero_transfers, _stream_columns, simulate_io_node_caches
 from repro.caching.stackdist import compute_node_min_capacities
 from repro.errors import CacheConfigError
 from repro.trace.frame import TraceFrame
-from repro.util.units import BLOCK_SIZE
 
 
 @dataclass(frozen=True)
@@ -47,7 +46,6 @@ def simulate_combined(
     io_buffers_per_node: int = 50,
     n_io_nodes: int = 10,
     policy: str = "lru",
-    block_size: int = BLOCK_SIZE,
 ) -> CombinedResult:
     """Run both cache layers over the trace, with and without filtering.
 
@@ -66,18 +64,20 @@ def simulate_combined(
     if compute_buffers < 1:
         raise CacheConfigError("need at least one compute-node buffer")
     with obs.span("caching/combined"):
-        ro = read_only_file_ids(frame)
-        stream = request_stream(frame, block_size)
-        files, first, last, nodes, is_read = stream
-        compute = is_read & np.isin(files, ro)
-        min_caps = compute_node_min_capacities(
-            request_jobs(frame, block_size)[compute], nodes[compute],
-            files[compute], first[compute], last[compute],
-        )
-        absorbed = np.zeros(len(files), dtype=bool)
-        absorbed[compute] = min_caps <= compute_buffers
-        n_absorbed = int(absorbed.sum())
-        comp_reqs = len(min_caps)
+        with obs.span("caching/combined/compute"):
+            ro = read_only_file_ids(frame)
+            transfers = _nonzero_transfers(frame)
+            stream = _stream_columns(transfers)
+            files, first, last, nodes, is_read = stream
+            compute = is_read & np.isin(files, ro)
+            min_caps = compute_node_min_capacities(
+                transfers["job"].astype(np.int64)[compute], nodes[compute],
+                files[compute], first[compute], last[compute],
+            )
+            absorbed = np.zeros(len(files), dtype=bool)
+            absorbed[compute] = min_caps <= compute_buffers
+            n_absorbed = int(absorbed.sum())
+            comp_reqs = len(min_caps)
 
         total = io_buffers_per_node * n_io_nodes
         io_without = simulate_io_node_caches(None, total, n_io_nodes, policy, stream=stream)

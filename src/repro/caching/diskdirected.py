@@ -22,6 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro import obs
+from repro.caching.blockspan import expand_spans
 from repro.caching.disktime import DiskTimeResult, simulate_disk_time
 from repro.errors import CacheConfigError
 from repro.machine.disk import Disk
@@ -55,22 +57,12 @@ class DiskDirectedComparison:
 
 def _union_blocks(offsets: np.ndarray, sizes: np.ndarray, block_size: int) -> np.ndarray:
     """Distinct block indices covered by a set of extents."""
-    first = (offsets // block_size).astype(np.int64)
-    last = ((offsets + sizes - 1) // block_size).astype(np.int64)
-    counts = last - first + 1
-    total = int(counts.sum())
-    row_starts = np.cumsum(counts) - counts
-    idx = np.arange(total, dtype=np.int64) - np.repeat(row_starts, counts)
-    blocks = np.repeat(first, counts) + idx
-    return np.unique(blocks)
+    first = offsets // block_size
+    last = (offsets + sizes - 1) // block_size
+    return np.unique(expand_spans(np.zeros_like(first), first, last).block)
 
 
-def simulate_disk_directed(
-    frame: TraceFrame,
-    n_io_nodes: int = 10,
-    block_size: int = BLOCK_SIZE,
-    disk: Disk | None = None,
-) -> DiskTimeResult:
+def simulate_disk_directed(frame: TraceFrame, n_io_nodes: int = 10) -> DiskTimeResult:
     """Disk time if every file's traffic were one collective operation.
 
     Per (file, direction): the union of transferred blocks is split by
@@ -80,47 +72,47 @@ def simulate_disk_directed(
     """
     if n_io_nodes <= 0:
         raise CacheConfigError("need at least one I/O node")
-    d = disk if disk is not None else Disk()
     tr = frame.transfers
     if len(tr) == 0:
         raise CacheConfigError("no transfers in trace")
-
-    ops = 0
-    nbytes_total = 0
-    busy = 0.0
-    # deterministic file order; direction split keeps read/write sweeps apart
-    for kind in (int(EventKind.READ), int(EventKind.WRITE)):
-        sub = tr[tr["kind"] == kind]
-        if len(sub) == 0:
-            continue
-        order = np.argsort(sub["file"], kind="stable")
-        sub = sub[order]
-        boundaries = np.nonzero(sub["file"][1:] != sub["file"][:-1])[0] + 1
-        starts = np.concatenate(([0], boundaries))
-        ends = np.concatenate((boundaries, [len(sub)]))
-        for a, b in zip(starts.tolist(), ends.tolist()):
-            offsets = sub["offset"][a:b].astype(np.int64)
-            sizes = sub["size"][a:b].astype(np.int64)
-            keep = sizes > 0
-            if not keep.any():
+    with obs.span("caching/diskdirected"):
+        d = Disk()
+        ops = 0
+        nbytes_total = 0
+        busy = 0.0
+        # deterministic file order; direction split keeps read/write sweeps apart
+        for kind in (int(EventKind.READ), int(EventKind.WRITE)):
+            sub = tr[tr["kind"] == kind]
+            if len(sub) == 0:
                 continue
-            blocks = _union_blocks(offsets[keep], sizes[keep], block_size)
-            for io in range(n_io_nodes):
-                mine = blocks[blocks % n_io_nodes == io]
-                if len(mine) == 0:
+            order = np.argsort(sub["file"], kind="stable")
+            sub = sub[order]
+            boundaries = np.nonzero(sub["file"][1:] != sub["file"][:-1])[0] + 1
+            starts = np.concatenate(([0], boundaries))
+            ends = np.concatenate((boundaries, [len(sub)]))
+            for a, b in zip(starts.tolist(), ends.tolist()):
+                offsets = sub["offset"][a:b].astype(np.int64)
+                sizes = sub["size"][a:b].astype(np.int64)
+                keep = sizes > 0
+                if not keep.any():
                     continue
-                # sweeps: runs of consecutive owned blocks (step n_io_nodes)
-                run_breaks = np.nonzero(np.diff(mine) != n_io_nodes)[0] + 1
-                run_starts = np.concatenate(([0], run_breaks))
-                run_ends = np.concatenate((run_breaks, [len(mine)]))
-                for ra, rb in zip(run_starts.tolist(), run_ends.tolist()):
-                    run_blocks = rb - ra
-                    nbytes = run_blocks * block_size
-                    ops += 1
-                    nbytes_total += nbytes
-                    # first sweep of a region pays positioning; subsequent
-                    # sweeps of the same file on this disk seek again
-                    busy += d.service_time(nbytes, sequential=False)
+                blocks = _union_blocks(offsets[keep], sizes[keep], BLOCK_SIZE)
+                for io in range(n_io_nodes):
+                    mine = blocks[blocks % n_io_nodes == io]
+                    if len(mine) == 0:
+                        continue
+                    # sweeps: runs of consecutive owned blocks (step n_io_nodes)
+                    run_breaks = np.nonzero(np.diff(mine) != n_io_nodes)[0] + 1
+                    run_starts = np.concatenate(([0], run_breaks))
+                    run_ends = np.concatenate((run_breaks, [len(mine)]))
+                    for ra, rb in zip(run_starts.tolist(), run_ends.tolist()):
+                        run_blocks = rb - ra
+                        nbytes = run_blocks * BLOCK_SIZE
+                        ops += 1
+                        nbytes_total += nbytes
+                        # first sweep of a region pays positioning; subsequent
+                        # sweeps of the same file on this disk seek again
+                        busy += d.service_time(nbytes, sequential=False)
     return DiskTimeResult(n_disk_ops=ops, bytes_moved=nbytes_total, busy_seconds=busy)
 
 
@@ -128,15 +120,10 @@ def compare_interfaces(
     frame: TraceFrame,
     cache_buffers: int = 500,
     n_io_nodes: int = 10,
-    block_size: int = BLOCK_SIZE,
 ) -> DiskDirectedComparison:
     """Three-way §5 comparison: per-request, cached, disk-directed."""
-    per_request, cached = simulate_disk_time(
-        frame, cache_buffers, n_io_nodes=n_io_nodes, block_size=block_size
-    )
-    directed = simulate_disk_directed(
-        frame, n_io_nodes=n_io_nodes, block_size=block_size
-    )
+    per_request, cached = simulate_disk_time(frame, cache_buffers, n_io_nodes=n_io_nodes)
+    directed = simulate_disk_directed(frame, n_io_nodes=n_io_nodes)
     return DiskDirectedComparison(
         per_request=per_request, cached=cached, disk_directed=directed
     )

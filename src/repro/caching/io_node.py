@@ -120,53 +120,54 @@ def request_stream(
     ``frame`` may be a :class:`~repro.trace.frame.TraceFrame` or any
     :class:`~repro.trace.store.TraceSource`; a source is streamed chunk
     by chunk, so only the transfer columns ever occupy memory at once.
-    Zero-size transfers are dropped (they touch no blocks).
+    Zero-size transfers are dropped (they touch no blocks).  Blocks are
+    ``block_size`` bytes, the striping unit every simulator downstream
+    counts in.
     """
     if isinstance(frame, TraceFrame):
         tr = _nonzero_transfers(frame)
     else:
         tr = _nonzero_transfer_chunks(frame)
-    first = (tr["offset"] // block_size).astype(np.int64)
-    last = ((tr["offset"] + tr["size"] - 1) // block_size).astype(np.int64)
-    is_read = tr["kind"] == int(EventKind.READ)
+    return _stream_columns(tr, block_size)
+
+
+def _stream_columns(
+    tr: np.ndarray, block_size: int = BLOCK_SIZE
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`request_stream`'s columns of already-filtered transfers."""
     return (
         tr["file"].astype(np.int64),
-        first,
-        last,
+        (tr["offset"] // block_size).astype(np.int64),
+        ((tr["offset"] + tr["size"] - 1) // block_size).astype(np.int64),
         tr["node"].astype(np.int64),
-        is_read,
+        tr["kind"] == int(EventKind.READ),
     )
 
 
-def request_jobs(frame, block_size: int = BLOCK_SIZE) -> np.ndarray:
-    """Job ids aligned with :func:`request_stream`'s transfer filtering."""
-    if isinstance(frame, TraceFrame):
-        return _nonzero_transfers(frame)["job"].astype(np.int64)
-    return _nonzero_transfer_chunks(frame)["job"].astype(np.int64)
-
-
-def _resolve_stream(
-    frame,
-    stream: tuple[np.ndarray, ...] | None,
-    block_size: int,
-) -> tuple[np.ndarray, ...]:
+def _resolve_stream(frame, stream: tuple[np.ndarray, ...] | None) -> tuple[np.ndarray, ...]:
     if stream is not None:
         return stream
     if frame is None:
         raise CacheConfigError("need a frame or a precomputed stream")
-    return request_stream(frame, block_size)
+    return request_stream(frame)
+
+
+def _node_capacities(total_buffers: int, n_io_nodes: int) -> list[int]:
+    """Each I/O node's share of ``total_buffers``: an even split, with
+    the first ``total_buffers % n_io_nodes`` nodes holding one more."""
+    if total_buffers < 0:
+        raise CacheConfigError("total_buffers must be non-negative")
+    if n_io_nodes <= 0:
+        raise CacheConfigError("need at least one I/O node")
+    base, extra = divmod(int(total_buffers), n_io_nodes)
+    return [base + 1 if node < extra else base for node in range(n_io_nodes)]
 
 
 def _build_caches(
     policy: str, total_buffers: int, n_io_nodes: int
 ) -> list[ReplacementPolicy]:
-    if total_buffers < 0:
-        raise CacheConfigError("total_buffers must be non-negative")
-    if n_io_nodes <= 0:
-        raise CacheConfigError("need at least one I/O node")
-    base, extra = divmod(total_buffers, n_io_nodes)
     return [
-        make_policy(policy, base + (1 if i < extra else 0)) for i in range(n_io_nodes)
+        make_policy(policy, cap) for cap in _node_capacities(total_buffers, n_io_nodes)
     ]
 
 
@@ -193,7 +194,6 @@ def replay_io_node_caches(
     total_buffers: int,
     n_io_nodes: int = 10,
     policy: str = "lru",
-    block_size: int = BLOCK_SIZE,
     stream: tuple[np.ndarray, ...] | None = None,
 ) -> IONodeCacheResult:
     """Replay Figure 9 at one (policy, buffer count) setting through
@@ -204,7 +204,7 @@ def replay_io_node_caches(
     one precomputed request stream; when it is supplied the ``frame``
     may be ``None``.
     """
-    stream = _resolve_stream(frame, stream, block_size)
+    stream = _resolve_stream(frame, stream)
     policy = policy.lower()
     files, first, last, nodes, is_read = stream
     caches = _build_caches(policy, total_buffers, n_io_nodes)
@@ -304,13 +304,12 @@ def _fifo_results(
 
     results = []
     for count in counts:
-        base, extra = divmod(int(count), n_io_nodes)
+        capacities = _node_capacities(count, n_io_nodes)
         # per key, the miss count up to which it stays resident (-1: never
         # inserted); a key lives on one node, so one list serves them all
         resident_until = [-1] * len(uniq)
         missed: list[int] = []
-        for node, (every, positions, node_keys) in enumerate(per_node):
-            cap = base + (1 if node < extra else 0)
+        for cap, (every, positions, node_keys) in zip(capacities, per_node):
             if cap == 0:  # every access misses, repeats included
                 missed.extend(every.tolist())
                 continue
@@ -366,7 +365,6 @@ def simulate_io_node_caches(
     total_buffers: int,
     n_io_nodes: int = 10,
     policy: str = "lru",
-    block_size: int = BLOCK_SIZE,
     stream: tuple[np.ndarray, ...] | None = None,
 ) -> IONodeCacheResult:
     """Figure 9 at one (policy, buffer count) setting: the one-count view
@@ -376,7 +374,7 @@ def simulate_io_node_caches(
     is supplied the ``frame`` may be ``None``.  The result's ``policy``
     is the lowercased name.
     """
-    stream = _resolve_stream(frame, stream, block_size)
+    stream = _resolve_stream(frame, stream)
     return _io_node_results(stream, [total_buffers], n_io_nodes, policy)[0]
 
 
@@ -385,7 +383,6 @@ def sweep_buffer_counts(
     buffer_counts: Sequence[int],
     n_io_nodes: int = 10,
     policy: str = "lru",
-    block_size: int = BLOCK_SIZE,
     stream: tuple[np.ndarray, ...] | None = None,
 ) -> HitRateCurve:
     """One Figure 9 line: hit rate across a range of total buffer counts.
@@ -396,7 +393,7 @@ def sweep_buffer_counts(
     and interprocess through :func:`replay_io_node_caches`.  The curve's
     ``policy`` is the lowercased name.
     """
-    stream = _resolve_stream(frame, stream, block_size)
+    stream = _resolve_stream(frame, stream)
     counts = list(buffer_counts)
     results = _io_node_results(stream, counts, n_io_nodes, policy)
     return HitRateCurve(

@@ -4,8 +4,9 @@ The paper stops at hit rates ("the hit rates were similar; performance
 is another issue").  This extension answers the deferred question with
 the machine model already in hand: a request's latency is the message
 round trip to each I/O node it touches, plus disk service for the blocks
-that miss.  Replaying the trace with and without I/O-node caches yields
-the application-visible I/O time the cache saves.
+that miss.  Scoring the trace's I/O-node caches with Figure 9's LRU pass,
+with no buffers and with some, yields the application-visible I/O time
+the cache saves.
 
 The model is deliberately contention-free (no queueing): it prices each
 request in isolation, which is the right granularity for comparing
@@ -18,7 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.caching.io_node import _build_caches, request_stream
+from repro import obs
+from repro.caching.disktime import disk_operations
+from repro.caching.io_node import request_stream
+from repro.caching.stackdist import io_node_lru_depths, io_node_lru_misses
 from repro.errors import CacheConfigError
 from repro.machine.disk import Disk
 from repro.machine.message import MessageModel
@@ -26,6 +30,10 @@ from repro.machine.topology import Hypercube
 from repro.trace.frame import TraceFrame
 from repro.util.cdf import EmpiricalCDF
 from repro.util.units import BLOCK_SIZE
+
+#: fixed software cost of one sub-request at an I/O node (CFS's server
+#: path), in seconds
+_IO_NODE_OVERHEAD = 0.5e-3
 
 
 @dataclass(frozen=True)
@@ -71,91 +79,74 @@ class LatencyComparison:
         return self.uncached.total_seconds / self.cached.total_seconds
 
 
+def _latencies(
+    frame: TraceFrame, buffer_counts: tuple[int, ...], n_io_nodes: int
+) -> list[LatencyResult]:
+    """Price every request at each total buffer count, from one LRU pass."""
+    if min(buffer_counts) < 0:
+        raise CacheConfigError("total_buffers must be non-negative")
+    with obs.span("caching/latency"):
+        files, first, last, nodes, _is_read = request_stream(frame)
+        spans, io, depths = io_node_lru_depths(files, first, last, n_io_nodes)
+        subs = spans.sub_requests(n_io_nodes)
+        msg = MessageModel(Hypercube(7))
+        # I/O nodes hang off evenly spaced compute nodes; approximating
+        # each as its own hypercube attachment point
+        attach = [(i * max(1, 128 // n_io_nodes)) % 128 for i in range(n_io_nodes)]
+        # per sub-request, whatever the cache: the request message, the
+        # data back (CFS shipped striped blocks, so data moves at block
+        # granularity) and the I/O node's software overhead
+        sub_bytes = np.bincount(subs.block_sub, minlength=len(subs)) * BLOCK_SIZE
+        base = [
+            msg.latency_bytes(node, attach[io], 64)
+            + msg.latency_bytes(attach[io], node, nbytes)
+            + _IO_NODE_OVERHEAD
+            for node, io, nbytes in zip(
+                (nodes[subs.req] % 128).tolist(), subs.io_node.tolist(), sub_bytes.tolist()
+            )
+        ]
+        results = []
+        for buffers in buffer_counts:
+            miss = io_node_lru_misses(io, depths, buffers, n_io_nodes)
+            at, n_blocks, sequential = disk_operations(spans, io, miss, n_io_nodes)
+            seconds = list(base)
+            disk = Disk()
+            for sub, count, seq in zip(
+                subs.block_sub[at].tolist(), n_blocks.tolist(), sequential.tolist()
+            ):
+                seconds[sub] += disk.service_time(count * BLOCK_SIZE, sequential=seq)
+            # the request completes when its slowest I/O node finishes
+            latencies = np.maximum.reduceat(
+                np.asarray(seconds), np.searchsorted(subs.req, np.arange(spans.n_requests))
+            )
+            results.append(LatencyResult(spans.n_requests, float(latencies.sum()), latencies))
+        return results
+
+
 def simulate_request_latency(
     frame: TraceFrame,
     total_buffers: int,
     n_io_nodes: int = 10,
-    policy: str = "lru",
-    block_size: int = BLOCK_SIZE,
-    disk: Disk | None = None,
-    messages: MessageModel | None = None,
-    io_node_overhead: float = 0.5e-3,
 ) -> LatencyResult:
     """Price every request through the machine model.
 
     Per request: one message round trip (request + response bytes) to
     each I/O node touched, a fixed per-sub-request I/O-node software
-    overhead (CFS's server path, ~0.5 ms), and disk service for the
-    blocks that miss — contiguous misses of one request coalescing into
-    single disk operations, sequential when they extend the disk's last
-    position.  With ``total_buffers=0`` every block misses (the
-    cacheless baseline).
+    overhead (CFS's server path, ~0.5 ms), and disk service for the blocks
+    that miss the ``total_buffers`` LRU I/O-node caches — contiguous
+    misses of one request coalescing into single disk operations,
+    sequential when they extend the disk's last position
+    (:func:`repro.caching.disktime.disk_operations`).  With
+    ``total_buffers=0`` every block misses (the cacheless baseline).
     """
-    if total_buffers < 0:
-        raise CacheConfigError("total_buffers must be non-negative")
-    if io_node_overhead < 0:
-        raise CacheConfigError("io_node_overhead must be non-negative")
-    files, first, last, nodes, is_read = request_stream(frame, block_size)
-    caches = _build_caches(policy, total_buffers, n_io_nodes)
-    d = disk if disk is not None else Disk()
-    msg = messages if messages is not None else MessageModel(Hypercube(7))
-    # I/O nodes hang off evenly spaced compute nodes; approximating each
-    # as its own hypercube attachment point
-    io_attach = [
-        (i * max(1, 128 // n_io_nodes)) % 128 for i in range(n_io_nodes)
-    ]
-
-    latencies = np.zeros(len(files))
-    last_block: dict[int, tuple[int, int]] = {}
-    for r in range(len(files)):
-        f = int(files[r])
-        b0 = int(first[r])
-        b1 = int(last[r])
-        node = int(nodes[r]) % 128
-        per_io_bytes: dict[int, int] = {}
-        miss_runs: dict[int, list[tuple[int, int]]] = {}
-        for b in range(b0, b1 + 1):
-            io = b % n_io_nodes
-            # data moves at block granularity, as CFS shipped striped blocks
-            per_io_bytes[io] = per_io_bytes.get(io, 0) + block_size
-            hit = caches[io].access((f, b))
-            if not hit:
-                runs = miss_runs.setdefault(io, [])
-                if runs and runs[-1][1] == b - n_io_nodes:
-                    runs[-1] = (runs[-1][0], b)
-                else:
-                    runs.append((b, b))
-        # the request completes when its slowest I/O node finishes
-        worst = 0.0
-        for io, nbytes in per_io_bytes.items():
-            t = msg.latency_bytes(node, io_attach[io], 64)          # request
-            t += msg.latency_bytes(io_attach[io], node, nbytes)     # data back
-            t += io_node_overhead
-            for a, z in miss_runs.get(io, []):
-                n_blocks = (z - a) // n_io_nodes + 1
-                sequential = last_block.get(io) == (f, a - n_io_nodes)
-                last_block[io] = (f, z)
-                t += d.service_time(n_blocks * block_size, sequential=sequential)
-            worst = max(worst, t)
-        latencies[r] = worst
-    return LatencyResult(
-        n_requests=len(files),
-        total_seconds=float(latencies.sum()),
-        latencies=latencies,
-    )
+    return _latencies(frame, (total_buffers,), n_io_nodes)[0]
 
 
 def compare_latency(
     frame: TraceFrame,
     total_buffers: int = 500,
     n_io_nodes: int = 10,
-    block_size: int = BLOCK_SIZE,
 ) -> LatencyComparison:
     """Uncached vs cached request latency over one trace."""
-    uncached = simulate_request_latency(
-        frame, 0, n_io_nodes=n_io_nodes, block_size=block_size
-    )
-    cached = simulate_request_latency(
-        frame, total_buffers, n_io_nodes=n_io_nodes, block_size=block_size
-    )
+    uncached, cached = _latencies(frame, (0, total_buffers), n_io_nodes)
     return LatencyComparison(uncached=uncached, cached=cached)

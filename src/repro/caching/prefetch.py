@@ -20,12 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro import obs
 from repro.caching.blockspan import expand_spans
 from repro.caching.io_node import _build_caches, _resolve_stream
 from repro.caching.policies import ReplacementPolicy
 from repro.errors import CacheConfigError
 from repro.trace.frame import TraceFrame
-from repro.util.units import BLOCK_SIZE
 
 
 @dataclass(frozen=True)
@@ -85,7 +85,6 @@ def simulate_io_node_prefetch(
     n_io_nodes: int = 10,
     policy: str = "lru",
     depth: int = 1,
-    block_size: int = BLOCK_SIZE,
     stream: tuple[np.ndarray, ...] | None = None,
 ) -> PrefetchResult:
     """The Figure 9 simulation with ``depth``-block lookahead per I/O node.
@@ -96,56 +95,57 @@ def simulate_io_node_prefetch(
     """
     if depth < 0:
         raise CacheConfigError("prefetch depth must be non-negative")
-    files, first, last, nodes, is_read = _resolve_stream(frame, stream, block_size)
-    caches = _build_caches(policy, total_buffers, n_io_nodes)
-    states = [_PrefetchState() for _ in range(n_io_nodes)]
+    with obs.span("caching/prefetch"):
+        files, first, last, nodes, is_read = _resolve_stream(frame, stream)
+        caches = _build_caches(policy, total_buffers, n_io_nodes)
+        states = [_PrefetchState() for _ in range(n_io_nodes)]
 
-    spans = expand_spans(files, first, last)
-    starts = spans.starts.tolist()
-    blocks = spans.block.tolist()
-    ios = spans.io_nodes(n_io_nodes).tolist()
+        spans = expand_spans(files, first, last)
+        starts = spans.starts.tolist()
+        blocks = spans.block.tolist()
+        ios = spans.io_nodes(n_io_nodes).tolist()
 
-    read_subs = read_hits = 0
-    issued = used = 0
-    for r, (f, rd) in enumerate(zip(files.tolist(), is_read.tolist())):
-        touched: dict[int, bool] = {}
-        trigger_blocks: list[int] = []
-        for i in range(starts[r], starts[r + 1]):
-            b = blocks[i]
-            io = ios[i]
-            cache = caches[io]
-            key = (f, b)
-            present = key in cache
-            if present and states[io].consume(key):
-                used += 1
-                # tagged OBL: first use of a prefetched block keeps the
-                # lookahead running down the sequential stream
-                trigger_blocks.append(b)
-            touched[io] = touched.get(io, True) and present
-            cache.access(key)
-            if not present:
-                trigger_blocks.append(b)
-        if rd:
-            read_subs += len(touched)
-            read_hits += sum(1 for ok in touched.values() if ok)
-            # misses and consumed prefetches trigger lookahead on the
-            # owning I/O node
-            for b in trigger_blocks:
-                io = b % n_io_nodes
-                for ahead in range(1, depth + 1):
-                    nxt = b + ahead * n_io_nodes
-                    if states[io].install(caches[io], (f, nxt)):
-                        issued += 1
-    return PrefetchResult(
-        policy=policy,
-        n_io_nodes=n_io_nodes,
-        total_buffers=total_buffers,
-        depth=depth,
-        read_sub_requests=read_subs,
-        read_hits=read_hits,
-        prefetches_issued=issued,
-        prefetches_used=used,
-    )
+        read_subs = read_hits = 0
+        issued = used = 0
+        for r, (f, rd) in enumerate(zip(files.tolist(), is_read.tolist())):
+            touched: dict[int, bool] = {}
+            trigger_blocks: list[int] = []
+            for i in range(starts[r], starts[r + 1]):
+                b = blocks[i]
+                io = ios[i]
+                cache = caches[io]
+                key = (f, b)
+                present = key in cache
+                if present and states[io].consume(key):
+                    used += 1
+                    # tagged OBL: first use of a prefetched block keeps the
+                    # lookahead running down the sequential stream
+                    trigger_blocks.append(b)
+                touched[io] = touched.get(io, True) and present
+                cache.access(key)
+                if not present:
+                    trigger_blocks.append(b)
+            if rd:
+                read_subs += len(touched)
+                read_hits += sum(1 for ok in touched.values() if ok)
+                # misses and consumed prefetches trigger lookahead on the
+                # owning I/O node
+                for b in trigger_blocks:
+                    io = b % n_io_nodes
+                    for ahead in range(1, depth + 1):
+                        nxt = b + ahead * n_io_nodes
+                        if states[io].install(caches[io], (f, nxt)):
+                            issued += 1
+        return PrefetchResult(
+            policy=policy,
+            n_io_nodes=n_io_nodes,
+            total_buffers=total_buffers,
+            depth=depth,
+            read_sub_requests=read_subs,
+            read_hits=read_hits,
+            prefetches_issued=issued,
+            prefetches_used=used,
+        )
 
 
 def prefetch_benefit(
@@ -153,19 +153,16 @@ def prefetch_benefit(
     total_buffers: int,
     n_io_nodes: int = 10,
     depth: int = 1,
-    block_size: int = BLOCK_SIZE,
     stream: tuple[np.ndarray, ...] | None = None,
 ) -> tuple[PrefetchResult, PrefetchResult]:
     """(baseline, prefetching) results at identical cache settings.
 
     The request stream is derived once and shared by both runs."""
-    stream = _resolve_stream(frame, stream, block_size)
+    stream = _resolve_stream(frame, stream)
     base = simulate_io_node_prefetch(
-        None, total_buffers, n_io_nodes=n_io_nodes, depth=0,
-        block_size=block_size, stream=stream,
+        None, total_buffers, n_io_nodes=n_io_nodes, depth=0, stream=stream,
     )
     pref = simulate_io_node_prefetch(
-        None, total_buffers, n_io_nodes=n_io_nodes, depth=depth,
-        block_size=block_size, stream=stream,
+        None, total_buffers, n_io_nodes=n_io_nodes, depth=depth, stream=stream,
     )
     return base, pref

@@ -9,7 +9,8 @@ traversal, using the classic stack-distance observation (Mattson et al.
 the top ``C`` entries of a single priority stack, so an access hits at
 capacity ``C`` iff its stack depth is <= ``C``.  It is the LRU engine
 of every cache layer: Figure 8's compute-node caches, Figure 9's
-I/O-node caches, and both layers of the §4.8 combined experiment.
+I/O-node caches, both layers of the §4.8 combined experiment, and the
+§5 disk experiments' I/O-node caches.
 
 - **LRU** depths are computed with the Bennett–Kruskal counting method,
   vectorized: the depth of an access at position ``i`` with previous use
@@ -42,9 +43,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import obs
-from repro.caching.blockspan import _encode_pairs, expand_spans
+from repro.caching.blockspan import BlockSpans, _encode_pairs, expand_spans
 from repro.caching.compute_node import ComputeNodeCacheResult, read_only_file_ids
-from repro.caching.io_node import IONodeCacheResult, _resolve_stream
+from repro.caching.io_node import IONodeCacheResult, _node_capacities, _resolve_stream
 from repro.errors import CacheConfigError
 from repro.trace.frame import TraceFrame
 from repro.util.units import BLOCK_SIZE
@@ -281,12 +282,8 @@ class IONodeStackProfile:
 
     def result_at(self, total_buffers: int) -> IONodeCacheResult:
         """The exact LRU result at one total buffer count."""
-        if total_buffers < 0:
-            raise CacheConfigError("total_buffers must be non-negative")
-        base, extra = divmod(int(total_buffers), self.n_io_nodes)
         read_hits = all_hits = 0
-        for node in range(self.n_io_nodes):
-            cap = base + (1 if node < extra else 0)
+        for node, cap in enumerate(_node_capacities(total_buffers, self.n_io_nodes)):
             read_hits += int(np.searchsorted(self.read_depths[node], cap, side="right"))
             all_hits += int(np.searchsorted(self.all_depths[node], cap, side="right"))
         return IONodeCacheResult(
@@ -300,10 +297,37 @@ class IONodeStackProfile:
         )
 
 
+def io_node_lru_depths(
+    files: np.ndarray, first: np.ndarray, last: np.ndarray, n_io_nodes: int
+) -> tuple[BlockSpans, np.ndarray, np.ndarray]:
+    """The I/O-node layer's one LRU pass: the stream's blocks, each
+    block's node, and its depth in that node's cache (Figure 9's profile
+    and the §5 disk experiments all score their caches from these)."""
+    spans = expand_spans(files, first, last)
+    io = spans.io_nodes(n_io_nodes)
+    depths = lru_depths(io, _encode_pairs(spans.file, spans.block))
+    if obs.enabled():
+        obs.add("caching.stackdist.passes")
+        obs.add("caching.stackdist.block_accesses", len(depths))
+        obs.add("caching.stackdist.cold_accesses", int((depths == COLD).sum()))
+        obs.add("caching.stackdist.lru.passes")
+        obs.hist_many("caching.stackdist.depth_blocks", depths[depths != COLD])
+    return spans, io, depths
+
+
+def io_node_lru_misses(
+    io: np.ndarray, depths: np.ndarray, total_buffers: int, n_io_nodes: int
+) -> np.ndarray:
+    """Per block access, whether its depth exceeds its node's share of
+    ``total_buffers`` (a cold access, and every access to a node with no
+    buffers, misses)."""
+    capacities = np.asarray(_node_capacities(total_buffers, n_io_nodes), dtype=np.int64)
+    return depths > capacities[io]
+
+
 def io_node_stack_profile(
     frame=None,
     n_io_nodes: int = 10,
-    block_size: int = BLOCK_SIZE,
     stream: tuple[np.ndarray, ...] | None = None,
 ) -> IONodeStackProfile:
     """One LRU pass over the trace → Figure 9 at every buffer count.
@@ -312,14 +336,9 @@ def io_node_stack_profile(
     callers reuse a precomputed request stream; otherwise it is derived
     from ``frame``.
     """
-    stream = _resolve_stream(frame, stream, block_size)
-    if n_io_nodes <= 0:
-        raise CacheConfigError("need at least one I/O node")
-    files, first, last, _nodes, is_read = stream
+    files, first, last, _nodes, is_read = _resolve_stream(frame, stream)
     with obs.span("caching/stackdist/io_node_profile"):
-        spans = expand_spans(files, first, last)
-        io = spans.io_nodes(n_io_nodes)
-        depths = lru_depths(io, _encode_pairs(spans.file, spans.block))
+        spans, _io, depths = io_node_lru_depths(files, first, last, n_io_nodes)
         subs = spans.sub_requests(n_io_nodes)
         # a sub-request becomes a full hit once every block it spans is
         # resident: min sufficient capacity = max depth over its blocks
@@ -331,14 +350,6 @@ def io_node_stack_profile(
             on_node = subs.io_node == node
             read_depths.append(np.sort(min_caps[on_node & sub_read]))
             all_depths.append(np.sort(min_caps[on_node]))
-        if obs.enabled():
-            obs.add("caching.stackdist.passes")
-            obs.add("caching.stackdist.block_accesses", len(depths))
-            obs.add("caching.stackdist.cold_accesses", int((depths == COLD).sum()))
-            obs.add("caching.stackdist.lru.passes")
-            obs.hist_many(
-                "caching.stackdist.depth_blocks", depths[depths != COLD]
-            )
     return IONodeStackProfile(
         n_io_nodes=n_io_nodes,
         read_depths=tuple(read_depths),
@@ -382,9 +393,7 @@ class ComputeNodeStackProfile:
         return [self.result_at(int(b)) for b in buffer_counts]
 
 
-def compute_node_stack_profile(
-    frame: TraceFrame, block_size: int = BLOCK_SIZE
-) -> ComputeNodeStackProfile:
+def compute_node_stack_profile(frame: TraceFrame) -> ComputeNodeStackProfile:
     """One pass over the read-only reads → Figure 8 at every buffer count."""
     with obs.span("caching/stackdist/compute_node_profile"):
         ro = read_only_file_ids(frame)
@@ -403,8 +412,8 @@ def compute_node_stack_profile(
             jobs,
             reads["node"].astype(np.int64),
             reads["file"].astype(np.int64),
-            offsets // block_size,
-            np.maximum(offsets + sizes - 1, offsets) // block_size,
+            offsets // BLOCK_SIZE,
+            np.maximum(offsets + sizes - 1, offsets) // BLOCK_SIZE,
         )
         order = np.lexsort((min_caps, jobs))
         jobs_sorted = jobs[order]

@@ -21,7 +21,6 @@ from repro import obs
 from repro.caching.io_node import _resolve_stream, sweep_buffer_counts
 from repro.caching.results import HitRateCurve
 from repro.errors import CacheConfigError
-from repro.util.units import BLOCK_SIZE
 
 
 @dataclass(frozen=True)
@@ -46,7 +45,6 @@ def _run_line(
     stream: tuple[np.ndarray, ...],
     buffer_counts: Sequence[int],
     line: SweepLine,
-    block_size: int,
 ) -> HitRateCurve:
     t0 = time.perf_counter()
     curve = sweep_buffer_counts(
@@ -54,7 +52,6 @@ def _run_line(
         buffer_counts,
         n_io_nodes=line.n_io_nodes,
         policy=line.policy,
-        block_size=block_size,
         stream=stream,
     )
     if obs.enabled():
@@ -66,7 +63,6 @@ def sweep_lines(
     frame,
     buffer_counts: Sequence[int],
     lines: Sequence[SweepLine | str | tuple],
-    block_size: int = BLOCK_SIZE,
     stream: tuple[np.ndarray, ...] | None = None,
 ) -> list[HitRateCurve]:
     """Compute several sweep lines over one trace.
@@ -82,5 +78,5 @@ def sweep_lines(
     counts = [int(c) for c in buffer_counts]
     obs.add("caching.sweeps.lines", len(specs))
     with obs.span("caching/sweep_lines"):
-        stream = _resolve_stream(frame, stream, block_size)
-        return [_run_line(stream, counts, line, block_size) for line in specs]
+        stream = _resolve_stream(frame, stream)
+        return [_run_line(stream, counts, line) for line in specs]

@@ -23,6 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro import obs
+from repro.caching.io_node import _node_capacities
 from repro.caching.policies import LRUPolicy
 from repro.errors import CacheConfigError
 from repro.machine.disk import Disk
@@ -54,8 +56,7 @@ class WritebackResult:
 class _DirtyTracker:
     """Dirty-byte accounting per cached block, for WriteFull detection."""
 
-    def __init__(self, block_size: int) -> None:
-        self.block_size = block_size
+    def __init__(self) -> None:
         self.dirty: dict[tuple[int, int], int] = {}  # key -> dirty byte count
 
     def add(self, key: tuple[int, int], nbytes: int) -> bool:
@@ -66,9 +67,9 @@ class _DirtyTracker:
         workload's non-overlapping sequential writes this is exact).
         """
         cur = self.dirty.get(key, 0)
-        new = min(cur + nbytes, self.block_size)
+        new = min(cur + nbytes, BLOCK_SIZE)
         self.dirty[key] = new
-        return cur < self.block_size <= new
+        return cur < BLOCK_SIZE <= new
 
     def pop(self, key: tuple[int, int]) -> int:
         """Remove and return a block's dirty byte count."""
@@ -80,8 +81,6 @@ def simulate_writeback(
     total_buffers: int,
     policy: str = "write-back",
     n_io_nodes: int = 10,
-    block_size: int = BLOCK_SIZE,
-    disk: Disk | None = None,
 ) -> WritebackResult:
     """Replay the trace's writes under one write policy.
 
@@ -96,68 +95,68 @@ def simulate_writeback(
     tr = frame.transfers
     if len(tr) == 0:
         raise CacheConfigError("no transfers in trace")
-    d = disk if disk is not None else Disk()
-    base, extra = divmod(total_buffers, n_io_nodes)
-    caches = [_EvictionLRU(base + (1 if i < extra else 0)) for i in range(n_io_nodes)]
-    dirty = _DirtyTracker(block_size)
+    with obs.span("caching/writeback"):
+        d = Disk()
+        caches = [_EvictionLRU(cap) for cap in _node_capacities(total_buffers, n_io_nodes)]
+        dirty = _DirtyTracker()
 
-    write_kind = int(EventKind.WRITE)
-    write_requests = 0
-    disk_writes = 0
-    disk_bytes = 0
-    busy = 0.0
+        write_kind = int(EventKind.WRITE)
+        write_requests = 0
+        disk_writes = 0
+        disk_bytes = 0
+        busy = 0.0
 
-    def flush(key: tuple[int, int], sequential: bool = False) -> None:
-        nonlocal disk_writes, disk_bytes, busy
-        nbytes = dirty.pop(key)
-        if nbytes == 0:
-            return
-        disk_writes += 1
-        disk_bytes += nbytes
-        busy += d.service_time(nbytes, sequential=sequential)
+        def flush(key: tuple[int, int], sequential: bool = False) -> None:
+            nonlocal disk_writes, disk_bytes, busy
+            nbytes = dirty.pop(key)
+            if nbytes == 0:
+                return
+            disk_writes += 1
+            disk_bytes += nbytes
+            busy += d.service_time(nbytes, sequential=sequential)
 
-    for row in tr:
-        size = int(row["size"])
-        if size <= 0:
-            continue
-        off = int(row["offset"])
-        f = int(row["file"])
-        is_write = int(row["kind"]) == write_kind
-        b0 = off // block_size
-        b1 = (off + size - 1) // block_size
-        if is_write:
-            write_requests += 1
-        for b in range(b0, b1 + 1):
-            io = b % n_io_nodes
-            key = (f, b)
-            evicted = caches[io].touch_with_eviction(key)
-            if evicted is not None and policy != "write-through":
-                flush(evicted)
-            if not is_write:
+        for row in tr:
+            size = int(row["size"])
+            if size <= 0:
                 continue
-            lo = max(off, b * block_size)
-            hi = min(off + size, (b + 1) * block_size)
-            span = hi - lo
-            if policy == "write-through":
-                disk_writes += 1
-                disk_bytes += span
-                busy += d.service_time(span, sequential=False)
-            else:
-                became_full = dirty.add(key, span)
-                if policy == "write-full" and became_full:
-                    flush(key, sequential=True)
-    # end of trace: flush all remaining dirty blocks (sequential sweeps)
-    if policy != "write-through":
-        for key in list(dirty.dirty):
-            flush(key, sequential=True)
+            off = int(row["offset"])
+            f = int(row["file"])
+            is_write = int(row["kind"]) == write_kind
+            b0 = off // BLOCK_SIZE
+            b1 = (off + size - 1) // BLOCK_SIZE
+            if is_write:
+                write_requests += 1
+            for b in range(b0, b1 + 1):
+                io = b % n_io_nodes
+                key = (f, b)
+                evicted = caches[io].touch_with_eviction(key)
+                if evicted is not None and policy != "write-through":
+                    flush(evicted)
+                if not is_write:
+                    continue
+                lo = max(off, b * BLOCK_SIZE)
+                hi = min(off + size, (b + 1) * BLOCK_SIZE)
+                span = hi - lo
+                if policy == "write-through":
+                    disk_writes += 1
+                    disk_bytes += span
+                    busy += d.service_time(span, sequential=False)
+                else:
+                    became_full = dirty.add(key, span)
+                    if policy == "write-full" and became_full:
+                        flush(key, sequential=True)
+        # end of trace: flush all remaining dirty blocks (sequential sweeps)
+        if policy != "write-through":
+            for key in list(dirty.dirty):
+                flush(key, sequential=True)
 
-    return WritebackResult(
-        policy=policy,
-        write_requests=write_requests,
-        disk_writes=disk_writes,
-        bytes_written_to_disk=disk_bytes,
-        disk_busy_seconds=busy,
-    )
+        return WritebackResult(
+            policy=policy,
+            write_requests=write_requests,
+            disk_writes=disk_writes,
+            bytes_written_to_disk=disk_bytes,
+            disk_busy_seconds=busy,
+        )
 
 
 class _EvictionLRU(LRUPolicy):
@@ -180,13 +179,9 @@ def compare_write_policies(
     frame: TraceFrame,
     total_buffers: int = 500,
     n_io_nodes: int = 10,
-    block_size: int = BLOCK_SIZE,
 ) -> dict[str, WritebackResult]:
     """All three write policies over the same trace."""
     return {
-        policy: simulate_writeback(
-            frame, total_buffers, policy=policy,
-            n_io_nodes=n_io_nodes, block_size=block_size,
-        )
+        policy: simulate_writeback(frame, total_buffers, policy=policy, n_io_nodes=n_io_nodes)
         for policy in POLICIES
     }

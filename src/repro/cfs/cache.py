@@ -2,9 +2,11 @@
 
 Only the I/O nodes cache in CFS.  This is the *online* cache embedded in
 the functional file system (every read/write passes through it and its
-hit statistics accumulate); the *offline* trace-driven simulators the
-paper's Figures 8-9 are built from live in :mod:`repro.caching` and share
-the replacement policies.
+hit statistics accumulate).  It is its own ``OrderedDict`` LRU over
+``(file, block)`` keys, with write-through counting and per-file
+invalidation; it does not use :mod:`repro.caching.policies`.  The
+*offline* trace-driven simulators the paper's Figures 8-9 are built from
+live in :mod:`repro.caching`.
 """
 
 from __future__ import annotations

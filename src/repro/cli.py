@@ -107,14 +107,16 @@ def _resolve_generator(args) -> WorkloadGenerator:
 
 def _generate_frame(args) -> TraceFrame:
     pipeline = getattr(args, "pipeline", "direct")
-    generator = _resolve_generator(args)
-    logger.info(
-        "generating workload on the fly (scenario=%s engine=%s scale=%s "
-        "seed=%s pipeline=%s)",
-        getattr(args, "scenario", "ames1993"), generator.engine_name,
-        args.scale, args.seed, pipeline,
-    )
-    return generator.run(pipeline).frame
+    # the span holds the generator's own imports as well as its stages
+    with obs.span("workload/generate"):
+        generator = _resolve_generator(args)
+        logger.info(
+            "generating workload on the fly (scenario=%s engine=%s scale=%s "
+            "seed=%s pipeline=%s)",
+            getattr(args, "scenario", "ames1993"), generator.engine_name,
+            args.scale, args.seed, pipeline,
+        )
+        return generator.run(pipeline).frame
 
 
 def _load_source(args) -> TraceSource:
@@ -204,26 +206,35 @@ def cmd_figures(args) -> int:
     return 0
 
 
+def _cache_flag_error(args) -> str | None:
+    """Why ``cache``'s flags do not fit its experiment (a flag it would
+    not read), or None."""
+    experiment = args.experiment
+    buffers = args.buffers or []
+    if args.policy is not None and experiment != "fig9":
+        return f"--policy: --experiment {experiment} does not read it (fig9 does)"
+    if experiment == "combined" and buffers:
+        return "--buffers: --experiment combined does not read it"
+    if experiment in ("prefetch", "disktime") and len(buffers) > 1:
+        return f"--buffers: --experiment {experiment} takes one value, got {len(buffers)}"
+    if experiment == "fig8" and min(buffers or [1]) < 1:
+        return "--buffers: fig8 needs at least 1 buffer"
+    return None
+
+
 def cmd_cache(args) -> int:
-    from repro.caching import (
-        SweepLine,
-        compute_node_stack_profile,
-        simulate_combined,
-        simulate_disk_time,
-        simulate_io_node_prefetch,
-        sweep_lines,
-    )
-    from repro.core.report import paper_row
     from repro.util.tables import format_percent, format_table
 
-    if args.experiment == "fig8" and min(args.buffers or [1]) < 1:
-        print("error: --buffers: fig8 needs at least 1 buffer", file=sys.stderr)
+    error = _cache_flag_error(args)
+    if error:
+        print(f"error: {error}", file=sys.stderr)
         return 2
     source = _load_source(args)
     # the fig9 sweeps run from a request stream, which a source yields
     # chunk by chunk without materializing the event table
     trace = source if args.experiment == "fig9" else source.frame()
     if args.experiment == "fig8":
+        from repro.caching.stackdist import compute_node_stack_profile
         rows = []
         profile = compute_node_stack_profile(trace)
         for res in profile.sweep(args.buffers or (1, 10, 50)):
@@ -238,20 +249,24 @@ def cmd_cache(args) -> int:
             title="Figure 8: compute-node caching",
         ))
     elif args.experiment == "fig9":
+        from repro.caching.sweeps import SweepLine, sweep_lines
         counts = args.buffers or [50, 125, 250, 500, 1000, 2000, 4000]
+        policies = args.policy or ["lru", "fifo"]
         curves = sweep_lines(
             trace, counts,
-            [SweepLine(policy=p, n_io_nodes=args.io_nodes) for p in args.policy],
+            [SweepLine(policy=p, n_io_nodes=args.io_nodes) for p in policies],
         )
         rows = [
             [policy] + [f"{r:.3f}" for r in curve.hit_rates]
-            for policy, curve in zip(args.policy, curves)
+            for policy, curve in zip(policies, curves)
         ]
         print(format_table(
             ["policy"] + [str(c) for c in counts], rows,
             title=f"Figure 9: I/O-node caching ({args.io_nodes} I/O nodes)",
         ))
     elif args.experiment == "combined":
+        from repro.caching.combined import simulate_combined
+        from repro.core.report import paper_row
         res = simulate_combined(trace, n_io_nodes=args.io_nodes)
         print("§4.8 combined caches:")
         print(f"  I/O hit rate without compute layer: {format_percent(res.io_hit_rate_without)}")
@@ -259,6 +274,7 @@ def cmd_cache(args) -> int:
         print(f"  reduction: {format_percent(res.io_hit_rate_reduction)} "
               f"(paper {paper_row('combined-cache I/O hit-rate drop').text})")
     elif args.experiment == "prefetch":
+        from repro.caching.prefetch import simulate_io_node_prefetch
         buffers = int((args.buffers or [500])[0])
         rows = []
         for depth in (0, 1, 2, 4):
@@ -271,6 +287,7 @@ def cmd_cache(args) -> int:
             title=f"tagged OBL prefetching at {buffers} buffers",
         ))
     else:  # disktime
+        from repro.caching.disktime import simulate_disk_time
         buffers = int((args.buffers or [500])[0])
         raw, cached = simulate_disk_time(trace, buffers, n_io_nodes=args.io_nodes)
         print("disk activity, cacheless vs cached:")
@@ -590,7 +607,7 @@ def cmd_dump(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     from repro.caching.policies import POLICIES
-    from repro.core.figures import FIGURES
+    from repro.core import FIGURES
 
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -697,8 +714,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--experiment",
                    choices=["fig8", "fig9", "combined", "prefetch", "disktime"],
                    default="fig9")
-    p.add_argument("--policy", nargs="+", default=["lru", "fifo"],
-                   type=str.lower, choices=sorted(POLICIES))
+    p.add_argument("--policy", nargs="+", default=None,
+                   type=str.lower, choices=sorted(POLICIES),
+                   help="fig9's replacement policies, one line each "
+                        "(default: lru fifo)")
     p.add_argument("--buffers", nargs="+", type=_int_at_least(0))
     p.add_argument("--io-nodes", type=_int_at_least(1), default=10)
     p.set_defaults(func=cmd_cache)

@@ -20,6 +20,21 @@ analyzers finalize their family from the frame's one fold, and
 
 from repro._exports import lazy_exports
 
+#: figure id → one-line caption (the paper's).  The figures are drawn by
+#: :mod:`repro.core.figures`; the table lives here so that the CLI's
+#: parser reads the ids without importing the analyzers.
+FIGURES = {
+    "fig1": "Amount of time the machine spent with the given number of jobs",
+    "fig2": "Distribution of the number of compute nodes used by jobs",
+    "fig3": "CDF of the number of files of each size at close",
+    "fig4": "CDF of reads by request size and of data transferred",
+    "fig5": "CDF of sequential access to files on a per-node basis",
+    "fig6": "CDF of consecutive access to files on a per-node basis",
+    "fig7": "CDF of file sharing between nodes (byte and block)",
+    "fig8": "Compute-node caching: per-job hit-rate CDF",
+    "fig9": "I/O-node caching: hit rate vs buffers, LRU vs FIFO",
+}
+
 __getattr__, __dir__ = lazy_exports(__name__, {
     "compare": ("ReportComparison", "compare_reports"),
     "filestats": ("FilePopulation", "file_size_cdf", "population"),

@@ -16,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro import obs
+from repro.core import FIGURES
 from repro.core.filestats import file_size_cdf
 from repro.core.jobstats import concurrency_profile, node_count_distribution
 from repro.core.requests import request_size_cdfs
@@ -26,19 +27,6 @@ from repro.trace.frame import TraceFrame
 from repro.trace.records import EventKind
 from repro.util.cdf import EmpiricalCDF
 from repro.util.plot import ascii_bars, ascii_chart
-
-#: figure id → one-line caption (the paper's)
-FIGURES = {
-    "fig1": "Amount of time the machine spent with the given number of jobs",
-    "fig2": "Distribution of the number of compute nodes used by jobs",
-    "fig3": "CDF of the number of files of each size at close",
-    "fig4": "CDF of reads by request size and of data transferred",
-    "fig5": "CDF of sequential access to files on a per-node basis",
-    "fig6": "CDF of consecutive access to files on a per-node basis",
-    "fig7": "CDF of file sharing between nodes (byte and block)",
-    "fig8": "Compute-node caching: per-job hit-rate CDF",
-    "fig9": "I/O-node caching: hit rate vs buffers, LRU vs FIFO",
-}
 
 #: the figures :func:`family_series` draws, with the per-family analyzer
 #: whose result each one is drawn from

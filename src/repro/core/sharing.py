@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.trace.frame import TraceFrame
-from repro.util.units import BLOCK_SIZE
 
 
 @dataclass(frozen=True)
@@ -65,8 +64,8 @@ def interjob_shared_files(frame: TraceFrame) -> tuple[np.ndarray, np.ndarray]:
     return streaming.finalize_span_files(streaming.fold(frame), "job")
 
 
-def sharing_per_file(frame: TraceFrame, block_size: int = BLOCK_SIZE) -> SharingResult:
+def sharing_per_file(frame: TraceFrame) -> SharingResult:
     """Figure 7's per-file byte- and block-sharing fractions."""
     from repro.core import streaming
 
-    return streaming.finalize_sharing(streaming.fold(frame), block_size)
+    return streaming.finalize_sharing(streaming.fold(frame))

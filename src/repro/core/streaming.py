@@ -938,9 +938,7 @@ def _overlap_fraction(starts: np.ndarray, ends: np.ndarray, nodes: np.ndarray) -
     return shared / covered
 
 
-def finalize_sharing(
-    acc: ChunkAccumulator, block_size: int = BLOCK_SIZE
-) -> SharingResult:
+def finalize_sharing(acc: ChunkAccumulator) -> SharingResult:
     """Figure 7: byte- and block-sharing fractions of every accessed file
     whose windows of different nodes overlap."""
     _multi, candidates = finalize_span_files(acc, "node")
@@ -955,7 +953,7 @@ def finalize_sharing(
     # each of its transfers does, so the block runs are the byte runs
     # rounded and re-unioned
     gk, gs, ge = _union_runs(
-        bk, (bs // block_size) * block_size, -(-be // block_size) * block_size
+        bk, (bs // BLOCK_SIZE) * BLOCK_SIZE, -(-be // BLOCK_SIZE) * BLOCK_SIZE
     )
     bfile = bk >> np.int64(32)
     gfile = gk >> np.int64(32)

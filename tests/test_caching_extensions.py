@@ -1,12 +1,17 @@
 """Tests for the prefetching and disk-time extensions."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro import obs
 from repro.caching.disktime import simulate_disk_time
+from repro.caching.latency import compare_latency, simulate_request_latency
 from repro.caching.prefetch import prefetch_benefit, simulate_io_node_prefetch
 from repro.errors import CacheConfigError
 from repro.trace.frame import TraceFrame
 from repro.trace.records import EventKind, Record
+from tests import cache_oracle
 
 
 def _frame(specs):
@@ -106,3 +111,78 @@ class TestDiskTime:
     def test_effective_bandwidth_improves(self, small_frame):
         raw, cached = simulate_disk_time(small_frame, 500)
         assert cached.effective_bandwidth > raw.effective_bandwidth
+
+    def test_spans_and_disk_counters(self, small_frame):
+        try:
+            observer = obs.enable()
+            raw, cached = simulate_disk_time(small_frame, 500)
+        finally:
+            obs.disable()
+        assert "caching/disktime" in observer.root.children
+        # one LRU pass scores both systems; one service time per operation
+        assert observer.counters["caching.stackdist.passes"] == 1
+        assert observer.counters["machine.disk_ops"] == raw.n_disk_ops + cached.n_disk_ops
+
+
+#: (node, file, block, offset in block, size, write) rows: a few files
+#: and blocks, so blocks repeat; sizes from zero through sub-block to
+#: three blocks, so requests span I/O nodes
+disk_rows = st.lists(
+    st.tuples(
+        st.integers(0, 3),
+        st.integers(0, 2),
+        st.integers(0, 7),
+        st.sampled_from([0, 100, 4000]),
+        st.sampled_from([0, 1, 100, 4096, 5000, 9000]),
+        st.booleans(),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+def _random_frame(rows):
+    return TraceFrame.from_records([
+        Record(
+            time=float(i), node=node, job=0,
+            kind=EventKind.WRITE if write else EventKind.READ,
+            file=file, offset=block * 4096 + within, size=size,
+        )
+        for i, (node, file, block, within, size, write) in enumerate(rows)
+    ])
+
+
+class TestDiskOracle:
+    """Figure 9's LRU pass and the one disk-operation walk reproduce the
+    per-request dictionary replays the disk experiments ran before,
+    float for float, including I/O nodes left with no buffers."""
+
+    @given(disk_rows, st.integers(0, 8), st.integers(1, 3))
+    @settings(max_examples=150, deadline=None)
+    def test_engine_equals_the_dictionary_replay(self, rows, total_buffers, n_io_nodes):
+        frame = _random_frame(rows)
+        try:
+            want = cache_oracle.simulate_disk_time(frame, total_buffers, n_io_nodes)
+        except CacheConfigError:  # only zero-size transfers
+            with pytest.raises(CacheConfigError):
+                simulate_disk_time(frame, total_buffers, n_io_nodes)
+            with pytest.raises(CacheConfigError):
+                simulate_request_latency(frame, total_buffers, n_io_nodes)
+            return
+        assert simulate_disk_time(frame, total_buffers, n_io_nodes) == want
+        got = simulate_request_latency(frame, total_buffers, n_io_nodes)
+        ref = cache_oracle.simulate_request_latency(frame, total_buffers, n_io_nodes)
+        assert got.n_requests == ref.n_requests
+        assert np.array_equal(got.latencies, ref.latencies)
+        assert got.total_seconds == ref.total_seconds
+
+    def test_workload_equals_the_dictionary_replay(self, small_frame):
+        # the frozen digests pin 500 buffers on 10 nodes; this moves both
+        assert simulate_disk_time(small_frame, 50, 3) == (
+            cache_oracle.simulate_disk_time(small_frame, 50, 3)
+        )
+        cmp = compare_latency(small_frame, total_buffers=50, n_io_nodes=3)
+        for got, buffers in ((cmp.uncached, 0), (cmp.cached, 50)):
+            ref = cache_oracle.simulate_request_latency(small_frame, buffers, 3)
+            assert np.array_equal(got.latencies, ref.latencies)
+            assert got.total_seconds == ref.total_seconds

@@ -87,8 +87,20 @@ class TestCommands:
         (["--experiment", "fig9", "--buffers", "-5"], "--buffers"),
         (["--io-nodes", "0"], "--io-nodes"),
         (["--engine", "stackdist"], "--engine"),  # the option is gone
+        # a flag the experiment does not read is refused, naming both
+        (["--experiment", "combined", "--policy", "fifo"], "--policy: --experiment combined"),
+        (["--experiment", "fig8", "--policy", "lru"], "--policy: --experiment fig8"),
+        (["--experiment", "disktime", "--policy", "opt"], "--policy: --experiment disktime"),
+        (["--experiment", "prefetch", "--policy", "lru"], "--policy: --experiment prefetch"),
+        (["--experiment", "disktime", "--buffers", "100", "300"],
+         "--buffers: --experiment disktime"),
+        (["--experiment", "prefetch", "--buffers", "100", "300"],
+         "--buffers: --experiment prefetch"),
+        (["--experiment", "combined", "--buffers", "100"], "--buffers: --experiment combined"),
     ], ids=["fig8-buffers-0", "policy-nope", "fig9-buffers-negative", "io-nodes-0",
-            "engine-removed"])
+            "engine-removed", "combined-policy", "fig8-policy", "disktime-policy",
+            "prefetch-policy", "disktime-two-buffers", "prefetch-two-buffers",
+            "combined-buffers"])
     def test_cache_rejects_bad_input_before_generating(
         self, argv, flag, capsys, monkeypatch
     ):

@@ -380,6 +380,50 @@ class TestFrozenCombined:
         assert _sha(data.encode()) == _FROZEN_COMBINED_DIGESTS[scale_seed]
 
 
+#: sha256 of the §5 disk experiments at 500 buffers, captured while both
+#: still replayed their I/O-node caches through per-request LRU
+#: dictionaries: the sorted-key JSON of ``simulate_disk_time(frame, 500)``'s
+#: (cacheless, cached) pair, and ``compare_latency(frame)``'s request
+#: counts, totals and latency bytes (uncached, then cached)
+_FROZEN_DISK_DIGESTS = {
+    (0.02, 5): (
+        "70d17115d6a2bd8181042f1da7b5d9081d267298777694e71ddef8deb41401e8",
+        "9cfd142aab3403780d9b44f91920e7033d630a51d66d1280202303b49c5c6ad0",
+    ),
+    (0.01, 11): (
+        "2dd1304e7317a6de5c95ab2e2178cfd3627e4e1dd8b9b04de31f494959dc114c",
+        "8a5ba2a8a68baefb641cd92f26594102f669848a205a1e626169c395b203d060",
+    ),
+}
+
+
+class TestFrozenDiskExperiments:
+    """The §5 disk-time and latency experiments are frozen: scored by
+    Figure 9's LRU pass and charged by one disk-operation walk, they must
+    keep producing the results of the dictionary replays they replaced."""
+
+    def test_disk_time_digest(self, workload, request):
+        from repro.caching import simulate_disk_time
+
+        raw, cached = simulate_disk_time(workload.frame, 500)
+        data = json.dumps(
+            [dataclasses.asdict(raw), dataclasses.asdict(cached)], sort_keys=True
+        )
+        scale_seed = request.node.callspec.params["workload"]
+        assert _sha(data.encode()) == _FROZEN_DISK_DIGESTS[scale_seed][0]
+
+    def test_latency_digest(self, workload, request):
+        from repro.caching import compare_latency
+
+        cmp = compare_latency(workload.frame)
+        h = hashlib.sha256()
+        for res in (cmp.uncached, cmp.cached):
+            h.update(json.dumps([res.n_requests, res.total_seconds]).encode())
+            h.update(np.ascontiguousarray(res.latencies, dtype="<f8").tobytes())
+        scale_seed = request.node.callspec.params["workload"]
+        assert h.hexdigest() == _FROZEN_DISK_DIGESTS[scale_seed][1]
+
+
 class TestStreamingEquivalence:
     """The out-of-core chunked path reproduces the in-memory report
     byte for byte — at both fixture seeds/scales, through a wrapped

@@ -59,23 +59,37 @@ def within(modules: list[str], package: str) -> list[str]:
     return [m for m in modules if m == package or m.startswith(package + ".")]
 
 
+def cli(*argv: str) -> str:
+    """Code that runs ``repro ARGV`` as ``python -m repro`` does and
+    requires it to exit 0."""
+    return (
+        "import runpy, sys\n"
+        f"sys.argv = ['repro', *{list(argv)!r}]\n"
+        "try:\n"
+        "    runpy.run_module('repro', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    assert not exc.code, exc.code\n"
+    )
+
+
 class TestEntryPointImports:
     def test_serve_loads_no_generator_machine_or_simulator(self):
-        loaded = fresh(
-            "import runpy, sys\n"
-            "sys.argv = ['repro', 'serve', '--duration', '0']\n"
-            "try:\n"
-            "    runpy.run_module('repro', run_name='__main__', alter_sys=True)\n"
-            "except SystemExit as exc:\n"
-            "    assert not exc.code, exc.code\n"
-            + LOADED
-        )
+        loaded = fresh(cli("serve", "--duration", "0") + LOADED)
         assert "repro.service.daemon" in loaded
         for package in ("repro.workload", "repro.machine", "repro.cfs", "repro.strided"):
             assert within(loaded, package) == []
         assert set(within(loaded, "repro.caching")) <= {
             "repro.caching", "repro.caching.policies",
         }
+        # the parser reads the figure ids from the package, not the charts
+        assert not {"repro.core.figures", "repro.util.plot"} & set(loaded)
+
+    def test_obs_diff_loads_no_analysis(self):
+        bench = str(SRC.parent / "benchmarks" / "BENCH_cache_sweep.json")
+        loaded = fresh(cli("obs", "diff", bench, bench) + LOADED)
+        assert "repro.obs.regress" in loaded
+        assert within(loaded, "repro.core") == ["repro.core"]
+        assert "repro.util.plot" not in loaded
 
     def test_generation_loads_no_analysis_or_full_pipeline(self):
         loaded = fresh(GENERATE + LOADED)

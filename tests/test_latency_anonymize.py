@@ -36,8 +36,6 @@ class TestRequestLatency:
     def test_validation(self, small_frame):
         with pytest.raises(CacheConfigError):
             simulate_request_latency(small_frame, -1)
-        with pytest.raises(CacheConfigError):
-            simulate_request_latency(small_frame, 10, io_node_overhead=-1)
 
 
 class TestAnonymize:
