@@ -1,12 +1,12 @@
 """Perf benchmark: the full-pipeline replayer against its step oracle.
 
-The ``full`` pipeline replays every job action through the simulated
-machine — instrumented CFS calls, trace records, clocked collection —
-and is the slowest path in the repo.  The **step replayer**
-(:class:`tests.replay_oracle.StepReplayer`) issues one Python call per
-action — the reference oracle.  The **vectorized replayer** (the one
-``run("full")`` uses) batches per-action dispatch and takes the
-zero-payload write fast path.
+The ``full`` pipeline replays every event the direct pipeline emits
+through the simulated machine — instrumented CFS calls, trace records,
+clocked collection — and is the slowest path in the repo.  The **step
+replayer** (:class:`tests.replay_oracle.StepReplayer`) issues one
+Python call per event — the reference oracle.  The **vectorized
+replayer** (the one ``run("full")`` uses) batches per-event dispatch
+and takes the zero-payload write fast path.
 
 This benchmark times both end to end on one scenario, records them in
 ``BENCH_full_pipeline.json``, and enforces two floors: both replayers

@@ -213,6 +213,9 @@ def _cache_flag_error(args) -> str | None:
     buffers = args.buffers or []
     if args.policy is not None and experiment != "fig9":
         return f"--policy: --experiment {experiment} does not read it (fig9 does)"
+    if args.io_nodes is not None and experiment == "fig8":
+        return ("--io-nodes: --experiment fig8 does not read it "
+                "(its caches sit at the compute nodes)")
     if experiment == "combined" and buffers:
         return "--buffers: --experiment combined does not read it"
     if experiment in ("prefetch", "disktime") and len(buffers) > 1:
@@ -229,6 +232,7 @@ def cmd_cache(args) -> int:
     if error:
         print(f"error: {error}", file=sys.stderr)
         return 2
+    n_io_nodes = 10 if args.io_nodes is None else args.io_nodes
     source = _load_source(args)
     # the fig9 sweeps run from a request stream, which a source yields
     # chunk by chunk without materializing the event table
@@ -254,7 +258,7 @@ def cmd_cache(args) -> int:
         policies = args.policy or ["lru", "fifo"]
         curves = sweep_lines(
             trace, counts,
-            [SweepLine(policy=p, n_io_nodes=args.io_nodes) for p in policies],
+            [SweepLine(policy=p, n_io_nodes=n_io_nodes) for p in policies],
         )
         rows = [
             [policy] + [f"{r:.3f}" for r in curve.hit_rates]
@@ -262,24 +266,27 @@ def cmd_cache(args) -> int:
         ]
         print(format_table(
             ["policy"] + [str(c) for c in counts], rows,
-            title=f"Figure 9: I/O-node caching ({args.io_nodes} I/O nodes)",
+            title=f"Figure 9: I/O-node caching ({n_io_nodes} I/O nodes)",
         ))
     elif args.experiment == "combined":
         from repro.caching.combined import simulate_combined
         from repro.core.report import paper_row
-        res = simulate_combined(trace, n_io_nodes=args.io_nodes)
+        res = simulate_combined(trace, n_io_nodes=n_io_nodes)
         print("§4.8 combined caches:")
         print(f"  I/O hit rate without compute layer: {format_percent(res.io_hit_rate_without)}")
         print(f"  I/O hit rate with compute layer:    {format_percent(res.io_hit_rate_with)}")
         print(f"  reduction: {format_percent(res.io_hit_rate_reduction)} "
               f"(paper {paper_row('combined-cache I/O hit-rate drop').text})")
     elif args.experiment == "prefetch":
+        from repro.caching.io_node import request_stream
         from repro.caching.prefetch import simulate_io_node_prefetch
         buffers = int((args.buffers or [500])[0])
+        with obs.span("caching/request_stream"):
+            stream = request_stream(trace)
         rows = []
         for depth in (0, 1, 2, 4):
-            r = simulate_io_node_prefetch(trace, buffers, n_io_nodes=args.io_nodes,
-                                          depth=depth)
+            r = simulate_io_node_prefetch(None, buffers, n_io_nodes=n_io_nodes,
+                                          depth=depth, stream=stream)
             rows.append((depth, f"{r.hit_rate:.3f}", r.prefetches_issued,
                          format_percent(r.prefetch_accuracy)))
         print(format_table(
@@ -289,7 +296,7 @@ def cmd_cache(args) -> int:
     else:  # disktime
         from repro.caching.disktime import simulate_disk_time
         buffers = int((args.buffers or [500])[0])
-        raw, cached = simulate_disk_time(trace, buffers, n_io_nodes=args.io_nodes)
+        raw, cached = simulate_disk_time(trace, buffers, n_io_nodes=n_io_nodes)
         print("disk activity, cacheless vs cached:")
         print(f"  cacheless: {raw.n_disk_ops} ops, {raw.busy_seconds:.1f}s busy")
         print(f"  cached:    {cached.n_disk_ops} ops, {cached.busy_seconds:.1f}s busy")
@@ -719,7 +726,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fig9's replacement policies, one line each "
                         "(default: lru fifo)")
     p.add_argument("--buffers", nargs="+", type=_int_at_least(0))
-    p.add_argument("--io-nodes", type=_int_at_least(1), default=10)
+    p.add_argument("--io-nodes", type=_int_at_least(1), default=None)
     p.set_defaults(func=cmd_cache)
 
     p = sub.add_parser("strided", help="measure the §5 strided-interface benefit")

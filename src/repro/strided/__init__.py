@@ -16,7 +16,6 @@ from repro.strided.detect import (
     StridedCoalescing,
     coalesce_runs,
     coalesce_stream,
-    coalesce_stream_vectorized,
     coalesce_trace,
 )
 from repro.strided.requests import StridedRequest
@@ -26,6 +25,5 @@ __all__ = [
     "StridedRequest",
     "coalesce_runs",
     "coalesce_stream",
-    "coalesce_stream_vectorized",
     "coalesce_trace",
 ]

@@ -8,12 +8,13 @@ files overwhelmingly use one or two request sizes and at most one
 interval size (Tables 2-3), this simple detector already collapses most
 streams to a handful of strided requests.
 
-Two implementations share the greedy semantics: :func:`coalesce_stream`
-is the per-element reference loop; :func:`coalesce_runs` precomputes the
-break candidates (size changes, stride changes, non-extendable first
-pairs) with numpy and walks *runs* instead of elements, which is what
-:func:`coalesce_trace` uses over the whole trace.  The hypothesis suite
-asserts they agree on arbitrary streams.
+:func:`coalesce_runs` precomputes the break candidates (size changes,
+stride changes, non-extendable first pairs) with numpy and walks *runs*
+instead of elements; :func:`coalesce_stream` turns its runs into
+strided requests, and :func:`coalesce_trace` uses it over the whole
+trace.  The per-element greedy loop is the test oracle
+``tests/strided_oracle.py``, and the hypothesis suite asserts the two
+agree on arbitrary streams.
 """
 
 from __future__ import annotations
@@ -28,47 +29,6 @@ from repro.strided.requests import StridedRequest
 from repro.trace.frame import TraceFrame
 
 
-def coalesce_stream(
-    offsets: np.ndarray, sizes: np.ndarray
-) -> list[StridedRequest]:
-    """Coalesce one node's in-order request stream into strided requests.
-
-    Only forward, non-overlapping strides are folded (a re-read or a
-    backward seek starts a new run), so the result is replayable in
-    order.  This is the reference implementation; see
-    :func:`coalesce_runs` for the vectorized equivalent.
-    """
-    offsets = np.asarray(offsets, dtype=np.int64)
-    sizes = np.asarray(sizes, dtype=np.int64)
-    if offsets.shape != sizes.shape:
-        raise AnalysisError("offsets and sizes must be parallel")
-    n = len(offsets)
-    if n == 0:
-        return []
-    runs: list[StridedRequest] = []
-    start = int(offsets[0])
-    size = int(sizes[0])
-    stride: int | None = None
-    count = 1
-    for i in range(1, n):
-        off = int(offsets[i])
-        sz = int(sizes[i])
-        step = off - (start + (count - 1) * (stride if stride is not None else 0))
-        extendable = sz == size and step >= size
-        if extendable and (stride is None or step == stride):
-            stride = step
-            count += 1
-            continue
-        runs.append(
-            StridedRequest(offset=start, size=size, stride=stride if stride is not None else size, count=count)
-        )
-        start, size, stride, count = off, sz, None, 1
-    runs.append(
-        StridedRequest(offset=start, size=size, stride=stride if stride is not None else size, count=count)
-    )
-    return runs
-
-
 def coalesce_runs(
     offsets: np.ndarray, sizes: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -77,7 +37,7 @@ def coalesce_runs(
     Returns ``(starts, counts)``: element indices where each run begins
     and the run lengths.  A run of length > 1 starting at element ``p``
     has stride ``offsets[p+1] - offsets[p]``; singletons take their own
-    size as the stride, exactly as :func:`coalesce_stream`.
+    size as the stride.
 
     The greedy walk cannot be expressed as a pure boundary predicate
     (whether a pair can *extend* depends on where its run started), but
@@ -125,10 +85,15 @@ def coalesce_runs(
     return np.asarray(starts, dtype=np.int64), np.asarray(counts, dtype=np.int64)
 
 
-def coalesce_stream_vectorized(
+def coalesce_stream(
     offsets: np.ndarray, sizes: np.ndarray
 ) -> list[StridedRequest]:
-    """:func:`coalesce_stream` semantics on top of :func:`coalesce_runs`."""
+    """Coalesce one node's in-order request stream into strided requests.
+
+    Only forward, non-overlapping strides are folded (a re-read or a
+    backward seek starts a new run), so the result is replayable in
+    order.  Each run of :func:`coalesce_runs` becomes one request.
+    """
     offsets = np.asarray(offsets, dtype=np.int64)
     sizes = np.asarray(sizes, dtype=np.int64)
     starts, counts = coalesce_runs(offsets, sizes)

@@ -17,16 +17,16 @@ Layers:
 - :mod:`repro.workload.apps` — application models that compose primitives
   into per-job file-use plans;
 - :mod:`repro.workload.jobs` — the job mix and machine occupancy;
-- :mod:`repro.workload.engines` — the :class:`WorkloadEngine` registry;
+- :mod:`repro.workload.engines` — the :class:`WorkloadEngine` table:
   ``synthetic`` (this calibrated planner) and ``drift`` (fs-drift-style
-  equilibrium aging, :mod:`repro.workload.drift`) ship built in;
+  equilibrium aging, :mod:`repro.workload.drift`);
 - :mod:`repro.workload.generator` — the engine-agnostic
   :class:`WorkloadGenerator` driver plus the ``synthetic`` engine, which
   turns a schedule of planned jobs into a
   :class:`~repro.trace.frame.TraceFrame` (fast direct path) or into real
   instrumented CFS calls (full-pipeline path);
 - :mod:`repro.workload.scenarios` — packaged configurations and the
-  scenario registry, chiefly :func:`~repro.workload.scenarios.ames1993`.
+  scenario table, chiefly :func:`~repro.workload.scenarios.ames1993`.
 """
 
 from repro._exports import lazy_exports
@@ -38,11 +38,10 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "distributions": ("FileSizeModel", "JobArrivalModel", "NodeCountModel",
                       "RecordSizeModel"),
     "drift": ("DriftConfig", "DriftEngine", "DriftMix", "drift_scenario", "population_curve"),
-    "engines": ("WorkloadEngine", "available_engines", "get_engine", "register_engine"),
+    "engines": ("WorkloadEngine", "available_engines", "get_engine"),
     "generator": ("GeneratedWorkload", "SyntheticEngine", "WorkloadGenerator"),
     "jobs": ("JobMix", "JobSpec", "PlacedJob", "schedule_jobs"),
-    "scenarios": ("Scenario", "ames1993", "available_scenarios", "get_scenario",
-                  "register_scenario", "tiny"),
+    "scenarios": ("Scenario", "ames1993", "available_scenarios", "get_scenario", "tiny"),
     "validate": ("Check", "ValidationReport", "validate_workload"),
 })
 
@@ -84,8 +83,6 @@ __all__ = [
     "get_engine",
     "get_scenario",
     "population_curve",
-    "register_engine",
-    "register_scenario",
     "schedule_jobs",
     "tiny",
     "validate_workload",

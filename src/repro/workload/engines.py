@@ -1,24 +1,24 @@
-"""Workload engines: the pluggable planners behind the generator.
+"""Workload engines: the planners behind the generator.
 
 A :class:`WorkloadEngine` owns one way of turning a
 :class:`~repro.workload.scenarios.Scenario` into a
 :class:`~repro.workload.generator.GeneratedWorkload`; the engine-agnostic
 :class:`~repro.workload.generator.WorkloadGenerator` merely resolves the
-scenario's engine by name and drives it.  Two engines ship built in:
+scenario's engine by name and drives it.  There are two engines:
 
 ``synthetic``
     The calibrated CHARISMA planner (job mix, app models, phase windows)
     — the original 1994 CFD workload, byte-identical to the code that
-    predates this registry (:class:`repro.workload.generator.SyntheticEngine`).
+    predates the engine interface (:class:`repro.workload.generator.SyntheticEngine`).
 ``drift``
     An fs-drift-style equilibrium aging workload: operations drawn from
     a configurable weights table over a bounded namespace, per-tenant
     lanes, and create/delete churn toward a steady-state file population
     (:class:`repro.workload.drift.DriftEngine`).
 
-Engines register by name.  The built-ins resolve lazily from dotted
-paths so this module stays import-light and free of cycles; third-party
-engines call :func:`register_engine` directly.
+:data:`ENGINES` is the one table of engines by name.  It holds dotted
+paths, each imported on first lookup, so this module stays import-light
+and free of cycles.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ class WorkloadEngine(abc.ABC):
     engines only against trace invariants.
     """
 
-    #: registry key; subclasses must override
+    #: key in :data:`ENGINES`; subclasses must override
     name: ClassVar[str] = ""
     #: validation profile: "marginals" (CHARISMA calibration) or "structural"
     validation: ClassVar[str] = "structural"
@@ -73,27 +73,16 @@ class WorkloadEngine(abc.ABC):
         raise WorkloadError(f"engine {self.name!r} does not expose a plan")
 
 
-#: dotted paths of the built-in engines, imported on first lookup
-_BUILTIN_ENGINES: dict[str, str] = {
+#: every engine by name: the dotted path of its class, imported on lookup
+ENGINES: dict[str, str] = {
     "synthetic": "repro.workload.generator:SyntheticEngine",
     "drift": "repro.workload.drift:DriftEngine",
 }
 
-#: engines registered at runtime (register_engine); shadows _BUILTIN_ENGINES
-ENGINE_REGISTRY: dict[str, type[WorkloadEngine]] = {}
-
-
-def register_engine(cls: type[WorkloadEngine]) -> type[WorkloadEngine]:
-    """Register an engine class under its ``name`` (usable as a decorator)."""
-    if not cls.name:
-        raise WorkloadError(f"engine class {cls.__name__} has no name")
-    ENGINE_REGISTRY[cls.name] = cls
-    return cls
-
 
 def available_engines() -> list[str]:
-    """Sorted names of every known engine."""
-    return sorted(set(_BUILTIN_ENGINES) | set(ENGINE_REGISTRY))
+    """Sorted names of every engine."""
+    return sorted(ENGINES)
 
 
 def get_engine(name: str) -> type[WorkloadEngine]:
@@ -102,10 +91,7 @@ def get_engine(name: str) -> type[WorkloadEngine]:
     Raises :class:`~repro.errors.WorkloadError` naming the available
     engines when ``name`` is unknown.
     """
-    cls = ENGINE_REGISTRY.get(name)
-    if cls is not None:
-        return cls
-    path = _BUILTIN_ENGINES.get(name)
+    path = ENGINES.get(name)
     if path is None:
         raise WorkloadError(
             f"unknown workload engine {name!r} "
@@ -114,6 +100,4 @@ def get_engine(name: str) -> type[WorkloadEngine]:
     import importlib
 
     module_name, _, attr = path.partition(":")
-    cls = getattr(importlib.import_module(module_name), attr)
-    ENGINE_REGISTRY[name] = cls
-    return cls
+    return getattr(importlib.import_module(module_name), attr)

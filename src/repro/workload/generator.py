@@ -8,16 +8,17 @@ calibrated CHARISMA planner lives here as :class:`SyntheticEngine`;
 through planning, emission, and the direct/full run paths, all in one
 process.
 
-For the ``synthetic`` engine, two pipelines produce the same logical
-event stream:
+For the ``synthetic`` engine, one walk over the plan emits every planned
+operation as a time-sorted :class:`~repro.trace.frame.TraceFrame`
+(:meth:`SyntheticEngine._emit`), and both pipelines start from it:
 
-- ``direct`` — events are assembled straight into a columnar
-  :class:`~repro.trace.frame.TraceFrame` (vectorized; use this for
+- ``direct`` — the emitted frame is the trace (vectorized; use this for
   characterization and cache studies at scale);
-- ``full`` — every planned operation is replayed as a real call against
-  the instrumented Concurrent File System on a simulated machine, flowing
-  through per-node trace buffers, the collector, and drift-correcting
-  postprocessing (use this to exercise the whole CHARISMA methodology).
+- ``full`` — the emitted frame's events are replayed, in order, as real
+  calls against the instrumented Concurrent File System on a simulated
+  machine, flowing through per-node trace buffers, the collector, and
+  drift-correcting postprocessing (use this to exercise the whole
+  CHARISMA methodology); the trace is what the collector recorded.
 
 Event *timing* within a job: a job's file uses are laid out in phases
 across its lifetime; within a use, each rank's requests are paced evenly
@@ -234,11 +235,12 @@ class SyntheticEngine(WorkloadEngine):
     """The calibrated CHARISMA planner (the paper's 1994 CFD mix).
 
     Samples the job mix, plans each traced job's file uses through the
-    app models, and realizes them via the ``direct`` (vectorized frame
-    assembly) or ``full`` (instrumented-CFS replay) pipeline.  This is
-    the original ``WorkloadGenerator`` body behind the engine interface;
-    its output at a fixed seed is byte-identical to the pre-registry
-    code (enforced in ``tests/test_equivalence.py``).
+    app models, emits them as one time-sorted frame, and realizes that
+    via the ``direct`` (the frame itself) or ``full`` (its events
+    replayed through the instrumented CFS) pipeline.  This is the
+    original ``WorkloadGenerator`` body behind the engine interface; its
+    output at a fixed seed is byte-identical to the code that predates
+    that interface (enforced in ``tests/test_equivalence.py``).
     """
 
     name = "synthetic"
@@ -282,7 +284,7 @@ class SyntheticEngine(WorkloadEngine):
                 )
         return placed, uses_by_job
 
-    # -- direct pipeline ------------------------------------------------------------
+    # -- emission and the two pipelines ------------------------------------------
 
     def run(self, pipeline: str = "direct") -> GeneratedWorkload:
         """Generate the workload trace via the chosen pipeline."""
@@ -301,10 +303,15 @@ class SyntheticEngine(WorkloadEngine):
             notes=f"seed={self.seed} engine={self.name}",
         )
 
-    def _run_direct(self) -> GeneratedWorkload:
-        pool = SeedSequencePool(self.seed)
-        placed, uses_by_job = self.plan()
+    def _emit(
+        self, placed: list[PlacedJob], uses_by_job: dict[int, list[FileUse]]
+    ) -> TraceFrame:
+        """Every planned operation as one time-sorted frame.
 
+        A use's file id is its emission order: file ``i`` is the ``i``-th
+        use of ``[u for p in placed for u in uses_by_job.get(p.job, ())]``.
+        """
+        pool = SeedSequencePool(self.seed)
         with obs.span("workload/emit"):
             cols = _Columns()
             file_rows: list[tuple[int, int, int, int]] = []
@@ -315,20 +322,22 @@ class SyntheticEngine(WorkloadEngine):
                 if not uses:
                     continue
                 n0 = cols.n
-                next_fid = _emit_job_direct(
+                next_fid = _emit_job(
                     p, uses, cols, file_rows, next_fid,
                     pool.rng(f"timing/{p.job}"),
                 )
                 if obs.enabled():
                     obs.hist("workload.events_per_job", float(cols.n - n0))
-            frame = cols.to_frame(placed, file_rows, self._header())
+            return cols.to_frame(placed, file_rows, self._header())
+
+    def _run_direct(self) -> GeneratedWorkload:
+        placed, uses_by_job = self.plan()
+        frame = self._emit(placed, uses_by_job)
         if obs.enabled():
             obs.add("workload.events", frame.n_events)
         return GeneratedWorkload(
             frame=frame, placed=placed, scenario=self.scenario, seed=self.seed
         )
-
-    # -- full pipeline ----------------------------------------------------------------
 
     def _run_full(self) -> GeneratedWorkload:
         from repro.cfs.filesystem import ConcurrentFileSystem
@@ -338,8 +347,9 @@ class SyntheticEngine(WorkloadEngine):
         from repro.trace.postprocess import postprocess
         from repro.trace.writer import TraceWriter
 
-        pool = SeedSequencePool(self.seed)
         placed, uses_by_job = self.plan()
+        emitted = self._emit(placed, uses_by_job)
+        pool = SeedSequencePool(self.seed)
         machine = IPSC860(
             config=self.scenario.machine, seed=int(pool.rng("machine").integers(2**31))
         )
@@ -351,26 +361,18 @@ class SyntheticEngine(WorkloadEngine):
         writer = TraceWriter(collector, machine.node_clock_reader)
         icfs = InstrumentedCFS(fs, writer, machine.node_clock_reader)
 
-        actions = self._global_actions(placed, uses_by_job, pool)
-        use_index: dict[int, FileUse] = actions.pop("_uses")  # type: ignore[assignment]
-        replay = _Replayer(icfs, fs, machine, use_index)
-        order = np.argsort(actions["time"], kind="stable")
+        uses = [u for p in placed for u in uses_by_job.get(p.job, ())]
+        replay = _Replayer(icfs, fs, machine, uses)
         with obs.span("workload/full/replay"):
-            replay.run(actions, order)
+            replay.run(emitted.events)
             icfs.finish()
         if obs.enabled():
-            obs.add("workload.replay_actions", len(order))
+            obs.add("workload.replay_actions", emitted.n_events)
         with obs.span("workload/full/postprocess"):
             raw = collector.finish()
             frame = postprocess(raw)
         # attach the authoritative job table (placement metadata)
-        frame = TraceFrame(
-            frame.events,
-            jobs=JobTable.from_rows(
-                (p.job, p.start, p.end, p.spec.n_nodes, p.spec.traced) for p in placed
-            ),
-            header=frame.header,
-        )
+        frame = TraceFrame(frame.events, jobs=emitted.jobs, header=frame.header)
         fs.publish_obs()
         if obs.enabled():
             obs.add("workload.events", frame.n_events)
@@ -379,67 +381,6 @@ class SyntheticEngine(WorkloadEngine):
             raw=raw, fs=fs,
         )
 
-    def _global_actions(self, placed, uses_by_job, pool):
-        """Flatten every planned operation into sortable parallel arrays."""
-        time_, kind_, job_, node_, use_, rank_, off_, size_ = (
-            [] for _ in range(8)
-        )
-        use_index: dict[int, FileUse] = {}
-        next_use = 0
-
-        def add(t, kind, job, node, use, rank, off, size):
-            time_.append(t)
-            kind_.append(kind)
-            job_.append(job)
-            node_.append(node)
-            use_.append(use)
-            rank_.append(rank)
-            off_.append(off)
-            size_.append(size)
-
-        for p in placed:
-            add(p.start, int(EventKind.JOB_START), p.job, p.base_node, -1, -1, 0, p.spec.n_nodes)
-            add(p.end, int(EventKind.JOB_END), p.job, p.base_node, -1, -1, 0, 0)
-            uses = uses_by_job.get(p.job)
-            if not uses:
-                continue
-            rng = pool.rng(f"timing/{p.job}")
-            windows = _phase_windows(p, uses)
-            for use, (w0, w1) in zip(uses, windows):
-                uid = next_use
-                next_use += 1
-                use_index[uid] = use
-                sched = _schedule_use(use, w0, w1, rng)
-                for rank in sorted(use.open_ranks):
-                    add(sched.open_times[rank], int(EventKind.OPEN), p.job,
-                        p.base_node + rank, uid, rank, 0, 0)
-                for rank, plan in use.node_plans.items():
-                    times = sched.op_times.get(rank)
-                    if times is None:
-                        continue
-                    for i in range(len(plan)):
-                        add(float(times[i]), int(plan.kinds[i]), p.job,
-                            p.base_node + rank, uid, rank,
-                            int(plan.offsets[i]), int(plan.sizes[i]))
-                for rank in sorted(use.open_ranks):
-                    add(sched.close_times[rank], int(EventKind.CLOSE), p.job,
-                        p.base_node + rank, uid, rank, 0, 0)
-                if sched.delete_time is not None:
-                    add(sched.delete_time, int(EventKind.DELETE), p.job,
-                        p.base_node, uid, 0, 0, 0)
-
-        return {
-            "time": np.asarray(time_, dtype=np.float64),
-            "kind": np.asarray(kind_, dtype=np.uint8),
-            "job": np.asarray(job_, dtype=np.int64),
-            "node": np.asarray(node_, dtype=np.int64),
-            "use": np.asarray(use_, dtype=np.int64),
-            "rank": np.asarray(rank_, dtype=np.int64),
-            "offset": np.asarray(off_, dtype=np.int64),
-            "size": np.asarray(size_, dtype=np.int64),
-            "_uses": use_index,
-        }
-
 
 class WorkloadGenerator:
     """Engine-agnostic driver: resolves the scenario's engine and runs it.
@@ -447,7 +388,7 @@ class WorkloadGenerator:
     The engine is chosen by the ``engine`` argument when given, else by
     the scenario's ``engine`` field (``synthetic`` for every packaged
     CHARISMA scenario).  Unknown names raise
-    :class:`~repro.errors.WorkloadError` listing the registered engines.
+    :class:`~repro.errors.WorkloadError` listing the available engines.
     """
 
     def __init__(
@@ -506,7 +447,7 @@ class WorkloadGenerator:
         return workload
 
 
-def _emit_job_direct(
+def _emit_job(
     p: PlacedJob,
     uses: list[FileUse],
     cols: _Columns,
@@ -569,47 +510,44 @@ def _emit_job_direct(
 
 
 class _Replayer:
-    """Executes globally time-sorted actions against the instrumented CFS.
+    """Replays an emitted frame's events through the instrumented CFS.
 
-    :meth:`run` walks the whole pre-sorted action table with the
+    Each event's file id names one planned use (``uses[file]``), and
+    each node of a use opens it once, so descriptors are keyed by
+    ``(file, node)``.  :meth:`run` walks the time-sorted events with the
     per-event numpy scalar extraction, ``EventKind`` construction, and
-    per-use dict lookups hoisted out of the loop.  The one-action-at-a-
-    time reference it must match lives in ``tests/replay_oracle.py``.
+    per-use lookups hoisted out of the loop.  The one-event-at-a-time
+    reference it must match lives in ``tests/replay_oracle.py``.
     """
 
-    def __init__(self, icfs: InstrumentedCFS, fs: ConcurrentFileSystem, machine, use_index):
+    def __init__(
+        self, icfs: InstrumentedCFS, fs: ConcurrentFileSystem, machine,
+        uses: list[FileUse],
+    ):
         self.icfs = icfs
         self.fs = fs
         self.machine = machine
-        self.uses = use_index
+        self.uses = uses
         self.fds: dict[tuple[int, int], int] = {}
         self.pointers: dict[int, int] = {}
         self.prepopulated: set[int] = set()
 
-    def run(self, actions, order) -> None:
-        """Replay ``actions[order[i]]`` for all ``i``."""
-        time_ = actions["time"][order].tolist()
-        kind_ = actions["kind"][order].tolist()
-        job_ = actions["job"][order].tolist()
-        node_ = actions["node"][order].tolist()
-        use_ = actions["use"][order].tolist()
-        rank_ = actions["rank"][order].tolist()
-        off_ = actions["offset"][order].tolist()
-        size_ = actions["size"][order].tolist()
+    def run(self, events: np.ndarray) -> None:
+        """Replay ``events`` (time-sorted ``EVENT_DTYPE`` rows) in order."""
+        time_ = events["time"].tolist()
+        kind_ = events["kind"].tolist()
+        job_ = events["job"].tolist()
+        node_ = events["node"].tolist()
+        file_ = events["file"].tolist()
+        off_ = events["offset"].tolist()
+        size_ = events["size"].tolist()
 
-        # pre-resolve per-use attributes into uid-indexed lists
-        n_uses = max(self.uses, default=-1) + 1
-        name_of = [None] * n_uses
-        indep = [False] * n_uses
-        pre_size = [0] * n_uses
-        flags_of = [0] * n_uses
-        mode_of = [None] * n_uses
-        for uid, use in self.uses.items():
-            name_of[uid] = use.name
-            indep[uid] = use.mode is IOMode.INDEPENDENT
-            pre_size[uid] = use.preexisting_size
-            flags_of[uid] = use.flags
-            mode_of[uid] = use.mode
+        # per-use attributes as file-id-indexed lists
+        name_of = [u.name for u in self.uses]
+        indep = [u.mode is IOMode.INDEPENDENT for u in self.uses]
+        pre_size = [u.preexisting_size for u in self.uses]
+        flags_of = [u.flags for u in self.uses]
+        mode_of = [u.mode for u in self.uses]
 
         icfs = self.icfs
         fs = self.fs
@@ -633,10 +571,10 @@ class _Replayer:
             advance_to(time_[i])
             k = kind_[i]
             if k == k_read or k == k_write:
-                uid = use_[i]
-                fd = fds[(uid, rank_[i])]
+                fid = file_[i]
+                fd = fds[(fid, node_[i])]
                 offset = off_[i]
-                if indep[uid] and pointers[fd] != offset:
+                if indep[fid] and pointers[fd] != offset:
                     icfs_lseek(fd, offset)
                 if k == k_read:
                     data = icfs_read(fd, size_[i])
@@ -645,28 +583,28 @@ class _Replayer:
                     icfs_write_zeros(fd, size_[i])
                     pointers[fd] = offset + size_[i]
             elif k == k_open:
-                uid = use_[i]
-                if pre_size[uid] > 0 and uid not in prepopulated:
-                    if not fs.exists(name_of[uid]):
-                        fs.prepopulate(name_of[uid], pre_size[uid])
-                    prepopulated.add(uid)
+                fid = file_[i]
+                if pre_size[fid] > 0 and fid not in prepopulated:
+                    if not fs.exists(name_of[fid]):
+                        fs.prepopulate(name_of[fid], pre_size[fid])
+                    prepopulated.add(fid)
                 fd = icfs.open(
-                    name_of[uid], node_[i], job_[i], flags_of[uid], mode_of[uid]
+                    name_of[fid], node_[i], job_[i], flags_of[fid], mode_of[fid]
                 )
-                fds[(uid, rank_[i])] = fd
+                fds[(fid, node_[i])] = fd
                 pointers[fd] = 0
             elif k == k_close:
-                fd = fds.pop((use_[i], rank_[i]))
+                fd = fds.pop((file_[i], node_[i]))
                 pointers.pop(fd, None)
                 icfs.close(fd)
             elif k == k_delete:
-                icfs.unlink(name_of[use_[i]], node_[i], job_[i])
+                icfs.unlink(name_of[file_[i]], node_[i], job_[i])
             elif k == k_job_start:
                 icfs.job_start(job_[i], node_[i], size_[i])
             elif k == k_job_end:
                 icfs.job_end(job_[i], node_[i])
             else:  # pragma: no cover - defensive
-                raise WorkloadError(f"unexpected action kind {k}")
+                raise WorkloadError(f"unexpected event kind {k}")
 
 
 def _phase_windows(p: PlacedJob, uses: list[FileUse]) -> list[tuple[float, float]]:

@@ -8,9 +8,9 @@ named :mod:`~repro.workload.engines` engine that realizes it.
 study's marginals; ``scale`` shrinks the traced period (the shapes are
 scale-invariant, the absolute counts are not).
 
-Scenarios register by name in :data:`SCENARIO_REGISTRY` so the CLI (and
-anything else) can look them up with :func:`get_scenario`; each entry is
-a factory ``factory(scale) -> Scenario`` where ``scale`` is the fraction
+:data:`SCENARIOS` is the one table of scenarios by name, which the CLI
+(and anything else) reads through :func:`get_scenario`; each entry is a
+factory ``factory(scale) -> Scenario``, where ``scale`` is the fraction
 of the paper's 156 traced hours.
 """
 
@@ -57,7 +57,7 @@ class Scenario:
     traced_multi_fraction: float = 0.55
     traced_single_fraction: float = 0.10
     max_concurrent_jobs: int = 8
-    #: registry name of the workload engine that realizes this scenario
+    #: name of the workload engine that realizes this scenario (see ENGINES)
     engine: str = "synthetic"
     #: engine-specific configuration (e.g. the drift mix, a replay path)
     engine_options: Mapping = field(default_factory=dict)
@@ -124,48 +124,40 @@ def tiny(duration_hours: float = 1.5) -> Scenario:
     )
 
 
-# -- the scenario registry -----------------------------------------------------
+# -- the scenario table ----------------------------------------------------------
 
-#: dotted paths of built-in factories resolved on first lookup (keeps
-#: this module import-light; drift imports Scenario from here)
-_BUILTIN_SCENARIOS: dict[str, str] = {
-    "drift": "repro.workload.drift:drift_scenario",
-}
 
-#: scenario factories registered at runtime: name -> factory(scale)
-SCENARIO_REGISTRY: dict[str, Callable[[float], Scenario]] = {
+def _drift(scale: float) -> Scenario:
+    # imported on first use: this module stays import-light, and drift
+    # imports Scenario from here
+    from repro.workload.drift import drift_scenario
+
+    return drift_scenario(scale)
+
+
+#: every scenario by name: its factory ``factory(scale) -> Scenario``
+SCENARIOS: dict[str, Callable[[float], Scenario]] = {
     "ames1993": ames1993,
     "tiny": lambda scale: tiny(duration_hours=FULL_PERIOD_HOURS * scale),
+    "drift": _drift,
 }
-
-
-def register_scenario(name: str, factory: Callable[[float], Scenario]) -> None:
-    """Register a scenario factory under ``name``."""
-    SCENARIO_REGISTRY[name] = factory
 
 
 def available_scenarios() -> list[str]:
-    """Sorted names of every known scenario."""
-    return sorted(set(_BUILTIN_SCENARIOS) | set(SCENARIO_REGISTRY))
+    """Sorted names of every scenario."""
+    return sorted(SCENARIOS)
 
 
 def get_scenario(name: str, scale: float = 1.0) -> Scenario:
-    """Build a registered scenario at ``scale`` (fraction of 156 hours).
+    """Build the named scenario at ``scale`` (fraction of 156 hours).
 
     Raises :class:`~repro.errors.WorkloadError` naming the available
     scenarios when ``name`` is unknown.
     """
-    factory = SCENARIO_REGISTRY.get(name)
+    factory = SCENARIOS.get(name)
     if factory is None:
-        path = _BUILTIN_SCENARIOS.get(name)
-        if path is None:
-            raise WorkloadError(
-                f"unknown scenario {name!r} "
-                f"(available: {', '.join(available_scenarios())})"
-            )
-        import importlib
-
-        module_name, _, attr = path.partition(":")
-        factory = getattr(importlib.import_module(module_name), attr)
-        SCENARIO_REGISTRY[name] = factory
+        raise WorkloadError(
+            f"unknown scenario {name!r} "
+            f"(available: {', '.join(available_scenarios())})"
+        )
     return factory(scale)

@@ -1,7 +1,7 @@
-"""The full pipeline's reference replayer: one action at a time.
+"""The full pipeline's reference replayer: one event at a time.
 
-:class:`StepReplayer` issues one instrumented-CFS call per action from
-scalar arguments, with nothing hoisted out of the loop.  It is the
+:class:`StepReplayer` issues one instrumented-CFS call per emitted event
+from scalar arguments, with nothing hoisted out of the loop.  It is the
 executable spec that :meth:`repro.workload.generator._Replayer.run`
 must match call for call.  :func:`run_full_step` runs the ``full``
 pipeline once with it swapped in for the replayer, so the tests and
@@ -18,22 +18,21 @@ from repro.workload import generator
 
 
 class StepReplayer(generator._Replayer):
-    """Replays ``actions[order]`` through :meth:`step`, one call each."""
+    """Replays the emitted events through :meth:`step`, one call each."""
 
-    def run(self, actions, order) -> None:
-        for idx in order:
+    def run(self, events) -> None:
+        for row in events:
             self.step(
-                float(actions["time"][idx]),
-                int(actions["kind"][idx]),
-                int(actions["job"][idx]),
-                int(actions["node"][idx]),
-                int(actions["use"][idx]),
-                int(actions["rank"][idx]),
-                int(actions["offset"][idx]),
-                int(actions["size"][idx]),
+                float(row["time"]),
+                int(row["kind"]),
+                int(row["job"]),
+                int(row["node"]),
+                int(row["file"]),
+                int(row["offset"]),
+                int(row["size"]),
             )
 
-    def step(self, t, kind, job, node, uid, rank, offset, size) -> None:
+    def step(self, t, kind, job, node, fid, offset, size) -> None:
         self.machine.timebase.advance_to(max(self.machine.timebase.now, t))
         ek = EventKind(kind)
         if ek is EventKind.JOB_START:
@@ -42,25 +41,25 @@ class StepReplayer(generator._Replayer):
         if ek is EventKind.JOB_END:
             self.icfs.job_end(job, node)
             return
-        use = self.uses[uid]
+        use = self.uses[fid]
         if ek is EventKind.OPEN:
-            if use.preexisting_size > 0 and uid not in self.prepopulated:
+            if use.preexisting_size > 0 and fid not in self.prepopulated:
                 if not self.fs.exists(use.name):
                     self.fs.prepopulate(use.name, use.preexisting_size)
-                self.prepopulated.add(uid)
+                self.prepopulated.add(fid)
             fd = self.icfs.open(use.name, node, job, use.flags, use.mode)
-            self.fds[(uid, rank)] = fd
+            self.fds[(fid, node)] = fd
             self.pointers[fd] = 0
             return
         if ek is EventKind.CLOSE:
-            fd = self.fds.pop((uid, rank))
+            fd = self.fds.pop((fid, node))
             self.pointers.pop(fd, None)
             self.icfs.close(fd)
             return
         if ek is EventKind.DELETE:
             self.icfs.unlink(use.name, node, job)
             return
-        fd = self.fds[(uid, rank)]
+        fd = self.fds[(fid, node)]
         if use.mode is IOMode.INDEPENDENT and self.pointers[fd] != offset:
             self.icfs.lseek(fd, offset)
             self.pointers[fd] = offset
@@ -71,7 +70,7 @@ class StepReplayer(generator._Replayer):
             self.icfs.write(fd, b"\x00" * size)
             self.pointers[fd] = offset + size
         else:  # pragma: no cover - defensive
-            raise WorkloadError(f"unexpected action kind {ek}")
+            raise WorkloadError(f"unexpected event kind {ek}")
 
 
 def run_full_step(gen: generator.WorkloadGenerator) -> generator.GeneratedWorkload:

@@ -81,6 +81,32 @@ class TestCommands:
         assert main(["cache", str(trace_path), "--experiment", "combined"]) == 0
         assert "reduction" in capsys.readouterr().out
 
+    def test_cache_prefetch_builds_one_request_stream(
+        self, trace_path, capsys, monkeypatch
+    ):
+        from repro.caching import io_node
+
+        calls = []
+        real = io_node.request_stream
+
+        def counted(frame, *args, **kwargs):
+            calls.append(frame)
+            return real(frame, *args, **kwargs)
+
+        monkeypatch.setattr(io_node, "request_stream", counted)
+        assert main(["cache", str(trace_path), "--experiment", "prefetch"]) == 0
+        assert len(calls) == 1
+        # what the command printed when each depth built its own stream
+        assert capsys.readouterr().out == (
+            "tagged OBL prefetching at 500 buffers\n"
+            "depth | hit rate | prefetches | accuracy\n"
+            "------+----------+------------+---------\n"
+            "    0 |    0.851 |          0 |     0.0%\n"
+            "    1 |    0.964 |       2649 |    91.1%\n"
+            "    2 |    0.986 |       3285 |    85.4%\n"
+            "    4 |    0.986 |       3773 |    74.8%\n"
+        )
+
     @pytest.mark.parametrize("argv, flag", [
         (["--experiment", "fig8", "--buffers", "0"], "--buffers"),
         (["--policy", "nope"], "--policy"),
@@ -97,10 +123,11 @@ class TestCommands:
         (["--experiment", "prefetch", "--buffers", "100", "300"],
          "--buffers: --experiment prefetch"),
         (["--experiment", "combined", "--buffers", "100"], "--buffers: --experiment combined"),
+        (["--experiment", "fig8", "--io-nodes", "3"], "--io-nodes: --experiment fig8"),
     ], ids=["fig8-buffers-0", "policy-nope", "fig9-buffers-negative", "io-nodes-0",
             "engine-removed", "combined-policy", "fig8-policy", "disktime-policy",
             "prefetch-policy", "disktime-two-buffers", "prefetch-two-buffers",
-            "combined-buffers"])
+            "combined-buffers", "fig8-io-nodes"])
     def test_cache_rejects_bad_input_before_generating(
         self, argv, flag, capsys, monkeypatch
     ):

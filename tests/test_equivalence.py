@@ -11,7 +11,8 @@ digests at two seeds/scales.  They also freeze the direct and full
 pipelines' output (the full pipeline's raw trace, frame, CFS end state
 and simulation counters), check the full pipeline's replayer against the
 step oracle in ``tests/replay_oracle.py``, and check the vectorized
-strided-run detector against its reference loop on arbitrary streams.
+strided-run detector against its reference loop in
+``tests/strided_oracle.py`` on arbitrary streams.
 """
 
 import dataclasses
@@ -34,12 +35,7 @@ from repro.core import (
     sharing,
 )
 from repro.core.figures import figure_series, render_all
-from repro.strided.detect import (
-    coalesce_runs,
-    coalesce_stream,
-    coalesce_stream_vectorized,
-    coalesce_trace,
-)
+from repro.strided.detect import coalesce_runs, coalesce_stream, coalesce_trace
 from repro import obs
 from repro.trace.records import EventKind
 from repro.util.cdf import EmpiricalCDF
@@ -50,7 +46,7 @@ from repro.workload import (
     tiny,
     validate_workload,
 )
-from tests import legacy_oracle
+from tests import legacy_oracle, strided_oracle
 from tests.legacy_oracle import characterize_legacy
 from tests.replay_oracle import run_full_step
 
@@ -571,7 +567,7 @@ class TestFrozenFullPipeline:
         assert run.raw.to_bytes() == full_serial.raw.to_bytes()
 
 
-# -- strided-run detector: vectorized vs reference loop -----------------------
+# -- strided-run detector: vectorized vs the reference loop (strided_oracle) --
 
 random_streams = st.lists(
     st.tuples(st.integers(0, 64), st.integers(1, 8)), min_size=0, max_size=50
@@ -588,7 +584,7 @@ class TestStridedDetectorProperty:
     def test_matches_reference_on_arbitrary_streams(self, pairs):
         offsets = np.array([p[0] for p in pairs], dtype=np.int64)
         sizes = np.array([p[1] for p in pairs], dtype=np.int64)
-        assert coalesce_stream_vectorized(offsets, sizes) == coalesce_stream(
+        assert coalesce_stream(offsets, sizes) == strided_oracle.coalesce_stream(
             offsets, sizes
         )
 
@@ -599,7 +595,7 @@ class TestStridedDetectorProperty:
             [[0], np.cumsum(np.asarray(diffs, dtype=np.int64))]
         )
         sizes = np.full(len(offsets), size, dtype=np.int64)
-        assert coalesce_stream_vectorized(offsets, sizes) == coalesce_stream(
+        assert coalesce_stream(offsets, sizes) == strided_oracle.coalesce_stream(
             offsets, sizes
         )
 

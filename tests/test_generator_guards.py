@@ -16,6 +16,19 @@ class TestEventGuard:
         with pytest.raises(WorkloadError, match="exceeds"):
             WorkloadGenerator(tiny(1.5), seed=3).run("direct")
 
+    def test_max_events_guard_trips_before_the_full_replay(self, monkeypatch):
+        # the full pipeline replays the emitted events, so the guard trips
+        # before the instrumented CFS exists, let alone takes a call
+        from repro.cfs.instrument import InstrumentedCFS
+
+        def no_cfs(*args, **kwargs):
+            raise AssertionError("built the instrumented CFS past the event guard")
+
+        monkeypatch.setattr(gen_mod, "MAX_EVENTS", 100)
+        monkeypatch.setattr(InstrumentedCFS, "__init__", no_cfs)
+        with pytest.raises(WorkloadError, match="exceeds"):
+            WorkloadGenerator(tiny(1.0), seed=5).run("full")
+
     def test_columns_accumulator_counts(self):
         cols = gen_mod._Columns()
         cols.add(

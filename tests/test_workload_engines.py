@@ -1,6 +1,6 @@
-"""The engine registry and the drift engine.
+"""The engine table and the drift engine.
 
-Covers the engine contract end to end: registry lookup and error
+Covers the engine contract end to end: table lookup and error
 surfaces, driver resolution order, drift's frozen output at two
 scales/seeds, and the steady-state convergence of its file population
 under create/delete churn.
@@ -16,7 +16,6 @@ from repro.workload import (
     DriftEngine,
     DriftMix,
     SyntheticEngine,
-    WorkloadEngine,
     WorkloadGenerator,
     ames1993,
     available_engines,
@@ -25,7 +24,6 @@ from repro.workload import (
     get_engine,
     get_scenario,
     population_curve,
-    register_engine,
     validate_workload,
 )
 from repro.workload.validate import engine_of
@@ -54,31 +52,6 @@ class TestEngineRegistry:
     def test_unknown_engine_lists_available(self):
         with pytest.raises(WorkloadError, match="drift.*synthetic"):
             get_engine("nope")
-
-    def test_register_engine_roundtrip(self):
-        class EmptyEngine(WorkloadEngine):
-            name = "empty-test-engine"
-            validation = "structural"
-
-            def run(self, pipeline="direct"):
-                raise NotImplementedError
-
-        try:
-            register_engine(EmptyEngine)
-            assert get_engine("empty-test-engine") is EmptyEngine
-            assert "empty-test-engine" in available_engines()
-        finally:
-            from repro.workload.engines import ENGINE_REGISTRY
-
-            ENGINE_REGISTRY.pop("empty-test-engine", None)
-
-    def test_register_engine_requires_name(self):
-        class Anonymous(WorkloadEngine):
-            def run(self, pipeline="direct"):
-                raise NotImplementedError
-
-        with pytest.raises(WorkloadError, match="no name"):
-            register_engine(Anonymous)
 
     def test_validation_profiles(self):
         assert SyntheticEngine.validation == "marginals"
